@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"jessica2/internal/runner"
 )
 
 // TestFigGFullStackWins is the acceptance check for the
@@ -27,17 +25,5 @@ func TestFigGFullStackWins(t *testing.T) {
 		if full.LeaseExpiries == 0 {
 			t.Errorf("%s: full stack saw no lease expiries — the crash schedule never hit the detector", sched)
 		}
-	}
-}
-
-// TestFigGDeterministic demands a byte-identical report across two full
-// sweeps, the second through a parallel pool: arrivals, crashes, retries,
-// hedges and breaker trips are all functions of the seed alone, and the
-// pool only changes wall-clock, never results.
-func TestFigGDeterministic(t *testing.T) {
-	a := FigG(testScale, nil).Table().String()
-	b := FigG(testScale, runner.New(3)).Table().String()
-	if a != b {
-		t.Fatalf("FigG not deterministic:\n--- serial\n%s\n--- parallel\n%s", a, b)
 	}
 }

@@ -31,14 +31,3 @@ func TestFigRRecoveryWins(t *testing.T) {
 		t.Log("health gate never vetoed an action (planner stayed off dead nodes)")
 	}
 }
-
-// TestFigRDeterministic re-runs one crash cell and demands byte-identical
-// tables: failure schedules, detection and evacuation are part of the
-// deterministic simulation, not a source of noise.
-func TestFigRDeterministic(t *testing.T) {
-	a := FigR(testScale, nil).Table().String()
-	b := FigR(testScale, nil).Table().String()
-	if a != b {
-		t.Fatalf("FigR not deterministic:\n--- first\n%s\n--- second\n%s", a, b)
-	}
-}

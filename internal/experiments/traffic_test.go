@@ -27,14 +27,3 @@ func TestFigTClosedLoopWins(t *testing.T) {
 		}
 	}
 }
-
-// TestFigTDeterministic demands a byte-identical report across two full
-// sweeps: the arrival schedules, the serving order and the policy decisions
-// are all functions of the seed alone.
-func TestFigTDeterministic(t *testing.T) {
-	a := FigT(testScale, nil).Table().String()
-	b := FigT(testScale, nil).Table().String()
-	if a != b {
-		t.Fatalf("FigT not deterministic:\n--- first\n%s\n--- second\n%s", a, b)
-	}
-}

@@ -36,14 +36,3 @@ func TestFigWWarmStartWins(t *testing.T) {
 		}
 	}
 }
-
-// TestFigWDeterministic demands a byte-identical report across two full
-// sweeps: the capture, the profile round trip, and the warm replay are all
-// functions of the seed alone.
-func TestFigWDeterministic(t *testing.T) {
-	a := FigW(testScale, nil).Table().String()
-	b := FigW(testScale, nil).Table().String()
-	if a != b {
-		t.Fatalf("FigW not deterministic:\n--- first\n%s\n--- second\n%s", a, b)
-	}
-}
