@@ -40,6 +40,7 @@ import (
 
 	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
+	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
 	"jessica2/internal/tcm"
 )
@@ -191,19 +192,42 @@ func main() {
 		fmt.Println("wrote", *benchjson)
 		return
 	}
-	if !*all && *table == 0 && *fig == 0 && !*figS && !*figCL && !*figR && !*figT && !*figG && !*figW {
+	// Every regeneration renders one table. The strict-win figures after the
+	// paper's double as assertions: each claim violation (e.g. recovery not
+	// strictly beating no-recovery on a crash schedule) goes to stderr and
+	// the run exits non-zero.
+	type figure interface {
+		Table() *metrics.Table
+		Violations() []string
+	}
+	regens := []struct {
+		on          bool
+		flag, title string
+		run         func() fmt.Stringer
+	}{
+		{*table == 1, "", "Table I", func() fmt.Stringer { return experiments.Table1(sc) }},
+		{*table == 2, "", "Table II", func() fmt.Stringer { return experiments.Table2(sc, pool).Table() }},
+		{*table == 3, "", "Table III", func() fmt.Stringer { return experiments.Table3(sc, pool).Table() }},
+		{*table == 4, "", "Table IV", func() fmt.Stringer { return experiments.Table4(sc, pool).Table() }},
+		{*table == 5, "", "Table V", func() fmt.Stringer { return experiments.Table5(sc, pool).Table() }},
+		{*fig == 9, "", "Figure 9", func() fmt.Stringer { return experiments.Fig9(sc, pool).Table() }},
+		{*fig == 1, "", "Figure 1", func() fmt.Stringer { return experiments.Fig1(sc, pool) }},
+		{*figS, "figS", "Figure S", func() fmt.Stringer { return experiments.FigS(sc, pool) }},
+		{*figCL, "figCL", "Figure CL", func() fmt.Stringer { return experiments.FigCL(sc, pool) }},
+		{*figR, "figR", "Figure R", func() fmt.Stringer { return experiments.FigR(sc, pool) }},
+		{*figT, "figT", "Figure T", func() fmt.Stringer { return experiments.FigT(sc, pool) }},
+		{*figG, "figG", "Figure G", func() fmt.Stringer { return experiments.FigG(sc, pool) }},
+		{*figW, "figW", "Figure W", func() fmt.Stringer { return experiments.FigW(sc, pool) }},
+	}
+	selected := *all || *table != 0 || *fig != 0
+	for _, r := range regens {
+		selected = selected || r.on
+	}
+	if !selected {
 		flag.Usage()
 		os.Exit(2)
 	}
-	run := func(name string, f func()) {
-		start := time.Now()
-		fmt.Printf("== %s (scale 1/%d) ==\n", name, *scale)
-		f()
-		fmt.Printf("-- regenerated in %v --\n\n", time.Since(start).Round(time.Millisecond))
-	}
-	emit := func(t interface {
-		String() string
-	}) {
+	emit := func(t fmt.Stringer) {
 		type csver interface{ CSV() string }
 		if *csv {
 			if c, ok := t.(csver); ok {
@@ -213,93 +237,24 @@ func main() {
 		}
 		fmt.Println(t)
 	}
-
-	if *all || *table == 1 {
-		run("Table I", func() { emit(experiments.Table1(sc)) })
-	}
-	if *all || *table == 2 {
-		run("Table II", func() { emit(experiments.Table2(sc, pool).Table()) })
-	}
-	if *all || *table == 3 {
-		run("Table III", func() { emit(experiments.Table3(sc, pool).Table()) })
-	}
-	if *all || *table == 4 {
-		run("Table IV", func() { emit(experiments.Table4(sc, pool).Table()) })
-	}
-	if *all || *table == 5 {
-		run("Table V", func() { emit(experiments.Table5(sc, pool).Table()) })
-	}
-	if *all || *fig == 9 {
-		run("Figure 9", func() { emit(experiments.Fig9(sc, pool).Table()) })
-	}
-	if *all || *fig == 1 {
-		run("Figure 1", func() { fmt.Println(experiments.Fig1(sc, pool)) })
-	}
-	if *all || *figS {
-		run("Figure S", func() { emit(experiments.FigS(sc, pool).Table()) })
-	}
-	if *all || *figCL {
-		run("Figure CL", func() { emit(experiments.FigCL(sc, pool).Table()) })
-	}
-	if *all || *figR {
-		run("Figure R", func() {
-			res := experiments.FigR(sc, pool)
-			emit(res.Table())
-			// Figure R doubles as an assertion: recovery must strictly beat
-			// no-recovery and one-shot placement on every crash schedule.
-			if vs := res.Violations(); len(vs) > 0 {
+	for _, r := range regens {
+		if !*all && !r.on {
+			continue
+		}
+		start := time.Now()
+		fmt.Printf("== %s (scale 1/%d) ==\n", r.title, *scale)
+		res := r.run()
+		if g, ok := res.(figure); !ok {
+			emit(res)
+		} else {
+			emit(g.Table())
+			if vs := g.Violations(); len(vs) > 0 {
 				for _, v := range vs {
-					fmt.Fprintln(os.Stderr, "djvmbench: figR violation:", v)
+					fmt.Fprintf(os.Stderr, "djvmbench: %s violation: %s\n", r.flag, v)
 				}
 				os.Exit(1)
 			}
-		})
-	}
-	if *all || *figT {
-		run("Figure T", func() {
-			res := experiments.FigT(sc, pool)
-			emit(res.Table())
-			// Figure T doubles as an assertion: closed-loop placement must
-			// strictly beat the nop baseline and the one-shot placement on
-			// P99 latency on every arrival schedule.
-			if vs := res.Violations(); len(vs) > 0 {
-				for _, v := range vs {
-					fmt.Fprintln(os.Stderr, "djvmbench: figT violation:", v)
-				}
-				os.Exit(1)
-			}
-		})
-	}
-	if *all || *figG {
-		run("Figure G", func() {
-			res := experiments.FigG(sc, pool)
-			emit(res.Table())
-			// Figure G doubles as an assertion: the full stack (deadlines,
-			// shedding, retries, hedging, breakers) must strictly beat the
-			// unprotected and shed-only levels on goodput-within-SLO and on
-			// P99 on every failure schedule.
-			if vs := res.Violations(); len(vs) > 0 {
-				for _, v := range vs {
-					fmt.Fprintln(os.Stderr, "djvmbench: figG violation:", v)
-				}
-				os.Exit(1)
-			}
-		})
-	}
-	if *all || *figW {
-		run("Figure W", func() {
-			res := experiments.FigW(sc, pool)
-			emit(res.Table())
-			// Figure W doubles as an assertion: the warm start must strictly
-			// cut convergence epochs and profiling charge on the closed-loop
-			// application and the charge on the open-loop one, with quality
-			// inside the figure's epsilons.
-			if vs := res.Violations(); len(vs) > 0 {
-				for _, v := range vs {
-					fmt.Fprintln(os.Stderr, "djvmbench: figW violation:", v)
-				}
-				os.Exit(1)
-			}
-		})
+		}
+		fmt.Printf("-- regenerated in %v --\n\n", time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"jessica2/internal/core"
-	"jessica2/internal/gos"
-	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
-	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
 	"jessica2/internal/workload"
@@ -30,7 +26,9 @@ import (
 //     FigCLEpochs epochs, chasing the workload as it shifts.
 //
 // Epoch lengths are calibrated from the baseline's execution time so all
-// modes step through comparable schedules.
+// modes step through comparable schedules. The acceptance bar is strict:
+// closed-loop must beat both none and one-shot on execution time, must have
+// acted, and must have run at least two epochs.
 
 // FigCLScenarios is the scenario axis of the sweep.
 var FigCLScenarios = []string{"phased", "noisy"}
@@ -38,13 +36,10 @@ var FigCLScenarios = []string{"phased", "noisy"}
 // FigCLEpochs is the closed-loop mode's epoch count.
 const FigCLEpochs = 8
 
-// FigCLRow is one (workload, scenario, mode) measurement.
+// FigCLRow is one (workload/scenario, mode) measurement.
 type FigCLRow struct {
-	Workload string
-	Scenario string
-	Mode     string // "none", "one-shot", "closed-loop"
-	Epochs   int
-	Exec     sim.Time
+	Epochs int
+	Exec   sim.Time
 	// Speedup is baseline exec / this mode's exec (1.0 for the baseline).
 	Speedup float64
 	// ThreadMoves / HomeMoves count applied migrations; Faults is the
@@ -52,13 +47,6 @@ type FigCLRow struct {
 	ThreadMoves int
 	HomeMoves   int64
 	Faults      int64
-}
-
-// FigCLResult holds the closed-loop sweep.
-type FigCLResult struct {
-	Scale Scale
-	Seed  uint64
-	Rows  []FigCLRow
 }
 
 // figCLKVMix builds the phase-rich KVMix instance: rounds short relative to
@@ -118,125 +106,91 @@ func (p *oncePolicy) Observe(s *session.Snapshot) []session.Action {
 	return acts
 }
 
-// figCLRun executes one cell and returns (exec, applied thread moves).
-func figCLRun(w workload.Workload, scenName string, seed uint64, policy session.Policy, epoch sim.Time) (*session.Session, sim.Time) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
-	scen, err := scenario.Preset(scenName, nodes, seed)
-	if err != nil {
-		panic(err)
-	}
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: epoch})
-	if err := s.Launch(w, workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
-	return s, exec
-}
+// FigCL runs the closed-loop sweep at the given dataset scale: the four
+// baselines fan out through the pool first, then the eight policy runs
+// whose epoch lengths derive from them.
+func FigCL(sc Scale, p *runner.Pool) *Result[FigCLRow] { return figCLGrid(sc).Sweep(p) }
 
-// FigCL runs the closed-loop sweep at the given dataset scale. The sweep
-// is two waves of independent session runs submitted through the pool: the
-// policy modes calibrate their epoch lengths from the baseline's execution
-// time, so the four baselines fan out first, then all eight policy runs.
-func FigCL(sc Scale, p *runner.Pool) *FigCLResult {
-	const seed = 42
-	loads := []struct {
-		name string
-		make func(Scale) workload.Workload
-	}{
-		{"KVMix", figCLKVMix},
-		{"Synthetic/zipf", figCLSynthetic},
-	}
-	// cellRun carries only the scalars the fold reads, so the sessions (a
-	// full kernel + registry + simulated heap each) are released as soon as
-	// their job returns instead of being pinned until the final fold.
-	type cellRun struct {
-		exec        sim.Time
-		faults      int64
-		homeMoves   int64
-		threadMoves int
-	}
-	summarize := func(s *session.Session, exec sim.Time) cellRun {
-		return cellRun{
-			exec:        exec,
-			faults:      s.Kernel().Stats().Faults,
-			homeMoves:   s.Kernel().Stats().HomeMigrations,
-			threadMoves: len(s.MigrationEngine().History),
-		}
-	}
+func figCLGrid(sc Scale) *Grid[FigCLRow] {
+	// cells[i] is the (workload, scenario) pair behind groups[i].
 	type cell struct {
-		load string
-		make func(Scale) workload.Workload
-		scen string
+		load, scen string
+		make       func(Scale) workload.Workload
 	}
 	var cells []cell
-	for _, ld := range loads {
+	var groups []string
+	for _, ld := range []struct {
+		name string
+		make func(Scale) workload.Workload
+	}{{"KVMix", figCLKVMix}, {"Synthetic/zipf", figCLSynthetic}} {
 		for _, scen := range FigCLScenarios {
-			cells = append(cells, cell{ld.name, ld.make, scen})
+			cells = append(cells, cell{ld.name, scen, ld.make})
+			groups = append(groups, ld.name+"/"+scen)
 		}
 	}
-
-	// Wave 1: baselines (no policy), one per cell.
-	baseJobs := make([]func() cellRun, len(cells))
-	for i := range cells {
-		c := cells[i]
-		baseJobs[i] = func() cellRun {
-			return summarize(figCLRun(c.make(sc), c.scen, seed, nil, 0))
-		}
+	cellOf := func(group string) cell { return cells[slices.Index(groups, group)] }
+	exec := func(r *FigCLRow) float64 { return float64(r.Exec) }
+	showExec := func(r *FigCLRow) string { return r.Exec.String() }
+	return &Grid[FigCLRow]{
+		Title:  fmt.Sprintf("FIGURE CL. CLOSED-LOOP ADAPTATION VS ONE-SHOT VS NO MIGRATION (4 nodes, 8 threads, seed %d)", figSeed),
+		Groups: groups,
+		Modes:  []string{"none", "one-shot", "closed-loop"},
+		Keys:   []string{"Workload", "Scenario", "Mode"},
+		GroupCells: func(group string) []string {
+			c := cellOf(group)
+			return []string{c.load, c.scen}
+		},
+		Columns: []Column[FigCLRow]{
+			{"Epochs", func(r *FigCLRow) string { return fmt.Sprint(r.Epochs) }},
+			{"Exec", showExec},
+			{"Speedup", func(r *FigCLRow) string { return fmt.Sprintf("%.3fx", r.Speedup) }},
+			{"Thr Moves", func(r *FigCLRow) string { return fmt.Sprint(r.ThreadMoves) }},
+			{"Home Moves", func(r *FigCLRow) string { return fmt.Sprint(r.HomeMoves) }},
+			{"Faults", func(r *FigCLRow) string { return fmt.Sprint(r.Faults) }},
+		},
+		Base: "none",
+		Run: func(group, mode string, base *FigCLRow) (FigCLRow, error) {
+			c := cellOf(group)
+			run := sessionCell{load: c.make(sc), preset: c.scen}
+			row := FigCLRow{Epochs: 1, Speedup: 1}
+			switch mode {
+			case "one-shot":
+				run.policy = &oncePolicy{inner: session.NewRebalancePolicy()}
+				run.epoch = base.Exec / 2
+				row.Epochs = 2
+			case "closed-loop":
+				run.policy = session.NewRebalancePolicy()
+				run.epoch = base.Exec / FigCLEpochs
+				row.Epochs = FigCLEpochs
+			}
+			s, ex, err := run.run()
+			if err != nil {
+				return row, err
+			}
+			row.Exec = ex
+			row.Faults = s.Kernel().Stats().Faults
+			row.HomeMoves = s.Kernel().Stats().HomeMigrations
+			row.ThreadMoves = len(s.MigrationEngine().History)
+			if base != nil {
+				row.Speedup = float64(base.Exec) / float64(ex)
+			}
+			return row, nil
+		},
+		Claims: []Claim[FigCLRow]{
+			{Winner: "closed-loop", Over: "none", Better: Lower, Value: exec, Show: showExec},
+			{Winner: "closed-loop", Over: "one-shot", Better: Lower, Value: exec, Show: showExec},
+		},
+		Post: func(g GroupRows[FigCLRow]) (out []string) {
+			loop := g.Row("closed-loop")
+			if loop.ThreadMoves+int(loop.HomeMoves) == 0 {
+				out = append(out, fmt.Sprintf("%s: closed-loop never acted", g.Name))
+			}
+			if loop.Epochs < 2 {
+				out = append(out, fmt.Sprintf("%s: closed-loop ran %d epochs", g.Name, loop.Epochs))
+			}
+			return out
+		},
 	}
-	bases := runner.Collect(p, baseJobs)
-
-	// Wave 2: per cell, the one-shot and closed-loop modes, with epoch
-	// lengths derived from that cell's baseline.
-	modeJobs := make([]func() cellRun, 0, 2*len(cells))
-	for i := range cells {
-		c, baseExec := cells[i], bases[i].exec
-		modeJobs = append(modeJobs,
-			func() cellRun {
-				oneShot := &oncePolicy{inner: session.NewRebalancePolicy()}
-				return summarize(figCLRun(c.make(sc), c.scen, seed, oneShot, baseExec/2))
-			},
-			func() cellRun {
-				return summarize(figCLRun(c.make(sc), c.scen, seed, session.NewRebalancePolicy(), baseExec/FigCLEpochs))
-			})
-	}
-	modes := runner.Collect(p, modeJobs)
-
-	res := &FigCLResult{Scale: sc, Seed: seed}
-	for i, c := range cells {
-		baseExec := bases[i].exec
-		res.Rows = append(res.Rows, FigCLRow{
-			Workload: c.load, Scenario: c.scen, Mode: "none", Epochs: 1,
-			Exec: baseExec, Speedup: 1,
-			Faults: bases[i].faults,
-		})
-		add := func(mode string, epochs int, r cellRun) {
-			res.Rows = append(res.Rows, FigCLRow{
-				Workload: c.load, Scenario: c.scen, Mode: mode, Epochs: epochs,
-				Exec:        r.exec,
-				Speedup:     float64(baseExec) / float64(r.exec),
-				Faults:      r.faults,
-				HomeMoves:   r.homeMoves,
-				ThreadMoves: r.threadMoves,
-			})
-		}
-		add("one-shot", 2, modes[2*i])
-		add("closed-loop", FigCLEpochs, modes[2*i+1])
-	}
-	return res
 }
 
 // ClosedLoopProbe runs one closed-loop cell to completion — KVMix or the
@@ -255,40 +209,10 @@ func ClosedLoopProbe(sc Scale, load string) (*session.Session, sim.Time) {
 	default:
 		w = figCLSynthetic(sc)
 	}
-	return figCLRun(w, "phased", 42, session.NewRebalancePolicy(), 2*sim.Millisecond)
-}
-
-// Row returns the (workload, scenario, mode) cell, or nil.
-func (r *FigCLResult) Row(load, scen, mode string) *FigCLRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Workload == load && row.Scenario == scen && row.Mode == mode {
-			return row
-		}
+	s, exec, err := sessionCell{load: w, preset: "phased", epoch: 2 * sim.Millisecond,
+		policy: session.NewRebalancePolicy()}.run()
+	if err != nil {
+		panic(err)
 	}
-	return nil
+	return s, exec
 }
-
-// Table renders the sweep.
-func (r *FigCLResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("FIGURE CL. CLOSED-LOOP ADAPTATION VS ONE-SHOT VS NO MIGRATION (4 nodes, 8 threads, seed %d)", r.Seed),
-		"Workload", "Scenario", "Mode", "Epochs", "Exec", "Speedup", "Thr Moves", "Home Moves", "Faults")
-	prev := ""
-	for _, row := range r.Rows {
-		group := row.Workload + "/" + row.Scenario
-		name, scen := row.Workload, row.Scenario
-		if group == prev {
-			name, scen = "", ""
-		} else {
-			prev = group
-		}
-		t.AddRow(name, scen, row.Mode, fmt.Sprintf("%d", row.Epochs),
-			row.Exec.String(), fmt.Sprintf("%.3fx", row.Speedup),
-			fmt.Sprintf("%d", row.ThreadMoves), fmt.Sprintf("%d", row.HomeMoves),
-			fmt.Sprintf("%d", row.Faults))
-	}
-	return t
-}
-
-func (r *FigCLResult) String() string { return r.Table().String() }

@@ -10,7 +10,7 @@ import (
 // protection stack must strictly beat both the unprotected baseline and
 // shed-only on goodput-within-SLO and on P99, every protected request must
 // reach a terminal state, and the protection machinery (retries, hedges,
-// reroutes, breakers) must actually have fired. FigGResult.Violations is
+// reroutes, breakers) must actually have fired. The figure's Violations is
 // the single source of that bar — the CLI smoke run asserts the same thing.
 func TestFigGFullStackWins(t *testing.T) {
 	res := FigG(testScale, nil)

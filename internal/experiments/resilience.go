@@ -3,15 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"jessica2/internal/core"
-	"jessica2/internal/gos"
-	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
-	"jessica2/internal/workload"
 )
 
 // --- Figure R (failure resilience) -------------------------------------------
@@ -41,60 +36,25 @@ import (
 // FigRModes is the mode axis of the sweep, in row order.
 var FigRModes = []string{"crash-free", "no-recovery", "one-shot", "recovery"}
 
+// FigRSchedules is the crash-schedule axis of the sweep.
+var FigRSchedules = []string{"early-crash", "late-crash", "double-crash"}
+
 // FigREpochs is the policy modes' epoch count relative to the baseline.
 const FigREpochs = 8
 
-// figRSchedule is one named crash schedule, its times expressed as
-// numerator/denominator fractions of the crash-free execution time.
-type figRSchedule struct {
-	name    string
-	crashes []struct {
-		node     int
-		num, den sim.Time
-	}
+// figRCrash kills node at num/den of the crash-free execution time.
+type figRCrash struct {
+	node     int
+	num, den sim.Time
 }
 
-// figRSchedules returns the schedule axis. All crashes are permanent
-// (Restart 0): a transient outage lets even the fail-free runtime limp
-// through, a permanent one separates recovery from hope.
-func figRSchedules() []figRSchedule {
-	type c = struct {
-		node     int
-		num, den sim.Time
-	}
-	return []figRSchedule{
-		{"early-crash", []c{{1, 1, 4}}},
-		{"late-crash", []c{{2, 1, 2}}},
-		{"double-crash", []c{{1, 1, 4}, {2, 1, 2}}},
-	}
-}
-
-// scheduleScenario materializes a schedule against the measured baseline.
-func (s figRSchedule) scenario(base sim.Time, seed uint64) *scenario.Scenario {
-	sc := &scenario.Scenario{Name: "figR/" + s.name, Seed: seed}
-	for _, c := range s.crashes {
-		sc.Crashes = append(sc.Crashes, scenario.Crash{Node: c.node, At: base * c.num / c.den})
-	}
-	return sc
-}
-
-// figRFailureConfig scales the detector's timings to the run length: leases
-// expire within a few percent of the baseline execution time, so detection
-// latency does not dominate short CI-scale runs.
-func figRFailureConfig(base sim.Time) *gos.FailureConfig {
-	hb := base / 64
-	if hb < 50*sim.Microsecond {
-		hb = 50 * sim.Microsecond
-	}
-	return &gos.FailureConfig{
-		HeartbeatInterval: hb,
-		LeaseTimeout:      3 * hb,
-		SweepInterval:     hb,
-		FlushTimeout:      4 * hb,
-		FlushBackoff:      hb,
-		MaxFlushBackoff:   16 * hb,
-		MaxFlushRetries:   4,
-	}
+// figRCrashes gives each schedule's crashes. All are permanent (Restart 0):
+// a transient outage lets even the fail-free runtime limp through, a
+// permanent one separates recovery from hope.
+var figRCrashes = map[string][]figRCrash{
+	"early-crash":  {{1, 1, 4}},
+	"late-crash":   {{2, 1, 2}},
+	"double-crash": {{1, 1, 4}, {2, 1, 2}},
 }
 
 // HealthGate wraps an inner policy and vetoes actions that target nodes the
@@ -151,9 +111,7 @@ func (p *HealthGate) Observe(snap *session.Snapshot) []session.Action {
 
 // FigRRow is one (schedule, mode) measurement.
 type FigRRow struct {
-	Schedule string
-	Mode     string
-	Exec     sim.Time
+	Exec sim.Time
 	// Slowdown is this mode's exec / the crash-free exec (1.0 baseline).
 	Slowdown float64
 	// Failure-layer work: lease expiries, evacuated threads, flush retries
@@ -167,184 +125,115 @@ type FigRRow struct {
 	Vetoed      int
 }
 
-// FigRResult holds the resilience sweep.
-type FigRResult struct {
-	Scale    Scale
-	Seed     uint64
-	Workload string
-	Rows     []FigRRow
-}
-
-// figRRun executes one cell: KVMix on 4 nodes / 8 threads with profiling
-// attached, under an optional crash scenario, failure config and policy.
-func figRRun(sc Scale, seed uint64, scen *scenario.Scenario, fc *gos.FailureConfig, policy session.Policy, epoch sim.Time) (*session.Session, sim.Time) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
-	kcfg.Failure = fc
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: epoch})
-	if err := s.Launch(figCLKVMix(sc), workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
+// figRRun executes one KVMix cell and folds it against the crash-free
+// execution time base (the pilot is its own base).
+func figRRun(sc Scale, cell sessionCell, base sim.Time) (FigRRow, error) {
+	cell.load = figCLKVMix(sc)
+	s, exec, err := cell.run()
 	if err != nil {
-		panic(err)
+		return FigRRow{}, err
 	}
-	return s, exec
+	if base == 0 {
+		base = exec
+	}
+	fs := s.Kernel().FailureStats()
+	return FigRRow{
+		Exec:        exec,
+		Slowdown:    float64(exec) / float64(base),
+		Expiries:    fs.LeaseExpiries,
+		Evacuations: fs.Evacuations,
+		FlushRetry:  fs.FlushRetries + fs.FlushesAbandoned,
+		ThreadMoves: len(s.MigrationEngine().History),
+	}, nil
 }
 
 // FigR runs the resilience sweep at the given dataset scale: one crash-free
 // pilot to calibrate crash times, detector timings and epoch lengths, then
-// three modes per crash schedule fanned out through the pool.
-func FigR(sc Scale, p *runner.Pool) *FigRResult {
-	const seed = 42
-	type cellRun struct {
-		exec        sim.Time
-		fstats      gos.FailureStats
-		threadMoves int
-		vetoed      int
+// three modes per crash schedule fanned out through the pool. The pilot
+// renders as the first row, under schedule "-".
+func FigR(sc Scale, p *runner.Pool) *Result[FigRRow] {
+	pilot, err := figRRun(sc, sessionCell{}, 0)
+	if err != nil {
+		return &Result[FigRRow]{Grid: figRGrid(sc, 0), Failures: []string{"-/crash-free: " + err.Error()}}
 	}
-	summarize := func(s *session.Session, exec sim.Time, vetoed int) cellRun {
-		return cellRun{
-			exec:        exec,
-			fstats:      s.Kernel().FailureStats(),
-			threadMoves: len(s.MigrationEngine().History),
-			vetoed:      vetoed,
-		}
-	}
-
-	// Wave 1: the crash-free pilot everything else calibrates against.
-	base := runner.Collect(p, []func() cellRun{func() cellRun {
-		s, exec := figRRun(sc, seed, nil, nil, nil, 0)
-		return summarize(s, exec, 0)
-	}})[0]
-	epoch := base.exec / FigREpochs
-	if epoch <= 0 {
-		epoch = sim.Millisecond
-	}
-
-	// Wave 2: per schedule — no-recovery, one-shot and recovery.
-	schedules := figRSchedules()
-	jobs := make([]func() cellRun, 0, 3*len(schedules))
-	for _, sched := range schedules {
-		sched := sched
-		jobs = append(jobs,
-			func() cellRun {
-				s, exec := figRRun(sc, seed, sched.scenario(base.exec, seed), nil, nil, 0)
-				return summarize(s, exec, 0)
-			},
-			func() cellRun {
-				once := &oncePolicy{inner: session.NewRebalancePolicy()}
-				s, exec := figRRun(sc, seed, sched.scenario(base.exec, seed), nil, once, epoch)
-				return summarize(s, exec, 0)
-			},
-			func() cellRun {
-				gate := &HealthGate{Inner: session.NewRebalancePolicy()}
-				s, exec := figRRun(sc, seed, sched.scenario(base.exec, seed), figRFailureConfig(base.exec), gate, epoch)
-				return summarize(s, exec, gate.Vetoed)
-			})
-	}
-	cells := runner.Collect(p, jobs)
-
-	res := &FigRResult{Scale: sc, Seed: seed, Workload: "KVMix"}
-	add := func(sched, mode string, r cellRun) {
-		res.Rows = append(res.Rows, FigRRow{
-			Schedule:    sched,
-			Mode:        mode,
-			Exec:        r.exec,
-			Slowdown:    float64(r.exec) / float64(base.exec),
-			Expiries:    r.fstats.LeaseExpiries,
-			Evacuations: r.fstats.Evacuations,
-			FlushRetry:  r.fstats.FlushRetries + r.fstats.FlushesAbandoned,
-			ThreadMoves: r.threadMoves,
-			Vetoed:      r.vetoed,
-		})
-	}
-	add("-", "crash-free", base)
-	for i, sched := range schedules {
-		add(sched.name, "no-recovery", cells[3*i])
-		add(sched.name, "one-shot", cells[3*i+1])
-		add(sched.name, "recovery", cells[3*i+2])
-	}
+	res := figRGrid(sc, pilot.Exec).Sweep(p)
+	res.Cells = append([]Cell[FigRRow]{{Group: "-", Mode: "crash-free", Row: pilot}}, res.Cells...)
 	return res
 }
 
-// Row returns the (schedule, mode) cell, or nil.
-func (r *FigRResult) Row(sched, mode string) *FigRRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Schedule == sched && row.Mode == mode {
-			return row
-		}
+// figRGrid declares the crash-schedule sweep calibrated against the
+// crash-free execution time base. The detector's timings scale with the
+// run length: leases expire within a few percent of base, so detection
+// latency does not dominate short CI-scale runs.
+func figRGrid(sc Scale, base sim.Time) *Grid[FigRRow] {
+	epoch := base / FigREpochs
+	if epoch <= 0 {
+		epoch = sim.Millisecond
 	}
-	return nil
+	hb := base / 64
+	if hb < 50*sim.Microsecond {
+		hb = 50 * sim.Microsecond
+	}
+	exec := func(r *FigRRow) float64 { return float64(r.Exec) }
+	showExec := func(r *FigRRow) string { return r.Exec.String() }
+	return &Grid[FigRRow]{
+		Title:  fmt.Sprintf("FIGURE R. FAILURE RESILIENCE UNDER CRASH SCHEDULES (KVMix, 4 nodes, 8 threads, seed %d)", figSeed),
+		Groups: FigRSchedules,
+		Modes:  FigRModes[1:],
+		Keys:   []string{"Schedule", "Mode"},
+		Columns: []Column[FigRRow]{
+			{"Exec", showExec},
+			{"Slowdown", func(r *FigRRow) string { return fmt.Sprintf("%.3fx", r.Slowdown) }},
+			{"Expiries", func(r *FigRRow) string { return fmt.Sprint(r.Expiries) }},
+			{"Evac", func(r *FigRRow) string { return fmt.Sprint(r.Evacuations) }},
+			{"Flush Retry", func(r *FigRRow) string { return fmt.Sprint(r.FlushRetry) }},
+			{"Thr Moves", func(r *FigRRow) string { return fmt.Sprint(r.ThreadMoves) }},
+			{"Vetoed", func(r *FigRRow) string { return fmt.Sprint(r.Vetoed) }},
+		},
+		Run: func(sched, mode string, _ *FigRRow) (FigRRow, error) {
+			cell := sessionCell{scen: &scenario.Scenario{Name: "figR/" + sched, Seed: figSeed}}
+			for _, c := range figRCrashes[sched] {
+				cell.scen.Crashes = append(cell.scen.Crashes, scenario.Crash{Node: c.node, At: base * c.num / c.den})
+			}
+			var gate *HealthGate
+			switch mode {
+			case "one-shot":
+				cell.policy = &oncePolicy{inner: session.NewRebalancePolicy()}
+				cell.epoch = epoch
+			case "recovery":
+				gate = &HealthGate{Inner: session.NewRebalancePolicy()}
+				cell.policy = gate
+				cell.epoch = epoch
+				cell.failure = failureConfig(hb)
+			}
+			row, err := figRRun(sc, cell, base)
+			if gate != nil {
+				row.Vetoed = gate.Vetoed
+			}
+			return row, err
+		},
+		Claims: []Claim[FigRRow]{
+			{Winner: "recovery", Over: "no-recovery", Better: Lower, Value: exec, Show: showExec},
+			{Winner: "recovery", Over: "one-shot", Better: Lower, Value: exec, Show: showExec},
+		},
+		Post: func(g GroupRows[FigRRow]) []string {
+			if g.Row("recovery").Expiries == 0 {
+				return []string{fmt.Sprintf("%s: recovery never detected the crash", g.Name)}
+			}
+			return nil
+		},
+		// Evacuation is asserted across the sweep, not per schedule: a crash
+		// landing after the closed loop already migrated the node's threads
+		// away legitimately finds nothing to evacuate.
+		Final: func(gs []GroupRows[FigRRow]) []string {
+			var evac int64
+			for _, g := range gs {
+				evac += g.Row("recovery").Evacuations
+			}
+			if evac == 0 {
+				return []string{"no schedule ever evacuated a stranded thread"}
+			}
+			return nil
+		},
+	}
 }
-
-// Violations checks the sweep's acceptance bar — on every crash schedule
-// the recovery mode must strictly beat both no-recovery and one-shot
-// placement, and must actually have detected and evacuated something — and
-// returns one message per broken invariant (empty means the figure holds).
-func (r *FigRResult) Violations() []string {
-	var out []string
-	var evacTotal int64
-	for _, sched := range figRSchedules() {
-		noRec := r.Row(sched.name, "no-recovery")
-		once := r.Row(sched.name, "one-shot")
-		rec := r.Row(sched.name, "recovery")
-		if noRec == nil || once == nil || rec == nil {
-			out = append(out, fmt.Sprintf("%s: missing rows", sched.name))
-			continue
-		}
-		if rec.Exec >= noRec.Exec {
-			out = append(out, fmt.Sprintf("%s: recovery (%v) did not beat no-recovery (%v)",
-				sched.name, rec.Exec, noRec.Exec))
-		}
-		if rec.Exec >= once.Exec {
-			out = append(out, fmt.Sprintf("%s: recovery (%v) did not beat one-shot (%v)",
-				sched.name, rec.Exec, once.Exec))
-		}
-		if rec.Expiries == 0 {
-			out = append(out, fmt.Sprintf("%s: recovery never detected the crash", sched.name))
-		}
-		evacTotal += rec.Evacuations
-	}
-	// Evacuation is asserted across the sweep, not per schedule: a crash
-	// landing after the closed loop already migrated the node's threads
-	// away legitimately finds nothing to evacuate.
-	if evacTotal == 0 {
-		out = append(out, "no schedule ever evacuated a stranded thread")
-	}
-	return out
-}
-
-// Table renders the sweep.
-func (r *FigRResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("FIGURE R. FAILURE RESILIENCE UNDER CRASH SCHEDULES (%s, 4 nodes, 8 threads, seed %d)", r.Workload, r.Seed),
-		"Schedule", "Mode", "Exec", "Slowdown", "Expiries", "Evac", "Flush Retry", "Thr Moves", "Vetoed")
-	prev := ""
-	for _, row := range r.Rows {
-		name := row.Schedule
-		if name == prev {
-			name = ""
-		} else {
-			prev = name
-		}
-		t.AddRow(name, row.Mode, row.Exec.String(), fmt.Sprintf("%.3fx", row.Slowdown),
-			fmt.Sprintf("%d", row.Expiries), fmt.Sprintf("%d", row.Evacuations),
-			fmt.Sprintf("%d", row.FlushRetry), fmt.Sprintf("%d", row.ThreadMoves),
-			fmt.Sprintf("%d", row.Vetoed))
-	}
-	return t
-}
-
-func (r *FigRResult) String() string { return r.Table().String() }

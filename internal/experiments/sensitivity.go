@@ -5,7 +5,6 @@ import (
 
 	"jessica2/internal/core"
 	"jessica2/internal/gos"
-	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
 	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
@@ -30,10 +29,9 @@ var FigSScenarios = []string{"none", "hetero", "noisy", "phased", "storm"}
 // against.
 const FigSFixedRate = sampling.Rate(4)
 
-// FigSRow is one (scenario, mode) measurement.
+// FigSRow is one (scenario, mode) measurement; the modes are "full",
+// "fixed-4X" and "adaptive".
 type FigSRow struct {
-	Scenario  string
-	Mode      string // "full", "fixed-4X", "adaptive"
 	Exec      sim.Time
 	FinalRate sampling.Rate
 	// RateRaises counts adaptive controller rate changes (0 for the
@@ -45,12 +43,10 @@ type FigSRow struct {
 	OALKB       float64
 }
 
-// FigSResult holds the sensitivity sweep.
-type FigSResult struct {
-	Scale Scale
-	Seed  uint64
-	Rows  []FigSRow
-}
+// FigSResult holds the sensitivity sweep. Its runs go through RunAll, so
+// -workers dispatch applies; only the row lookup and the grouped table come
+// from the strict-win grid.
+type FigSResult struct{ Result[FigSRow] }
 
 // figSSpec builds the common run spec for one scenario/mode cell. Each cell
 // gets a freshly built scenario so seeded streams never leak across runs.
@@ -98,16 +94,32 @@ func FigS(sc Scale, p *runner.Pool) *FigSResult {
 	}
 	outs := RunAll(p, specs)
 
-	res := &FigSResult{Scale: sc, Seed: seed}
+	fixedMode := fmt.Sprintf("fixed-%v", FigSFixedRate)
+	res := &FigSResult{Result[FigSRow]{Grid: &Grid[FigSRow]{
+		Title:  fmt.Sprintf("FIGURE S. SAMPLING SENSITIVITY UNDER FAULT-INJECTION SCENARIOS (KVMix, 8 threads, seed %d)", seed),
+		Groups: FigSScenarios,
+		Modes:  []string{"full", fixedMode, "adaptive"},
+		Keys:   []string{"Scenario", "Mode"},
+		Columns: []Column[FigSRow]{
+			{"Exec", func(r *FigSRow) string { return r.Exec.String() }},
+			{"Final Rate", func(r *FigSRow) string { return r.FinalRate.String() }},
+			{"Raises", func(r *FigSRow) string { return fmt.Sprint(r.RateRaises) }},
+			{"Accuracy/ABS", func(r *FigSRow) string { return fmt.Sprintf("%.2f%%", r.AccuracyABS*100) }},
+			{"OAL KB", func(r *FigSRow) string { return fmt.Sprintf("%.1f", r.OALKB) }},
+		},
+	}}}
+	add := func(name, mode string, row FigSRow) {
+		res.Cells = append(res.Cells, Cell[FigSRow]{Group: name, Mode: mode, Row: row})
+	}
 	for si, name := range FigSScenarios {
 		full, fixed, adaptive := outs[3*si], outs[3*si+1], outs[3*si+2]
-		res.Rows = append(res.Rows, FigSRow{
-			Scenario: name, Mode: "full", Exec: full.Exec,
+		add(name, "full", FigSRow{
+			Exec:      full.Exec,
 			FinalRate: sampling.FullRate, AccuracyABS: 1,
 			OALKB: full.OALKB(),
 		})
-		res.Rows = append(res.Rows, FigSRow{
-			Scenario: name, Mode: fmt.Sprintf("fixed-%v", FigSFixedRate), Exec: fixed.Exec,
+		add(name, fixedMode, FigSRow{
+			Exec:        fixed.Exec,
 			FinalRate:   FigSFixedRate,
 			AccuracyABS: tcm.Accuracy(tcm.DistanceABS(fixed.TCM, full.TCM)),
 			OALKB:       fixed.OALKB(),
@@ -120,24 +132,14 @@ func FigS(sc Scale, p *runner.Pool) *FigSResult {
 			}
 			finalRate = rc.To
 		}
-		res.Rows = append(res.Rows, FigSRow{
-			Scenario: name, Mode: "adaptive", Exec: adaptive.Exec,
+		add(name, "adaptive", FigSRow{
+			Exec:      adaptive.Exec,
 			FinalRate: finalRate, RateRaises: raises,
 			AccuracyABS: tcm.Accuracy(tcm.DistanceABS(adaptive.TCM, full.TCM)),
 			OALKB:       adaptive.OALKB(),
 		})
 	}
 	return res
-}
-
-// Row returns the (scenario, mode) cell, or nil.
-func (r *FigSResult) Row(scenarioName, mode string) *FigSRow {
-	for i := range r.Rows {
-		if r.Rows[i].Scenario == scenarioName && r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
 }
 
 // AdaptiveDiffers reports whether, under the named scenario, adaptive
@@ -155,26 +157,3 @@ func (r *FigSResult) AdaptiveDiffers(scenarioName string, eps float64) bool {
 	diff := ad.AccuracyABS - fx.AccuracyABS
 	return diff > eps || diff < -eps
 }
-
-// Table renders the sweep.
-func (r *FigSResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("FIGURE S. SAMPLING SENSITIVITY UNDER FAULT-INJECTION SCENARIOS (KVMix, 8 threads, seed %d)", r.Seed),
-		"Scenario", "Mode", "Exec", "Final Rate", "Raises", "Accuracy/ABS", "OAL KB")
-	prev := ""
-	for _, row := range r.Rows {
-		name := row.Scenario
-		if name == prev {
-			name = ""
-		} else {
-			prev = row.Scenario
-		}
-		t.AddRow(name, row.Mode, row.Exec.String(), row.FinalRate.String(),
-			fmt.Sprintf("%d", row.RateRaises),
-			fmt.Sprintf("%.2f%%", row.AccuracyABS*100),
-			fmt.Sprintf("%.1f", row.OALKB))
-	}
-	return t
-}
-
-func (r *FigSResult) String() string { return r.Table().String() }

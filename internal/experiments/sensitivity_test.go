@@ -14,8 +14,8 @@ import (
 func TestFigSAdaptiveVsFixedUnderPerturbation(t *testing.T) {
 	res := FigS(8, nil)
 	wantRows := len(FigSScenarios) * 3
-	if len(res.Rows) != wantRows {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), wantRows)
+	if len(res.Cells) != wantRows {
+		t.Fatalf("rows = %d, want %d", len(res.Cells), wantRows)
 	}
 
 	differs := false

@@ -58,31 +58,40 @@ type Table2Result struct {
 	WithMs map[App]map[sampling.Rate]float64
 }
 
-// Table2 measures the pure CPU cost of OAL collection: a single thread per
-// application on one node, OAL transfer disabled (the paper's O1
-// methodology). The independent runs are submitted through the pool; the
-// fold is positional, so the result is identical at any parallelism.
-func Table2(scale Scale, p *runner.Pool) *Table2Result {
-	// rate 0 marks the no-tracking baseline cell (rates sweep from 1 up).
-	type cell struct {
-		app  App
-		rate sampling.Rate
-	}
-	var cells []cell
+// rateCell is one (app, rate) cell of Tables II and III; rate 0 marks the
+// no-tracking baseline (rates sweep from 1 up).
+type rateCell struct {
+	app  App
+	rate sampling.Rate
+}
+
+// rateSweep lists, per paper app, the no-tracking baseline and then every
+// applicable table2Rates cell, each a run with one thread per node.
+func rateSweep(scale Scale, nodes int, transfer bool) ([]rateCell, []Spec) {
+	var cells []rateCell
 	var specs []Spec
 	for _, a := range Apps {
-		cells = append(cells, cell{a, 0})
-		specs = append(specs, Spec{App: a, Scale: scale, Nodes: 1, Threads: 1,
+		cells = append(cells, rateCell{a, 0})
+		specs = append(specs, Spec{App: a, Scale: scale, Nodes: nodes, Threads: nodes,
 			Tracking: gos.TrackingOff})
 		for _, r := range table2Rates {
 			if rateNA(a, r) {
 				continue
 			}
-			cells = append(cells, cell{a, r})
-			specs = append(specs, Spec{App: a, Scale: scale, Nodes: 1, Threads: 1,
-				Tracking: gos.TrackingSampled, Rate: r, TransferOALs: false})
+			cells = append(cells, rateCell{a, r})
+			specs = append(specs, Spec{App: a, Scale: scale, Nodes: nodes, Threads: nodes,
+				Tracking: gos.TrackingSampled, Rate: r, TransferOALs: transfer})
 		}
 	}
+	return cells, specs
+}
+
+// Table2 measures the pure CPU cost of OAL collection: a single thread per
+// application on one node, OAL transfer disabled (the paper's O1
+// methodology). The independent runs are submitted through the pool; the
+// fold is positional, so the result is identical at any parallelism.
+func Table2(scale Scale, p *runner.Pool) *Table2Result {
+	cells, specs := rateSweep(scale, 1, false)
 	outs := RunAll(p, specs)
 
 	res := &Table2Result{
@@ -144,25 +153,7 @@ type Table3Result struct {
 // Table3 runs the 8-node (one thread each) correlation tracking overhead
 // experiment, fanning the independent cells out over the pool.
 func Table3(scale Scale, p *runner.Pool) *Table3Result {
-	type cell struct {
-		app  App
-		rate sampling.Rate // 0 = no-tracking baseline
-	}
-	var cells []cell
-	var specs []Spec
-	for _, a := range Apps {
-		cells = append(cells, cell{a, 0})
-		specs = append(specs, Spec{App: a, Scale: scale, Nodes: 8, Threads: 8,
-			Tracking: gos.TrackingOff})
-		for _, rate := range table2Rates {
-			if rateNA(a, rate) {
-				continue
-			}
-			cells = append(cells, cell{a, rate})
-			specs = append(specs, Spec{App: a, Scale: scale, Nodes: 8, Threads: 8,
-				Tracking: gos.TrackingSampled, Rate: rate, TransferOALs: true})
-		}
-	}
+	cells, specs := rateSweep(scale, 8, true)
 	outs := RunAll(p, specs)
 
 	res := &Table3Result{
@@ -392,16 +383,14 @@ func footprintConfig(nonstop bool) *core.FootprintConfig {
 	}}
 }
 
-// table5Cell identifies one Table V measurement within an app's group.
-type table5Cell struct {
-	kind string // "base", "stack", "foot", "resolve-base", "resolve"
-	key  string // stackCfgs/footCfgs key for stack/foot kinds
-}
+// table5Set files one Table V run's execution time into the result.
+type table5Set func(r *Table5Result, ms float64)
 
-// table5Specs builds one app's 11 single-thread runs in table order. Each
-// spec carries freshly allocated Stack/Footprint configs: the pool runs
-// specs concurrently and pointered configuration must not be shared.
-func table5Specs(a App, scale Scale) ([]Spec, []table5Cell) {
+// table5Specs builds one app's 11 single-thread runs in table order, each
+// with the setter that files its execution time. Each spec carries freshly
+// allocated Stack/Footprint configs: the pool runs specs concurrently and
+// pointered configuration must not be shared.
+func table5Specs(a App, scale Scale) ([]Spec, []table5Set) {
 	small := a == AppSOR
 	base := func() Spec {
 		return Spec{App: a, Small: small, Scale: scale, Nodes: 1, Threads: 1,
@@ -411,61 +400,47 @@ func table5Specs(a App, scale Scale) ([]Spec, []table5Cell) {
 		return &core.StackConfig{Gap: 16 * sim.Millisecond, Lazy: true, MinSurvived: 1, Costs: core.DefaultStackCosts()}
 	}
 	var specs []Spec
-	var cells []table5Cell
+	var sets []table5Set
+	add := func(s Spec, set table5Set) {
+		specs = append(specs, s)
+		sets = append(sets, set)
+	}
 
-	specs = append(specs, base())
-	cells = append(cells, table5Cell{kind: "base"})
+	add(base(), func(r *Table5Result, ms float64) { r.BaselineMs[a] = ms })
 
 	for _, sc := range stackCfgs {
 		s := base()
 		s.Stack = &core.StackConfig{Gap: sc.Gap, Lazy: sc.Lazy, MinSurvived: 1, Costs: core.DefaultStackCosts()}
-		specs = append(specs, s)
-		cells = append(cells, table5Cell{kind: "stack", key: sc.Key})
+		add(s, func(r *Table5Result, ms float64) { r.StackMs[a][sc.Key] = ms })
 	}
 
 	for _, fc := range footCfgs {
 		s := base()
 		s.Rate = fc.Rate
 		s.Footprint = footprintConfig(fc.Nonstop)
-		specs = append(specs, s)
-		cells = append(cells, table5Cell{kind: "foot", key: fc.Key})
+		add(s, func(r *Table5Result, ms float64) { r.FootMs[a][fc.Key] = ms })
 	}
 
 	// Resolution overhead: timer-based 4X footprinting + lazy 16 ms stack
 	// sampling, with and without eager per-interval resolution.
 	s := base()
 	s.Rate, s.Stack, s.Footprint = 4, lazyStack(), footprintConfig(false)
-	specs = append(specs, s)
-	cells = append(cells, table5Cell{kind: "resolve-base"})
+	add(s, func(r *Table5Result, ms float64) { r.ResolveBaseMs[a] = ms })
 
 	s = base()
 	fpr := footprintConfig(false)
 	fpr.EagerResolve = true
 	fpr.Resolver = sticky.DefaultResolverConfig()
 	s.Rate, s.Stack, s.Footprint = 4, lazyStack(), fpr
-	specs = append(specs, s)
-	cells = append(cells, table5Cell{kind: "resolve"})
+	add(s, func(r *Table5Result, ms float64) { r.ResolveMs[a] = ms })
 
-	return specs, cells
+	return specs, sets
 }
 
 // Table5 measures stack sampling, footprinting and resolution overheads on
 // single-thread runs (SOR at the 1K×1K dataset, per the paper), submitting
 // every configuration through the pool.
 func Table5(scale Scale, p *runner.Pool) *Table5Result {
-	type group struct {
-		app   App
-		cells []table5Cell
-	}
-	var specs []Spec
-	var groups []group
-	for _, a := range Apps {
-		s, cells := table5Specs(a, scale)
-		specs = append(specs, s...)
-		groups = append(groups, group{a, cells})
-	}
-	outs := RunAll(p, specs)
-
 	res := &Table5Result{
 		Scale:         scale,
 		BaselineMs:    make(map[App]float64),
@@ -474,26 +449,17 @@ func Table5(scale Scale, p *runner.Pool) *Table5Result {
 		ResolveMs:     make(map[App]float64),
 		ResolveBaseMs: make(map[App]float64),
 	}
-	i := 0
-	for _, g := range groups {
-		res.StackMs[g.app] = make(map[string]float64)
-		res.FootMs[g.app] = make(map[string]float64)
-		for _, c := range g.cells {
-			ms := outs[i].ExecMs()
-			i++
-			switch c.kind {
-			case "base":
-				res.BaselineMs[g.app] = ms
-			case "stack":
-				res.StackMs[g.app][c.key] = ms
-			case "foot":
-				res.FootMs[g.app][c.key] = ms
-			case "resolve-base":
-				res.ResolveBaseMs[g.app] = ms
-			case "resolve":
-				res.ResolveMs[g.app] = ms
-			}
-		}
+	var specs []Spec
+	var sets []table5Set
+	for _, a := range Apps {
+		res.StackMs[a] = make(map[string]float64)
+		res.FootMs[a] = make(map[string]float64)
+		s, set := table5Specs(a, scale)
+		specs = append(specs, s...)
+		sets = append(sets, set...)
+	}
+	for i, out := range RunAll(p, specs) {
+		sets[i](res, out.ExecMs())
 	}
 	return res
 }

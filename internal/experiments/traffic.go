@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"jessica2/internal/core"
-	"jessica2/internal/gos"
-	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
@@ -45,8 +41,9 @@ var FigTSchedules = []string{"diurnal", "burst"}
 // FigTEpochs is the number of epoch boundaries across the arrival horizon.
 const FigTEpochs = 16
 
-// figTHorizon is the arrival horizon; rates scale with 1/Scale, the horizon
-// does not (the diurnal/burst shape must keep its period structure).
+// figTHorizon is the arrival horizon of every serving figure; rates scale
+// with 1/Scale, the horizon does not (the diurnal/burst shape must keep its
+// period structure).
 const figTHorizon = 2 * sim.Second
 
 // figTArrivals builds the named arrival spec at the given dataset scale.
@@ -92,192 +89,82 @@ func figTServeMix() *workload.ServeMix {
 	return w
 }
 
-// FigTRow is one (schedule, mode) measurement.
+// FigTRow is one (schedule, mode) measurement: the serving stats over the
+// whole run on the simulated clock plus the placement work behind them.
 type FigTRow struct {
-	Schedule string
-	Mode     string
-	// Arrived/Completed count requests; the serving percentiles and goodput
-	// are measured over the whole run on the simulated clock.
-	Arrived, Completed     int
-	GoodputPerSec          float64
-	LatencyP50, LatencyP95 sim.Time
-	LatencyP99, LatencyMax sim.Time
-	ThreadMoves            int
-	HomeMoves              int64
-	Faults                 int64
-}
-
-// FigTResult holds the open-loop traffic sweep.
-type FigTResult struct {
-	Scale    Scale
-	Seed     uint64
-	Workload string
-	Rows     []FigTRow
-}
-
-// figTRun executes one cell: ServeMix on 4 nodes / 8 threads, the arrival
-// schedule generated by the scenario layer from (spec, seed), profiling
-// attached, under the given policy.
-func figTRun(sched string, sc Scale, seed uint64, policy session.Policy) (*session.Session, *workload.ServeStats) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
-	scen := &scenario.Scenario{
-		Name:     "figT/" + sched,
-		Seed:     seed,
-		Arrivals: figTArrivals(sched, sc),
-	}
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: figTHorizon / FigTEpochs})
-	w := figTServeMix()
-	if err := s.Launch(w, workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
-	return s, w.ServeStatsInto(nil, exec)
+	workload.ServeStats
+	ThreadMoves int
+	HomeMoves   int64
+	Faults      int64
 }
 
 // FigT runs the open-loop traffic sweep at the given dataset scale: three
 // policy modes per arrival schedule, fanned out through the pool. Unlike
 // FigR there is no pilot wave — the schedule is fixed by the arrival spec,
 // not calibrated from a baseline run.
-func FigT(sc Scale, p *runner.Pool) *FigTResult {
-	const seed = 42
-	type cellRun struct {
-		stats       workload.ServeStats
-		threadMoves int
-		homeMoves   int64
-		faults      int64
-	}
-	summarize := func(s *session.Session, st *workload.ServeStats) cellRun {
-		return cellRun{
-			stats:       *st,
-			threadMoves: len(s.MigrationEngine().History),
-			homeMoves:   s.Kernel().Stats().HomeMigrations,
-			faults:      s.Kernel().Stats().Faults,
-		}
-	}
+func FigT(sc Scale, p *runner.Pool) *Result[FigTRow] { return figTGrid(sc).Sweep(p) }
 
-	jobs := make([]func() cellRun, 0, len(FigTSchedules)*len(FigTModes))
-	for _, sched := range FigTSchedules {
-		sched := sched
-		jobs = append(jobs,
-			func() cellRun {
-				return summarize(figTRun(sched, sc, seed, session.NopPolicy{}))
-			},
-			func() cellRun {
-				once := &oncePolicy{inner: session.NewRebalancePolicy()}
-				return summarize(figTRun(sched, sc, seed, once))
-			},
-			func() cellRun {
-				return summarize(figTRun(sched, sc, seed, session.NewRebalancePolicy()))
-			})
-	}
-	cells := runner.Collect(p, jobs)
-
-	res := &FigTResult{Scale: sc, Seed: seed, Workload: "ServeMix"}
-	for i, sched := range FigTSchedules {
-		for j, mode := range FigTModes {
-			r := cells[i*len(FigTModes)+j]
-			res.Rows = append(res.Rows, FigTRow{
-				Schedule:      sched,
-				Mode:          mode,
-				Arrived:       r.stats.Arrived,
-				Completed:     r.stats.Completed,
-				GoodputPerSec: r.stats.GoodputPerSec,
-				LatencyP50:    r.stats.LatencyP50,
-				LatencyP95:    r.stats.LatencyP95,
-				LatencyP99:    r.stats.LatencyP99,
-				LatencyMax:    r.stats.LatencyMax,
-				ThreadMoves:   r.threadMoves,
-				HomeMoves:     r.homeMoves,
-				Faults:        r.faults,
-			})
-		}
-	}
-	return res
-}
-
-// Row returns the (schedule, mode) cell, or nil.
-func (r *FigTResult) Row(sched, mode string) *FigTRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Schedule == sched && row.Mode == mode {
-			return row
-		}
-	}
-	return nil
-}
-
-// Violations checks the sweep's acceptance bar — on every arrival schedule
-// the closed-loop mode must strictly beat both the nop baseline and the
-// one-shot placement on P99 latency, must have re-homed objects, and every
-// mode must serve its full schedule — and returns one message per broken
-// invariant (empty means the figure holds).
-func (r *FigTResult) Violations() []string {
-	var out []string
-	for _, sched := range FigTSchedules {
-		nop := r.Row(sched, "nop")
-		once := r.Row(sched, "one-shot")
-		closed := r.Row(sched, "closed-loop")
-		if nop == nil || once == nil || closed == nil {
-			out = append(out, fmt.Sprintf("%s: missing rows", sched))
-			continue
-		}
-		for _, row := range []*FigTRow{nop, once, closed} {
-			if row.Completed != row.Arrived || row.Completed == 0 {
-				out = append(out, fmt.Sprintf("%s/%s: served %d of %d requests",
-					sched, row.Mode, row.Completed, row.Arrived))
+func figTGrid(sc Scale) *Grid[FigTRow] {
+	p99 := func(r *FigTRow) float64 { return float64(r.LatencyP99) }
+	showP99 := func(r *FigTRow) string { return r.LatencyP99.String() }
+	return &Grid[FigTRow]{
+		Title:  fmt.Sprintf("FIGURE T. TAIL LATENCY UNDER OPEN-LOOP ARRIVALS (ServeMix, 4 nodes, 8 threads, seed %d)", figSeed),
+		Groups: FigTSchedules,
+		Modes:  FigTModes,
+		Keys:   []string{"Schedule", "Mode"},
+		Columns: []Column[FigTRow]{
+			{"Done", func(r *FigTRow) string { return fmt.Sprintf("%d/%d", r.Completed, r.Arrived) }},
+			{"Goodput", func(r *FigTRow) string { return fmt.Sprintf("%.0f/s", r.GoodputPerSec) }},
+			{"P50", func(r *FigTRow) string { return r.LatencyP50.String() }},
+			{"P95", func(r *FigTRow) string { return r.LatencyP95.String() }},
+			{"P99", showP99},
+			{"Max", func(r *FigTRow) string { return r.LatencyMax.String() }},
+			{"Thr Moves", func(r *FigTRow) string { return fmt.Sprint(r.ThreadMoves) }},
+			{"Home Moves", func(r *FigTRow) string { return fmt.Sprint(r.HomeMoves) }},
+			{"Faults", func(r *FigTRow) string { return fmt.Sprint(r.Faults) }},
+		},
+		Run: func(sched, mode string, _ *FigTRow) (FigTRow, error) {
+			w := figTServeMix()
+			cell := sessionCell{
+				load:   w,
+				scen:   &scenario.Scenario{Name: "figT/" + sched, Seed: figSeed, Arrivals: figTArrivals(sched, sc)},
+				epoch:  figTHorizon / FigTEpochs,
+				policy: session.NopPolicy{},
 			}
-		}
-		if closed.LatencyP99 >= nop.LatencyP99 {
-			out = append(out, fmt.Sprintf("%s: closed-loop P99 (%v) did not beat nop (%v)",
-				sched, closed.LatencyP99, nop.LatencyP99))
-		}
-		if closed.LatencyP99 >= once.LatencyP99 {
-			out = append(out, fmt.Sprintf("%s: closed-loop P99 (%v) did not beat one-shot (%v)",
-				sched, closed.LatencyP99, once.LatencyP99))
-		}
-		if closed.HomeMoves == 0 {
-			out = append(out, fmt.Sprintf("%s: closed-loop never re-homed an object", sched))
-		}
+			switch mode {
+			case "one-shot":
+				cell.policy = &oncePolicy{inner: session.NewRebalancePolicy()}
+			case "closed-loop":
+				cell.policy = session.NewRebalancePolicy()
+			}
+			s, exec, err := cell.run()
+			if err != nil {
+				return FigTRow{}, err
+			}
+			row := FigTRow{
+				ThreadMoves: len(s.MigrationEngine().History),
+				HomeMoves:   s.Kernel().Stats().HomeMigrations,
+				Faults:      s.Kernel().Stats().Faults,
+			}
+			w.ServeStatsInto(&row.ServeStats, exec)
+			return row, nil
+		},
+		Pre: func(g GroupRows[FigTRow]) (out []string) {
+			for _, mode := range FigTModes {
+				row := g.Row(mode)
+				out = append(out, unserved(g.Name, mode, row.Completed, row.Arrived)...)
+			}
+			return out
+		},
+		Claims: []Claim[FigTRow]{
+			{Label: "P99", Winner: "closed-loop", Over: "nop", Better: Lower, Value: p99, Show: showP99},
+			{Label: "P99", Winner: "closed-loop", Over: "one-shot", Better: Lower, Value: p99, Show: showP99},
+		},
+		Post: func(g GroupRows[FigTRow]) []string {
+			if g.Row("closed-loop").HomeMoves == 0 {
+				return []string{fmt.Sprintf("%s: closed-loop never re-homed an object", g.Name)}
+			}
+			return nil
+		},
 	}
-	return out
 }
-
-// Table renders the sweep.
-func (r *FigTResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("FIGURE T. TAIL LATENCY UNDER OPEN-LOOP ARRIVALS (%s, 4 nodes, 8 threads, seed %d)", r.Workload, r.Seed),
-		"Schedule", "Mode", "Done", "Goodput", "P50", "P95", "P99", "Max", "Thr Moves", "Home Moves", "Faults")
-	prev := ""
-	for _, row := range r.Rows {
-		name := row.Schedule
-		if name == prev {
-			name = ""
-		} else {
-			prev = name
-		}
-		t.AddRow(name, row.Mode,
-			fmt.Sprintf("%d/%d", row.Completed, row.Arrived),
-			fmt.Sprintf("%.0f/s", row.GoodputPerSec),
-			row.LatencyP50.String(), row.LatencyP95.String(),
-			row.LatencyP99.String(), row.LatencyMax.String(),
-			fmt.Sprintf("%d", row.ThreadMoves), fmt.Sprintf("%d", row.HomeMoves),
-			fmt.Sprintf("%d", row.Faults))
-	}
-	return t
-}
-
-func (r *FigTResult) String() string { return r.Table().String() }

@@ -8,7 +8,7 @@ import (
 // TestFigTClosedLoopWins is the acceptance check for the open-loop traffic
 // figure: on every arrival schedule the closed-loop placement must strictly
 // beat both the passive baseline and the one-shot placement on P99 latency,
-// with every request served. FigTResult.Violations is the single source of
+// with every request served. The figure's Violations is the single source of
 // that bar — the CLI smoke run asserts the same thing.
 func TestFigTClosedLoopWins(t *testing.T) {
 	res := FigT(testScale, nil)

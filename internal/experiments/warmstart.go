@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"jessica2/internal/core"
-	"jessica2/internal/gos"
-	"jessica2/internal/metrics"
 	"jessica2/internal/profile"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
@@ -68,8 +64,6 @@ const figWEpoch = 2 * sim.Millisecond
 
 // FigWRow is one (application, mode) measurement.
 type FigWRow struct {
-	App  string
-	Mode string // "cold", "warm"
 	// ConvergenceEpoch is the last epoch boundary that applied a placement
 	// action (thread migration or object re-home): the epoch the run
 	// stopped learning placement.
@@ -87,74 +81,8 @@ type FigWRow struct {
 	// (zero for the closed-loop application).
 	Arrived, Completed int
 	LatencyP99         sim.Time
-}
-
-// FigWResult holds the warm-start sweep.
-type FigWResult struct {
-	Scale Scale
-	Seed  uint64
-	Rows  []FigWRow
-}
-
-// figWRun executes one cell of either application: KVMix under the phased
-// scenario at fixed epochs, or ServeMix under diurnal open-loop arrivals at
-// the Figure T epoch grid. The profile IO config carries the Save arming
-// (capture cells) or the loaded profile (warm cells).
-func figWRun(app string, sc Scale, seed uint64, pio session.ProfileIO, policy session.Policy) (*session.Session, sim.Time, *workload.ServeStats) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
-
-	var (
-		w     workload.Workload
-		scen  *scenario.Scenario
-		epoch sim.Time
-		serve *workload.ServeMix
-	)
-	switch app {
-	case "KVMix/phased":
-		w = figCLKVMix(sc)
-		var err error
-		scen, err = scenario.Preset("phased", nodes, seed)
-		if err != nil {
-			panic(err)
-		}
-		epoch = figWEpoch
-	case "ServeMix/diurnal":
-		serve = figTServeMix()
-		w = serve
-		scen = &scenario.Scenario{
-			Name:     "figW/diurnal",
-			Seed:     seed,
-			Arrivals: figTArrivals("diurnal", sc),
-		}
-		epoch = figTHorizon / FigTEpochs
-	default:
-		panic("figW: unknown app " + app)
-	}
-
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: epoch, Profile: pio})
-	if err := s.Launch(w, workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
-	var stats *workload.ServeStats
-	if serve != nil {
-		stats = serve.ServeStatsInto(nil, exec)
-	}
-	return s, exec, stats
+	// captured is the cold run's saved profile, which its warm run loads.
+	captured *profile.Profile
 }
 
 // lastPlacementEpoch returns the last epoch boundary whose observed policy
@@ -192,154 +120,109 @@ func profilingCharge(s *session.Session) sim.Time {
 // application, one capture run (the cold measurement, profile saved at the
 // end) fans out through the pool, then the warm runs reload the captured
 // profiles in a second wave.
-func FigW(sc Scale, p *runner.Pool) *FigWResult {
-	const seed = 42
-	type cellRun struct {
-		row      FigWRow
-		captured *profile.Profile
-	}
-	summarize := func(app, mode string, s *session.Session, exec sim.Time, stats *workload.ServeStats) FigWRow {
-		row := FigWRow{
-			App:              app,
-			Mode:             mode,
-			ConvergenceEpoch: lastPlacementEpoch(s),
-			ProfilingCharge:  profilingCharge(s),
-			CorrLogs:         s.Kernel().Stats().CorrelationLogs,
-			Resampled:        s.Kernel().Stats().ResampledObjs,
-			Exec:             exec,
-			ThreadMoves:      len(s.MigrationEngine().History),
-			HomeMoves:        s.Kernel().Stats().HomeMigrations,
-		}
-		if stats != nil {
-			row.Arrived, row.Completed = stats.Arrived, stats.Completed
-			row.LatencyP99 = stats.LatencyP99
-		}
-		return row
-	}
+func FigW(sc Scale, p *runner.Pool) *Result[FigWRow] { return figWGrid(sc).Sweep(p) }
 
-	// Wave 1: per application, the capture run — rebalance policy at the
-	// full rate with Save armed. Arming is byte-invisible, so this run is
-	// also the cold measurement.
-	capJobs := make([]func() cellRun, len(FigWApps))
-	for i := range FigWApps {
-		app := FigWApps[i]
-		capJobs[i] = func() cellRun {
-			s, exec, stats := figWRun(app, sc, seed,
-				session.ProfileIO{Save: true}, session.NewRebalancePolicy())
-			prof, err := s.CapturedProfile()
-			if err != nil {
-				panic(err)
-			}
-			return cellRun{row: summarize(app, "cold", s, exec, stats), captured: prof}
-		}
-	}
-	colds := runner.Collect(p, capJobs)
-
-	// Wave 2: per application, the warm run — captured profile loaded, the
-	// warm-start policy gating the sampling rate from divergence.
-	warmJobs := make([]func() cellRun, len(FigWApps))
-	for i := range FigWApps {
-		app, prof := FigWApps[i], colds[i].captured
-		warmJobs[i] = func() cellRun {
-			s, exec, stats := figWRun(app, sc, seed,
-				session.ProfileIO{Load: prof}, session.NewWarmStartPolicy(prof))
-			if w := s.ProfileWarning(); w != "" {
-				panic("figW: warm run rejected its own capture: " + w)
-			}
-			return cellRun{row: summarize(app, "warm", s, exec, stats)}
-		}
-	}
-	warms := runner.Collect(p, warmJobs)
-
-	res := &FigWResult{Scale: sc, Seed: seed}
-	for i := range FigWApps {
-		res.Rows = append(res.Rows, colds[i].row, warms[i].row)
-	}
-	return res
-}
-
-// Row returns the (application, mode) cell, or nil.
-func (r *FigWResult) Row(app, mode string) *FigWRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.App == app && row.Mode == mode {
-			return row
-		}
-	}
-	return nil
-}
-
-// Violations checks the sweep's acceptance bar and returns one message per
-// broken invariant (empty means the figure holds). On the closed-loop
-// application the warm start must strictly reduce both the convergence
-// epoch and the profiling charge while execution time stays within
-// FigWEpsilon of cold. On the open-loop application it must strictly reduce
-// the profiling charge, serve the full schedule in both modes, and keep P99
-// within FigWServeEpsilon of cold.
-func (r *FigWResult) Violations() []string {
-	var out []string
-	for _, app := range FigWApps {
-		cold, warm := r.Row(app, "cold"), r.Row(app, "warm")
-		if cold == nil || warm == nil {
-			out = append(out, fmt.Sprintf("%s: missing rows", app))
-			continue
-		}
-		if warm.ProfilingCharge >= cold.ProfilingCharge {
-			out = append(out, fmt.Sprintf("%s: warm profiling charge (%v) did not beat cold (%v)",
-				app, warm.ProfilingCharge, cold.ProfilingCharge))
-		}
-		switch app {
-		case "KVMix/phased":
-			if warm.ConvergenceEpoch >= cold.ConvergenceEpoch {
-				out = append(out, fmt.Sprintf("%s: warm converged at epoch %d, cold at %d",
-					app, warm.ConvergenceEpoch, cold.ConvergenceEpoch))
-			}
-			if max := sim.Time(float64(cold.Exec) * (1 + FigWEpsilon)); warm.Exec > max {
-				out = append(out, fmt.Sprintf("%s: warm exec (%v) beyond cold (%v) + %.0f%%",
-					app, warm.Exec, cold.Exec, FigWEpsilon*100))
-			}
-		case "ServeMix/diurnal":
-			for _, row := range []*FigWRow{cold, warm} {
-				if row.Completed != row.Arrived || row.Completed == 0 {
-					out = append(out, fmt.Sprintf("%s/%s: served %d of %d requests",
-						app, row.Mode, row.Completed, row.Arrived))
+func figWGrid(sc Scale) *Grid[FigWRow] {
+	showCharge := func(r *FigWRow) string { return r.ProfilingCharge.String() }
+	return &Grid[FigWRow]{
+		Title:  fmt.Sprintf("FIGURE W. PROFILE-GUIDED WARM START VS COLD START (4 nodes, 8 threads, seed %d)", figSeed),
+		Groups: FigWApps,
+		Modes:  FigWModes,
+		Keys:   []string{"App", "Mode"},
+		Columns: []Column[FigWRow]{
+			{"Conv Epoch", func(r *FigWRow) string { return fmt.Sprint(r.ConvergenceEpoch) }},
+			{"Prof Charge", showCharge},
+			{"Corr Logs", func(r *FigWRow) string { return fmt.Sprint(r.CorrLogs) }},
+			{"Resampled", func(r *FigWRow) string { return fmt.Sprint(r.Resampled) }},
+			{"Exec", func(r *FigWRow) string { return r.Exec.String() }},
+			{"P99", func(r *FigWRow) string {
+				if r.Arrived > 0 {
+					return r.LatencyP99.String()
+				}
+				return "-"
+			}},
+			{"Thr Moves", func(r *FigWRow) string { return fmt.Sprint(r.ThreadMoves) }},
+			{"Home Moves", func(r *FigWRow) string { return fmt.Sprint(r.HomeMoves) }},
+		},
+		// The cold run is the capture run: the rebalance policy at the full
+		// rate with Save armed. The warm run loads the capture, and the
+		// warm-start policy gates the sampling rate from divergence.
+		Base: "cold",
+		Run: func(app, mode string, cold *FigWRow) (FigWRow, error) {
+			var cell sessionCell
+			var serve *workload.ServeMix
+			switch app {
+			case "KVMix/phased":
+				cell = sessionCell{load: figCLKVMix(sc), preset: "phased", epoch: figWEpoch}
+			case "ServeMix/diurnal":
+				serve = figTServeMix()
+				cell = sessionCell{
+					load:  serve,
+					scen:  &scenario.Scenario{Name: "figW/diurnal", Seed: figSeed, Arrivals: figTArrivals("diurnal", sc)},
+					epoch: figTHorizon / FigTEpochs,
 				}
 			}
-			if max := sim.Time(float64(cold.LatencyP99) * (1 + FigWServeEpsilon)); warm.LatencyP99 > max {
-				out = append(out, fmt.Sprintf("%s: warm P99 (%v) beyond cold (%v) + %.0f%%",
-					app, warm.LatencyP99, cold.LatencyP99, FigWServeEpsilon*100))
+			if cold == nil {
+				cell.profile = session.ProfileIO{Save: true}
+				cell.policy = session.NewRebalancePolicy()
+			} else {
+				cell.profile = session.ProfileIO{Load: cold.captured}
+				cell.policy = session.NewWarmStartPolicy(cold.captured)
 			}
-		}
+			s, exec, err := cell.run()
+			if err != nil {
+				return FigWRow{}, err
+			}
+			if w := s.ProfileWarning(); cold != nil && w != "" {
+				return FigWRow{}, fmt.Errorf("warm run rejected its own capture: %s", w)
+			}
+			st := s.Kernel().Stats()
+			row := FigWRow{
+				ConvergenceEpoch: lastPlacementEpoch(s),
+				ProfilingCharge:  profilingCharge(s),
+				CorrLogs:         st.CorrelationLogs,
+				Resampled:        st.ResampledObjs,
+				Exec:             exec,
+				ThreadMoves:      len(s.MigrationEngine().History),
+				HomeMoves:        st.HomeMigrations,
+			}
+			if serve != nil {
+				stats := serve.ServeStatsInto(nil, exec)
+				row.Arrived, row.Completed = stats.Arrived, stats.Completed
+				row.LatencyP99 = stats.LatencyP99
+			}
+			if cold == nil {
+				row.captured, err = s.CapturedProfile()
+			}
+			return row, err
+		},
+		Claims: []Claim[FigWRow]{{
+			Label: "profiling charge", Winner: "warm", Over: "cold", Better: Lower,
+			Value: func(r *FigWRow) float64 { return float64(r.ProfilingCharge) }, Show: showCharge,
+		}},
+		Post: func(g GroupRows[FigWRow]) (out []string) {
+			cold, warm := g.Row("cold"), g.Row("warm")
+			switch g.Name {
+			case "KVMix/phased":
+				if warm.ConvergenceEpoch >= cold.ConvergenceEpoch {
+					out = append(out, fmt.Sprintf("%s: warm converged at epoch %d, cold at %d",
+						g.Name, warm.ConvergenceEpoch, cold.ConvergenceEpoch))
+				}
+				if max := sim.Time(float64(cold.Exec) * (1 + FigWEpsilon)); warm.Exec > max {
+					out = append(out, fmt.Sprintf("%s: warm exec (%v) beyond cold (%v) + %.0f%%",
+						g.Name, warm.Exec, cold.Exec, FigWEpsilon*100))
+				}
+			case "ServeMix/diurnal":
+				for _, mode := range FigWModes {
+					row := g.Row(mode)
+					out = append(out, unserved(g.Name, mode, row.Completed, row.Arrived)...)
+				}
+				if max := sim.Time(float64(cold.LatencyP99) * (1 + FigWServeEpsilon)); warm.LatencyP99 > max {
+					out = append(out, fmt.Sprintf("%s: warm P99 (%v) beyond cold (%v) + %.0f%%",
+						g.Name, warm.LatencyP99, cold.LatencyP99, FigWServeEpsilon*100))
+				}
+			}
+			return out
+		},
 	}
-	return out
 }
-
-// Table renders the sweep.
-func (r *FigWResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("FIGURE W. PROFILE-GUIDED WARM START VS COLD START (4 nodes, 8 threads, seed %d)", r.Seed),
-		"App", "Mode", "Conv Epoch", "Prof Charge", "Corr Logs", "Resampled",
-		"Exec", "P99", "Thr Moves", "Home Moves")
-	prev := ""
-	for _, row := range r.Rows {
-		name := row.App
-		if name == prev {
-			name = ""
-		} else {
-			prev = name
-		}
-		p99 := "-"
-		if row.Arrived > 0 {
-			p99 = row.LatencyP99.String()
-		}
-		t.AddRow(name, row.Mode,
-			fmt.Sprintf("%d", row.ConvergenceEpoch),
-			row.ProfilingCharge.String(),
-			fmt.Sprintf("%d", row.CorrLogs), fmt.Sprintf("%d", row.Resampled),
-			row.Exec.String(), p99,
-			fmt.Sprintf("%d", row.ThreadMoves), fmt.Sprintf("%d", row.HomeMoves))
-	}
-	return t
-}
-
-func (r *FigWResult) String() string { return r.Table().String() }

@@ -10,7 +10,7 @@ import (
 // fewer epochs and charge strictly less profiling overhead than cold while
 // execution time stays within FigWEpsilon; on the open-loop application it
 // must strictly cut the charge, serve the full schedule, and keep P99
-// within FigWServeEpsilon. FigWResult.Violations is the single source of
+// within FigWServeEpsilon. The figure's Violations is the single source of
 // that bar — the CLI run asserts the same thing.
 func TestFigWWarmStartWins(t *testing.T) {
 	res := FigW(testScale, nil)
