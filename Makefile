@@ -4,7 +4,7 @@ BENCH ?= BENCH_current.json
 # SCALE divides the paper datasets (1 = paper scale, 8 = CI-friendly).
 SCALE ?= 8
 
-.PHONY: verify build vet test test-race test-tcmfull test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq demo-closedloop demo-serve clean
+.PHONY: verify build vet test test-race test-tcmfull test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve clean
 
 verify: build vet test
 
@@ -113,6 +113,14 @@ bench:
 bench-seq:
 	JESSICA2_PARALLEL=1 go test -bench=. -benchmem -run '^$$' ./...
 	go run ./cmd/djvmbench -benchjson $(BENCH) -scale $(SCALE) -parallel 1
+
+# bench-check vets and tests the repository benchmark, which is a Go module
+# of its own that the root `go test ./...` never builds, then runs one short
+# serve-failover pass. The pass exits 1 if any output check fails: the
+# same-seed digest, request conservation or a codec round-trip.
+bench-check:
+	cd bench && go vet ./... && go test ./...
+	bash bench/run.sh -workload serve-failover -seconds 1
 
 # demo-closedloop runs the closed-loop session demo: KVMix under the phased
 # scenario, rebalance policy over 8 epochs, baseline vs closed-loop exec

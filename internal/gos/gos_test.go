@@ -186,6 +186,26 @@ func TestBarrierPartyMismatchPanics(t *testing.T) {
 	k.Run()
 }
 
+// TestDeadlockReportNamesLockAndBarrier pins the deadlock report for
+// threads parked on a lock that is never released and on a barrier that
+// never fills: each entry is the thread name, then the lock or barrier id.
+func TestDeadlockReportNamesLockAndBarrier(t *testing.T) {
+	k := testKernel(2, TrackingOff)
+	k.SpawnThread(0, "holder", func(th *Thread) { th.Acquire(7) })
+	k.SpawnThread(1, "waiter", func(th *Thread) {
+		th.Compute(sim.Millisecond) // the holder's grant lands first
+		th.Acquire(7)
+	})
+	k.SpawnThread(1, "lonely", func(th *Thread) { th.Barrier(3, 2) })
+	defer func() {
+		const want = "sim: deadlock: [lonely@barrier3 waiter@lock7]"
+		if got := recover(); got != want {
+			t.Errorf("deadlock report = %q, want %q", got, want)
+		}
+	}()
+	k.Run()
+}
+
 // TestAtMostOnceLogging: a thread logs each sampled object at most once
 // per interval no matter how many times it accesses it.
 func TestAtMostOnceLogging(t *testing.T) {

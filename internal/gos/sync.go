@@ -190,7 +190,7 @@ func (t *Thread) Acquire(lockID int) {
 		pm.oal, pm.sum = pl.batch, pl.sum
 	}
 	t.k.Net.SendParts(network.NodeID(t.node.id), network.NodeID(home), parts, pm)
-	t.proc.Block(fmt.Sprintf("lock%d", lockID))
+	t.proc.BlockOn("lock", lockID)
 	// The grant has landed: it is no longer on the wire.
 	t.k.lock(lockID).granting = false
 	t.node.advanceEpoch()
@@ -312,7 +312,7 @@ func (t *Thread) Barrier(barrierID, parties int) {
 		pm.oal, pm.sum = pl.batch, pl.sum
 	}
 	t.k.Net.SendParts(network.NodeID(t.node.id), 0, parts, pm)
-	t.proc.Block(fmt.Sprintf("barrier%d", barrierID))
+	t.proc.BlockOn("barrier", barrierID)
 	t.node.advanceEpoch()
 }
 

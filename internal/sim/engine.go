@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -339,7 +340,11 @@ func (e *Engine) blockedReport() string {
 	var names []string
 	for _, p := range e.procs {
 		if p.started && !p.done {
-			names = append(names, p.name+"@"+p.blockedAt)
+			at := p.name + "@" + p.blockedAt
+			if p.blockedOnID {
+				at += strconv.Itoa(p.blockedID)
+			}
+			names = append(names, at)
 		}
 	}
 	sort.Strings(names)
@@ -358,6 +363,11 @@ type Proc struct {
 	started   bool
 	done      bool
 	blockedAt string
+	// blockedID, when blockedOnID is set, is the integer the deadlock report
+	// appends to blockedAt (a lock or barrier id). Keeping it apart from the
+	// string lets BlockOn park without formatting on every call.
+	blockedID   int
+	blockedOnID bool
 
 	// wakeFn is the proc's dispatch closure, built once at Spawn so that
 	// Sleep and Wake — fired once per simulated event on the hot path —
@@ -399,6 +409,15 @@ func (p *Proc) Sleep(d Time) {
 // Block parks the proc until another party calls Wake.
 func (p *Proc) Block(why string) {
 	p.yield(why)
+}
+
+// BlockOn is Block for a reason that names a numbered object: the deadlock
+// report shows why followed by id (BlockOn("lock", 7) reads "lock7"). The id
+// is formatted only if that report is built, so parking allocates nothing.
+func (p *Proc) BlockOn(why string, id int) {
+	p.blockedID, p.blockedOnID = id, true
+	p.yield(why)
+	p.blockedOnID = false
 }
 
 // Wake schedules p to resume at the current virtual time. It must be called

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"jessica2/internal/gos"
@@ -63,8 +62,8 @@ type RobustConfig struct {
 	RetryBackoff runner.Backoff
 	// HedgeQuantile in (0, 1) arms hedging: when a request's primary
 	// attempt is still unfinished after the observed completion-latency
-	// quantile (re-estimated every 32 completions; Deadline/2 until 16
-	// samples), a hedge attempt is dispatched to a different worker. 0
+	// quantile (re-estimated every 32 completions; Deadline/2 until the
+	// first 32), a hedge attempt is dispatched to a different worker. 0
 	// disables hedging.
 	HedgeQuantile float64
 	// HedgeMin floors the hedge delay. 0 defaults to Deadline/8.
@@ -208,11 +207,17 @@ type breaker struct {
 }
 
 // robustBox is one worker's mailbox: a FIFO of attempts plus the parked
-// worker proc (at most one — each box has a single consumer).
+// worker proc (at most one — each box has a single consumer). The queue is
+// q[head:]; popping advances head, and the backing array is reused from
+// the start whenever the queue empties.
 type robustBox struct {
 	q      []*serveAttempt
+	head   int
 	parked *sim.Proc
 }
+
+// attemptChunk is the size of one chunk of the dispatcher's attempt arena.
+const attemptChunk = 256
 
 // serveDispatcher owns the robust serving run: arrival admission, routing,
 // timeouts, hedges, breakers and termination. All methods run in engine
@@ -228,6 +233,11 @@ type serveDispatcher struct {
 	reqs    []serveReq
 	brk     []breaker
 	half    int // replica offset in the sticky pair
+
+	// attempts is the current arena chunk. A full chunk is replaced, never
+	// grown, so the attempt pointers that timer closures and mailboxes hold
+	// stay valid.
+	attempts []serveAttempt
 
 	inFlight int // admitted, not yet terminal
 	terminal int
@@ -345,8 +355,8 @@ func (d *serveDispatcher) dispatch(i int, kind int8) {
 		d.failFast(i)
 		return
 	}
-	node := d.threads[worker].Node().ID()
-	a := &serveAttempt{req: i, worker: worker, node: node, kind: kind, probe: d.pickedProbe}
+	a := d.newAttempt()
+	*a = serveAttempt{req: i, worker: worker, node: d.threads[worker].Node().ID(), kind: kind, probe: d.pickedProbe}
 	d.pickedProbe = false
 	r.live++
 	r.lastWorker = worker
@@ -357,6 +367,15 @@ func (d *serveDispatcher) dispatch(i int, kind int8) {
 	if kind == attemptPrimary && d.cfg.HedgeQuantile > 0 {
 		d.k.Eng.After(d.currentHedgeDelay(), func() { d.hedge(i) })
 	}
+}
+
+// newAttempt returns a zeroed attempt carved from the arena.
+func (d *serveDispatcher) newAttempt() *serveAttempt {
+	if len(d.attempts) == cap(d.attempts) {
+		d.attempts = make([]serveAttempt, 0, attemptChunk)
+	}
+	d.attempts = d.attempts[:len(d.attempts)+1]
+	return &d.attempts[len(d.attempts)-1]
 }
 
 // pickWorker returns the first admissible worker for request i: the sticky
@@ -440,6 +459,13 @@ func (d *serveDispatcher) releaseProbe(a *serveAttempt) {
 // enqueue appends an attempt to a worker's mailbox and wakes it if parked.
 func (d *serveDispatcher) enqueue(worker int, a *serveAttempt) {
 	box := &d.boxes[worker]
+	if box.head > 0 && len(box.q) == cap(box.q) {
+		// Full, with popped slots at the front: slide the queue down
+		// instead of letting append grow the array.
+		n := copy(box.q, box.q[box.head:])
+		clear(box.q[n:])
+		box.q, box.head = box.q[:n], 0
+	}
 	box.q = append(box.q, a)
 	if p := box.parked; p != nil {
 		box.parked = nil
@@ -452,10 +478,13 @@ func (d *serveDispatcher) enqueue(worker int, a *serveAttempt) {
 func (d *serveDispatcher) next(tid int, t *gos.Thread) *serveAttempt {
 	box := &d.boxes[tid]
 	for {
-		if len(box.q) > 0 {
-			a := box.q[0]
-			box.q[0] = nil
-			box.q = box.q[1:]
+		if box.head < len(box.q) {
+			a := box.q[box.head]
+			box.q[box.head] = nil
+			box.head++
+			if box.head == len(box.q) {
+				box.q, box.head = box.q[:0], 0
+			}
 			return a
 		}
 		if d.closed {
@@ -639,25 +668,17 @@ func (d *serveDispatcher) currentHedgeDelay() sim.Time {
 }
 
 // reestimateHedge refreshes the hedge delay from the completion-latency
-// quantile every 32 completions (the sort reuses the stats scratch).
+// quantile every 32 completions, reading the sorted latency ledger.
 func (d *serveDispatcher) reestimateHedge() {
 	if d.cfg.HedgeQuantile <= 0 {
 		return
 	}
 	d.sinceHedged++
-	if d.sinceHedged < 32 || len(d.w.state.latencies) < 16 {
+	if d.sinceHedged < 32 {
 		return
 	}
 	d.sinceHedged = 0
-	st := &d.w.state
-	n := len(st.latencies)
-	if cap(st.scratch) < n {
-		st.scratch = make([]sim.Time, n)
-	}
-	s := st.scratch[:n]
-	copy(s, st.latencies)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	d.hedgeDelay = percentile(s, d.cfg.HedgeQuantile)
+	d.hedgeDelay = percentile(d.w.state.sortedLatencies(), d.cfg.HedgeQuantile)
 }
 
 // --- breaker transitions -----------------------------------------------------
@@ -678,13 +699,13 @@ func (d *serveDispatcher) onDeath(node int) {
 			continue
 		}
 		box := &d.boxes[w]
-		if len(box.q) == 0 {
+		if box.head == len(box.q) {
 			continue
 		}
-		drain := box.q
-		box.q = nil
+		drain := box.q[box.head:]
+		box.q, box.head = nil, 0
 		for _, a := range drain {
-			if a == nil || a.cancelled || a.done {
+			if a.cancelled || a.done {
 				continue
 			}
 			a.cancelled = true

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"jessica2/internal/gos"
@@ -368,13 +369,16 @@ func (s *ServeStats) String() string {
 		s.Retried, s.Hedged, s.HedgeWins, s.Rerouted, s.BreakerOpens, s.Wasted)
 }
 
-// serveState accumulates completions; recording appends in completion
-// order, percentile queries sort a reusable scratch copy. The robust
-// counters and the censor ledger stay zero on the static path, keeping
-// the off-layer stats byte-identical.
+// serveState accumulates completions. The robust counters and the censor
+// ledger stay zero on the static path, keeping the off-layer stats
+// byte-identical.
 type serveState struct {
+	// latencies is the completion-latency ledger, sorted as it is read:
+	// latencies[:sorted] is ascending and the rest is in completion order
+	// until the next sortedLatencies. tail is that method's merge buffer.
 	latencies []sim.Time
-	scratch   []sim.Time
+	sorted    int
+	tail      []sim.Time
 	maxLat    sim.Time
 
 	slo       sim.Time // within-SLO accounting bound; 0 disables
@@ -402,6 +406,36 @@ func (st *serveState) record(lat sim.Time) {
 	if st.slo > 0 && lat <= st.slo {
 		st.inSLO++
 	}
+}
+
+// sortedLatencies returns every recorded latency in ascending order. It
+// sorts only what was recorded since the last call and merges that
+// backwards into the sorted prefix, so a read after k new records costs
+// O(k log n) comparisons and at most n element moves, with no copy of the
+// ledger. Nothing is allocated once the merge buffer has grown to the
+// largest batch seen. The result aliases the ledger and is valid until the
+// next record.
+func (st *serveState) sortedLatencies() []sim.Time {
+	all := st.latencies
+	if st.sorted == len(all) {
+		return all
+	}
+	tail := append(st.tail[:0], all[st.sorted:]...)
+	slices.Sort(tail)
+	st.tail = tail
+	// Place the tail from its largest value down. Each value lands just
+	// above the prefix entries smaller than it, and the prefix entries
+	// above those shift up as one block; no write passes an unread entry.
+	end := st.sorted
+	for j := len(tail) - 1; j >= 0; j-- {
+		v := tail[j]
+		p, _ := slices.BinarySearch(all[:end], v)
+		copy(all[p+j+1:], all[p:end])
+		all[p+j] = v
+		end = p
+	}
+	st.sorted = len(all)
+	return all
 }
 
 // censor prices a non-completion (shed, expired, failed-fast) into the
@@ -452,8 +486,9 @@ func censoredPercentile(sorted []sim.Time, censored int, censorLat sim.Time, q f
 }
 
 // ServeStatsInto fills dst (allocating when nil) with the serving view as
-// of virtual time now. The sort scratch is reused across calls, so the
-// boundary snapshot path allocates only on growth.
+// of virtual time now. Percentiles read the sorted latency ledger in place,
+// so a boundary snapshot with dst reused allocates nothing once the
+// ledger's merge buffer has warmed up.
 func (w *ServeMix) ServeStatsInto(dst *ServeStats, now sim.Time) *ServeStats {
 	if dst == nil {
 		dst = &ServeStats{}
@@ -494,12 +529,7 @@ func (w *ServeMix) ServeStatsInto(dst *ServeStats, now sim.Time) *ServeStats {
 	if now > 0 && done > 0 {
 		dst.GoodputPerSec = float64(done) / now.Seconds()
 	}
-	if cap(st.scratch) < done {
-		st.scratch = make([]sim.Time, done)
-	}
-	s := st.scratch[:done]
-	copy(s, st.latencies)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := st.sortedLatencies()
 	dst.LatencyP50 = censoredPercentile(s, st.censored, st.censorLat, 0.50)
 	dst.LatencyP95 = censoredPercentile(s, st.censored, st.censorLat, 0.95)
 	dst.LatencyP99 = censoredPercentile(s, st.censored, st.censorLat, 0.99)
