@@ -4,12 +4,16 @@ BENCH ?= BENCH_current.json
 # SCALE divides the paper datasets (1 = paper scale, 8 = CI-friendly).
 SCALE ?= 8
 
-.PHONY: verify build vet test test-race test-tcmfull test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve clean
+.PHONY: verify build fmtcheck vet test test-race test-tcmfull test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve clean
 
-verify: build vet test
+verify: build fmtcheck vet test
 
 build:
 	go build ./...
+
+# fmtcheck fails when gofmt would reformat any Go file.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...

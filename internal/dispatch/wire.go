@@ -62,9 +62,9 @@ const (
 
 // envelope is the versioned self-describing wrapper every payload rides in.
 type envelope struct {
-	Schema  string          `json:"schema"`
-	Version int             `json:"version"`
-	Kind    string          `json:"kind"`
+	Schema  string `json:"schema"`
+	Version int    `json:"version"`
+	Kind    string `json:"kind"`
 	// CRC is the IEEE CRC32 of the raw Body bytes: a fingerprint that
 	// catches truncation and corruption JSON syntax alone would miss.
 	CRC  uint32          `json:"crc"`
@@ -207,16 +207,16 @@ type wireProfiler struct {
 
 // wireOut is an out envelope body.
 type wireOut struct {
-	Spec       experiments.Spec            `json:"spec"`
-	Exec       int64                       `json:"exec"`
-	Stats      gos.KernelStats             `json:"stats"`
-	Net        network.Stats               `json:"net"`
-	TCM        *wireMap                    `json:"tcm,omitempty"`
-	TCMCost    tcm.BuildCost               `json:"tcm_cost"`
-	TCMTime    int64                       `json:"tcm_time"`
-	PageTCM    *wireMap                    `json:"page_tcm,omitempty"`
-	Profiler   *wireProfiler               `json:"profiler,omitempty"`
-	Footprints map[int]sticky.Footprint    `json:"footprints,omitempty"`
+	Spec       experiments.Spec         `json:"spec"`
+	Exec       int64                    `json:"exec"`
+	Stats      gos.KernelStats          `json:"stats"`
+	Net        network.Stats            `json:"net"`
+	TCM        *wireMap                 `json:"tcm,omitempty"`
+	TCMCost    tcm.BuildCost            `json:"tcm_cost"`
+	TCMTime    int64                    `json:"tcm_time"`
+	PageTCM    *wireMap                 `json:"page_tcm,omitempty"`
+	Profiler   *wireProfiler            `json:"profiler,omitempty"`
+	Footprints map[int]sticky.Footprint `json:"footprints,omitempty"`
 }
 
 // EncodeOut serializes one run outcome. The output is a pure function of

@@ -76,7 +76,7 @@ func TestOutRoundTripExact(t *testing.T) {
 		t.Fatalf("TCM cost drifted")
 	}
 	for _, m := range []struct {
-		name     string
+		name      string
 		got, want *tcm.Map
 	}{{"tcm", dec.TCM, out.TCM}, {"page tcm", dec.PageTCM, out.PageTCM}} {
 		if m.got.N() != m.want.N() {

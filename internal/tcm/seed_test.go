@@ -130,9 +130,9 @@ func TestNewMapFromFixedPanicsOnBadLength(t *testing.T) {
 // baseline) including values with no finite Q12 representation.
 func TestCellBitsRoundTrip(t *testing.T) {
 	m := NewMap(3)
-	m.Add(0, 1, 0.1)                          // not representable in Q12
+	m.Add(0, 1, 0.1) // not representable in Q12
 	m.Add(1, 2, 3.1415926)
-	m.Add(0, 2, math.SmallestNonzeroFloat64)  // underflows fixed point
+	m.Add(0, 2, math.SmallestNonzeroFloat64) // underflows fixed point
 	bits := m.AppendCellBits(nil)
 	back := NewMapFromBits(3, bits)
 	for i := 0; i < 3; i++ {
