@@ -8,16 +8,18 @@ import (
 )
 
 // recordingPolicy counts Observe calls so tests can see when the warm-start
-// gate consults its inner optimizer.
+// gate consults its inner optimizer, and keeps every observed Hot list.
 type recordingPolicy struct {
 	calls int
 	emit  []Action
+	hot   [][]HotObject
 }
 
 func (p *recordingPolicy) Name() string       { return "recording" }
 func (p *recordingPolicy) NeedsProfile() bool { return true }
-func (p *recordingPolicy) Observe(*Snapshot) []Action {
+func (p *recordingPolicy) Observe(s *Snapshot) []Action {
 	p.calls++
+	p.hot = append(p.hot, s.Hot)
 	return p.emit
 }
 
