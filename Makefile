@@ -4,7 +4,7 @@ BENCH ?= BENCH_current.json
 # SCALE divides the paper datasets (1 = paper scale, 8 = CI-friendly).
 SCALE ?= 8
 
-.PHONY: verify build fmtcheck vet test test-race test-tcmfull test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve clean
+.PHONY: verify build fmtcheck vet test test-race test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve clean
 
 verify: build fmtcheck vet test
 
@@ -95,13 +95,6 @@ test-profile:
 	go run ./cmd/djvmrun -app kv -scenario phased -policy warmstart -epoch 10ms -tcm=false -profile-in /tmp/j2_ci_kv.j2pf
 	go run ./cmd/tcmviz -profile /tmp/j2_ci_kv.j2pf
 	rm -f /tmp/j2_ci_kv.j2pf
-
-# test-tcmfull reruns the suite with the legacy full-rebuild TCM builder
-# selected (the incremental builder's oracle); the equivalence property
-# tests run the pair head to head under either tag.
-test-tcmfull:
-	go build -tags tcmfull ./...
-	go test -tags tcmfull ./...
 
 # bench runs the Go benchmarks (allocs/op is the regression metric; see
 # EXPERIMENTS.md) and writes the machine-readable djvmbench report. The

@@ -326,8 +326,7 @@ func BenchmarkTCMBuild(b *testing.B) {
 }
 
 // tcmPeeker is the builder surface the incremental-vs-legacy TCM
-// microbenchmark drives; both variants are always compiled, so one binary
-// measures the pair head to head.
+// microbenchmark drives, so one binary measures the pair head to head.
 type tcmPeeker interface {
 	AddAccess(t int, key int64, bytes float64)
 	PeekInto(dst *tcm.Map) *tcm.Map
@@ -361,7 +360,7 @@ func BenchmarkTCMIncremental(b *testing.B) {
 				return bl
 			}},
 			{"incremental", func() tcmPeeker {
-				bl := tcm.NewIncBuilder(n)
+				bl := tcm.NewBuilder(n)
 				bl.IngestSummary(sum)
 				return bl
 			}},

@@ -42,7 +42,6 @@ import (
 	"jessica2/internal/experiments"
 	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
-	"jessica2/internal/tcm"
 )
 
 // benchResult is one experiment's measurement in the -benchjson report.
@@ -58,10 +57,6 @@ type benchResult struct {
 type benchReport struct {
 	Scale     int    `json:"scale"`
 	GoVersion string `json:"go_version"`
-	// TCMBuilder names the correlation-daemon variant this binary was
-	// built with ("incremental" by default, "full" under -tags tcmfull),
-	// so before/after artifacts are self-describing.
-	TCMBuilder string `json:"tcm_builder"`
 	// Parallel is the runner pool width the experiments ran at; CPUs is the
 	// host's GOMAXPROCS, for judging how much fan-out could actually bite.
 	Parallel int `json:"parallel"`
@@ -106,11 +101,10 @@ func benchCases(sc experiments.Scale, p *runner.Pool) []struct {
 func writeBenchJSON(path string, sc experiments.Scale, p *runner.Pool) error {
 	cases := benchCases(sc, p)
 	report := benchReport{
-		Scale:      int(sc),
-		GoVersion:  runtime.Version(),
-		TCMBuilder: tcm.BuilderVariant(),
-		Parallel:   p.Workers(),
-		CPUs:       runtime.GOMAXPROCS(0),
+		Scale:     int(sc),
+		GoVersion: runtime.Version(),
+		Parallel:  p.Workers(),
+		CPUs:      runtime.GOMAXPROCS(0),
 	}
 	// One timed end-to-end regeneration pass for the wall-clock headline.
 	start := time.Now()

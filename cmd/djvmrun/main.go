@@ -188,7 +188,7 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 		seeds     = fs.Int("seeds", 1, "replicate the run over N consecutive seeds")
 		parallel  = fs.Int("parallel", 0, "worker pool for -seeds replicas (0 = GOMAXPROCS, 1 = sequential)")
 		workers   = fs.String("workers", "", "comma-separated djvmworker addresses; runs are dispatched to the fleet and rendered from the collected outcomes (plain profiling runs only)")
-		benchjson = fs.String("benchjson", "", "write a machine-readable run report (exec times, wall clock, TCM builder variant) to this file")
+		benchjson = fs.String("benchjson", "", "write a machine-readable run report (exec times, wall clock) to this file")
 		profIn    = fs.String("profile-in", "", "load a stored profile for a warm start (placement applied before epoch 0, TCM seeded; mismatched fingerprints fall back to cold with a warning)")
 		profOut   = fs.String("profile-out", "", "save the end-of-run profile to this file")
 	)
@@ -425,18 +425,16 @@ func (rc *runConfig) buildSession(scen *jessica2.Scenario, policy jessica2.Polic
 
 // runReport is the -benchjson document: one machine-readable record of the
 // invocation, its per-seed simulated execution times and the host-side
-// wall clock, tagged with the TCM builder variant the binary carries so
-// before/after perf artifacts are self-describing.
+// wall clock.
 type runReport struct {
-	App        string    `json:"app"`
-	Scenario   string    `json:"scenario"`
-	Policy     string    `json:"policy"`
-	Seeds      int       `json:"seeds"`
-	Parallel   int       `json:"parallel"`
-	GoVersion  string    `json:"go_version"`
-	TCMBuilder string    `json:"tcm_builder"`
-	ExecMs     []float64 `json:"exec_ms"`
-	WallMs     float64   `json:"wall_clock_ms"`
+	App       string    `json:"app"`
+	Scenario  string    `json:"scenario"`
+	Policy    string    `json:"policy"`
+	Seeds     int       `json:"seeds"`
+	Parallel  int       `json:"parallel"`
+	GoVersion string    `json:"go_version"`
+	ExecMs    []float64 `json:"exec_ms"`
+	WallMs    float64   `json:"wall_clock_ms"`
 }
 
 // execute runs the parsed invocation, writing the report to out. With
@@ -618,14 +616,13 @@ func (rc *runConfig) writeBenchJSON(execs []jessica2.Time, wall time.Duration) e
 		return nil
 	}
 	rep := runReport{
-		App:        rc.app,
-		Scenario:   rc.scenSpec,
-		Policy:     rc.policyTag,
-		Seeds:      rc.seeds,
-		Parallel:   rc.parallel,
-		GoVersion:  runtime.Version(),
-		TCMBuilder: jessica2.TCMBuilderVariant(),
-		WallMs:     float64(wall.Nanoseconds()) / 1e6,
+		App:       rc.app,
+		Scenario:  rc.scenSpec,
+		Policy:    rc.policyTag,
+		Seeds:     rc.seeds,
+		Parallel:  rc.parallel,
+		GoVersion: runtime.Version(),
+		WallMs:    float64(wall.Nanoseconds()) / 1e6,
 	}
 	for _, e := range execs {
 		rep.ExecMs = append(rep.ExecMs, e.Milliseconds())

@@ -234,7 +234,7 @@ func TestExecuteSeedsParallelIdentity(t *testing.T) {
 }
 
 // TestExecuteBenchJSON: -benchjson writes a machine-readable run report
-// with per-seed exec times and the TCM builder variant.
+// with per-seed exec times.
 func TestExecuteBenchJSON(t *testing.T) {
 	path := t.TempDir() + "/run.json"
 	rc, err := parse(t,
@@ -259,9 +259,6 @@ func TestExecuteBenchJSON(t *testing.T) {
 	}
 	if rep.App != "kv" || rep.Seeds != 2 || len(rep.ExecMs) != 2 {
 		t.Fatalf("report = %+v", rep)
-	}
-	if rep.TCMBuilder != jessica2.TCMBuilderVariant() {
-		t.Fatalf("tcm_builder = %q, want %q", rep.TCMBuilder, jessica2.TCMBuilderVariant())
 	}
 	if rep.ExecMs[0] <= 0 || rep.WallMs <= 0 {
 		t.Fatalf("non-positive timings: %+v", rep)

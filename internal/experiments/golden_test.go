@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"jessica2/internal/runner"
-	"jessica2/internal/tcm"
 )
 
 // goldenFigures holds the FigS/CL/R/T/G/W tables at testScale, one
@@ -17,29 +16,23 @@ import (
 const goldenFigures = "testdata/golden_figures.txt"
 
 // checkGolden renders one figure through a nil pool and a 3-worker pool and
-// compares each rendering against its golden section. The file is rendered
-// with the incremental TCM builder; under the full-rebuild builder, whose
-// DecayThreads and SeedMap are no-ops, warm-start and recovery rows differ,
-// so there the two renderings are only compared with each other.
+// compares each rendering against its golden section.
 func checkGolden(t *testing.T, name string, render func(*runner.Pool) string) {
 	t.Helper()
-	want, source := render(nil), "the nil-pool rendering"
-	if tcm.BuilderVariant() == "incremental" {
-		data, err := os.ReadFile(goldenFigures)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rest, ok := strings.Cut(string(data), "== "+name+" ==\n")
-		if !ok {
-			t.Fatalf("%s: no %s section", goldenFigures, name)
-		}
-		want, _, _ = strings.Cut(rest, "\n== ")
-		want, source = strings.TrimRight(want, "\n")+"\n", goldenFigures
+	data, err := os.ReadFile(goldenFigures)
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, rest, ok := strings.Cut(string(data), "== "+name+" ==\n")
+	if !ok {
+		t.Fatalf("%s: no %s section", goldenFigures, name)
+	}
+	want, _, _ := strings.Cut(rest, "\n== ")
+	want = strings.TrimRight(want, "\n") + "\n"
 	for _, p := range []*runner.Pool{nil, runner.New(3)} {
 		if got := render(p); got != want {
 			t.Fatalf("%s (%d workers) diverged from %s:\n--- got\n%s\n--- want\n%s",
-				name, p.Workers(), source, got, want)
+				name, p.Workers(), goldenFigures, got, want)
 		}
 	}
 }

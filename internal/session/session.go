@@ -64,8 +64,7 @@ type ProfileIO struct {
 	// start, recorded as a warning (Session.ProfileWarning) — never as the
 	// sticky Session.Err. On a match the stored placement is applied
 	// before epoch 0 (zero-cost: threads spawn at their profiled nodes)
-	// and the master's TCM accumulator is seeded from the stored map (a
-	// no-op under `-tags tcmfull`, like TCM decay).
+	// and the master's TCM accumulator is seeded from the stored map.
 	Load *profile.Profile
 	// Save arms end-of-run profile capture: once the run completes,
 	// Session.CapturedProfile assembles the artifact. Capture only reads
@@ -94,12 +93,6 @@ type Session struct {
 	execTime sim.Time
 	epoch    int
 
-	// hotSeen marks summary objects already surfaced through Snapshot.Hot,
-	// so each epoch's hot list reports only newly shared objects (built-in
-	// hysteresis: a policy that re-homed an object once is not asked to
-	// reconsider it every epoch).
-	hotSeen map[int64]bool
-
 	// applied logs every policy action the session executed.
 	applied []AppliedAction
 
@@ -111,8 +104,8 @@ type Session struct {
 	loadedTCM   *tcm.Map
 	loadWarning string
 	// priorTCM is the map actually seeded into the live accumulator (nil
-	// under `-tags tcmfull`, where SeedMap is a no-op): the divergence
-	// signal subtracts it so the stored prior cannot drown out live drift.
+	// when the stored profile carried none): the divergence signal
+	// subtracts it so the stored prior cannot drown out live drift.
 	priorTCM *tcm.Map
 
 	// Scratch reused across boundary snapshots: sessions pause at every
@@ -266,12 +259,9 @@ func (s *Session) Launch(w workload.Workload, p workload.Params) error {
 	w.Launch(s.k, p)
 	if seedTCM {
 		// Seed after the spawn so the master's builder sizes to the full
-		// thread count. Seeding is uncharged prior knowledge (and a no-op
-		// under -tags tcmfull, like TCM decay).
+		// thread count. Seeding is uncharged prior knowledge.
 		s.k.Master().SeedMap(s.loadedTCM)
-		if tcm.BuilderVariant() == "incremental" {
-			s.priorTCM = s.loadedTCM
-		}
+		s.priorTCM = s.loadedTCM
 	}
 	s.loads = append(s.loads, w)
 	return nil
@@ -563,27 +553,19 @@ func (s *Session) snapshot(wantProfile, boundary bool) *Snapshot {
 
 // hotObjects extracts the newly shared objects from the master's daemon:
 // objects accessed by at least two threads that previous boundaries have
-// not already surfaced. Boundary snapshots consume (mark) them; ad-hoc
-// snapshots only peek. The incremental builder feeds this O(new) from its
-// pending list — per-epoch cost scales with the objects that *became*
-// shared since the last boundary, not with all M objects ever ingested
-// (the legacy -tags tcmfull builder scans, and the session's hotSeen set
-// keeps the surfaced list identical either way).
+// not already surfaced. Boundary snapshots consume them; ad-hoc snapshots
+// only peek. The daemon feeds this O(new) from its pending list — per-epoch
+// cost scales with the objects that *became* shared since the last
+// boundary, not with all M objects ever ingested — and delivers each
+// object until one boundary accepts it, never again (built-in hysteresis:
+// a policy that re-homed an object once is not asked to reconsider it
+// every epoch).
 func (s *Session) hotObjects(consume bool) []HotObject {
 	var hot []HotObject
 	s.k.Master().VisitNewlyShared(consume, func(key int64, volume float64, threads []int32) bool {
-		if s.hotSeen[key] {
-			return true // surfaced at an earlier boundary: retire silently
-		}
 		o := s.k.Reg.Object(heap.ObjectID(key))
 		if o == nil {
 			return false // unknown to the registry (yet): keep pending
-		}
-		if consume {
-			if s.hotSeen == nil {
-				s.hotSeen = make(map[int64]bool)
-			}
-			s.hotSeen[key] = true
 		}
 		hot = append(hot, HotObject{
 			Object:  o.ID,

@@ -63,7 +63,8 @@ type event struct {
 // slightly wider child scan on sift-down for fewer cache-missing levels —
 // the queue is the single hottest data structure in the simulator. It backs
 // the bucketed scheduler (per-bucket heaps and the far-timer overflow in
-// sched.go) and is the engine's whole queue under the `simheap` build tag.
+// sched.go) and is the reference its pop-order property tests compare
+// against.
 type eventPQ []event
 
 func (q *eventPQ) size() int    { return len(*q) }
@@ -138,8 +139,6 @@ type Config struct {
 	// (0 = default 256). Together with the width it sets the coverage
 	// horizon beyond which timers wait in the overflow heap.
 	SchedRingBuckets int
-	// Under the `simheap` build tag the engine runs on the plain 4-ary
-	// heap and the geometry is ignored.
 }
 
 // DefaultConfig returns the default engine configuration (the geometry the
@@ -148,15 +147,11 @@ func DefaultConfig() Config {
 	return Config{SchedBucketBits: defaultBucketBits, SchedRingBuckets: defaultRingBuckets}
 }
 
-// configure lets the heap fallback satisfy the engineQueue contract; the
-// plain 4-ary heap has no geometry.
-func (q *eventPQ) configure(Config) {}
-
 // Engine is the simulation scheduler. It is not safe for concurrent use by
 // multiple OS threads except through the Proc cooperation protocol.
 type Engine struct {
 	now     Time
-	queue   engineQueue
+	queue   schedQueue
 	seq     uint64
 	procs   []*Proc
 	running int // procs started and not yet finished

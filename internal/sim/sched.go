@@ -14,10 +14,9 @@ import (
 // handful of events, while the overflow heap only churns when a far timer
 // is scheduled or migrates into coverage.
 //
-// Ordering is exactly the 4-ary heap's: (at, seq) with FIFO tie-break, so
-// golden traces are byte-identical between the two implementations (the
-// `simheap` build tag selects the plain heap as a fallback; the property
-// tests in sched_test.go assert pop-order equivalence on random streams).
+// Ordering is exactly the 4-ary heap's: (at, seq) with FIFO tie-break (the
+// property tests in sched_test.go assert pop-order equivalence on random
+// streams).
 //
 // The bucket geometry is configurable per engine (Config.SchedBucketBits /
 // Config.SchedRingBuckets, defaults below): wider buckets smear a busy

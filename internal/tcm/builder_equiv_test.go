@@ -15,8 +15,7 @@ import (
 // through identical random streams of raw accesses, weight upgrades,
 // malformed thread ids, record and summary ingestion, peeks, charged builds
 // and window resets, and assert every observable — map cells, cost ledger,
-// summaries — matches exactly. They compile under both build tags, so the
-// CI `-tags tcmfull` job re-runs them with the alias flipped.
+// summaries — matches exactly.
 
 // equivRand is the same tiny deterministic generator the scheduler's
 // property tests use.
@@ -63,7 +62,7 @@ func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := equivRand(seed * 0x1234567)
-			inc := NewIncBuilder(n)
+			inc := NewBuilder(n)
 			full := NewFullBuilder(n)
 			var incScratch, fullScratch *Map
 			for op := 0; op < 4000; op++ {
@@ -149,7 +148,7 @@ func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
 func TestIncrementalEquivalenceWideDimension(t *testing.T) {
 	const n = 130
 	rng := equivRand(0xfeedface)
-	inc := NewIncBuilder(n)
+	inc := NewBuilder(n)
 	full := NewFullBuilder(n)
 	for op := 0; op < 6000; op++ {
 		th := int(rng.next() % n)
@@ -168,7 +167,7 @@ func TestIncrementalEquivalenceWideDimension(t *testing.T) {
 // the upgrade's delta re-accrual over the existing pair set must equal the
 // legacy builder's from-scratch rebuild with the final max weight.
 func TestIncrementalUpgradeDelta(t *testing.T) {
-	inc := NewIncBuilder(4)
+	inc := NewBuilder(4)
 	full := NewFullBuilder(4)
 	for _, b := range []*struct {
 		add func(t int, key int64, w float64)
@@ -193,7 +192,7 @@ func TestIncrementalUpgradeDelta(t *testing.T) {
 // incremental builder must replicate that simulated charge exactly even
 // though its host-side Build is O(1).
 func TestBuildCostCumulativeCharge(t *testing.T) {
-	inc := NewIncBuilder(3)
+	inc := NewBuilder(3)
 	full := NewFullBuilder(3)
 	for _, add := range []func(int, int64, float64){inc.AddAccess, full.AddAccess} {
 		add(0, 1, 100)

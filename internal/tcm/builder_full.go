@@ -9,10 +9,8 @@ import (
 // FullBuilder is the legacy correlation-computing daemon: it ingests OAL
 // batches into per-object thread-set maps and rebuilds the whole N×N map
 // from scratch on every Build/Peek — the literal O(M·N²) pass of the paper.
-// It is kept as the reference implementation behind the `tcmfull` build tag
-// (select `-tags tcmfull` to make it the package's Builder, mirroring the
-// scheduler's `simheap` fallback) and as the oracle the incremental
-// builder's property and fuzz tests compare against.
+// It is kept only as the oracle Builder's property, fuzz and workload
+// identity tests compare against.
 type FullBuilder struct {
 	n    int
 	objs map[int64]*objEntry
@@ -165,36 +163,6 @@ func (b *FullBuilder) Reset() {
 	b.cost = BuildCost{}
 }
 
-// VisitNewlyShared streams the objects currently shared by at least two
-// threads, in ascending key order: key, current weight, and the ascending
-// accessor thread ids (the threads slice is iteration scratch, valid only
-// during the callback). The legacy builder keeps no incremental state, so
-// every call scans all M objects and the visit callback's return value
-// (and consume) are ignored — callers are expected to dedupe across calls
-// themselves (the session's hotSeen set), which makes the scan equivalent
-// to the incremental builder's O(new) pending list.
-func (b *FullBuilder) VisitNewlyShared(consume bool, visit func(key int64, bytes float64, threads []int32) bool) {
-	keys := b.keys[:0]
-	for k := range b.objs {
-		keys = append(keys, k)
-	}
-	b.keys = keys
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var ts []int32
-	for _, k := range keys {
-		oe := b.objs[k]
-		if len(oe.threads) < 2 {
-			continue
-		}
-		ts = ts[:0]
-		for t := range oe.threads {
-			ts = append(ts, int32(t))
-		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		visit(k, oe.bytes, ts)
-	}
-}
-
 // Summarize exports the builder's per-object state as a mergeable summary
 // (sorted by key for determinism) and is the worker-side half of the
 // distributed reduction.
@@ -246,31 +214,3 @@ func (b *FullBuilder) IngestSummary(s *Summary) {
 		b.cost.Entries += len(o.Threads)
 	}
 }
-
-// Merge unions another builder's state into b (in-process variant of the
-// summary path, used by tests and by hierarchical reductions).
-func (b *FullBuilder) Merge(other *FullBuilder) {
-	b.IngestSummary(other.Summarize())
-}
-
-// DecayThreads is a documented no-op on the legacy builder: FullBuilder
-// re-accrues the map from raw per-object state on every Build/Peek, so a
-// retroactive discount of already-accrued cells has nothing to attach to
-// (the evidence IS the per-object state, and rewriting logged history
-// would break the builder's full-rebuild contract). Failure-degradation
-// tests gate on BuilderVariant() == "incremental" for this reason; under
-// `-tags tcmfull` the correlation map simply keeps lost nodes' evidence at
-// full weight.
-func (b *FullBuilder) DecayThreads(threads []int, factor float64) {}
-
-// SeedMap is a documented no-op on the legacy builder, for the same reason
-// DecayThreads is: FullBuilder re-accrues the map from raw per-object state
-// on every Build/Peek, so seeded pair-level volume — prior evidence with no
-// object identity — has nowhere to live (a synthetic object per cell would
-// corrupt the Objects/PairAdds charge accounting). Under `-tags tcmfull` a
-// warm-started session still applies the stored placement and still drives
-// the divergence-gated rate controller (the live map simply starts empty,
-// which the Divergence signal reads as "no evidence of divergence"); only
-// the accumulator seeding is skipped. Warm-start seeding tests gate on
-// BuilderVariant() == "incremental".
-func (b *FullBuilder) SeedMap(m *Map) {}

@@ -2,18 +2,19 @@ package tcm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
 // TestFreePoolCapAfterStormWindow is the pool-growth regression test: a
 // storm window that ingests a huge object population must not permanently
 // pin its peak entry memory — within one subsequent small window the
-// recycle pool must shrink to the small window's working set. Both builder
-// variants share the freePoolCap policy.
+// recycle pool must shrink to the small window's working set. Both builders
+// share the freePoolCap policy.
 func TestFreePoolCapAfterStormWindow(t *testing.T) {
 	const storm, small = 20000, 50
 	t.Run("incremental", func(t *testing.T) {
-		b := NewIncBuilder(4)
+		b := NewBuilder(4)
 		for o := int64(0); o < storm; o++ {
 			b.AddAccess(int(o)%4, o, 64)
 		}
@@ -63,7 +64,7 @@ func TestFreePoolCapAfterStormWindow(t *testing.T) {
 // resets and dirty-list overflow into the allDirty fallback.
 func TestPeekIntoDirtyPath(t *testing.T) {
 	const n = 8
-	b := NewIncBuilder(n)
+	b := NewBuilder(n)
 	rng := equivRand(0xd1e7)
 	dst := b.PeekInto(nil)
 	check := func(tag string) {
@@ -103,7 +104,7 @@ func TestPeekIntoDirtyPath(t *testing.T) {
 // declined entries stay pending, ad-hoc (non-consuming) visits do not
 // retire anything, and Reset clears the list.
 func TestVisitNewlySharedPending(t *testing.T) {
-	b := NewIncBuilder(4)
+	b := NewBuilder(4)
 	collect := func(consume bool, accept func(key int64) bool) []int64 {
 		var keys []int64
 		b.VisitNewlyShared(consume, func(key int64, bytes float64, threads []int32) bool {
@@ -153,34 +154,18 @@ func TestVisitNewlySharedPending(t *testing.T) {
 	}
 }
 
-// TestVisitNewlySharedParityWithFull drives both builders through the
-// session's consumption protocol (a hotSeen set dedupes across windows; the
-// callback accepts everything the set has not seen) and asserts the
-// surfaced key sequences are identical — the property the session's
-// hot-object snapshots rely on to stay byte-identical across variants.
+// TestVisitNewlySharedParityWithFull drives Builder through the session's
+// consumption protocol (boundary visits consume, ad-hoc visits only peek)
+// and checks every visit against the oracle: the objects FullBuilder holds
+// as shared by two or more threads, minus those a consuming visit retired
+// since the last Reset, in ascending key order with the same weight and
+// accessor ids.
 func TestVisitNewlySharedParityWithFull(t *testing.T) {
 	const n = 6
 	rng := equivRand(0x5eed)
-	inc := NewIncBuilder(n)
+	inc := NewBuilder(n)
 	full := NewFullBuilder(n)
-	incSeen := map[int64]bool{}
-	fullSeen := map[int64]bool{}
-	surface := func(v interface {
-		VisitNewlyShared(bool, func(int64, float64, []int32) bool)
-	}, seen map[int64]bool, consume bool) []int64 {
-		var out []int64
-		v.VisitNewlyShared(consume, func(key int64, bytes float64, threads []int32) bool {
-			if seen[key] {
-				return true
-			}
-			if consume {
-				seen[key] = true
-			}
-			out = append(out, key)
-			return consume
-		})
-		return out
-	}
+	retired := map[int64]bool{}
 	for round := 0; round < 200; round++ {
 		for i := 0; i < 20; i++ {
 			th := int(rng.next() % n)
@@ -189,20 +174,29 @@ func TestVisitNewlySharedParityWithFull(t *testing.T) {
 			inc.AddAccess(th, key, w)
 			full.AddAccess(th, key, w)
 		}
-		consume := round%3 != 2 // mix boundary and ad-hoc snapshots
-		gi := surface(inc, incSeen, consume)
-		gf := surface(full, fullSeen, consume)
-		if len(gi) != len(gf) {
-			t.Fatalf("round %d: surfaced %v vs %v", round, gi, gf)
+		var want, got []ObjSummary
+		for _, o := range full.Summarize().Objs {
+			if len(o.Threads) >= 2 && !retired[o.Key] {
+				want = append(want, o)
+			}
 		}
-		for k := range gi {
-			if gi[k] != gf[k] {
-				t.Fatalf("round %d: surfaced %v vs %v", round, gi, gf)
+		consume := round%3 != 2 // mix boundary and ad-hoc snapshots
+		inc.VisitNewlyShared(consume, func(key int64, bytes float64, threads []int32) bool {
+			got = append(got, ObjSummary{Key: key, Bytes: bytes, Threads: append([]int32(nil), threads...)})
+			return true
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: surfaced %v, oracle %v", round, got, want)
+		}
+		if consume {
+			for _, o := range got {
+				retired[o.Key] = true
 			}
 		}
 		if round%17 == 16 {
 			inc.Reset()
 			full.Reset()
+			clear(retired)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // decayFixture accrues a small known map: threads 0,1 share object 10
 // (100 bytes), threads 1,2 share object 20 (40 bytes), threads 0,2 share
 // object 30 (8 bytes).
-func decayFixture() *IncBuilder {
-	b := NewIncBuilder(4)
+func decayFixture() *Builder {
+	b := NewBuilder(4)
 	b.AddAccess(0, 10, 100)
 	b.AddAccess(1, 10, 100)
 	b.AddAccess(1, 20, 40)
@@ -20,9 +20,6 @@ func decayFixture() *IncBuilder {
 }
 
 func TestDecayThreads(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("DecayThreads is a documented no-op on the legacy full builder")
-	}
 	b := decayFixture()
 	b.DecayThreads([]int{2}, 0.5)
 	m := b.Peek()
@@ -46,9 +43,6 @@ func TestDecayThreads(t *testing.T) {
 }
 
 func TestDecayThreadsBothDeadDecaysTwice(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("DecayThreads is a documented no-op on the legacy full builder")
-	}
 	b := decayFixture()
 	b.DecayThreads([]int{1, 2}, 0.5)
 	if got := b.Peek().At(1, 2); got != 10 {
@@ -60,9 +54,6 @@ func TestDecayThreadsBothDeadDecaysTwice(t *testing.T) {
 }
 
 func TestDecayThreadsEdgeCases(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("DecayThreads is a documented no-op on the legacy full builder")
-	}
 	b := decayFixture()
 	before := b.Peek().At(0, 1)
 	b.DecayThreads([]int{-1, 99}, 0.5) // out-of-range ids ignored
@@ -82,9 +73,6 @@ func TestDecayThreadsEdgeCases(t *testing.T) {
 // TestDecayThreadsInvalidatesPeekScratch: a decay between two PeekInto
 // calls on the same scratch must not leave stale cells behind.
 func TestDecayThreadsInvalidatesPeekScratch(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("DecayThreads is a documented no-op on the legacy full builder")
-	}
 	b := decayFixture()
 	scratch := b.PeekInto(nil)
 	b.DecayThreads([]int{2}, 0.25)
@@ -97,9 +85,6 @@ func TestDecayThreadsInvalidatesPeekScratch(t *testing.T) {
 // TestDecayThenAccrue: evidence logged after a decay accrues at full
 // weight (decay discounts history, not the future).
 func TestDecayThenAccrue(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("DecayThreads is a documented no-op on the legacy full builder")
-	}
 	b := decayFixture()
 	b.DecayThreads([]int{2}, 0)
 	if got := b.Peek().At(1, 2); got != 0 {

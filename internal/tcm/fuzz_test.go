@@ -122,7 +122,7 @@ func FuzzBuilder(f *testing.F) {
 // upgrades, record and summary ingestion, charged builds, scratch peeks and
 // window resets — and asserts the two stay observationally identical:
 // bit-equal maps and equal cost ledgers at every build point. Weights are
-// bounded to uint16 so both variants operate in the regime where integer
+// bounded to uint16 so both builders operate in the regime where integer
 // and float accumulation are exact (the documented fixed-point envelope);
 // within it, equivalence must be exact, not approximate.
 func FuzzBuilderEquivalence(f *testing.F) {
@@ -147,7 +147,7 @@ func FuzzBuilderEquivalence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
-		inc := NewIncBuilder(n)
+		inc := NewBuilder(n)
 		full := NewFullBuilder(n)
 		var incScratch, fullScratch *Map
 		compare := func(tag string, mi, mf *Map) {

@@ -238,10 +238,10 @@ func (m *Map) String() string {
 // and TCM accrual is O(M·N²) worst case (PairAdds counts the realized
 // pairwise additions).
 //
-// The ledger reports the paper's *simulated* charge: both builder variants
-// (the incremental default and the `-tags tcmfull` legacy full rebuild)
-// account a charged Build as the full O(M·N²) reorganize-and-accrue pass,
-// even though the incremental builder's host-side work per Build is O(1).
+// The ledger reports the paper's *simulated* charge: Builder and the legacy
+// FullBuilder both account a charged Build as the full O(M·N²)
+// reorganize-and-accrue pass, even though Builder's host-side work per
+// Build is O(1).
 // The simulated analyzer the tables charge is the paper's daemon, not our
 // maintenance strategy.
 type BuildCost struct {

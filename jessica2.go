@@ -304,12 +304,6 @@ var (
 	DefaultFootprinter    = sticky.DefaultFootprinterConfig
 )
 
-// TCMBuilderVariant names the correlation-daemon implementation this
-// binary was built with: "incremental" (the default online builder) or
-// "full" (the legacy rebuild selected by -tags tcmfull). CLI perf reports
-// embed it so artifacts are self-describing.
-var TCMBuilderVariant = tcm.BuilderVariant
-
 // Distance metrics (paper equations 1 and 2) and accuracy.
 var (
 	DistanceEUC = tcm.DistanceEUC
