@@ -107,9 +107,6 @@ type Config struct {
 	Nodes int
 	// Net is the interconnect model.
 	Net network.Config
-	// Sched tunes the simulation engine's calendar-scheduler geometry;
-	// the zero value keeps the defaults (4096 ns × 256 buckets).
-	Sched sim.Config
 	// Costs is the CPU cost model.
 	Costs CostModel
 	// Tracking selects the correlation tracking mode.
@@ -253,7 +250,7 @@ func NewKernel(cfg Config) *Kernel {
 	if cfg.OALFlushEntries <= 0 {
 		cfg.OALFlushEntries = 4096
 	}
-	eng := sim.NewEngineWith(cfg.Sched)
+	eng := sim.NewEngine()
 	k := &Kernel{
 		Eng:      eng,
 		Reg:      heap.NewRegistry(),

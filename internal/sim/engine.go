@@ -128,25 +128,6 @@ func (q *eventPQ) pop() event {
 	return top
 }
 
-// Config tunes the engine. Today that is the bucketed scheduler's
-// geometry; the zero value selects the defaults, so existing constructors
-// are unchanged.
-type Config struct {
-	// SchedBucketBits is log2 of the calendar bucket width in nanoseconds
-	// (0 = default 12, i.e. 4096 ns buckets).
-	SchedBucketBits int
-	// SchedRingBuckets is the calendar ring size: a power of two >= 64
-	// (0 = default 256). Together with the width it sets the coverage
-	// horizon beyond which timers wait in the overflow heap.
-	SchedRingBuckets int
-}
-
-// DefaultConfig returns the default engine configuration (the geometry the
-// zero value also selects).
-func DefaultConfig() Config {
-	return Config{SchedBucketBits: defaultBucketBits, SchedRingBuckets: defaultRingBuckets}
-}
-
 // Engine is the simulation scheduler. It is not safe for concurrent use by
 // multiple OS threads except through the Proc cooperation protocol.
 type Engine struct {
@@ -166,15 +147,6 @@ type Engine struct {
 // scheduler geometry.
 func NewEngine() *Engine {
 	return &Engine{sched: make(chan struct{})}
-}
-
-// NewEngineWith returns an engine with the clock at zero and the given
-// configuration (zero fields fall back to the defaults, so the zero Config
-// is equivalent to NewEngine).
-func NewEngineWith(cfg Config) *Engine {
-	e := NewEngine()
-	e.queue.configure(cfg)
-	return e
 }
 
 // Now returns the current virtual time.

@@ -18,11 +18,11 @@ import (
 // property tests in sched_test.go assert pop-order equivalence on random
 // streams).
 //
-// The bucket geometry is configurable per engine (Config.SchedBucketBits /
-// Config.SchedRingBuckets, defaults below): wider buckets smear a busy
-// instant across fewer, deeper heaps; a longer ring trades occupancy-scan
-// memory for fewer far-timer migrations. The geometry-sweep benchmark in
-// sched_test.go measures the trade-off across dense/uniform/far loads.
+// The engine always runs the default geometry below; init accepts others
+// only for the geometry-sweep test and benchmark in sched_geom_test.go,
+// which measure the trade-off across dense/uniform/far loads: wider
+// buckets smear a busy instant across fewer, deeper heaps; a longer ring
+// trades occupancy-scan memory for fewer far-timer migrations.
 //
 // Invariants:
 //   - every ring event e satisfies base <= e.at < horizon, where
@@ -68,24 +68,8 @@ type schedQueue struct {
 	overflow eventPQ // far timers, at >= horizon
 }
 
-// configure installs a non-default geometry. It must run before any event
-// is pushed (the engine calls it at construction); reconfiguring a live
-// queue would remap every bucketed event.
-func (q *schedQueue) configure(cfg Config) {
-	if q.n != 0 || q.ring != nil {
-		panic("sim: scheduler geometry configured after first use")
-	}
-	q.init(cfg.SchedBucketBits, cfg.SchedRingBuckets)
-}
-
-// init materializes the ring; zero arguments select the defaults.
+// init materializes the ring with 1<<bucketBits ns buckets × buckets.
 func (q *schedQueue) init(bucketBits, buckets int) {
-	if bucketBits == 0 {
-		bucketBits = defaultBucketBits
-	}
-	if buckets == 0 {
-		buckets = defaultRingBuckets
-	}
 	if bucketBits < 1 || bucketBits > 40 {
 		panic(fmt.Sprintf("sim: bucket bits %d out of range [1, 40]", bucketBits))
 	}
@@ -113,7 +97,7 @@ func (q *schedQueue) bucketIndex(at Time) int { return int(at>>q.bits) & q.mask 
 
 func (q *schedQueue) push(e event) {
 	if q.ring == nil {
-		q.init(0, 0)
+		q.init(defaultBucketBits, defaultRingBuckets)
 	}
 	q.n++
 	if e.at < q.horizon {

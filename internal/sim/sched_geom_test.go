@@ -29,7 +29,7 @@ func TestSchedGeometryPopOrderMatchesHeap(t *testing.T) {
 				rng := splitmix64(0xbadcafe)
 				ref := &eventPQ{}
 				got := &schedQueue{}
-				got.configure(Config{SchedBucketBits: g.bits, SchedRingBuckets: g.buckets})
+				got.init(g.bits, g.buckets)
 				var now Time
 				var seq uint64
 				for op := 0; op < 8000; op++ {
@@ -66,9 +66,9 @@ func TestSchedGeometryPopOrderMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestSchedConfigValidation: invalid geometries and post-use configuration
-// must fail loudly, and the zero Config must be the default geometry.
-func TestSchedConfigValidation(t *testing.T) {
+// TestSchedGeometryValidation: invalid geometries must fail loudly, and a
+// queue's first push must adopt the default geometry.
+func TestSchedGeometryValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -79,32 +79,24 @@ func TestSchedConfigValidation(t *testing.T) {
 		f()
 	}
 	mustPanic("non-power-of-two ring", func() {
-		(&schedQueue{}).configure(Config{SchedRingBuckets: 100})
+		(&schedQueue{}).init(defaultBucketBits, 100)
 	})
 	mustPanic("tiny ring", func() {
-		(&schedQueue{}).configure(Config{SchedRingBuckets: 32})
+		(&schedQueue{}).init(defaultBucketBits, 32)
 	})
 	mustPanic("bucket bits out of range", func() {
-		(&schedQueue{}).configure(Config{SchedBucketBits: 48})
+		(&schedQueue{}).init(48, defaultRingBuckets)
 	})
 	mustPanic("span overflow", func() {
 		// Each bound is individually legal but the coverage span
 		// buckets<<bits would wrap past Time's range.
-		(&schedQueue{}).configure(Config{SchedBucketBits: 40, SchedRingBuckets: 1 << 24})
-	})
-	mustPanic("configure after use", func() {
-		q := &schedQueue{}
-		q.push(event{at: 1})
-		q.configure(Config{SchedRingBuckets: 128})
+		(&schedQueue{}).init(40, 1<<24)
 	})
 
 	def := &schedQueue{}
-	def.configure(Config{}) // zero fields: defaults
+	def.push(event{at: 1})
 	if def.span != ringSpan || def.bits != defaultBucketBits {
-		t.Fatalf("zero Config geometry = %d-bit × %d, want defaults", def.bits, def.mask+1)
-	}
-	if got := DefaultConfig(); got.SchedBucketBits != defaultBucketBits || got.SchedRingBuckets != defaultRingBuckets {
-		t.Fatalf("DefaultConfig = %+v", got)
+		t.Fatalf("first-push geometry = %d-bit × %d, want defaults", def.bits, def.mask+1)
 	}
 }
 
@@ -121,7 +113,9 @@ func TestEngineWithGeometryRuns(t *testing.T) {
 		return order
 	}
 	a := fire(NewEngine())
-	b := fire(NewEngineWith(Config{SchedBucketBits: 9, SchedRingBuckets: 64}))
+	e := NewEngine()
+	e.queue.init(9, 64)
+	b := fire(e)
 	if len(a) != len(b) {
 		t.Fatalf("fired %d vs %d events", len(a), len(b))
 	}
@@ -144,7 +138,7 @@ func BenchmarkSchedGeometry(b *testing.B) {
 				b.Run(fmt.Sprintf("b%d/r%d/hold=%d/%s", g.bits, g.buckets, hold, dist), func(b *testing.B) {
 					rng := splitmix64(42)
 					q := &schedQueue{}
-					q.configure(Config{SchedBucketBits: g.bits, SchedRingBuckets: g.buckets})
+					q.init(g.bits, g.buckets)
 					var now Time
 					var seq uint64
 					for i := 0; i < hold; i++ {

@@ -82,10 +82,6 @@ import (
 // Time is virtual simulation time in nanoseconds.
 type Time = sim.Time
 
-// SchedConfig tunes the engine's calendar-scheduler geometry (see
-// sim.Config).
-type SchedConfig = sim.Config
-
 // Common durations.
 const (
 	Nanosecond  = sim.Nanosecond
@@ -337,12 +333,6 @@ type Config struct {
 	// Costs overrides the CPU cost model field by field (zero fields keep
 	// their calibrated defaults).
 	Costs gos.CostModel
-	// Sched tunes the simulation engine's calendar-scheduler geometry
-	// (bucket width and ring size; the zero value keeps the defaults,
-	// 4096 ns × 256 buckets). Geometry never changes results — only the
-	// scheduler's host-side cost — which the sim package's pop-order
-	// property tests guarantee.
-	Sched SchedConfig
 	// Scenario, when non-nil, perturbs the run with the fault-injection
 	// scenario engine (heterogeneous CPUs, link ramps, jitter, transient
 	// slowdowns, workload phase shifts, node crashes, partitions, lossy
@@ -391,7 +381,6 @@ func (cfg Config) kernelConfig() gos.Config {
 	}
 	kcfg.Net = mergeNetwork(kcfg.Net, cfg.Network)
 	kcfg.Costs = mergeCosts(kcfg.Costs, cfg.Costs)
-	kcfg.Sched = cfg.Sched
 	kcfg.Failure = cfg.Failure
 	return kcfg
 }
