@@ -202,11 +202,11 @@ func BenchmarkAblationMigration(b *testing.B) {
 	run := func(prefetch bool) (faults int64) {
 		cfg := jessica2.DefaultConfig()
 		cfg.Nodes = 2
-		sys := jessica2.New(cfg)
-		eng := jessica2.NewMigrationEngine(sys)
-		cls := sys.Kernel().Reg.DefineClass("Rec", 128, 1)
+		sess := jessica2.NewSession(cfg)
+		eng := sess.MigrationEngine()
+		cls := sess.Kernel().Reg.DefineClass("Rec", 128, 1)
 		cls.SetGap(1, 1)
-		sys.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
+		sess.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
 			var objs []*jessica2.Object
 			var prev *jessica2.Object
 			for i := 0; i < 200; i++ {
@@ -232,7 +232,9 @@ func BenchmarkAblationMigration(b *testing.B) {
 			}
 			faults = t.Stats().Faults - before
 		})
-		sys.Run()
+		if _, err := sess.Run(); err != nil {
+			b.Fatal(err)
+		}
 		return faults
 	}
 	for i := 0; i < b.N; i++ {

@@ -18,18 +18,26 @@ func main() {
 	const threads = 16
 
 	cfg := jessica2.DefaultConfig()
-	sys := jessica2.New(cfg)
+	sess := jessica2.NewSession(cfg)
 
 	bh := jessica2.NewBarnesHut()
 	bh.NBodies = 1024 // quarter scale for a quick run; 4096 = paper scale
-	sys.Launch(bh, jessica2.Params{Threads: threads, Seed: 7})
+	if err := sess.Launch(bh, jessica2.Params{Threads: threads, Seed: 7}); err != nil {
+		panic(err)
+	}
 
 	adaptive := jessica2.DefaultAdaptiveConfig()
 	adaptive.Window = 200 * jessica2.Millisecond
 	adaptive.Threshold = 0.05 // stop once successive maps agree within 5%
-	prof := sys.AttachProfiling(jessica2.ProfileConfig{Adaptive: &adaptive})
+	prof, err := sess.AttachProfiling(jessica2.ProfileConfig{Adaptive: &adaptive})
+	if err != nil {
+		panic(err)
+	}
 
-	rep := sys.Run()
+	rep, err := sess.Run()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(rep)
 
 	fmt.Println("adaptive controller trace (rate ladder):")

@@ -86,12 +86,19 @@ func main() {
 	const threads = 8
 	cfg := jessica2.DefaultConfig()
 	cfg.Nodes = 4
-	sys := jessica2.New(cfg)
+	sess := jessica2.NewSession(cfg)
 	w := &pipelineWorkload{itemsPerRound: 64, rounds: 6}
-	sys.Launch(w, jessica2.Params{Threads: threads, Seed: 3})
-	sys.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
+	if err := sess.Launch(w, jessica2.Params{Threads: threads, Seed: 3}); err != nil {
+		panic(err)
+	}
+	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate}); err != nil {
+		panic(err)
+	}
 
-	rep := sys.Run()
+	rep, err := sess.Run()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(rep)
 
 	m := rep.TCM()

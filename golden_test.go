@@ -56,14 +56,23 @@ func goldenCases() []goldenCase {
 // network counters, the correlation map, and the adaptive-free profiling
 // state. Any nondeterminism anywhere in the stack shows up as a byte
 // difference.
-func goldenTrace(c goldenCase, scen *jessica2.Scenario, seed uint64) string {
+func goldenTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint64) string {
+	t.Helper()
 	cfg := jessica2.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.Scenario = scen
-	sys := jessica2.New(cfg)
-	sys.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed})
-	prof := sys.AttachProfiling(jessica2.ProfileConfig{Rate: 4})
-	rep := sys.Run()
+	sess := jessica2.NewSession(cfg)
+	if err := sess.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed}); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var sb strings.Builder
 	sb.WriteString(rep.String())
@@ -120,17 +129,17 @@ func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint
 }
 
 // TestSessionNopGoldenIdentity: a Session stepped in epochs under NopPolicy
-// must produce byte-identical reports to the classic one-shot System.Run on
-// the same seed — with and without a perturbation scenario.
+// must produce byte-identical reports to a one-shot Session.Run with no
+// policy on the same seed — with and without a perturbation scenario.
 func TestSessionNopGoldenIdentity(t *testing.T) {
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if got, want := sessionTrace(t, c, nil, 42), goldenTrace(c, nil, 42); got != want {
-				t.Fatalf("epoch-stepped NopPolicy session diverged from System.Run:\n--- session\n%s\n--- system\n%s", got, want)
+			if got, want := sessionTrace(t, c, nil, 42), goldenTrace(t, c, nil, 42); got != want {
+				t.Fatalf("epoch-stepped NopPolicy session diverged from one-shot Run:\n--- stepped\n%s\n--- one-shot\n%s", got, want)
 			}
-			if got, want := sessionTrace(t, c, stormScenario(t), 42), goldenTrace(c, stormScenario(t), 42); got != want {
-				t.Fatalf("perturbed epoch-stepped NopPolicy session diverged from System.Run:\n--- session\n%s\n--- system\n%s", got, want)
+			if got, want := sessionTrace(t, c, stormScenario(t), 42), goldenTrace(t, c, stormScenario(t), 42); got != want {
+				t.Fatalf("perturbed epoch-stepped NopPolicy session diverged from one-shot Run:\n--- stepped\n%s\n--- one-shot\n%s", got, want)
 			}
 		})
 	}
@@ -156,14 +165,14 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			base1 := goldenTrace(c, nil, 42)
-			base2 := goldenTrace(c, nil, 42)
+			base1 := goldenTrace(t, c, nil, 42)
+			base2 := goldenTrace(t, c, nil, 42)
 			if base1 != base2 {
 				t.Fatalf("unperturbed same-seed runs diverged:\n--- run 1\n%s\n--- run 2\n%s", base1, base2)
 			}
 
-			pert1 := goldenTrace(c, stormScenario(t), 42)
-			pert2 := goldenTrace(c, stormScenario(t), 42)
+			pert1 := goldenTrace(t, c, stormScenario(t), 42)
+			pert2 := goldenTrace(t, c, stormScenario(t), 42)
 			if pert1 != pert2 {
 				t.Fatalf("perturbed same-seed runs diverged:\n--- run 1\n%s\n--- run 2\n%s", pert1, pert2)
 			}
@@ -182,7 +191,7 @@ func TestGoldenTraceSeedSensitivity(t *testing.T) {
 		if c.name != "KVMix" { // fully seed-driven accesses
 			continue
 		}
-		if goldenTrace(c, nil, 1) == goldenTrace(c, nil, 2) {
+		if goldenTrace(t, c, nil, 1) == goldenTrace(t, c, nil, 2) {
 			t.Error("different seeds produced identical traces")
 		}
 		return

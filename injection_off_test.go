@@ -23,9 +23,9 @@ func injectionOffGolden(t *testing.T) string {
 	var sb strings.Builder
 	for _, c := range goldenCases() {
 		fmt.Fprintf(&sb, "===== %s =====\n", c.name)
-		sb.WriteString(goldenTrace(c, nil, 42))
+		sb.WriteString(goldenTrace(t, c, nil, 42))
 		fmt.Fprintf(&sb, "===== %s/storm =====\n", c.name)
-		sb.WriteString(goldenTrace(c, stormScenario(t), 42))
+		sb.WriteString(goldenTrace(t, c, stormScenario(t), 42))
 	}
 	return sb.String()
 }

@@ -29,8 +29,7 @@ import (
 	"jessica2/internal/workload"
 )
 
-// Lifecycle errors returned by the session API (the deprecated System
-// facade converts these back into panics for compatibility).
+// Lifecycle errors returned by the session API.
 var (
 	// ErrStarted rejects configuration calls after stepping has begun.
 	ErrStarted = errors.New("jessica2: session already started")

@@ -50,10 +50,6 @@
 //		snap := sess.Snapshot()
 //		fmt.Println(snap.Now, snap.Kernel.Faults)
 //	}
-//
-// The deprecated System facade (New/Launch/AttachProfiling/Run) remains as
-// a thin compatibility wrapper over a single-epoch session; unlike Session,
-// whose misuse returns errors, System keeps its historical panics.
 package jessica2
 
 import (
@@ -633,6 +629,11 @@ func (s *Session) MigrationHistory() []MigrationOutcome {
 	return append([]MigrationOutcome(nil), s.s.MigrationEngine().History...)
 }
 
+// MigrationEngine returns the engine that executes this session's thread
+// migrations, for workloads that migrate threads by hand; its migrations
+// land in MigrationHistory like a policy's.
+func (s *Session) MigrationEngine() *migration.Engine { return s.s.MigrationEngine() }
+
 // Fingerprint returns the run's profile fingerprint (valid after the first
 // Launch); profiles captured from this run are stamped with it.
 func (s *Session) Fingerprint() ProfileFingerprint { return s.s.Fingerprint() }
@@ -654,81 +655,6 @@ func (s *Session) Report() (*Report, error) {
 		return nil, err
 	}
 	return &Report{s: s.s}, nil
-}
-
-// --- deprecated one-shot facade ---------------------------------------------
-
-// System is the classic post-hoc facade: one Launch/AttachProfiling/Run
-// cycle over a single-epoch session.
-//
-// Deprecated: use Session, whose misuse returns errors. System keeps its
-// historical panics for compatibility.
-type System struct {
-	sess *Session
-	ran  bool
-}
-
-// New builds a system from the config. It panics on an invalid scenario
-// (Session records the error instead).
-func New(cfg Config) *System {
-	sess := NewSession(cfg)
-	if err := sess.s.Err(); err != nil {
-		panic(err)
-	}
-	return &System{sess: sess}
-}
-
-// Kernel exposes the underlying DJVM.
-func (s *System) Kernel() *Kernel { return s.sess.Kernel() }
-
-// Phase exposes the workload phase register the scenario engine drives.
-func (s *System) Phase() *Phase { return s.sess.Phase() }
-
-// Session exposes the underlying session (migration aid).
-func (s *System) Session() *Session { return s.sess }
-
-// Launch registers a workload's classes and spawns its threads. It panics
-// after Run.
-func (s *System) Launch(w Workload, p Params) *System {
-	if s.ran {
-		panic("jessica2: Launch after Run")
-	}
-	if err := s.sess.Launch(w, p); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// AttachProfiling wires the profiling subsystems. Call after Launch; it
-// panics after Run.
-func (s *System) AttachProfiling(cfg ProfileConfig) *Profiler {
-	if s.ran {
-		panic("jessica2: AttachProfiling after Run")
-	}
-	p, err := s.sess.AttachProfiling(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Run executes the simulation to completion and returns the report. It
-// panics when called twice.
-func (s *System) Run() *Report {
-	if s.ran {
-		panic("jessica2: Run called twice")
-	}
-	s.ran = true
-	rep, err := s.sess.Run()
-	if err != nil {
-		panic(err)
-	}
-	return rep
-}
-
-// Report summarizes the run (live counters before Run completes).
-func (s *System) Report() *Report {
-	return &Report{s: s.sess.s}
 }
 
 // Profiler wraps the attached profiling subsystem.
@@ -846,10 +772,3 @@ var LocalVolume = balancer.LocalVolume
 
 // BlockedPlacement is the spawn-order default placement.
 var BlockedPlacement = balancer.Blocked
-
-// NewMigrationEngine builds a migration engine over a system's kernel.
-// Session users get one implicitly via MigrateThread actions and
-// MigrationHistory.
-func NewMigrationEngine(s *System) *migration.Engine {
-	return migration.NewEngine(s.Kernel(), migration.DefaultConfig())
-}

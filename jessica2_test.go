@@ -13,11 +13,26 @@ func quickSOR() *jessica2.SOR {
 	return s
 }
 
+// runProfiled runs w to completion on a fresh session with full-rate
+// profiling attached.
+func runProfiled(t *testing.T, cfg jessica2.Config, w jessica2.Workload, p jessica2.Params) *jessica2.Report {
+	t.Helper()
+	sess := jessica2.NewSession(cfg)
+	if err := sess.Launch(w, p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestSystemEndToEnd(t *testing.T) {
-	sys := jessica2.New(jessica2.DefaultConfig())
-	sys.Launch(quickSOR(), jessica2.Params{Threads: 8, Seed: 1})
-	sys.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
-	rep := sys.Run()
+	rep := runProfiled(t, jessica2.DefaultConfig(), quickSOR(), jessica2.Params{Threads: 8, Seed: 1})
 	if rep.ExecTime() <= 0 {
 		t.Fatal("no execution time")
 	}
@@ -55,36 +70,12 @@ func TestConfigRejectsInvalidScenario(t *testing.T) {
 	}
 }
 
-func TestSystemLifecyclePanics(t *testing.T) {
-	sys := jessica2.New(jessica2.DefaultConfig())
-	sys.Launch(quickSOR(), jessica2.Params{Threads: 4, Seed: 1})
-	sys.Run()
-	for name, f := range map[string]func(){
-		"Launch":   func() { sys.Launch(quickSOR(), jessica2.Params{Threads: 2}) },
-		"Attach":   func() { sys.AttachProfiling(jessica2.ProfileConfig{}) },
-		"RunTwice": func() { sys.Run() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s after Run did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestPlacementPlanningAPI(t *testing.T) {
 	cfg := jessica2.DefaultConfig()
 	cfg.Nodes = 4
-	sys := jessica2.New(cfg)
 	syn := jessica2.NewSynthetic()
 	syn.Intervals = 4
-	sys.Launch(syn, jessica2.Params{Threads: 8, Seed: 2})
-	sys.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
-	rep := sys.Run()
-	m := rep.TCM()
+	m := runProfiled(t, cfg, syn, jessica2.Params{Threads: 8, Seed: 2}).TCM()
 	cur := jessica2.BlockedPlacement(8, 4)
 	next, _ := jessica2.PlanPlacement(m, cur, 4)
 	if jessica2.CrossVolume(m, next) > jessica2.CrossVolume(m, cur) {
@@ -93,10 +84,7 @@ func TestPlacementPlanningAPI(t *testing.T) {
 }
 
 func TestDistanceHelpers(t *testing.T) {
-	sys := jessica2.New(jessica2.DefaultConfig())
-	sys.Launch(quickSOR(), jessica2.Params{Threads: 4, Seed: 3})
-	sys.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
-	m := sys.Run().TCM()
+	m := runProfiled(t, jessica2.DefaultConfig(), quickSOR(), jessica2.Params{Threads: 4, Seed: 3}).TCM()
 	if jessica2.DistanceABS(m, m) != 0 || jessica2.DistanceEUC(m, m) != 0 {
 		t.Fatal("self distance nonzero")
 	}
@@ -106,11 +94,7 @@ func TestDistanceHelpers(t *testing.T) {
 }
 
 func TestCustomWorkloadViaPublicAPI(t *testing.T) {
-	sys := jessica2.New(jessica2.DefaultConfig())
-	w := &chainWorkload{records: 64, rounds: 3}
-	sys.Launch(w, jessica2.Params{Threads: 2, Seed: 4})
-	sys.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
-	rep := sys.Run()
+	rep := runProfiled(t, jessica2.DefaultConfig(), &chainWorkload{records: 64, rounds: 3}, jessica2.Params{Threads: 2, Seed: 4})
 	if rep.KernelStats().Intervals == 0 {
 		t.Fatal("custom workload produced no intervals")
 	}
@@ -159,18 +143,25 @@ func (w *chainWorkload) Launch(k *jessica2.Kernel, p jessica2.Params) {
 	}
 }
 
+// TestMigrationEngineAPI: a thread migrated by hand through the session's
+// engine reports its outcome and lands in MigrationHistory.
 func TestMigrationEngineAPI(t *testing.T) {
-	sys := jessica2.New(jessica2.DefaultConfig())
-	eng := jessica2.NewMigrationEngine(sys)
-	cls := sys.Kernel().Reg.DefineClass("Obj", 64, 0)
+	sess := jessica2.NewSession(jessica2.DefaultConfig())
+	eng := sess.MigrationEngine()
+	cls := sess.Kernel().Reg.DefineClass("Obj", 64, 0)
 	var out jessica2.MigrationOutcome
-	sys.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
+	sess.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
 		o := t.Alloc(cls)
 		t.Write(o)
 		out = eng.MigrateSelf(t, 1, nil)
 	})
-	sys.Run()
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if out.From != 0 || out.To != 1 || out.ContextBytes <= 0 {
 		t.Fatalf("outcome: %+v", out)
+	}
+	if h := sess.MigrationHistory(); len(h) != 1 || h[0] != out {
+		t.Fatalf("history = %+v, want [%+v]", h, out)
 	}
 }

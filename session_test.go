@@ -7,9 +7,7 @@ import (
 	"jessica2"
 )
 
-// TestSessionLifecycleErrors: the session API reports misuse as errors
-// (the deprecated System wrapper keeps the panics; see
-// TestSystemLifecyclePanics).
+// TestSessionLifecycleErrors: the session API reports misuse as errors.
 func TestSessionLifecycleErrors(t *testing.T) {
 	sess := jessica2.NewSession(jessica2.DefaultConfig())
 	if _, err := sess.Step(jessica2.Millisecond); !errors.Is(err, jessica2.ErrNoWorkload) {
@@ -80,15 +78,21 @@ func TestSessionInvalidScenarioSticky(t *testing.T) {
 	}
 }
 
-// TestConfigPartialOverridesMerge: regression for New() silently dropping
+// TestConfigPartialOverridesMerge: regression for Config silently dropping
 // partial Network/Costs overrides — historically cfg.Network was ignored
 // unless BandwidthBytesPerSec was set and cfg.Costs unless CheckCost was.
 func TestConfigPartialOverridesMerge(t *testing.T) {
 	base := jessica2.DefaultConfig()
 	run := func(cfg jessica2.Config) jessica2.Time {
-		sys := jessica2.New(cfg)
-		sys.Launch(quickSOR(), jessica2.Params{Threads: 4, Seed: 1})
-		return sys.Run().ExecTime()
+		sess := jessica2.NewSession(cfg)
+		if err := sess.Launch(quickSOR(), jessica2.Params{Threads: 4, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.ExecTime()
 	}
 	ref := run(base)
 
