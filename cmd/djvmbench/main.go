@@ -156,6 +156,10 @@ func main() {
 		benchjson = flag.String("benchjson", "", "benchmark every table/figure and write JSON perf report to this file")
 	)
 	flag.Parse()
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "djvmbench: non-positive -scale %d\n", *scale)
+		os.Exit(2)
+	}
 	sc := experiments.Scale(*scale)
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "djvmbench: negative -parallel %d\n", *parallel)

@@ -123,22 +123,32 @@ type runConfig struct {
 	loaded *jessica2.StoredProfile
 }
 
+// specApps maps every -app alias of an app an experiments.Spec can carry
+// (the subset the dispatcher can ship) onto its identity.
+var specApps = map[string]experiments.App{
+	"sor":           experiments.AppSOR,
+	"bh":            experiments.AppBarnesHut,
+	"barnes-hut":    experiments.AppBarnesHut,
+	"barneshut":     experiments.AppBarnesHut,
+	"water":         experiments.AppWaterSpatial,
+	"ws":            experiments.AppWaterSpatial,
+	"water-spatial": experiments.AppWaterSpatial,
+	"lu":            experiments.AppLU,
+	"kv":            experiments.AppKVMix,
+	"kvmix":         experiments.AppKVMix,
+}
+
 // newWorkload instantiates the named benchmark (fresh instance per call so
-// pilot and policy runs never share workload state).
+// pilot and policy runs never share workload state). Spec apps build at
+// paper scale.
 func newWorkload(app string) (jessica2.Workload, error) {
-	switch strings.ToLower(app) {
-	case "sor":
-		return jessica2.NewSOR(), nil
-	case "bh", "barnes-hut", "barneshut":
-		return jessica2.NewBarnesHut(), nil
-	case "water", "ws", "water-spatial":
-		return jessica2.NewWaterSpatial(), nil
+	name := strings.ToLower(app)
+	if a, ok := specApps[name]; ok {
+		return experiments.NewWorkload(a, false, 1), nil
+	}
+	switch name {
 	case "synth", "synthetic":
 		return jessica2.NewSynthetic(), nil
-	case "lu":
-		return jessica2.NewLU(), nil
-	case "kv", "kvmix":
-		return jessica2.NewKVMix(), nil
 	case "serve", "servemix":
 		// Open-loop: the arrival schedule is installed at session launch
 		// from the scenario's Arrivals spec (see ensureArrivals).
@@ -182,7 +192,7 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 		recov     = fs.Bool("recover", false, "arm the failure-tolerance layer (heartbeat/lease detection, thread evacuation, reliable profile flushes)")
 		protect   = fs.String("protect", "auto", "serving protection level for open-loop apps: off | shed | full | auto (auto = full when -recover is set, off otherwise)")
 		scenSeed  = fs.Uint64("scenario-seed", 0, "scenario seed (0 = workload seed)")
-		policy    = fs.String("policy", "none", "closed-loop policy: none | nop | rebalance")
+		policy    = fs.String("policy", "none", "closed-loop policy: none | nop | rebalance | warmstart")
 		epochs    = fs.Int("epochs", 8, "closed-loop epoch count (epoch length = baseline exec / epochs)")
 		epoch     = fs.Duration("epoch", 0, "explicit closed-loop epoch length (overrides -epochs; skips the pilot run)")
 		seeds     = fs.Int("seeds", 1, "replicate the run over N consecutive seeds")
@@ -285,22 +295,10 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 	return rc, nil
 }
 
-// specApp maps a -app name onto its experiments.Spec identity (the subset
-// of apps the dispatcher can ship).
+// specApp maps a -app name onto its experiments.Spec identity.
 func specApp(app string) (experiments.App, bool) {
-	switch strings.ToLower(app) {
-	case "sor":
-		return experiments.AppSOR, true
-	case "bh", "barnes-hut", "barneshut":
-		return experiments.AppBarnesHut, true
-	case "water", "ws", "water-spatial":
-		return experiments.AppWaterSpatial, true
-	case "lu":
-		return experiments.AppLU, true
-	case "kv", "kvmix":
-		return experiments.AppKVMix, true
-	}
-	return 0, false
+	a, ok := specApps[strings.ToLower(app)]
+	return a, ok
 }
 
 // openLoop reports whether the configured app is schedule-driven.

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"jessica2"
+	"jessica2/internal/experiments"
 )
 
 func parse(t *testing.T, args ...string) (*runConfig, error) {
@@ -57,6 +59,24 @@ func TestParseAppScenarioPolicyEpochCombos(t *testing.T) {
 	}
 	if p, _ := newPolicy(rc.policyTag, nil); p != nil {
 		t.Fatalf("none resolved to policy %v", p)
+	}
+}
+
+// TestSpecAppsBuildPaperScale: every spec-app alias builds the workload the
+// library's paper-scale constructor returns.
+func TestSpecAppsBuildPaperScale(t *testing.T) {
+	want := map[experiments.App]jessica2.Workload{
+		experiments.AppSOR:          jessica2.NewSOR(),
+		experiments.AppBarnesHut:    jessica2.NewBarnesHut(),
+		experiments.AppWaterSpatial: jessica2.NewWaterSpatial(),
+		experiments.AppLU:           jessica2.NewLU(),
+		experiments.AppKVMix:        jessica2.NewKVMix(),
+	}
+	for alias, app := range specApps {
+		w, err := newWorkload(strings.ToUpper(alias))
+		if err != nil || !reflect.DeepEqual(w, want[app]) {
+			t.Errorf("-app %s built %+v (err %v), want %+v", alias, w, err, want[app])
+		}
 	}
 }
 
