@@ -24,9 +24,8 @@ func TestMasterMatchesFullRebuild(t *testing.T) {
 		t.Helper()
 		k := s.Kernel()
 		n := k.NumThreads()
-		sum := k.Master().Summary()
 		ref := tcm.NewFullBuilder(n)
-		ref.IngestSummary(sum)
+		ref.IngestSummary(k.Master().Summary())
 		want := ref.Peek()
 		if want.Total() == 0 {
 			t.Fatal("no object is shared by two threads")
