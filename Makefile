@@ -4,7 +4,7 @@ BENCH ?= BENCH_current.json
 # SCALE divides the paper datasets (1 = paper scale, 8 = CI-friendly).
 SCALE ?= 8
 
-.PHONY: verify build fmtcheck vet test test-race test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve clean
+.PHONY: verify build fmtcheck vet test test-race test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve loc clean
 
 verify: build fmtcheck vet test
 
@@ -130,6 +130,18 @@ demo-closedloop:
 # P50/P95/P99 tail latency in the report (see EXPERIMENTS.md, Figure T).
 demo-serve:
 	go run ./cmd/djvmrun -app serve -nodes 4 -scenario diurnal -policy rebalance -epoch 125ms -tcm=false
+
+# loc prints the line counts a PR reports as its net size: code lines
+# (non-blank, not comment-only) and gross lines, for non-test Go outside
+# bench/ and for test Go outside bench/.
+loc:
+	@for kind in non-test test; do \
+		if [ $$kind = test ]; then not=; else not='!'; fi; \
+		files=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -type f -name '*.go' $$not -name '*_test.go' -print); \
+		code=$$(cat /dev/null $$files | grep -cv '^[[:space:]]*\(//.*\)\{0,1\}$$'); \
+		gross=$$(cat /dev/null $$files | wc -l); \
+		printf '%-8s Go: %6d code lines, %6d gross\n' $$kind $$code $$gross; \
+	done
 
 clean:
 	rm -f BENCH_current.json
