@@ -129,7 +129,7 @@ func BenchmarkHedgeReestimate(b *testing.B) {
 	base, fresh := benchLedger()
 	w := NewServeMix()
 	w.Robust = DefaultRobustConfig()
-	d := &serveDispatcher{w: w, cfg: w.Robust.resolved()}
+	d := &serveDispatcher{w: w, cfg: *w.Robust}
 	w.state.reset(len(base) + len(fresh))
 	b.ReportAllocs()
 	b.ResetTimer()

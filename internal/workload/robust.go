@@ -36,8 +36,11 @@ import (
 // RobustConfig enables and tunes ServeMix's request-lifecycle robustness
 // layer. Deadline is mandatory; each sub-mechanism is armed by its own
 // field (zero disables it), so shed-only or retry-only stacks are
-// expressible. Zero-valued secondary knobs default relative to Deadline —
-// see resolved().
+// expressible. The layer's timings derive from Deadline: an attempt times
+// out after Deadline/4; retries back off from Deadline/16, doubling up to
+// Deadline/4; the hedge delay is floored at Deadline/8, and each request
+// gets at most one hedge; a timeout-tripped breaker half-opens after a
+// cooldown of one Deadline.
 type RobustConfig struct {
 	// Deadline is the per-request SLO on the simulated clock (arrival to
 	// completion). A request not completed by arrival+Deadline is censored
@@ -48,40 +51,24 @@ type RobustConfig struct {
 	// admitted requests are still in flight is shed immediately (no work is
 	// queued for it). 0 disables shedding.
 	Capacity int
-	// MaxRetries arms bounded retry: after an attempt times out
-	// (AttemptTimeout), up to MaxRetries replacement attempts are
-	// dispatched, paced by RetryBackoff. 0 disables retries.
+	// MaxRetries arms bounded retry: after an attempt times out, up to
+	// MaxRetries replacement attempts are dispatched, paced by capped
+	// exponential backoff. 0 disables retries.
 	MaxRetries int
-	// AttemptTimeout is the per-attempt timeout that triggers retries and
-	// feeds the circuit breakers. 0 defaults to Deadline/4.
-	AttemptTimeout sim.Time
-	// RetryBackoff paces retry dispatches with capped exponential delays
-	// (runner.Backoff, interpreted on the simulated clock: both are
-	// nanosecond counts). A zero Base defaults to Deadline/16 capped at
-	// Deadline/4.
-	RetryBackoff runner.Backoff
 	// HedgeQuantile in (0, 1) arms hedging: when a request's primary
 	// attempt is still unfinished after the observed completion-latency
 	// quantile (re-estimated every 32 completions; Deadline/2 until the
 	// first 32), a hedge attempt is dispatched to a different worker. 0
 	// disables hedging.
 	HedgeQuantile float64
-	// HedgeMin floors the hedge delay. 0 defaults to Deadline/8.
-	HedgeMin sim.Time
-	// MaxHedges bounds hedge attempts per request. 0 defaults to 1 when
-	// hedging is armed.
-	MaxHedges int
 	// BreakerThreshold arms per-node circuit breakers: a node is opened
 	// after BreakerThreshold consecutive attempt timeouts, or immediately
 	// when the failure detector declares it dead (the push form of
 	// gos.HealthSnapshot). Open nodes are skipped by routing and their
 	// queued attempts re-dispatched to live replicas; a revival beat (or
-	// BreakerCooldown) half-opens the breaker for a single probe request.
+	// the cooldown) half-opens the breaker for a single probe request.
 	// 0 disables breakers.
 	BreakerThreshold int
-	// BreakerCooldown is the open→half-open wait for timeout-tripped
-	// breakers. 0 defaults to 4×AttemptTimeout.
-	BreakerCooldown sim.Time
 }
 
 // DefaultRobustConfig returns the full protection stack at serving-scale
@@ -93,7 +80,6 @@ func DefaultRobustConfig() *RobustConfig {
 		Capacity:         256,
 		MaxRetries:       2,
 		HedgeQuantile:    0.95,
-		MaxHedges:        1,
 		BreakerThreshold: 3,
 	}
 }
@@ -113,39 +99,10 @@ func (rc *RobustConfig) Validate() error {
 	if rc.HedgeQuantile < 0 || rc.HedgeQuantile >= 1 {
 		return fmt.Errorf("workload: robust HedgeQuantile %g outside [0, 1)", rc.HedgeQuantile)
 	}
-	if rc.AttemptTimeout < 0 || rc.HedgeMin < 0 || rc.BreakerCooldown < 0 {
-		return fmt.Errorf("workload: negative robust timeout knob")
-	}
-	if rc.MaxHedges < 0 {
-		return fmt.Errorf("workload: negative robust MaxHedges %d", rc.MaxHedges)
-	}
 	if rc.BreakerThreshold < 0 {
 		return fmt.Errorf("workload: negative robust BreakerThreshold %d", rc.BreakerThreshold)
 	}
 	return nil
-}
-
-// resolved fills the Deadline-relative defaults.
-func (rc RobustConfig) resolved() RobustConfig {
-	if rc.AttemptTimeout <= 0 {
-		rc.AttemptTimeout = rc.Deadline / 4
-	}
-	if rc.RetryBackoff.Base <= 0 {
-		rc.RetryBackoff = runner.Backoff{
-			Base: time.Duration(rc.Deadline / 16),
-			Max:  time.Duration(rc.Deadline / 4),
-		}
-	}
-	if rc.HedgeMin <= 0 {
-		rc.HedgeMin = rc.Deadline / 8
-	}
-	if rc.HedgeQuantile > 0 && rc.MaxHedges <= 0 {
-		rc.MaxHedges = 1
-	}
-	if rc.BreakerCooldown <= 0 {
-		rc.BreakerCooldown = 4 * rc.AttemptTimeout
-	}
-	return rc
 }
 
 // Attempt kinds, for accounting.
@@ -170,10 +127,10 @@ const (
 // serveReq is one request's lifecycle state.
 type serveReq struct {
 	status     reqStatus
-	retries    int // retry dispatches used
-	hedges     int // hedge dispatches used
-	live       int // attempts queued or executing, not cancelled/finished
-	lastWorker int // worker of the most recent dispatch (hedges avoid it)
+	retries    int  // retry dispatches used
+	hedged     bool // the request's one hedge was dispatched
+	live       int  // attempts queued or executing, not cancelled/finished
+	lastWorker int  // worker of the most recent dispatch (hedges avoid it)
 }
 
 // serveAttempt is one dispatch of a request to a worker.
@@ -226,7 +183,12 @@ const attemptChunk = 256
 type serveDispatcher struct {
 	w   *ServeMix
 	k   *gos.Kernel
-	cfg RobustConfig // resolved
+	cfg RobustConfig
+
+	// Timings derived from cfg.Deadline (see RobustConfig).
+	attemptTimeout sim.Time
+	retryBackoff   runner.Backoff
+	hedgeMin       sim.Time
 
 	threads []*gos.Thread
 	boxes   []robustBox
@@ -268,13 +230,19 @@ type serveDispatcher struct {
 }
 
 func newServeDispatcher(w *ServeMix, k *gos.Kernel, threads int) *serveDispatcher {
-	cfg := w.Robust.resolved()
+	cfg := *w.Robust
 	half := threads / 2
 	if half == 0 {
 		half = 1
 	}
 	d := &serveDispatcher{
 		w: w, k: k, cfg: cfg,
+		attemptTimeout: cfg.Deadline / 4,
+		retryBackoff: runner.Backoff{
+			Base: time.Duration(cfg.Deadline / 16),
+			Max:  time.Duration(cfg.Deadline / 4),
+		},
+		hedgeMin:   cfg.Deadline / 8,
 		threads:    make([]*gos.Thread, threads),
 		boxes:      make([]robustBox, threads),
 		reqs:       make([]serveReq, len(w.schedule)),
@@ -362,7 +330,7 @@ func (d *serveDispatcher) dispatch(i int, kind int8) {
 	r.lastWorker = worker
 	d.enqueue(worker, a)
 	if d.cfg.MaxRetries > 0 || d.cfg.BreakerThreshold > 0 {
-		d.k.Eng.After(d.cfg.AttemptTimeout, func() { d.timeout(a) })
+		d.k.Eng.After(d.attemptTimeout, func() { d.timeout(a) })
 	}
 	if kind == attemptPrimary && d.cfg.HedgeQuantile > 0 {
 		d.k.Eng.After(d.currentHedgeDelay(), func() { d.hedge(i) })
@@ -524,7 +492,7 @@ func (d *serveDispatcher) timeout(a *serveAttempt) {
 		r.retries++
 		d.w.state.retried++
 		attempt := r.retries - 1
-		delay := sim.Time(d.cfg.RetryBackoff.Delay(attempt))
+		delay := sim.Time(d.retryBackoff.Delay(attempt))
 		d.k.Eng.After(delay, func() {
 			if d.reqs[a.req].status == reqPending {
 				d.dispatch(a.req, attemptRetry)
@@ -543,7 +511,7 @@ func (d *serveDispatcher) timeout(a *serveAttempt) {
 // after the hedge delay.
 func (d *serveDispatcher) hedge(i int) {
 	r := &d.reqs[i]
-	if r.status != reqPending || r.hedges >= d.cfg.MaxHedges || r.live == 0 {
+	if r.status != reqPending || r.hedged || r.live == 0 {
 		return
 	}
 	if d.stripeWedged(d.stripeOf(i)) {
@@ -552,7 +520,7 @@ func (d *serveDispatcher) hedge(i int) {
 		// queue-jumping, not duplicate-service.
 		return
 	}
-	r.hedges++
+	r.hedged = true
 	d.w.state.hedged++
 	d.dispatch(i, attemptHedge)
 }
@@ -655,11 +623,11 @@ func (d *serveDispatcher) finishReq(i int, st reqStatus) {
 }
 
 // currentHedgeDelay is the quantile-derived hedge delay, clamped into
-// [HedgeMin, Deadline/2].
+// [Deadline/8, Deadline/2].
 func (d *serveDispatcher) currentHedgeDelay() sim.Time {
 	h := d.hedgeDelay
-	if h < d.cfg.HedgeMin {
-		h = d.cfg.HedgeMin
+	if h < d.hedgeMin {
+		h = d.hedgeMin
 	}
 	if max := d.cfg.Deadline / 2; h > max {
 		h = max
@@ -769,11 +737,11 @@ func (d *serveDispatcher) noteSuccess(node int) {
 	}
 }
 
-// scheduleCooldown half-opens a timeout-tripped breaker after the cooldown
-// (declared-dead nodes are instead half-opened by their revival beat, but
-// the cooldown probe also covers a node that silently recovered).
+// scheduleCooldown half-opens a timeout-tripped breaker after a cooldown of
+// one Deadline (declared-dead nodes are instead half-opened by their revival
+// beat, but the cooldown probe also covers a node that silently recovered).
 func (d *serveDispatcher) scheduleCooldown(node int) {
-	d.k.Eng.After(d.cfg.BreakerCooldown, func() {
+	d.k.Eng.After(d.cfg.Deadline, func() {
 		b := &d.brk[node]
 		if b.state == brkOpen {
 			b.state = brkHalfOpen

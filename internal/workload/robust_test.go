@@ -159,7 +159,6 @@ func TestRobustConfigValidate(t *testing.T) {
 		{Deadline: 1, Capacity: -1},   // negative capacity
 		{Deadline: 1, MaxRetries: -1}, // negative retries
 		{Deadline: 1, HedgeQuantile: 1.5},
-		{Deadline: 1, AttemptTimeout: -1},
 	}
 	for i, rc := range bad {
 		if rc.Validate() == nil {
