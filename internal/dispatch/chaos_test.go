@@ -85,7 +85,7 @@ func TestChaosWorkerSIGKILLMidBatch(t *testing.T) {
 	specs := testSpecs(16)
 	want := sequentialBaseline(specs)
 
-	d := New(fastConfig(victimAddr, survivorAddr))
+	d := fastDispatcher(victimAddr, survivorAddr)
 
 	// Kill the victim once the batch is demonstrably mid-flight (two
 	// results already applied, most of the batch still out).
@@ -165,7 +165,7 @@ func TestChaosWorkerBinaryEndToEnd(t *testing.T) {
 
 	specs := testSpecs(8)
 	want := sequentialBaseline(specs)
-	d := New(fastConfig(addrs...))
+	d := fastDispatcher(addrs...)
 	got, err := d.RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("RunSpecs: %v", err)

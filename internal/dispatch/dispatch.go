@@ -41,37 +41,11 @@ import (
 	"jessica2/internal/runner"
 )
 
-// Config tunes the coordinator. The zero value of every field has a
-// usable default; only Workers is required for remote dispatch at all.
+// Config names the worker fleet and the local fallback. Only Workers is
+// required for remote dispatch at all.
 type Config struct {
 	// Workers are the fleet addresses ("host:port" or "http://host:port").
 	Workers []string
-
-	// HeartbeatEvery is the liveness probe period (default 250ms).
-	HeartbeatEvery time.Duration
-	// HeartbeatTimeout is how long a worker may stay silent before it is
-	// declared dead and its lease expired (default 2s).
-	HeartbeatTimeout time.Duration
-	// LeaseTTL bounds one assignment: a job not finished within it has its
-	// lease expired and is reassigned, guarding against workers that are
-	// alive but wedged (default 5m — generous next to any real spec).
-	LeaseTTL time.Duration
-	// PollEvery is the result polling period while a job runs (default 10ms).
-	PollEvery time.Duration
-
-	// Retry is the capped exponential backoff between transport retries
-	// (default base 25ms, cap 500ms).
-	Retry runner.Backoff
-	// Retries bounds transport retries per submit and per result fetch
-	// (default 4 additional attempts).
-	Retries int
-	// JobAttempts bounds lease grants per job; a job that burns them all
-	// (every grant expired) is withheld from the fleet and runs on the
-	// local fallback (default 3).
-	JobAttempts int
-	// RequestTimeout bounds each HTTP exchange (default 10s).
-	RequestTimeout time.Duration
-
 	// Fallback is the in-process pool that runs jobs when the fleet cannot
 	// (nil = sequential inline).
 	Fallback *runner.Pool
@@ -79,36 +53,42 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 250 * time.Millisecond
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 2 * time.Second
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 5 * time.Minute
-	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = 10 * time.Millisecond
-	}
-	if c.Retry == (runner.Backoff{}) {
-		c.Retry = runner.Backoff{Base: 25 * time.Millisecond, Max: 500 * time.Millisecond}
-	}
-	if c.Retries <= 0 {
-		c.Retries = 4
-	}
-	if c.JobAttempts <= 0 {
-		c.JobAttempts = 3
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	return c
+// timings are the coordinator's liveness, lease and retry settings.
+type timings struct {
+	// heartbeatEvery is the liveness probe period.
+	heartbeatEvery time.Duration
+	// heartbeatTimeout is how long a worker may stay silent before it is
+	// declared dead and its lease expired.
+	heartbeatTimeout time.Duration
+	// leaseTTL bounds one assignment: a job not finished within it has its
+	// lease expired and is reassigned, guarding against workers that are
+	// alive but wedged.
+	leaseTTL time.Duration
+	// pollEvery is the result polling period while a job runs.
+	pollEvery time.Duration
+	// retry is the capped exponential backoff between transport retries.
+	retry runner.Backoff
+	// retries bounds transport retries per submit and per result fetch.
+	retries int
+	// jobAttempts bounds lease grants per job; a job that burns them all
+	// (every grant expired) is withheld from the fleet and runs on the
+	// local fallback.
+	jobAttempts int
+	// requestTimeout bounds each HTTP exchange.
+	requestTimeout time.Duration
+}
+
+// defaultTimings detect a dead worker within seconds and give a wedged one
+// a lease TTL generous next to any real spec.
+var defaultTimings = timings{
+	heartbeatEvery:   250 * time.Millisecond,
+	heartbeatTimeout: 2 * time.Second,
+	leaseTTL:         5 * time.Minute,
+	pollEvery:        10 * time.Millisecond,
+	retry:            runner.Backoff{Base: 25 * time.Millisecond, Max: 500 * time.Millisecond},
+	retries:          4,
+	jobAttempts:      3,
+	requestTimeout:   10 * time.Second,
 }
 
 // Stats counts what the robustness machinery actually did. All counters
@@ -136,7 +116,8 @@ type Stats struct {
 // across many batches (djvmbench regenerates every table through one); a
 // worker dead in one batch is probed fresh by the next.
 type Dispatcher struct {
-	cfg    Config
+	cfg Config
+	timings
 	client *http.Client
 
 	seq atomic.Int64 // lease token uniquifier
@@ -147,10 +128,10 @@ type Dispatcher struct {
 
 // New builds a dispatcher over the configured fleet.
 func New(cfg Config) *Dispatcher {
-	return &Dispatcher{
-		cfg:    cfg.withDefaults(),
-		client: &http.Client{},
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
+	return &Dispatcher{cfg: cfg, timings: defaultTimings, client: &http.Client{}}
 }
 
 // Stats returns a snapshot of the robustness counters.
@@ -284,7 +265,7 @@ func (b *batch) claim(ctx context.Context) (*batchJob, Lease, bool) {
 			if j.done || j.localOnly {
 				continue
 			}
-			if j.attempts >= b.d.cfg.JobAttempts {
+			if j.attempts >= b.d.jobAttempts {
 				// Every grant so far expired: stop feeding this job to the
 				// fleet; the local drain picks it up.
 				j.localOnly = true
@@ -435,11 +416,11 @@ func (d *Dispatcher) workerLoop(b *batch, w *batchWorker) {
 }
 
 // heartbeatLoop probes one worker's liveness until the batch releases it.
-// Sustained silence past HeartbeatTimeout declares the worker dead, which
+// Sustained silence past heartbeatTimeout declares the worker dead, which
 // cancels its context: the worker loop's in-flight HTTP call aborts, the
 // lease expires, and the job requeues to the survivors.
 func (d *Dispatcher) heartbeatLoop(b *batch, w *batchWorker) {
-	t := time.NewTicker(d.cfg.HeartbeatEvery)
+	t := time.NewTicker(d.heartbeatEvery)
 	defer t.Stop()
 	lastOK := time.Now()
 	for {
@@ -452,7 +433,7 @@ func (d *Dispatcher) heartbeatLoop(b *batch, w *batchWorker) {
 			lastOK = time.Now()
 			continue
 		}
-		if time.Since(lastOK) >= d.cfg.HeartbeatTimeout {
+		if time.Since(lastOK) >= d.heartbeatTimeout {
 			d.declareLost(w, fmt.Sprintf("heartbeat silent for %v", time.Since(lastOK).Round(time.Millisecond)))
 			return
 		}
@@ -498,7 +479,7 @@ func (d *Dispatcher) runJob(ctx context.Context, addr string, lease Lease, spec 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errJobFailed, err)
 	}
-	deadline := time.Now().Add(d.cfg.LeaseTTL)
+	deadline := time.Now().Add(d.leaseTTL)
 	if err := d.submit(ctx, addr, payload); err != nil {
 		return nil, err
 	}
@@ -517,12 +498,12 @@ func (d *Dispatcher) runJob(ctx context.Context, addr string, lease Lease, spec 
 		case err == nil && status == http.StatusNoContent:
 			// Still running: not a failure, polling is unbounded up to the
 			// lease TTL (heartbeats separately cover a dead worker).
-			sleepCtx(ctx, d.cfg.PollEvery)
+			sleepCtx(ctx, d.pollEvery)
 		case err == nil && status == http.StatusNotFound:
 			// The worker does not know the lease: it restarted and lost
 			// its state. Resubmit under the same token (idempotent).
 			resubmits++
-			if resubmits > d.cfg.Retries {
+			if resubmits > d.retries {
 				return nil, fmt.Errorf("worker keeps forgetting lease %s", lease.Token)
 			}
 			d.bump(&d.stats.SubmitRetries, 1)
@@ -538,11 +519,11 @@ func (d *Dispatcher) runJob(ctx context.Context, addr string, lease Lease, spec 
 				err = fmt.Errorf("unexpected result status %d", status)
 			}
 			fetchFails++
-			if fetchFails > d.cfg.Retries {
+			if fetchFails > d.retries {
 				return nil, err
 			}
 			d.bump(&d.stats.FetchRetries, 1)
-			sleepCtx(ctx, d.cfg.Retry.Delay(fetchFails-1))
+			sleepCtx(ctx, d.retry.Delay(fetchFails-1))
 		}
 	}
 }
@@ -556,11 +537,11 @@ func (d *Dispatcher) submit(ctx context.Context, addr string, payload []byte) er
 			return nil
 		}
 		var terminal *protocolError
-		if errors.As(err, &terminal) || ctx.Err() != nil || attempt >= d.cfg.Retries {
+		if errors.As(err, &terminal) || ctx.Err() != nil || attempt >= d.retries {
 			return err
 		}
 		d.bump(&d.stats.SubmitRetries, 1)
-		sleepCtx(ctx, d.cfg.Retry.Delay(attempt))
+		sleepCtx(ctx, d.retry.Delay(attempt))
 	}
 }
 
@@ -570,7 +551,7 @@ type protocolError struct{ msg string }
 func (e *protocolError) Error() string { return e.msg }
 
 func (d *Dispatcher) post(ctx context.Context, url string, payload []byte) error {
-	rctx, cancel := context.WithTimeout(ctx, d.cfg.RequestTimeout)
+	rctx, cancel := context.WithTimeout(ctx, d.requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
@@ -597,7 +578,7 @@ func (d *Dispatcher) post(ctx context.Context, url string, payload []byte) error
 // protocol states (204 running, 404 forgotten, 500 failed) from transport
 // and decode failures (err != nil).
 func (d *Dispatcher) fetch(ctx context.Context, addr, token string) (*experiments.Out, int, error) {
-	rctx, cancel := context.WithTimeout(ctx, d.cfg.RequestTimeout)
+	rctx, cancel := context.WithTimeout(ctx, d.requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, addr+"/result?token="+token, nil)
 	if err != nil {
@@ -631,7 +612,7 @@ func (d *Dispatcher) fetch(ctx context.Context, addr, token string) (*experiment
 
 // ping checks a worker's liveness.
 func (d *Dispatcher) ping(ctx context.Context, addr string) error {
-	rctx, cancel := context.WithTimeout(ctx, d.cfg.HeartbeatEvery+d.cfg.RequestTimeout/10)
+	rctx, cancel := context.WithTimeout(ctx, d.heartbeatEvery+d.requestTimeout/10)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, addr+"/healthz", nil)
 	if err != nil {
@@ -651,7 +632,7 @@ func (d *Dispatcher) ping(ctx context.Context, addr string) error {
 
 // ack releases a collected result's memory on the worker (best effort).
 func (d *Dispatcher) ack(addr, token string) {
-	ctx, cancel := context.WithTimeout(context.Background(), d.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), d.requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/ack?token="+token, nil)
 	if err != nil {

@@ -15,19 +15,19 @@ import (
 	"jessica2/internal/runner"
 )
 
-// fastConfig returns timings tuned for loopback tests: failures are
-// detected in tens of milliseconds instead of seconds.
-func fastConfig(workers ...string) Config {
-	return Config{
-		Workers:          workers,
-		HeartbeatEvery:   10 * time.Millisecond,
-		HeartbeatTimeout: 80 * time.Millisecond,
-		LeaseTTL:         10 * time.Second,
-		PollEvery:        2 * time.Millisecond,
-		Retry:            runner.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-		Retries:          3,
-		RequestTimeout:   2 * time.Second,
-	}
+// fastDispatcher returns a dispatcher over workers with timings tuned for
+// loopback tests: failures are detected in tens of milliseconds instead of
+// seconds.
+func fastDispatcher(workers ...string) *Dispatcher {
+	d := New(Config{Workers: workers})
+	d.heartbeatEvery = 10 * time.Millisecond
+	d.heartbeatTimeout = 80 * time.Millisecond
+	d.leaseTTL = 10 * time.Second
+	d.pollEvery = 2 * time.Millisecond
+	d.retry = runner.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
+	d.retries = 3
+	d.requestTimeout = 2 * time.Second
+	return d
 }
 
 // testSpecs is a small mixed batch: every app, differing seeds, cheap
@@ -132,9 +132,10 @@ func TestLeaseFencingRejectsStaleResult(t *testing.T) {
 }
 
 // TestClaimWithholdsJobAfterAttemptCap: a job whose every grant expires is
-// withheld from the fleet after JobAttempts grants and drains locally.
+// withheld from the fleet after its last permitted grant and drains locally.
 func TestClaimWithholdsJobAfterAttemptCap(t *testing.T) {
-	d := New(Config{JobAttempts: 2})
+	d := New(Config{})
+	d.jobAttempts = 2
 	b := newBatch(d, testSpecs(1))
 	for i := 0; i < 2; i++ {
 		j, lease, ok := b.claim(context.Background())
@@ -213,7 +214,7 @@ func TestRunSpecsLoopbackIdentity(t *testing.T) {
 	specs := testSpecs(12)
 	want := sequentialBaseline(specs)
 
-	d := New(fastConfig(startFleet(t, 3)...))
+	d := fastDispatcher(startFleet(t, 3)...)
 	got, err := d.RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("RunSpecs: %v", err)
@@ -240,9 +241,8 @@ func TestRunSpecsDegradesToLocalWhenFleetUnreachable(t *testing.T) {
 	dead := srv.URL
 	srv.Close()
 
-	cfg := fastConfig(dead, "127.0.0.1:1")
-	cfg.Fallback = runner.New(2)
-	d := New(cfg)
+	d := fastDispatcher(dead, "127.0.0.1:1")
+	d.cfg.Fallback = runner.New(2)
 	got, err := d.RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("RunSpecs: %v", err)
@@ -259,7 +259,7 @@ func TestRunAllUsesDispatcher(t *testing.T) {
 	specs := testSpecs(6)
 	want := sequentialBaseline(specs)
 
-	d := New(fastConfig(startFleet(t, 2)...))
+	d := fastDispatcher(startFleet(t, 2)...)
 	experiments.SetDispatcher(d)
 	defer experiments.SetDispatcher(nil)
 
@@ -307,10 +307,9 @@ func TestHungWorkerLeaseTTLReassigns(t *testing.T) {
 	defer hung.Close()
 	healthy := startFleet(t, 1)
 
-	cfg := fastConfig(hung.URL, healthy[0])
-	cfg.LeaseTTL = 100 * time.Millisecond
-	cfg.JobAttempts = 4
-	d := New(cfg)
+	d := fastDispatcher(hung.URL, healthy[0])
+	d.leaseTTL = 100 * time.Millisecond
+	d.jobAttempts = 4
 	got, err := d.RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("RunSpecs: %v", err)
@@ -352,7 +351,7 @@ func TestRestartedWorkerIsResubmitted(t *testing.T) {
 	})
 	defer srv.Close()
 
-	d := New(fastConfig(srv.URL))
+	d := fastDispatcher(srv.URL)
 	got, err := d.RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("RunSpecs: %v", err)
@@ -388,7 +387,7 @@ func TestCorruptResultIsNeverApplied(t *testing.T) {
 	defer corrupt.Close()
 	healthy := startFleet(t, 1)
 
-	d := New(fastConfig(corrupt.URL, healthy[0]))
+	d := fastDispatcher(corrupt.URL, healthy[0])
 	got, err := d.RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("RunSpecs: %v", err)
@@ -440,9 +439,8 @@ func TestFleetDeathDrainsLocally(t *testing.T) {
 	})
 	defer srv.Close()
 
-	cfg := fastConfig(srv.URL)
-	cfg.Fallback = runner.New(2)
-	d := New(cfg)
+	d := fastDispatcher(srv.URL)
+	d.cfg.Fallback = runner.New(2)
 	got, err := d.RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("RunSpecs: %v", err)
