@@ -118,9 +118,8 @@ func (g GroupRows[R]) Row(mode string) *R { return g.res.Row(g.Name, mode) }
 
 // Sweep runs every cell through the pool, the Base wave first when set, and
 // collects the rows in Groups × Modes order. Cells run through
-// runner.TryCollect without retries: a failing cell is left out of the rows
-// and reported in Failures, and a group whose Base failed runs no other
-// mode.
+// runner.TryCollect: a failing cell is left out of the rows and reported in
+// Failures, and a group whose Base failed runs no other mode.
 func (g *Grid[R]) Sweep(p *runner.Pool) *Result[R] {
 	n := len(g.Modes)
 	rows := make([]*R, len(g.Groups)*n)
@@ -141,7 +140,7 @@ func (g *Grid[R]) Sweep(p *runner.Pool) *Result[R] {
 			idx = append(idx, i)
 			jobs = append(jobs, func() (R, error) { return g.Run(group, mode, b) })
 		}
-		for j, res := range runner.TryCollect(p, 0, jobs) {
+		for j, res := range runner.TryCollect(p, jobs) {
 			if res.Err != nil {
 				errs[idx[j]] = res.Err
 			} else {

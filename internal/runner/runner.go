@@ -12,7 +12,6 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -40,9 +39,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Sequential is the explicit one-worker pool (same behavior as nil).
-func Sequential() *Pool { return &Pool{workers: 1} }
-
 // Workers reports the pool width; a nil or zero pool is one worker.
 func (p *Pool) Workers() int {
 	if p == nil || p.workers < 1 {
@@ -50,9 +46,6 @@ func (p *Pool) Workers() int {
 	}
 	return p.workers
 }
-
-// Parallel reports whether the pool actually fans out.
-func (p *Pool) Parallel() bool { return p.Workers() > 1 }
 
 // JobPanic carries a job panic out of Collect with the original panic value
 // and the panicking goroutine's stack intact. Collect re-panics with a
@@ -166,12 +159,10 @@ func Go(p *Pool, n int, fn func(i int)) {
 
 // Result is one fallible job's outcome in a TryCollect batch.
 type Result[T any] struct {
-	// Value is the last attempt's return (the zero value when Err is set).
+	// Value is the job's return (the zero value when Err is set).
 	Value T
-	// Err is the final attempt's error; nil means the job succeeded.
+	// Err is the job's error; nil means the job succeeded.
 	Err error
-	// Attempts counts executions of the job (1 = first try succeeded).
-	Attempts int
 }
 
 // Backoff is a capped exponential per-attempt delay policy: the n-th retry
@@ -211,74 +202,23 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d
 }
 
-// TryCollect is Collect for fallible jobs: each job that returns an error
-// is retried in place — on the same worker, immediately, up to retries
-// additional attempts — and the final outcomes come back in submission
-// order. Transient failures (a flaky external check, a probabilistic
-// acceptance bar) therefore cost only their own re-execution; they neither
-// abort the batch nor perturb its ordering. Jobs must be independent like
-// Collect's; a job whose failure is deterministic simply burns its retry
-// budget and reports the last error. Panics are not converted to errors —
-// they propagate exactly as under Collect.
-func TryCollect[T any](p *Pool, retries int, jobs []func() (T, error)) []Result[T] {
-	return TryCollectCtx(context.Background(), p, retries, Backoff{}, jobs)
-}
-
-// TryCollectCtx is TryCollect with a per-attempt backoff policy and a
-// cancellation path. Between a failed attempt and its retry the worker
-// sleeps bo.Delay(attempt) of real time (capped exponential; the zero
-// Backoff retries immediately, exactly like TryCollect). Before every
-// attempt the context is consulted: once ctx is cancelled, jobs stop
-// retrying — and jobs that have not started at all stop executing — and
-// report ctx's error as their final Err. A job already executing is never
-// interrupted mid-attempt (jobs are not context-aware), so cancellation
-// latency is bounded by one attempt plus one backoff sleep. Attempts counts
-// executions as in TryCollect; a job cancelled before its first attempt
-// reports Attempts == 0.
-func TryCollectCtx[T any](ctx context.Context, p *Pool, retries int, bo Backoff, jobs []func() (T, error)) []Result[T] {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if retries < 0 {
-		retries = 0
-	}
+// TryCollect is Collect for fallible jobs: each job runs once and its
+// outcome comes back in submission order. A failing job neither aborts the
+// batch nor perturbs its ordering; its Value is zeroed and its error
+// reported. Panics are not converted to errors — they propagate exactly as
+// under Collect.
+func TryCollect[T any](p *Pool, jobs []func() (T, error)) []Result[T] {
 	wrapped := make([]func() Result[T], len(jobs))
 	for i := range jobs {
 		job := jobs[i]
 		wrapped[i] = func() Result[T] {
-			var res Result[T]
-			for attempt := 0; ; attempt++ {
-				if err := ctx.Err(); err != nil {
-					res.Err = err
-					return res
-				}
-				res.Value, res.Err = job()
-				res.Attempts = attempt + 1
-				if res.Err == nil {
-					return res
-				}
+			v, err := job()
+			if err != nil {
 				var zero T
-				res.Value = zero
-				if attempt == retries {
-					return res
-				}
-				if d := bo.Delay(attempt); d > 0 {
-					time.Sleep(d)
-				}
+				v = zero
 			}
+			return Result[T]{Value: v, Err: err}
 		}
 	}
 	return Collect(p, wrapped)
-}
-
-// FirstErr scans a TryCollect batch and returns the first failed job's
-// index and error (by submission order, deterministically), or (-1, nil)
-// when every job succeeded.
-func FirstErr[T any](results []Result[T]) (int, error) {
-	for i := range results {
-		if results[i].Err != nil {
-			return i, results[i].Err
-		}
-	}
-	return -1, nil
 }
