@@ -166,11 +166,11 @@ type Result[T any] struct {
 }
 
 // Backoff is a capped exponential per-attempt delay policy: the n-th retry
-// of an operation waits min(Base·2ⁿ, Max) of real wall-clock time. The zero
-// value means no delay at all (every retry is immediate), and Max <= 0
-// leaves the doubling uncapped. The delays are plain time.Sleep real time,
-// not simulated time — retries here pace host-side work (flaky external
-// checks, remote workers), never the simulator's virtual clock.
+// of an operation waits min(Base·2ⁿ, Max). The zero value means no delay at
+// all (every retry is immediate), and Max <= 0 leaves the doubling uncapped.
+// The caller chooses the clock: the dispatcher sleeps the delays in real
+// time between transport retries, while the robust serving layer schedules
+// them on the simulated clock (both count nanoseconds).
 type Backoff struct {
 	// Base is the delay before the first retry; <= 0 disables all delays.
 	Base time.Duration
