@@ -322,13 +322,6 @@ type Config struct {
 	// thresholds ship more, smaller, dedicated CatOAL messages — the
 	// traffic class failure scenarios can drop or duplicate.
 	OALFlushEntries int
-	// Network overrides the interconnect model field by field: any zero
-	// field keeps its default, so partial overrides (say, latency only)
-	// compose with the Fast Ethernet baseline.
-	Network network.Config
-	// Costs overrides the CPU cost model field by field (zero fields keep
-	// their calibrated defaults).
-	Costs gos.CostModel
 	// Scenario, when non-nil, perturbs the run with the fault-injection
 	// scenario engine (heterogeneous CPUs, link ramps, jitter, transient
 	// slowdowns, workload phase shifts, node crashes, partitions, lossy
@@ -361,9 +354,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// kernelConfig resolves the config over defaults. Network and Costs merge
-// field by field: a partially populated override adjusts only the fields it
-// sets, zero fields keep their calibrated defaults.
+// kernelConfig resolves the config over the kernel defaults, which carry
+// the calibrated network and CPU cost models.
 func (cfg Config) kernelConfig() gos.Config {
 	kcfg := gos.DefaultConfig()
 	if cfg.Nodes > 0 {
@@ -375,68 +367,8 @@ func (cfg Config) kernelConfig() gos.Config {
 	if cfg.OALFlushEntries > 0 {
 		kcfg.OALFlushEntries = cfg.OALFlushEntries
 	}
-	kcfg.Net = mergeNetwork(kcfg.Net, cfg.Network)
-	kcfg.Costs = mergeCosts(kcfg.Costs, cfg.Costs)
 	kcfg.Failure = cfg.Failure
 	return kcfg
-}
-
-// mergeNetwork overlays non-zero override fields on the base model.
-func mergeNetwork(base, over network.Config) network.Config {
-	if over.Latency > 0 {
-		base.Latency = over.Latency
-	}
-	if over.BandwidthBytesPerSec > 0 {
-		base.BandwidthBytesPerSec = over.BandwidthBytesPerSec
-	}
-	if over.HeaderBytes > 0 {
-		base.HeaderBytes = over.HeaderBytes
-	}
-	return base
-}
-
-// mergeCosts overlays non-zero override fields on the base cost model.
-func mergeCosts(base, over gos.CostModel) gos.CostModel {
-	if over.CheckCost > 0 {
-		base.CheckCost = over.CheckCost
-	}
-	if over.LogCost > 0 {
-		base.LogCost = over.LogCost
-	}
-	if over.ResetCost > 0 {
-		base.ResetCost = over.ResetCost
-	}
-	if over.FaultCPUCost > 0 {
-		base.FaultCPUCost = over.FaultCPUCost
-	}
-	if over.HomeServiceCost > 0 {
-		base.HomeServiceCost = over.HomeServiceCost
-	}
-	if over.TwinCostPerByte > 0 {
-		base.TwinCostPerByte = over.TwinCostPerByte
-	}
-	if over.DiffCostPerByte > 0 {
-		base.DiffCostPerByte = over.DiffCostPerByte
-	}
-	if over.ResampleCostPerObject > 0 {
-		base.ResampleCostPerObject = over.ResampleCostPerObject
-	}
-	if over.OALPackCostPerEntry > 0 {
-		base.OALPackCostPerEntry = over.OALPackCostPerEntry
-	}
-	if over.TCMReorgCostPerEntry > 0 {
-		base.TCMReorgCostPerEntry = over.TCMReorgCostPerEntry
-	}
-	if over.TCMPairCost > 0 {
-		base.TCMPairCost = over.TCMPairCost
-	}
-	if over.LockServiceCost > 0 {
-		base.LockServiceCost = over.LockServiceCost
-	}
-	if over.BarrierServiceCost > 0 {
-		base.BarrierServiceCost = over.BarrierServiceCost
-	}
-	return base
 }
 
 // Closed-loop vocabulary: policies observe epoch snapshots and return

@@ -78,39 +78,6 @@ func TestSessionInvalidScenarioSticky(t *testing.T) {
 	}
 }
 
-// TestConfigPartialOverridesMerge: regression for Config silently dropping
-// partial Network/Costs overrides — historically cfg.Network was ignored
-// unless BandwidthBytesPerSec was set and cfg.Costs unless CheckCost was.
-func TestConfigPartialOverridesMerge(t *testing.T) {
-	base := jessica2.DefaultConfig()
-	run := func(cfg jessica2.Config) jessica2.Time {
-		sess := jessica2.NewSession(cfg)
-		if err := sess.Launch(quickSOR(), jessica2.Params{Threads: 4, Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sess.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.ExecTime()
-	}
-	ref := run(base)
-
-	// Latency-only network override (bandwidth field left zero).
-	slowNet := base
-	slowNet.Network.Latency = 20 * jessica2.Millisecond
-	if got := run(slowNet); got <= ref {
-		t.Fatalf("latency-only override ignored: ref=%v got=%v", ref, got)
-	}
-
-	// Fault-cost-only cost override (CheckCost field left zero).
-	slowFaults := base
-	slowFaults.Costs.FaultCPUCost = 3 * jessica2.Millisecond
-	if got := run(slowFaults); got <= ref {
-		t.Fatalf("fault-cost-only override ignored: ref=%v got=%v", ref, got)
-	}
-}
-
 // TestSessionSnapshotProgress: snapshots expose live counters mid-run and
 // do not disturb the run.
 func TestSessionSnapshotProgress(t *testing.T) {
