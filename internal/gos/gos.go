@@ -123,9 +123,6 @@ type Config struct {
 	// OAL entries exceed this count; OALs also piggyback on barrier
 	// arrivals (whose manager lives on the master).
 	OALFlushEntries int
-	// CPUSliceFlush is the microbatching threshold for charging accrued
-	// fast-path CPU time to the node CPU resource.
-	CPUSliceFlush sim.Time
 	// Failure, when non-nil, enables the failure-tolerance layer (see
 	// failure.go): heartbeat/lease failure detection, safe-point
 	// evacuation of dead nodes' threads, and sequence-numbered ack/retry
@@ -143,7 +140,6 @@ func DefaultConfig() Config {
 		Tracking:        TrackingOff,
 		TransferOALs:    true,
 		OALFlushEntries: 4096,
-		CPUSliceFlush:   250 * sim.Microsecond,
 	}
 }
 
@@ -243,9 +239,6 @@ type KernelStats struct {
 func NewKernel(cfg Config) *Kernel {
 	if cfg.Nodes <= 0 {
 		panic("gos: need at least one node")
-	}
-	if cfg.CPUSliceFlush <= 0 {
-		cfg.CPUSliceFlush = 20 * sim.Microsecond
 	}
 	if cfg.OALFlushEntries <= 0 {
 		cfg.OALFlushEntries = 4096

@@ -146,11 +146,15 @@ func (t *Thread) AccessedThisInterval(o *heap.Object) (reads, writes int) {
 	return 0, 0
 }
 
+// cpuSliceFlush is the microbatching threshold for charging accrued
+// fast-path CPU time to the node CPU resource.
+const cpuSliceFlush = 250 * sim.Microsecond
+
 // Charge accrues d of CPU work; it is flushed to the node CPU resource in
 // slices to keep the event count manageable.
 func (t *Thread) Charge(d sim.Time) {
 	t.pendingCPU += d
-	if t.pendingCPU >= t.k.Cfg.CPUSliceFlush {
+	if t.pendingCPU >= cpuSliceFlush {
 		t.flushCPU()
 	}
 }
