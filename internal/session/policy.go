@@ -231,31 +231,23 @@ func (NopPolicy) Observe(*Snapshot) []Action { return nil }
 // rebalancing (newly shared objects are re-homed toward their accessors,
 // spread so no node concentrates the hot working set's homes — the "home
 // effect" turned into an online lever).
-type RebalancePolicy struct {
-	// Slack, MaxMoves and MinGainBytes tune the placement planner (see
-	// balancer.Config).
-	Slack        int
-	MaxMoves     int
-	MinGainBytes float64
-	// Prefetch ships resolved sticky sets with migrated threads.
-	Prefetch bool
-	// MaxRehomes caps object home migrations per epoch (0 disables
-	// re-homing); MinAccessors is the sharing threshold for a hot object.
-	MaxRehomes   int
-	MinAccessors int
-}
+type RebalancePolicy struct{}
 
-// NewRebalancePolicy returns the default tuning.
-func NewRebalancePolicy() *RebalancePolicy {
-	return &RebalancePolicy{
-		Slack:        1,
-		MaxMoves:     4,
-		MinGainBytes: 4096,
-		Prefetch:     true,
-		MaxRehomes:   1024,
-		MinAccessors: 2,
-	}
-}
+// RebalancePolicy's tuning.
+const (
+	// rebalanceSlack, rebalanceMaxMoves and rebalanceMinGainBytes tune the
+	// placement planner (see balancer.Config).
+	rebalanceSlack        = 1
+	rebalanceMaxMoves     = 4
+	rebalanceMinGainBytes = 4096
+	// maxRehomesPerEpoch caps object home migrations per epoch.
+	maxRehomesPerEpoch = 1024
+	// hotMinAccessors is the sharing threshold for a hot object.
+	hotMinAccessors = 2
+)
+
+// NewRebalancePolicy returns the shipped closed-loop optimizer.
+func NewRebalancePolicy() *RebalancePolicy { return &RebalancePolicy{} }
 
 // Name implements Policy.
 func (p *RebalancePolicy) Name() string { return "rebalance" }
@@ -271,15 +263,15 @@ func (p *RebalancePolicy) Observe(snap *Snapshot) []Action {
 	next := snap.Assignment
 	if snap.TCM != nil && snap.TCM.N() == snap.Threads && snap.TCM.Total() > 0 {
 		cfg := balancer.DefaultConfig(snap.Nodes)
-		cfg.Slack = p.Slack
-		cfg.MaxMoves = p.MaxMoves
-		cfg.MinGain = p.MinGainBytes
+		cfg.Slack = rebalanceSlack
+		cfg.MaxMoves = rebalanceMaxMoves
+		cfg.MinGain = rebalanceMinGainBytes
 		planned, moves := balancer.Plan(snap.TCM, snap.Assignment, cfg)
 		for _, mv := range moves {
 			if mv.Thread < len(snap.Finished) && snap.Finished[mv.Thread] {
 				continue
 			}
-			acts = append(acts, MigrateThread{Thread: mv.Thread, To: mv.To, Prefetch: p.Prefetch})
+			acts = append(acts, MigrateThread{Thread: mv.Thread, To: mv.To, Prefetch: true})
 		}
 		next = planned
 	}
@@ -288,7 +280,7 @@ func (p *RebalancePolicy) Observe(snap *Snapshot) []Action {
 	// the node maximizing accessor affinity minus already-assigned hot
 	// load, so the hot set's homes spread instead of piling onto one node
 	// (whose peers would all fault on every update).
-	if p.MaxRehomes > 0 && len(snap.Hot) > 0 {
+	if len(snap.Hot) > 0 {
 		acts = append(acts, p.rehomes(snap, next)...)
 	}
 	return acts
@@ -297,14 +289,10 @@ func (p *RebalancePolicy) Observe(snap *Snapshot) []Action {
 // rehomes computes the affinity-and-load greedy home assignment for the
 // snapshot's hot list under the planned thread placement.
 func (p *RebalancePolicy) rehomes(snap *Snapshot, placement balancer.Assignment) []Action {
-	minAcc := p.MinAccessors
-	if minAcc < 2 {
-		minAcc = 2
-	}
 	// Highest-volume objects choose their homes first.
 	hot := make([]HotObject, 0, len(snap.Hot))
 	for _, h := range snap.Hot {
-		if len(h.Threads) >= minAcc {
+		if len(h.Threads) >= hotMinAccessors {
 			hot = append(hot, h)
 		}
 	}
@@ -333,7 +321,7 @@ func (p *RebalancePolicy) rehomes(snap *Snapshot, placement balancer.Assignment)
 			}
 		}
 		load[best] += h.Volume
-		if best != h.Home && len(acts) < p.MaxRehomes {
+		if best != h.Home && len(acts) < maxRehomesPerEpoch {
 			acts = append(acts, RehomeObject{Object: h.Object, To: best})
 		}
 	}

@@ -397,8 +397,7 @@ type (
 	RebalancePolicy = session.RebalancePolicy
 )
 
-// NewRebalancePolicy returns the shipped closed-loop optimizer with its
-// default tuning.
+// NewRebalancePolicy returns the shipped closed-loop optimizer.
 var NewRebalancePolicy = session.NewRebalancePolicy
 
 // --- profile store ----------------------------------------------------------
