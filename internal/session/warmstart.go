@@ -15,7 +15,7 @@ import (
 // (2) to drive the sampling rate from the snapshot's Divergence signal:
 // floor rate while the live correlation structure matches the profile,
 // reopening to the full rate (and delegating to the Inner optimizer) when
-// a phase shift pushes divergence past the High water mark.
+// a phase shift pushes divergence past the high water mark.
 //
 // When no profile was loaded (snapshot Divergence < 0 — a cold or
 // fingerprint-mismatched run) the policy is a transparent proxy for Inner,
@@ -26,30 +26,28 @@ type WarmStartPolicy struct {
 	Inner Policy
 	// Profile is the stored artifact whose hot homes are replayed.
 	Profile *profile.Profile
-	// Low and High are the divergence hysteresis water marks: the gate
-	// closes (floor rate, Inner muted) when divergence falls below Low and
-	// reopens (Max rate, Inner consulted) when it rises above High.
-	Low, High float64
-	// Floor is the converged sampling rate; Max the reopened rate.
-	Floor, Max sampling.Rate
 
 	open     bool
 	rate     sampling.Rate
 	replayed bool
 }
 
-// NewWarmStartPolicy returns the default tuning around the given stored
-// profile: a RebalancePolicy inner optimizer, 0.10/0.35 hysteresis, 1X
-// floor and MaxRate reopen.
+// WarmStartPolicy's gate: it closes (floor rate, Inner muted) when
+// divergence falls below divergenceLow and reopens (open rate, Inner
+// consulted) when divergence rises above divergenceHigh.
+const (
+	divergenceLow  = 0.10
+	divergenceHigh = 0.35
+	// warmFloorRate is the converged sampling rate; warmOpenRate the
+	// reopened one.
+	warmFloorRate sampling.Rate = 1
+	warmOpenRate                = sampling.MaxRate
+)
+
+// NewWarmStartPolicy returns the policy around the given stored profile,
+// with a RebalancePolicy inner optimizer.
 func NewWarmStartPolicy(p *profile.Profile) *WarmStartPolicy {
-	return &WarmStartPolicy{
-		Inner:   NewRebalancePolicy(),
-		Profile: p,
-		Low:     0.10,
-		High:    0.35,
-		Floor:   1,
-		Max:     sampling.MaxRate,
-	}
+	return &WarmStartPolicy{Inner: NewRebalancePolicy(), Profile: p}
 }
 
 // Name implements Policy.
@@ -84,16 +82,16 @@ func (p *WarmStartPolicy) Observe(snap *Snapshot) []Action {
 	}
 
 	// 2. Divergence-gated sampling rate with hysteresis. The first boundary
-	// decides from the seeded map (matching profile → below Low → floor);
+	// decides from the seeded map (matching profile → below the low mark → floor);
 	// emitted only on change so a converged run charges one resample pass.
-	if snap.Divergence >= p.High {
+	if snap.Divergence >= divergenceHigh {
 		p.open = true
-	} else if snap.Divergence <= p.Low {
+	} else if snap.Divergence <= divergenceLow {
 		p.open = false
 	}
-	want := p.Floor
+	want := warmFloorRate
 	if p.open {
-		want = p.Max
+		want = warmOpenRate
 	}
 	if want != p.rate {
 		p.rate = want

@@ -76,8 +76,8 @@ func TestWarmStartReplayAndFloor(t *testing.T) {
 	if got := rehomeCount(acts); got != 2 {
 		t.Fatalf("first boundary replayed %d homes, want 2", got)
 	}
-	if got := rates(acts); len(got) != 1 || got[0] != p.Floor {
-		t.Fatalf("first boundary rates = %v, want [%v]", got, p.Floor)
+	if got := rates(acts); len(got) != 1 || got[0] != warmFloorRate {
+		t.Fatalf("first boundary rates = %v, want [%v]", got, warmFloorRate)
 	}
 	if inner.calls != 0 {
 		t.Fatal("inner consulted while the gate is closed")
@@ -101,34 +101,34 @@ func TestWarmStartHysteresis(t *testing.T) {
 	p.Observe(&Snapshot{Divergence: 0}) // converge to floor
 
 	// Between the marks: no transition.
-	if acts := p.Observe(&Snapshot{Divergence: (p.Low + p.High) / 2}); len(acts) != 0 {
+	if acts := p.Observe(&Snapshot{Divergence: (divergenceLow + divergenceHigh) / 2}); len(acts) != 0 {
 		t.Fatalf("mid-band boundary emitted %v", acts)
 	}
 	if inner.calls != 0 {
-		t.Fatal("inner consulted below the High mark")
+		t.Fatal("inner consulted below the high mark")
 	}
 
-	// Phase shift: cross High — reopen to Max, consult inner.
-	acts := p.Observe(&Snapshot{Divergence: p.High + 0.1})
-	if got := rates(acts); len(got) != 1 || got[0] != p.Max {
-		t.Fatalf("reopen rates = %v, want [%v]", got, p.Max)
+	// Phase shift: cross the high mark — reopen, consult inner.
+	acts := p.Observe(&Snapshot{Divergence: divergenceHigh + 0.1})
+	if got := rates(acts); len(got) != 1 || got[0] != warmOpenRate {
+		t.Fatalf("reopen rates = %v, want [%v]", got, warmOpenRate)
 	}
 	if inner.calls != 1 {
 		t.Fatalf("inner consulted %d times after reopen, want 1", inner.calls)
 	}
 
 	// Still open mid-band (hysteresis): no rate action, inner consulted.
-	if got := rates(p.Observe(&Snapshot{Divergence: (p.Low + p.High) / 2})); len(got) != 0 {
+	if got := rates(p.Observe(&Snapshot{Divergence: (divergenceLow + divergenceHigh) / 2})); len(got) != 0 {
 		t.Fatalf("open mid-band emitted rate actions %v", got)
 	}
 	if inner.calls != 2 {
 		t.Fatalf("inner consulted %d times while open, want 2", inner.calls)
 	}
 
-	// Re-converge below Low: back to the floor, inner muted again.
-	acts = p.Observe(&Snapshot{Divergence: p.Low - 0.05})
-	if got := rates(acts); len(got) != 1 || got[0] != p.Floor {
-		t.Fatalf("re-converge rates = %v, want [%v]", got, p.Floor)
+	// Re-converge below the low mark: back to the floor, inner muted again.
+	acts = p.Observe(&Snapshot{Divergence: divergenceLow - 0.05})
+	if got := rates(acts); len(got) != 1 || got[0] != warmFloorRate {
+		t.Fatalf("re-converge rates = %v, want [%v]", got, warmFloorRate)
 	}
 	if inner.calls != 2 {
 		t.Fatal("inner consulted after the gate closed")
@@ -160,7 +160,7 @@ func TestWarmStartSteering(t *testing.T) {
 	}
 
 	// Open the gate: steering stops, the inner optimizer takes over.
-	acts = p.Observe(&Snapshot{Divergence: p.High + 0.1, Hot: []HotObject{
+	acts = p.Observe(&Snapshot{Divergence: divergenceHigh + 0.1, Hot: []HotObject{
 		{Object: 3, Home: 0},
 	}})
 	if got := rehomeCount(acts); got != 0 {
@@ -180,7 +180,7 @@ func TestWarmStartNilInner(t *testing.T) {
 		t.Fatalf("cold nil-inner emitted %v", acts)
 	}
 	acts := p.Observe(&Snapshot{Divergence: 0.9})
-	if got := rates(acts); len(got) != 1 || got[0] != p.Max {
-		t.Fatalf("nil-inner open rates = %v, want [%v]", got, p.Max)
+	if got := rates(acts); len(got) != 1 || got[0] != warmOpenRate {
+		t.Fatalf("nil-inner open rates = %v, want [%v]", got, warmOpenRate)
 	}
 }

@@ -454,9 +454,8 @@ var (
 	ErrProfileCorrupt = profile.ErrCorrupt
 )
 
-// NewWarmStartPolicy returns the profile-guided policy with its default
-// tuning (RebalancePolicy inner optimizer, 0.10/0.35 divergence
-// hysteresis, 1X floor rate).
+// NewWarmStartPolicy returns the profile-guided policy (RebalancePolicy
+// inner optimizer, 0.10/0.35 divergence hysteresis, 1X floor rate).
 var NewWarmStartPolicy = session.NewWarmStartPolicy
 
 // Session lifecycle errors.
