@@ -13,20 +13,15 @@ import (
 	"jessica2/internal/sticky"
 )
 
-// Config sizes the migrated context.
-type Config struct {
-	// BaseContextBytes covers thread metadata (registers, monitor state).
-	BaseContextBytes int
-	// BytesPerFrame approximates one portable Java frame (slots + PCs).
-	BytesPerFrame int
-	// BytesPerSlot adds per-slot payload.
-	BytesPerSlot int
-}
-
-// DefaultConfig returns frame sizes typical of the paper's Kaffe port.
-func DefaultConfig() Config {
-	return Config{BaseContextBytes: 256, BytesPerFrame: 96, BytesPerSlot: 8}
-}
+// Migrated context sizes, typical of the paper's Kaffe port.
+const (
+	// contextBaseBytes covers thread metadata (registers, monitor state).
+	contextBaseBytes = 256
+	// frameBytes approximates one portable Java frame (slots + PCs).
+	frameBytes = 96
+	// slotBytes adds per-slot payload.
+	slotBytes = 8
+)
 
 // Outcome reports one migration.
 type Outcome struct {
@@ -43,29 +38,25 @@ type Outcome struct {
 
 // Engine performs migrations on a kernel.
 type Engine struct {
-	k   *gos.Kernel
-	cfg Config
+	k *gos.Kernel
 
 	// History records completed migrations in order.
 	History []Outcome
 }
 
 // NewEngine returns a migration engine for k.
-func NewEngine(k *gos.Kernel, cfg Config) *Engine {
-	if cfg.BytesPerFrame <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Engine{k: k, cfg: cfg}
+func NewEngine(k *gos.Kernel) *Engine {
+	return &Engine{k: k}
 }
 
 // ContextBytes estimates the direct context size for t from its live shadow
 // stack.
 func (e *Engine) ContextBytes(t *gos.Thread) int {
-	n := e.cfg.BaseContextBytes
+	n := contextBaseBytes
 	depth := t.Stack.Depth()
-	n += depth * e.cfg.BytesPerFrame
+	n += depth * frameBytes
 	for i := 0; i < depth; i++ {
-		n += t.Stack.FrameAt(i).NumSlots() * e.cfg.BytesPerSlot
+		n += t.Stack.FrameAt(i).NumSlots() * slotBytes
 	}
 	return n
 }

@@ -17,7 +17,7 @@ func kernel2() *gos.Kernel {
 
 func TestContextBytesScalesWithStack(t *testing.T) {
 	k := kernel2()
-	e := NewEngine(k, DefaultConfig())
+	e := NewEngine(k)
 	var shallow, deep int
 	k.SpawnThread(0, "t", func(th *gos.Thread) {
 		m := &stack.Method{Name: "f"}
@@ -32,7 +32,7 @@ func TestContextBytesScalesWithStack(t *testing.T) {
 	if deep <= shallow {
 		t.Fatalf("deep context %d not bigger than shallow %d", deep, shallow)
 	}
-	want := shallow + 10*(DefaultConfig().BytesPerFrame+4*DefaultConfig().BytesPerSlot)
+	want := shallow + 10*(frameBytes+4*slotBytes)
 	if deep != want {
 		t.Fatalf("deep = %d, want %d", deep, want)
 	}
@@ -40,7 +40,7 @@ func TestContextBytesScalesWithStack(t *testing.T) {
 
 func TestMigrateColdPaysFaults(t *testing.T) {
 	k := kernel2()
-	e := NewEngine(k, DefaultConfig())
+	e := NewEngine(k)
 	cls := k.Reg.DefineClass("Rec", 128, 0)
 	var post int64
 	k.SpawnThread(0, "t", func(th *gos.Thread) {
@@ -71,7 +71,7 @@ func TestMigrateColdPaysFaults(t *testing.T) {
 
 func TestMigrateWithPrefetchAvoidsFaults(t *testing.T) {
 	k := kernel2()
-	e := NewEngine(k, DefaultConfig())
+	e := NewEngine(k)
 	cls := k.Reg.DefineClass("Rec", 128, 1)
 	cls.SetGap(1, 1)
 	var post int64
@@ -114,7 +114,7 @@ func TestMigrateWithPrefetchAvoidsFaults(t *testing.T) {
 func TestPrefetchTransferCostsMore(t *testing.T) {
 	run := func(prefetch bool) Outcome {
 		k := kernel2()
-		e := NewEngine(k, DefaultConfig())
+		e := NewEngine(k)
 		cls := k.Reg.DefineClass("Rec", 4096, 1)
 		cls.SetGap(1, 1)
 		var out Outcome
@@ -150,7 +150,7 @@ func TestPrefetchTransferCostsMore(t *testing.T) {
 
 func TestMigrationChargesResolutionCost(t *testing.T) {
 	k := kernel2()
-	e := NewEngine(k, DefaultConfig())
+	e := NewEngine(k)
 	cls := k.Reg.DefineClass("Rec", 64, 1)
 	cls.SetGap(1, 1)
 	k.SpawnThread(0, "t", func(th *gos.Thread) {

@@ -599,7 +599,7 @@ type NetworkStats = network.Stats
 // this session's thread migrations, with its outcome history.
 func (s *Session) MigrationEngine() *migration.Engine {
 	if s.mig == nil {
-		s.mig = migration.NewEngine(s.k, migration.DefaultConfig())
+		s.mig = migration.NewEngine(s.k)
 	}
 	return s.mig
 }
