@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"jessica2/internal/core"
 	"jessica2/internal/gos"
@@ -10,7 +12,6 @@ import (
 	"jessica2/internal/sampling"
 	"jessica2/internal/sim"
 	"jessica2/internal/sticky"
-	"jessica2/internal/workload"
 )
 
 // table2Rates are the sampling-rate columns of Tables II and III.
@@ -258,7 +259,7 @@ func Table4(scale Scale, p *runner.Pool) *Table4Result {
 		for c := range classes {
 			names = append(names, c)
 		}
-		sortStrings(names)
+		slices.Sort(names)
 		n := float64(len(full.Footprints))
 		for _, cname := range names {
 			var fullSum, diffSum float64
@@ -269,7 +270,7 @@ func Table4(scale Scale, p *runner.Pool) *Table4Result {
 					xv = float64(x[cname])
 				}
 				fullSum += fv
-				diffSum += abs(fv - xv)
+				diffSum += math.Abs(fv - xv)
 			}
 			if fullSum == 0 {
 				continue
@@ -488,25 +489,3 @@ func (r *Table5Result) Table() *metrics.Table {
 }
 
 func (r *Table5Result) String() string { return r.Table().String() }
-
-// --- helpers -----------------------------------------------------------------
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// Characteristics re-exports the workload descriptor for Table I users.
-func Characteristics(a App, scale Scale) workload.Characteristics {
-	return NewWorkload(a, false, scale).Characteristics()
-}

@@ -209,9 +209,6 @@ func (m *Master) ComputeTime() sim.Time { return m.reorgTime + m.buildTime }
 // ReorgTime is the OAL-reorganization component of ComputeTime.
 func (m *Master) ReorgTime() sim.Time { return m.reorgTime }
 
-// BuildTime is the TCM-accrual component of ComputeTime.
-func (m *Master) BuildTime() sim.Time { return m.buildTime }
-
 // IngestedEntries reports how many OAL entries reached the daemon.
 func (m *Master) IngestedEntries() int64 { return m.ingestedEntries }
 

@@ -108,9 +108,6 @@ func (k *Kernel) SpawnThread(node int, name string, body func(*Thread)) *Thread 
 	return t
 }
 
-// FinishedAt returns the virtual time the thread body returned.
-func (t *Thread) FinishedAt() sim.Time { return t.finishedAt }
-
 // ID returns the global thread id.
 func (t *Thread) ID() int { return t.id }
 
@@ -137,14 +134,6 @@ func (t *Thread) PC() int64 { return t.pc }
 
 // Finished reports whether the thread body has returned.
 func (t *Thread) Finished() bool { return t.finished }
-
-// AccessedThisInterval reports reads/writes of o in the open interval.
-func (t *Thread) AccessedThisInterval(o *heap.Object) (reads, writes int) {
-	if ai := t.accessed[o.ID]; ai != nil && ai.interval == t.interval && (t.intervalOpen || t.closing) {
-		return ai.reads, ai.writes
-	}
-	return 0, 0
-}
 
 // cpuSliceFlush is the microbatching threshold for charging accrued
 // fast-path CPU time to the node CPU resource.
@@ -321,9 +310,6 @@ func (t *Thread) Read(o *heap.Object) { t.access(o, false, 0) }
 
 // Write models a write access that dirties the whole object.
 func (t *Thread) Write(o *heap.Object) { t.access(o, true, o.Bytes()) }
-
-// WriteBytes models a partial write of n bytes (e.g. one array section).
-func (t *Thread) WriteBytes(o *heap.Object, n int) { t.access(o, true, n) }
 
 // ReadElems / WriteElems are conveniences for array workloads.
 func (t *Thread) ReadElems(o *heap.Object, elems int) { t.access(o, false, 0) }

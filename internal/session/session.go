@@ -270,10 +270,6 @@ func (s *Session) Launch(w workload.Workload, p workload.Params) error {
 // Launch).
 func (s *Session) Fingerprint() profile.Fingerprint { return s.fp }
 
-// LoadedProfile returns the accepted warm-start profile (nil when none was
-// configured or the fingerprint did not match).
-func (s *Session) LoadedProfile() *profile.Profile { return s.loaded }
-
 // ProfileWarning reports why a configured Profile.Load was rejected (""
 // when none was, or when it was accepted). A rejected load is a graceful
 // cold start, not a session error.

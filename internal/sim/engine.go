@@ -494,12 +494,6 @@ func (r *Resource) Release(p *Proc) {
 	next.Wake()
 }
 
-// Held reports whether the resource is currently owned.
-func (r *Resource) Held() bool { return r.holder != nil }
-
-// QueueLen reports the number of procs waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // WaitQueue is a FIFO condition queue: procs Wait, other parties WakeOne or
 // WakeAll. It is the building block for locks, barriers and mailboxes.
 type WaitQueue struct {

@@ -337,19 +337,6 @@ func (fp *Footprinter) LastInterval() Footprint {
 	return out
 }
 
-// HotObjects returns the sampled objects currently exceeding MinAccesses in
-// the open interval (diagnostics and tests).
-func (fp *Footprinter) HotObjects() []*heap.Object {
-	var out []*heap.Object
-	for _, oc := range fp.counts {
-		if oc.count >= fp.cfg.MinAccesses {
-			out = append(out, oc.obj)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // --- resolution --------------------------------------------------------------
 
 // ResolverConfig tunes sticky-set resolution.

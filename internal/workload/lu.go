@@ -61,9 +61,6 @@ func (l *LU) nb() int {
 	return nb
 }
 
-// Blocks exposes the allocated block matrix after Launch (for tests).
-func (l *LU) Blocks() [][]*heap.Object { return l.blocks }
-
 // threadGrid factors the thread count into the most square pr×pc grid with
 // pr*pc == threads (SPLASH-2's 2D scatter decomposition).
 func threadGrid(threads int) (pr, pc int) {

@@ -92,9 +92,6 @@ func (s *Synthetic) Characteristics() Characteristics {
 	}
 }
 
-// Regions exposes the allocated objects after Launch (for tests).
-func (s *Synthetic) Regions() [][]*heap.Object { return s.regions }
-
 // Launch implements Workload.
 func (s *Synthetic) Launch(k *gos.Kernel, p Params) {
 	reg := k.Reg
