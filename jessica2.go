@@ -30,7 +30,9 @@
 // act — migrate threads (with sticky-set prefetch), re-home objects,
 // retune the sampling rate — before the run resumes:
 //
-//	sess := jessica2.NewSession(jessica2.Config{Epoch: 50 * jessica2.Millisecond})
+//	cfg := jessica2.DefaultConfig()
+//	cfg.Epoch = 50 * jessica2.Millisecond
+//	sess := jessica2.NewSession(cfg)
 //	sess.Launch(jessica2.NewKVMix(), jessica2.Params{Threads: 8, Seed: 1})
 //	sess.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
 //	sess.SetPolicy(jessica2.NewRebalancePolicy())
