@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"jessica2/internal/experiments"
-	"jessica2/internal/sim"
 )
 
 // maxJobBytes bounds a submitted job envelope; specs are a few KB, so this
@@ -35,9 +34,8 @@ const maxJobBytes = 4 << 20
 // already ran under an older lease simply runs the new grant — fencing is
 // the coordinator's job, the worker only has to never confuse grants.
 //
-// Every job runs inside a sim.EnterParallel region: one worker process can
-// execute several leases concurrently (each simulation is single-threaded
-// internally and shares nothing), so fan-out within a host costs nothing.
+// One worker process can execute several leases concurrently: each
+// simulation runs on its job's goroutine and shares nothing with the others.
 type Worker struct {
 	mu   sync.Mutex
 	jobs map[string]*workerJob
@@ -129,9 +127,7 @@ func (w *Worker) run(j *workerJob, spec experiments.Spec) {
 		}
 	}()
 	w.runs.Add(1)
-	sim.EnterParallel()
 	out := experiments.Run(spec)
-	sim.LeaveParallel()
 	enc, err := EncodeOut(out)
 	if err != nil {
 		j.err = err.Error()

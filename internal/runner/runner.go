@@ -19,14 +19,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"jessica2/internal/sim"
 )
 
 // Pool bounds the worker fan-out. The zero value and nil both mean
-// sequential inline execution (one worker, no goroutines), which keeps the
-// simulator's GOMAXPROCS pin and is the right default for benchmarks that
-// measure single-run cost.
+// sequential inline execution (one worker, no goroutines), which is the
+// right default for benchmarks that measure single-run cost.
 type Pool struct {
 	workers int
 }
@@ -87,9 +84,8 @@ func (p *JobPanic) Unwrap() error {
 // A panicking job does not tear down its worker: remaining jobs still run,
 // and the first panic (by job index, deterministically) is re-raised on the
 // caller as a *JobPanic preserving the original value and stack once all
-// workers have parked. While jobs are in flight the simulator's
-// process-global tunings are suspended (sim.EnterParallel), so concurrent
-// engines neither race on them nor serialize each other.
+// workers have parked. A panic in a simulated proc's body counts as its
+// job's panic: the engine re-raises it on the goroutine running the job.
 func Collect[T any](p *Pool, jobs []func() T) []T {
 	out := make([]T, len(jobs))
 	workers := p.Workers()
@@ -102,9 +98,6 @@ func Collect[T any](p *Pool, jobs []func() T) []T {
 		}
 		return out
 	}
-
-	sim.EnterParallel()
-	defer sim.LeaveParallel()
 
 	var (
 		cursor atomic.Int64

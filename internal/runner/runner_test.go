@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"jessica2/internal/sim"
 )
 
 func TestCollectOrderPreserved(t *testing.T) {
@@ -133,6 +135,43 @@ func TestCollectPanicUnwrapsError(t *testing.T) {
 		func() int { panic(boom) },
 		func() int { return 0 },
 	})
+}
+
+// TestCollectProcPanicIsJobPanic: a panic in a simulated proc's body
+// reaches its job's goroutine through Engine.Run, so Collect reports it as
+// that job's *JobPanic while the other jobs run to completion.
+func TestCollectProcPanicIsJobPanic(t *testing.T) {
+	boom := errors.New("boom")
+	ends := make([]sim.Time, 4)
+	jobs := make([]func() int, len(ends))
+	for i := range jobs {
+		jobs[i] = func() int {
+			e := sim.NewEngine()
+			e.Spawn("proc", func(p *sim.Proc) {
+				p.Sleep(10)
+				if i == 1 {
+					panic(boom)
+				}
+			})
+			ends[i] = e.Run()
+			return i
+		}
+	}
+	defer func() {
+		jp, ok := recover().(*JobPanic)
+		if !ok {
+			t.Fatal("expected *JobPanic")
+		}
+		if jp.Job != 1 || jp.Value != boom {
+			t.Fatalf("JobPanic{Job: %d, Value: %v}, want job 1 with the proc's own value", jp.Job, jp.Value)
+		}
+		for i, end := range ends {
+			if i != 1 && end != 10 {
+				t.Errorf("job %d ended at %v, want 10", i, end)
+			}
+		}
+	}()
+	Collect(New(2), jobs)
 }
 
 func TestNilAndSequentialPoolsRunInline(t *testing.T) {

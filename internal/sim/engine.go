@@ -2,8 +2,8 @@
 // simulation engine. It is the substrate on which the distributed JVM
 // (cluster nodes, network, threads) is modelled.
 //
-// The engine owns a virtual clock. Simulated activities are Procs: goroutines
-// that run cooperatively, one at a time, under the control of the scheduler.
+// The engine owns a virtual clock. Simulated activities are Procs: coroutines
+// that run one at a time, each until it yields back to the scheduler.
 // A Proc advances the clock by sleeping or by using a Resource (e.g. a node
 // CPU); it can block on a WaitQueue and be woken by another Proc or by an
 // event closure. Events at the same virtual time fire in the order they were
@@ -12,10 +12,9 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 	"sort"
 	"strconv"
-	"sync/atomic"
 )
 
 // Time is virtual time in nanoseconds.
@@ -128,25 +127,21 @@ func (q *eventPQ) pop() event {
 	return top
 }
 
-// Engine is the simulation scheduler. It is not safe for concurrent use by
-// multiple OS threads except through the Proc cooperation protocol.
+// Engine is the simulation scheduler. Its procs are coroutines of the
+// goroutine that calls Run or RunUntil and never run in parallel with it, so
+// an engine must be driven from one goroutine at a time.
 type Engine struct {
 	now     Time
 	queue   schedQueue
 	seq     uint64
 	procs   []*Proc
 	running int // procs started and not yet finished
-	cur     *Proc
-	stopped bool
-
-	// sched <- struct{}{} hands control back to the scheduler loop.
-	sched chan struct{}
 }
 
 // NewEngine returns an engine with the clock at zero and the default
 // scheduler geometry.
 func NewEngine() *Engine {
-	return &Engine{sched: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -170,57 +165,42 @@ func (e *Engine) After(d Time, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
-// Spawn creates a Proc running body in a new goroutine. The Proc does not
-// start executing until the scheduler reaches its start event. Spawn may be
-// called before Run or from within a running Proc or event.
+// Spawn creates a Proc running body as a coroutine. The Proc does not start
+// executing until the scheduler reaches its start event. Spawn may be called
+// before Run or from within a running Proc or event.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.wakeFn = func() { e.dispatch(p) }
 	e.procs = append(e.procs, p)
 	e.running++
 	e.Schedule(e.now, func() {
 		p.started = true
-		go func() {
-			<-p.resume // wait for first dispatch
+		// The stop function is never called: the coroutine of a proc that
+		// is still parked when its engine is dropped stays parked.
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yieldFn = yield
 			defer func() {
 				p.done = true
 				e.running--
-				e.sched <- struct{}{}
 			}()
 			body(p)
-		}()
+		})
 		e.dispatch(p)
 	})
 	return p
 }
 
-// dispatch transfers control to p and waits until p yields back.
-func (e *Engine) dispatch(p *Proc) {
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.sched
-	e.cur = nil
-}
+// dispatch runs p until it yields back or returns. A panic in p's body
+// re-panics here, on the scheduler's goroutine, with its original value.
+func (e *Engine) dispatch(p *Proc) { p.next() }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the final virtual time. If procs are still blocked when the queue drains,
-// Run panics with a deadlock report (all runnable work is exhausted but the
-// simulation has not terminated).
-//
-// The simulation is strictly sequential (one proc runs at a time), so Run
-// pins GOMAXPROCS to 1 for its duration: scheduler↔proc channel handoffs
-// become direct goroutine switches instead of cross-core futex wakeups,
-// which is worth ~3× wall-clock on large runs. Inside an
-// EnterParallel/LeaveParallel region the pin is skipped — it is a
-// process-global knob, and concurrent engines each pinning it would both
-// race and serialize the whole pool.
+// Run executes events until the queue drains. It returns the final virtual
+// time. If procs are still blocked when the queue drains, Run panics with a
+// deadlock report (all runnable work is exhausted but the simulation has not
+// terminated). A panic raised in a proc body or an event reaches the caller
+// of Run with its original value.
 func (e *Engine) Run() Time {
-	defer pinSerial()()
-	for !e.queue.empty() && !e.stopped {
+	for !e.queue.empty() {
 		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
@@ -228,7 +208,7 @@ func (e *Engine) Run() Time {
 		e.now = ev.at
 		ev.fn()
 	}
-	if !e.stopped && e.running > 0 {
+	if e.running > 0 {
 		panic("sim: deadlock: " + e.blockedReport())
 	}
 	return e.now
@@ -242,10 +222,10 @@ func (e *Engine) Run() Time {
 // no proc is mid-step, and the caller may inspect state, schedule new
 // events at or after limit, and resume with another RunUntil or Run call.
 // Like Run, it panics with a deadlock report if the queue drains while
-// procs are still blocked.
+// procs are still blocked, and a panic in a proc body or an event reaches
+// its caller with the original value.
 func (e *Engine) RunUntil(limit Time) bool {
-	defer pinSerial()()
-	for !e.queue.empty() && !e.stopped {
+	for !e.queue.empty() {
 		if e.queue.nextAt() > limit {
 			if limit > e.now {
 				e.now = limit
@@ -259,7 +239,7 @@ func (e *Engine) RunUntil(limit Time) bool {
 		e.now = ev.at
 		ev.fn()
 	}
-	if !e.stopped && e.running > 0 {
+	if e.running > 0 {
 		panic("sim: deadlock: " + e.blockedReport())
 	}
 	return true
@@ -269,39 +249,6 @@ func (e *Engine) RunUntil(limit Time) bool {
 // scheduled). Together with a false RunUntil return it distinguishes
 // "paused at the limit" from "finished before the limit".
 func (e *Engine) Idle() bool { return e.queue.empty() }
-
-// parallelRuns counts active EnterParallel regions process-wide.
-var parallelRuns atomic.Int32
-
-// EnterParallel marks the start of a region in which multiple engines run
-// concurrently on separate goroutines (the experiment runner's worker
-// pool). While any region is active, Run and RunUntil skip their
-// GOMAXPROCS(1) pin: the pin is process-global, so concurrent engines
-// toggling it would race with each other and force the whole pool onto one
-// core. Each engine remains single-threaded internally, so runs stay
-// deterministic either way. Pair every call with LeaveParallel.
-func EnterParallel() { parallelRuns.Add(1) }
-
-// LeaveParallel marks the end of an EnterParallel region.
-func LeaveParallel() { parallelRuns.Add(-1) }
-
-// pinSerial applies the sequential-mode GOMAXPROCS pin and returns the
-// undo; inside a parallel region it is a no-op.
-func pinSerial() func() {
-	if parallelRuns.Load() > 0 {
-		return func() {}
-	}
-	prev := runtime.GOMAXPROCS(1)
-	return func() { runtime.GOMAXPROCS(prev) }
-}
-
-// Stop halts the scheduler after the current event completes. Blocked procs
-// are abandoned (their goroutines stay parked; the process is expected to
-// exit or the engine to be discarded).
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 func (e *Engine) blockedReport() string {
 	var names []string
@@ -322,11 +269,11 @@ func (e *Engine) blockedReport() string {
 }
 
 // Proc is a simulated process (a DJVM thread, a daemon, a protocol handler).
-// All Proc methods must be called from the Proc's own goroutine.
+// Its body runs as a coroutine; Sleep, Block, BlockOn and Use park it, so
+// only the proc's own body may call them.
 type Proc struct {
 	eng       *Engine
 	name      string
-	resume    chan struct{}
 	started   bool
 	done      bool
 	blockedAt string
@@ -340,6 +287,11 @@ type Proc struct {
 	// Sleep and Wake — fired once per simulated event on the hot path —
 	// enqueue it without allocating a fresh closure each time.
 	wakeFn func()
+
+	// next resumes the proc's coroutine until it yields or returns;
+	// yieldFn, called from the body, hands control back to next's caller.
+	next    func() (struct{}, bool)
+	yieldFn func(struct{}) bool
 
 	// CPUTime accumulates virtual time this proc spent holding a Resource
 	// via Use; useful for per-thread CPU accounting.
@@ -358,8 +310,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // yield returns control to the scheduler and blocks until re-dispatched.
 func (p *Proc) yield(why string) {
 	p.blockedAt = why
-	p.eng.sched <- struct{}{}
-	<-p.resume
+	p.yieldFn(struct{}{})
 	p.blockedAt = ""
 }
 

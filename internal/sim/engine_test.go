@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -228,29 +229,26 @@ func TestDeadlockPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestStopHaltsRun(t *testing.T) {
+// TestProcPanicReachesRun: a panic in a proc body surfaces from Run on the
+// caller's goroutine with its original value, and the clock reads the time
+// of the event that resumed the proc.
+func TestProcPanicReachesRun(t *testing.T) {
+	errBoom := errors.New("boom")
 	e := NewEngine()
-	count := 0
-	e.Spawn("looper", func(p *Proc) {
-		for {
-			p.Sleep(10)
-			count++
-			if count == 3 {
-				e.Stop()
-				// The proc remains parked; Stop abandons it.
-				p.Block("abandoned")
-			}
-		}
+	e.Spawn("bomb", func(p *Proc) {
+		p.Sleep(10)
+		panic(errBoom)
 	})
-	end := e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != errBoom {
+		t.Fatalf("recovered %v, want the proc's own panic value", got)
 	}
-	if end != 30 {
-		t.Fatalf("end = %v, want 30", end)
-	}
-	if !e.Stopped() {
-		t.Fatal("engine not stopped")
+	if e.Now() != 10 {
+		t.Fatalf("Now() = %v, want 10", e.Now())
 	}
 }
 
@@ -436,4 +434,18 @@ func TestRunUntilAllowsMidRunScheduling(t *testing.T) {
 	if !e.RunUntil(100) || !e.Idle() {
 		t.Fatal("run did not complete")
 	}
+}
+
+// BenchmarkProcHandoff times one Sleep: the scheduler resumes the proc, and
+// the proc yields back.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
