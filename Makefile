@@ -105,19 +105,34 @@ bench:
 	go run ./cmd/djvmbench -benchjson $(BENCH) -scale $(SCALE)
 
 # bench-seq is the single-threaded escape hatch: perf artifacts captured on
-# the classic sequential path (one worker, GOMAXPROCS pinned per run), for
+# the classic sequential path (one worker, runs one after another), for
 # baselines and for machines where fan-out would only add scheduler noise.
 bench-seq:
 	JESSICA2_PARALLEL=1 go test -bench=. -benchmem -run '^$$' ./...
 	go run ./cmd/djvmbench -benchjson $(BENCH) -scale $(SCALE) -parallel 1
 
 # bench-check vets and tests the repository benchmark, which is a Go module
-# of its own that the root `go test ./...` never builds, then runs one short
-# serve-failover pass. The pass exits 1 if any output check fails: the
-# same-seed digest, request conservation or a codec round-trip.
+# of its own that the root `go test ./...` never builds, then runs a 1 s pass
+# of each workload listed in testdata/bench_allocs.txt. A pass exits 1 if
+# any output check fails: the same-seed digest, request conservation or a
+# codec round-trip. The allocs gate fails when a pass's allocs_per_iter, read
+# from its last JSON line, exceeds 1.10x the workload's seed-42 baseline in
+# that file: BENCHMARK.json's 10% bound.
 bench-check:
 	cd bench && go vet ./... && go test ./...
-	bash bench/run.sh -workload serve-failover -seconds 1
+	@mkdir -p .bench_build; fail=0; \
+	while read -r name base; do \
+		out=.bench_build/bench-check-$$name.out; \
+		status=0; bash bench/run.sh -workload $$name -seconds 1 < /dev/null > $$out || status=$$?; \
+		cat $$out; \
+		[ $$status = 0 ] || { echo "$$name: pass failed (exit $$status)"; fail=1; }; \
+		got=$$(tail -n 1 $$out | sed -n 's/.*"allocs_per_iter":{"value":\([0-9.eE+-]*\).*/\1/p'); \
+		if [ -z "$$got" ]; then echo "$$name: no allocs_per_iter in the pass's last line"; fail=1; continue; fi; \
+		verdict=$$(awk -v got="$$got" -v base="$$base" 'BEGIN { print (got <= 1.10 * base ? "ok" : "FAIL") }'); \
+		printf 'allocs gate %-15s baseline %10s measured %12s limit 1.10x: %s\n' $$name $$base $$got $$verdict; \
+		[ $$verdict = ok ] || fail=1; \
+	done < testdata/bench_allocs.txt; \
+	exit $$fail
 
 # demo-closedloop runs the closed-loop session demo: KVMix under the phased
 # scenario, rebalance policy over 8 epochs, baseline vs closed-loop exec
