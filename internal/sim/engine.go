@@ -170,7 +170,7 @@ func (e *Engine) After(d Time, fn func()) {
 // before Run or from within a running Proc or event.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	p.wakeFn = func() { e.dispatch(p) }
+	p.wakeFn = func() { p.next() }
 	e.procs = append(e.procs, p)
 	e.running++
 	e.Schedule(e.now, func() {
@@ -185,14 +185,10 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 			}()
 			body(p)
 		})
-		e.dispatch(p)
+		p.next()
 	})
 	return p
 }
-
-// dispatch runs p until it yields back or returns. A panic in p's body
-// re-panics here, on the scheduler's goroutine, with its original value.
-func (e *Engine) dispatch(p *Proc) { p.next() }
 
 // Run executes events until the queue drains. It returns the final virtual
 // time. If procs are still blocked when the queue drains, Run panics with a
@@ -288,8 +284,10 @@ type Proc struct {
 	// enqueue it without allocating a fresh closure each time.
 	wakeFn func()
 
-	// next resumes the proc's coroutine until it yields or returns;
-	// yieldFn, called from the body, hands control back to next's caller.
+	// next runs the proc's coroutine until it yields or returns. A panic in
+	// the body re-panics from next, on the scheduler's goroutine, with its
+	// original value. yieldFn, called from the body, hands control back to
+	// next's caller.
 	next    func() (struct{}, bool)
 	yieldFn func(struct{}) bool
 
