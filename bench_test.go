@@ -435,7 +435,7 @@ func BenchmarkAblationDistributedTCM(b *testing.B) {
 	run := func(distributed bool) (masterMs, wireKB float64) {
 		out := experiments.Run(experiments.Spec{
 			App: experiments.AppWaterSpatial, Scale: benchScale,
-			Nodes: 8, Threads: 8, Tracking: gos.TrackingSampled,
+			Nodes: 8, Threads: 8, Seed: 42, Tracking: gos.TrackingSampled,
 			Rate: sampling.FullRate, TransferOALs: true,
 			DistributedTCM: distributed,
 		})

@@ -18,14 +18,15 @@
 //	djvmrun -app kv -scenario phased -policy warmstart -profile-in kv.j2pf
 //	djvmrun -app sor -seeds 8 -workers host1:9377,host2:9377
 //
-// -workers dispatches the run (all -seeds replicas as one batch) to a
-// fleet of djvmworker processes through the fault-tolerant experiment
-// dispatcher and renders a compact report from each collected outcome.
-// Only spec-expressible runs dispatch: plain profiling runs of the
-// closed-loop apps (sor, bh, water, lu, kv) without -policy, -recover or
-// profile I/O. Workers that are unreachable or die mid-batch cost wall
-// clock, not results — stranded jobs rerun locally and the output is
-// byte-identical to a local run.
+// Every invocation becomes one experiments.Spec per seed, run through
+// experiments.RunAll and rendered from its experiments.Out by one report.
+// -workers installs the fault-tolerant experiment dispatcher, which ships
+// those specs (all -seeds replicas as one batch) to a fleet of djvmworker
+// processes. Any run dispatches, policies, failure recovery, serving and
+// profile I/O included, and its stdout is byte-identical to the local
+// run's; the dispatch ledger goes to stderr. Workers that are unreachable
+// or die mid-batch cost wall clock, not results: stranded jobs rerun
+// locally.
 //
 // -profile-out saves the end-of-run profile (TCM, placement, hot-object
 // homes, rate trace) to the named file; -profile-in reloads one, applying
@@ -69,13 +70,12 @@
 //
 // -seeds N replicates the run over N consecutive seeds (seed, seed+1, ...)
 // for quick variance checks; -parallel fans the replicas out over the
-// experiment runner's worker pool (default GOMAXPROCS). Reports are
-// buffered per seed and printed in seed order, so the output is
-// byte-identical at any parallelism.
+// experiment runner's worker pool (default GOMAXPROCS). The outcomes are
+// reported in seed order, so the output is byte-identical at any
+// parallelism.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -89,43 +89,32 @@ import (
 	"jessica2"
 	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
+	"jessica2/internal/network"
 	"jessica2/internal/runner"
 )
 
 // runConfig is one fully parsed and validated invocation.
 type runConfig struct {
-	app       string
-	nodes     int
-	threads   int
-	seed      uint64
-	rate      jessica2.Rate
-	adaptive  bool
-	stackProf bool
-	footprint bool
+	// spec is the run every -seeds replica repeats; specFor gives each
+	// replica its seed and scenario.
+	spec      experiments.Spec
+	app       string // -app as given
+	policyTag string // -policy as given, lowercased
+	scenSpec  string
+	scenSeed  uint64 // 0 = follow the workload seed
 	showTCM   bool
 	plan      bool
-	scenSpec  string
-	recover   bool
-	protect   string // serving protection level: off | shed | full | auto
-	policyTag string
-	epochs    int
-	epoch     jessica2.Time
 	seeds     int
 	parallel  int
 	workers   string // comma-separated djvmworker fleet (dispatched mode)
-	scenSeed  uint64 // 0 = follow the workload seed
 	benchjson string // write a machine-readable run report to this file
 
 	profileIn  string // load a stored profile (warm start)
 	profileOut string // save the end-of-run profile
-	// loaded is the decoded -profile-in artifact, read once in execute so
-	// replicas share the immutable profile instead of re-reading the file.
-	loaded *jessica2.StoredProfile
 }
 
-// specApps maps every -app alias of an app an experiments.Spec can carry
-// (the subset the dispatcher can ship) onto its identity.
-var specApps = map[string]experiments.App{
+// apps maps every -app alias onto its experiments.App.
+var apps = map[string]experiments.App{
 	"sor":           experiments.AppSOR,
 	"bh":            experiments.AppBarnesHut,
 	"barnes-hut":    experiments.AppBarnesHut,
@@ -136,41 +125,18 @@ var specApps = map[string]experiments.App{
 	"lu":            experiments.AppLU,
 	"kv":            experiments.AppKVMix,
 	"kvmix":         experiments.AppKVMix,
+	"synth":         experiments.AppSynthetic,
+	"synthetic":     experiments.AppSynthetic,
+	"serve":         experiments.AppServe,
+	"servemix":      experiments.AppServe,
 }
 
-// newWorkload instantiates the named benchmark (fresh instance per call so
-// pilot and policy runs never share workload state). Spec apps build at
-// paper scale.
-func newWorkload(app string) (jessica2.Workload, error) {
-	name := strings.ToLower(app)
-	if a, ok := specApps[name]; ok {
-		return experiments.NewWorkload(a, false, 1), nil
+// parseApp resolves a -app name, case-insensitively.
+func parseApp(name string) (experiments.App, error) {
+	if a, ok := apps[strings.ToLower(name)]; ok {
+		return a, nil
 	}
-	switch name {
-	case "synth", "synthetic":
-		return jessica2.NewSynthetic(), nil
-	case "serve", "servemix":
-		// Open-loop: the arrival schedule is installed at session launch
-		// from the scenario's Arrivals spec (see ensureArrivals).
-		return jessica2.NewServeMix(), nil
-	}
-	return nil, fmt.Errorf("unknown app %q", app)
-}
-
-// newPolicy resolves a -policy name; prof is the -profile-in artifact the
-// warmstart policy replays (nil degrades it to a rebalance proxy).
-func newPolicy(name string, prof *jessica2.StoredProfile) (jessica2.Policy, error) {
-	switch strings.ToLower(name) {
-	case "", "none", "off":
-		return nil, nil
-	case "nop":
-		return jessica2.NopPolicy{}, nil
-	case "rebalance":
-		return jessica2.NewRebalancePolicy(), nil
-	case "warmstart":
-		return jessica2.NewWarmStartPolicy(prof), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q (have none, nop, rebalance, warmstart)", name)
+	return 0, fmt.Errorf("unknown app %q", name)
 }
 
 // parseArgs parses and validates a full command line (excluding argv[0]).
@@ -197,7 +163,7 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 		epoch     = fs.Duration("epoch", 0, "explicit closed-loop epoch length (overrides -epochs; skips the pilot run)")
 		seeds     = fs.Int("seeds", 1, "replicate the run over N consecutive seeds")
 		parallel  = fs.Int("parallel", 0, "worker pool for -seeds replicas (0 = GOMAXPROCS, 1 = sequential)")
-		workers   = fs.String("workers", "", "comma-separated djvmworker addresses; runs are dispatched to the fleet and rendered from the collected outcomes (plain profiling runs only)")
+		workers   = fs.String("workers", "", "comma-separated djvmworker addresses; every replica is dispatched to the fleet and rendered from its collected outcome")
 		benchjson = fs.String("benchjson", "", "write a machine-readable run report (exec times, wall clock) to this file")
 		profIn    = fs.String("profile-in", "", "load a stored profile for a warm start (placement applied before epoch 0, TCM seeded; mismatched fingerprints fall back to cold with a warning)")
 		profOut   = fs.String("profile-out", "", "save the end-of-run profile to this file")
@@ -205,65 +171,68 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	a, err := parseApp(*app)
+	if err != nil {
+		return nil, err
+	}
 	rc := &runConfig{
-		app: *app, nodes: *nodes, threads: *threads, seed: *seed,
-		adaptive: *adaptive, stackProf: *stackProf, footprint: *footprint,
-		showTCM: *showTCM, plan: *plan, scenSpec: *scenSpec, recover: *recov,
-		protect:   strings.ToLower(*protect),
-		policyTag: strings.ToLower(*policy),
-		epochs:    *epochs, epoch: jessica2.Time(epoch.Nanoseconds()),
+		spec: experiments.Spec{
+			App: a, Nodes: *nodes, Threads: *threads, Seed: *seed,
+			Tracking: jessica2.TrackingSampled, TransferOALs: true,
+			Epoch: jessica2.Time(epoch.Nanoseconds()), Epochs: *epochs,
+			SaveProfile: *profOut != "",
+		},
+		app: *app, policyTag: strings.ToLower(*policy),
+		scenSpec: *scenSpec, scenSeed: *scenSeed,
+		showTCM: *showTCM, plan: *plan,
 		seeds: *seeds, parallel: *parallel, workers: *workers, benchjson: *benchjson,
 		profileIn: *profIn, profileOut: *profOut,
 	}
-	if _, err := newWorkload(rc.app); err != nil {
-		return nil, err
-	}
-	if rc.nodes < 1 {
-		return nil, fmt.Errorf("need at least one node, got %d", rc.nodes)
-	}
-	if rc.threads < 1 {
-		return nil, fmt.Errorf("need at least one thread, got %d", rc.threads)
-	}
 	switch strings.ToLower(*rateStr) {
 	case "off", "0":
-		rc.rate = 0
+		rc.spec.Tracking = jessica2.TrackingOff
 	case "full":
-		rc.rate = jessica2.FullRate
+		rc.spec.Rate = jessica2.FullRate
 	default:
 		n, err := strconv.Atoi(*rateStr)
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad rate %q", *rateStr)
 		}
-		rc.rate = jessica2.Rate(n)
+		rc.spec.Rate = jessica2.Rate(n)
 	}
-	// Validate-only construction: runSeed rebuilds a fresh scenario and
-	// policy per replica (seeded state must not be shared across concurrent
-	// seed jobs), so the parsed instances are discarded here on purpose.
-	rc.scenSeed = *scenSeed
-	ss := rc.scenSeed
-	if ss == 0 {
-		ss = rc.seed
+	if *adaptive {
+		ac := jessica2.DefaultAdaptiveConfig()
+		rc.spec.Adaptive = &ac
+		rc.spec.Rate = 0
 	}
-	if _, err := jessica2.ParseScenario(rc.scenSpec, rc.nodes, ss); err != nil {
-		return nil, err
+	if *stackProf {
+		sc := jessica2.DefaultStackConfig()
+		rc.spec.Stack = &sc
 	}
-	switch rc.protect {
-	case "off", "none", "shed", "full", "auto":
+	if *footprint {
+		rc.spec.Footprint = &jessica2.FootprintConfig{FootprinterConfig: jessica2.DefaultFootprinter()}
+	}
+	if *recov {
+		rc.spec.Failure = jessica2.DefaultFailureConfig()
+	}
+	switch rc.policyTag {
+	case "none", "off":
+	default:
+		rc.spec.Policy = rc.policyTag
+	}
+	// auto arms the whole protection stack when the failure-tolerance layer
+	// serves an open-loop app through failures, and nothing otherwise, so
+	// plain serve runs keep their classic output.
+	switch level := strings.ToLower(*protect); level {
+	case "auto":
+		if *recov && a == experiments.AppServe {
+			rc.spec.Protect = "full"
+		}
+	case "off", "none":
+	case "shed", "full":
+		rc.spec.Protect = level
 	default:
 		return nil, fmt.Errorf("unknown -protect %q (have off, shed, full, auto)", *protect)
-	}
-	if (rc.protect == "shed" || rc.protect == "full") && !rc.openLoop() {
-		return nil, fmt.Errorf("-protect %s needs an open-loop app (serve), got -app %s", rc.protect, rc.app)
-	}
-	pol, err := newPolicy(rc.policyTag, nil)
-	if err != nil {
-		return nil, err
-	}
-	if pol != nil && rc.epoch <= 0 && rc.epochs < 1 {
-		return nil, fmt.Errorf("-policy %s needs -epochs >= 1 or an explicit -epoch", rc.policyTag)
-	}
-	if rc.epoch < 0 {
-		return nil, fmt.Errorf("negative -epoch")
 	}
 	if rc.seeds < 1 {
 		return nil, fmt.Errorf("-seeds must be at least 1, got %d", rc.seeds)
@@ -274,151 +243,39 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 	if rc.parallel < 0 {
 		return nil, fmt.Errorf("negative -parallel")
 	}
-	if rc.workers != "" {
-		// Dispatched runs travel as experiments.Spec: only what the spec can
-		// express is eligible. Closed-loop policies, the failure-tolerance
-		// layer and profile I/O are session-side machinery that does not
-		// serialize; the open-loop and synthetic apps have no spec mapping.
-		if _, ok := specApp(rc.app); !ok {
-			return nil, fmt.Errorf("-workers cannot dispatch -app %s (specs cover sor, bh, water, lu, kv)", rc.app)
-		}
-		if pol != nil {
-			return nil, fmt.Errorf("-workers cannot dispatch a -policy run")
-		}
-		if rc.recover {
-			return nil, fmt.Errorf("-workers cannot dispatch a -recover run")
-		}
-		if rc.profileIn != "" || rc.profileOut != "" {
-			return nil, fmt.Errorf("-workers cannot dispatch profile I/O runs")
-		}
+	if _, err := rc.specFor(rc.spec.Seed); err != nil {
+		return nil, err
 	}
 	return rc, nil
 }
 
-// specApp maps a -app name onto its experiments.Spec identity.
-func specApp(app string) (experiments.App, bool) {
-	a, ok := specApps[strings.ToLower(app)]
-	return a, ok
-}
-
-// openLoop reports whether the configured app is schedule-driven.
-func (rc *runConfig) openLoop() bool {
-	w, err := newWorkload(rc.app)
-	if err != nil {
-		return false
+// specFor returns the replica of the run at seed, validated. Each replica
+// parses its own scenario, seeded like the replica unless -scenario-seed
+// pins it, and an open-loop app without an arrival preset gets a modest
+// default Poisson stream.
+func (rc *runConfig) specFor(seed uint64) (experiments.Spec, error) {
+	spec := rc.spec
+	spec.Seed = seed
+	ss := rc.scenSeed
+	if ss == 0 {
+		ss = seed
 	}
-	_, ok := w.(jessica2.OpenLoop)
-	return ok
-}
-
-// protection resolves the -protect level: auto becomes full when the
-// failure-tolerance layer is armed on an open-loop app (serving through
-// failures wants the whole stack) and off otherwise, so plain serve runs
-// keep their classic byte-identical output.
-func (rc *runConfig) protection() string {
-	switch rc.protect {
-	case "auto":
-		if rc.recover && rc.openLoop() {
-			return "full"
+	scen, err := jessica2.ParseScenario(rc.scenSpec, spec.Nodes, ss)
+	if err != nil {
+		return spec, err
+	}
+	if spec.App == experiments.AppServe && (scen == nil || scen.Arrivals == nil) {
+		if scen == nil {
+			scen = &jessica2.Scenario{Name: "poisson-default", Seed: ss}
 		}
-		return "off"
-	case "none":
-		return "off"
-	}
-	return rc.protect
-}
-
-// robustFor maps a resolved protection level onto a ServeMix robustness
-// config (nil = classic static path).
-func robustFor(level string) *jessica2.RobustConfig {
-	switch level {
-	case "shed":
-		// Deadline + admission control only: the tail is capped at the SLO
-		// but nothing stranded on a dead node is rescued.
-		full := jessica2.DefaultRobustConfig()
-		return &jessica2.RobustConfig{Deadline: full.Deadline, Capacity: full.Capacity}
-	case "full":
-		return jessica2.DefaultRobustConfig()
-	}
-	return nil
-}
-
-// ensureArrivals gives an open-loop app a default arrival schedule when the
-// chosen scenario does not carry one: a modest Poisson stream seeded like
-// the scenario, so `-app serve` works without an explicit arrival preset.
-// Closed-loop apps pass through untouched.
-func (rc *runConfig) ensureArrivals(scen *jessica2.Scenario, seed uint64) *jessica2.Scenario {
-	w, err := newWorkload(rc.app)
-	if err != nil {
-		return scen
-	}
-	if _, ok := w.(jessica2.OpenLoop); !ok {
-		return scen
-	}
-	if scen != nil && scen.Arrivals != nil {
-		return scen
-	}
-	if scen == nil {
-		scen = &jessica2.Scenario{Name: "poisson-default", Seed: seed}
-	}
-	scen.Arrivals = &jessica2.Arrivals{
-		Kind:    jessica2.ArrivePoisson,
-		Rate:    1000,
-		Horizon: jessica2.Second,
-	}
-	return scen
-}
-
-// buildSession assembles one session for the config; policy installs the
-// closed-loop controller (nil = plain run) with the given epoch length.
-// Scenario, policy and seed are per-run arguments because -seeds replicas
-// run concurrently and must not share stateful instances.
-func (rc *runConfig) buildSession(scen *jessica2.Scenario, policy jessica2.Policy, seed uint64, epoch jessica2.Time, pio jessica2.ProfileIO) (*jessica2.Session, *jessica2.Profiler, error) {
-	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = rc.nodes
-	cfg.Epoch = epoch
-	if rc.rate == 0 {
-		cfg.Tracking = jessica2.TrackingOff
-	}
-	cfg.Scenario = scen
-	cfg.Profile = pio
-	if rc.recover {
-		cfg.Failure = jessica2.DefaultFailureConfig()
-	}
-	sess := jessica2.NewSession(cfg)
-	w, err := newWorkload(rc.app)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sm, ok := w.(*jessica2.ServeMix); ok {
-		sm.Robust = robustFor(rc.protection())
-	}
-	if err := sess.Launch(w, jessica2.Params{Threads: rc.threads, Seed: seed}); err != nil {
-		return nil, nil, err
-	}
-	pc := jessica2.ProfileConfig{Rate: rc.rate}
-	if rc.adaptive {
-		ac := jessica2.DefaultAdaptiveConfig()
-		pc.Adaptive = &ac
-		pc.Rate = 0
-	}
-	if rc.stackProf {
-		sc := jessica2.DefaultStackConfig()
-		pc.Stack = &sc
-	}
-	if rc.footprint {
-		pc.Footprint = &jessica2.FootprintConfig{FootprinterConfig: jessica2.DefaultFootprinter()}
-	}
-	prof, err := sess.AttachProfiling(pc)
-	if err != nil {
-		return nil, nil, err
-	}
-	if policy != nil {
-		if err := sess.SetPolicy(policy); err != nil {
-			return nil, nil, err
+		scen.Arrivals = &jessica2.Arrivals{
+			Kind:    jessica2.ArrivePoisson,
+			Rate:    1000,
+			Horizon: jessica2.Second,
 		}
 	}
-	return sess, prof, nil
+	spec.Scenario = scen
+	return spec, spec.Validate()
 }
 
 // runReport is the -benchjson document: one machine-readable record of the
@@ -435,148 +292,131 @@ type runReport struct {
 	WallMs    float64   `json:"wall_clock_ms"`
 }
 
-// execute runs the parsed invocation, writing the report to out. With
-// -seeds N > 1 the replicas fan out over the runner pool, each rendering
-// into its own buffer; buffers are printed in seed order so the combined
-// report is byte-identical at any parallelism. With -benchjson the
-// per-seed execution times and wall clock are additionally written as a
-// JSON report.
+// execute runs the parsed invocation, writing the report to out. The
+// -seeds replicas run as one batch, fanned out over the runner pool or,
+// with -workers, over the djvmworker fleet; reports print in seed order,
+// so the output is byte-identical at any parallelism and on any fleet.
+// With -benchjson the per-seed execution times and wall clock are
+// additionally written as a JSON report.
 func (rc *runConfig) execute(out io.Writer) error {
 	start := time.Now()
-	if rc.workers != "" {
-		return rc.executeDispatched(out, start)
-	}
 	if rc.profileIn != "" {
 		prof, err := jessica2.LoadProfile(rc.profileIn)
 		if err != nil {
 			return fmt.Errorf("-profile-in %s: %w", rc.profileIn, err)
 		}
-		rc.loaded = prof
+		rc.spec.LoadProfile = prof
 	}
-	execs := make([]jessica2.Time, rc.seeds)
-	if rc.seeds == 1 {
-		var err error
-		execs[0], err = rc.runSeed(rc.seed, out)
-		if err != nil {
-			return err
-		}
-		return rc.writeBenchJSON(execs, time.Since(start))
-	}
-	pool := runner.New(rc.parallel)
-	type result struct {
-		buf bytes.Buffer
-		err error
-	}
-	results := make([]result, rc.seeds)
-	runner.Go(pool, rc.seeds, func(i int) {
-		execs[i], results[i].err = rc.runSeed(rc.seed+uint64(i), &results[i].buf)
-	})
-	for i := range results {
-		fmt.Fprintf(out, "===== seed %d =====\n", rc.seed+uint64(i))
-		if results[i].err != nil {
-			return results[i].err
-		}
-		if _, err := io.Copy(out, &results[i].buf); err != nil {
-			return err
-		}
-	}
-	return rc.writeBenchJSON(execs, time.Since(start))
-}
-
-// buildSpec maps one replica of the invocation onto the wire-portable
-// experiment spec the dispatcher ships.
-func (rc *runConfig) buildSpec(seed uint64) (experiments.Spec, error) {
-	app, ok := specApp(rc.app)
-	if !ok {
-		return experiments.Spec{}, fmt.Errorf("-app %s has no spec mapping", rc.app)
-	}
-	ss := rc.scenSeed
-	if ss == 0 {
-		ss = seed
-	}
-	scen, err := jessica2.ParseScenario(rc.scenSpec, rc.nodes, ss)
-	if err != nil {
-		return experiments.Spec{}, err
-	}
-	spec := experiments.Spec{
-		App: app, Nodes: rc.nodes, Threads: rc.threads, Seed: seed,
-		Rate: rc.rate, Tracking: jessica2.TrackingSampled, TransferOALs: true,
-		Scenario: scen,
-	}
-	if rc.rate == 0 {
-		spec.Tracking = jessica2.TrackingOff
-	}
-	if rc.adaptive {
-		ac := jessica2.DefaultAdaptiveConfig()
-		spec.Adaptive = &ac
-		spec.Rate = 0
-	}
-	if rc.stackProf {
-		sc := jessica2.DefaultStackConfig()
-		spec.Stack = &sc
-	}
-	if rc.footprint {
-		spec.Footprint = &jessica2.FootprintConfig{FootprinterConfig: jessica2.DefaultFootprinter()}
-	}
-	return spec, nil
-}
-
-// executeDispatched ships the invocation — all -seeds replicas as one
-// batch — to the djvmworker fleet and renders each collected outcome in
-// seed order. Unreachable or dying workers degrade to local execution
-// inside the dispatcher, so the command succeeds (more slowly) even with
-// the whole fleet down.
-func (rc *runConfig) executeDispatched(out io.Writer, start time.Time) error {
 	specs := make([]experiments.Spec, rc.seeds)
 	for i := range specs {
 		var err error
-		if specs[i], err = rc.buildSpec(rc.seed + uint64(i)); err != nil {
+		if specs[i], err = rc.specFor(rc.spec.Seed + uint64(i)); err != nil {
 			return err
 		}
 	}
-	d := dispatch.New(dispatch.Config{
-		Workers:  strings.Split(rc.workers, ","),
-		Fallback: runner.New(rc.parallel),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	outs, err := d.RunSpecs(specs)
-	if err != nil {
-		return err
+	pool := runner.New(rc.parallel)
+	var d *dispatch.Dispatcher
+	if rc.workers != "" {
+		d = dispatch.New(dispatch.Config{
+			Workers:  strings.Split(rc.workers, ","),
+			Fallback: pool,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		})
+		experiments.SetDispatcher(d)
+		defer experiments.SetDispatcher(nil)
+	}
+	outs := experiments.RunAll(pool, specs)
+	if d != nil {
+		s := d.Stats()
+		fmt.Fprintf(os.Stderr, "dispatch: %d jobs (%d remote, %d local), %d leases granted, %d expired, %d reassigned, %d stale rejected, %d workers lost\n",
+			s.Jobs, s.Remote, s.Local, s.LeasesGranted, s.LeasesExpired, s.Reassignments, s.StaleRejected, s.WorkersLost)
 	}
 	execs := make([]jessica2.Time, len(outs))
 	for i, o := range outs {
 		if rc.seeds > 1 {
-			fmt.Fprintf(out, "===== seed %d =====\n", rc.seed+uint64(i))
+			fmt.Fprintf(out, "===== seed %d =====\n", o.Spec.Seed)
 		}
-		rc.renderOut(o, out)
+		if err := rc.report(o, out); err != nil {
+			return err
+		}
 		execs[i] = o.Exec
 	}
-	s := d.Stats()
-	fmt.Fprintf(out, "dispatch: %d jobs (%d remote, %d local), %d leases granted, %d expired, %d reassigned, %d stale rejected, %d workers lost\n",
-		s.Jobs, s.Remote, s.Local, s.LeasesGranted, s.LeasesExpired, s.Reassignments, s.StaleRejected, s.WorkersLost)
 	return rc.writeBenchJSON(execs, time.Since(start))
 }
 
-// renderOut prints the dispatched-run report for one collected outcome: a
-// compact version of runSeed's report covering everything a Spec-shaped
-// run produces.
-func (rc *runConfig) renderOut(o *experiments.Out, out io.Writer) {
-	w, _ := newWorkload(rc.app)
+// report renders one run's outcome and, with -profile-out, saves its
+// captured profile.
+func (rc *runConfig) report(o *experiments.Out, out io.Writer) error {
+	spec := o.Spec
+	if o.Epoch > 0 {
+		fmt.Fprintf(out, "pilot (no policy): exec %v -> epoch %v over %d epochs\n\n",
+			o.PilotExec, o.Epoch, spec.Epochs)
+	}
+	name := experiments.NewWorkload(spec.App, spec.Small, spec.Scale).Name()
 	scenName := "none"
-	if o.Spec.Scenario != nil {
-		scenName = o.Spec.Scenario.String()
+	if spec.Scenario != nil {
+		scenName = spec.Scenario.String()
 	}
-	fmt.Fprintf(out, "%s on %d nodes, %d threads (scenario: %s, dispatched)\n\n",
-		w.Name(), rc.nodes, rc.threads, scenName)
+	st := o.Stats
+	fmt.Fprintf(out, "%s on %d nodes, %d threads (scenario: %s)\n\n", name, spec.Nodes, spec.Threads, scenName)
+	fmt.Fprintf(out, "workloads:         %s\n", name)
 	fmt.Fprintf(out, "execution time:    %v\n", o.Exec)
-	fmt.Fprintf(out, "profiling traffic: %.1f KB OAL, %.1f KB GOS\n", o.OALKB(), o.GOSKB())
-	if o.TCMTime > 0 {
-		fmt.Fprintf(out, "TCM analyzer CPU:  %v\n", o.TCMTime)
+	fmt.Fprintf(out, "intervals:         %d\n", st.Intervals)
+	fmt.Fprintf(out, "remote faults:     %d (%d KB)\n", st.Faults, st.FaultBytes/1024)
+	fmt.Fprintf(out, "correlation logs:  %d\n", st.CorrelationLogs)
+	fmt.Fprintf(out, "barriers/locks:    %d / %d\n", st.Barriers, st.LockAcquires)
+	fmt.Fprintf(out, "OAL traffic:       %d KB\n", o.Net.CatBytes(network.CatOAL)/1024)
+	fmt.Fprintf(out, "GOS traffic:       %d KB\n",
+		(o.Net.CatBytes(network.CatGOSData)+o.Net.CatBytes(network.CatControl)+o.Net.HeaderBytesTotal)/1024)
+	fmt.Fprintf(out, "TCM compute time:  %v\n\n", o.AnalyzerTime)
+
+	if o.ProfileWarning != "" {
+		fmt.Fprintf(out, "warning: %s\n\n", o.ProfileWarning)
+	} else if p := spec.LoadProfile; p != nil {
+		fmt.Fprintf(out, "warm start from %s: %d hot-object homes, %d stored decisions replayable (fingerprint %s)\n\n",
+			rc.profileIn, len(p.HotHomes), len(p.Decisions), p.Fingerprint)
 	}
-	fmt.Fprintln(out)
-	if rc.adaptive && o.Profiler != nil {
+	if p := o.Captured; p != nil {
+		if err := jessica2.SaveProfile(rc.profileOut, p); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "profile saved to %s: %d TCM threads, %d hot-object homes, %d decisions (fingerprint %s)\n\n",
+			rc.profileOut, p.TCMThreads, len(p.HotHomes), len(p.Decisions), p.Fingerprint)
+	}
+
+	if sv := o.Serve; sv != nil {
+		fmt.Fprintf(out, "open-loop serving: %s\n\n", sv)
+		if sv.Robust {
+			fmt.Fprintf(out, "serving robustness (%s): slo-goodput %.0f/s (%d in SLO), shed %d, expired %d, failed fast %d\n",
+				spec.Protect, sv.SLOGoodputPerSec, sv.CompletedInSLO,
+				sv.Shed, sv.DeadlineExceeded, sv.FailedFast)
+			fmt.Fprintf(out, "  recovery work: %d retried, %d hedged (%d wins), %d rerouted, %d breaker opens, %d wasted attempts\n\n",
+				sv.Retried, sv.Hedged, sv.HedgeWins, sv.Rerouted, sv.BreakerOpens, sv.Wasted)
+		}
+	}
+	if fs := o.Failure; fs != nil {
+		fmt.Fprintf(out, "failure layer: %d lease expiries, %d recoveries, %d evacuations\n",
+			fs.LeaseExpiries, fs.NodeRecoveries, fs.Evacuations)
+		fmt.Fprintf(out, "  flushes: %d sent, %d retried, %d acked, %d abandoned, %d duplicates dropped\n",
+			fs.FlushesSent, fs.FlushRetries, fs.FlushesAcked, fs.FlushesAbandoned, fs.DuplicateFlushes)
+		fmt.Fprintf(out, "  final health: %d/%d nodes alive\n\n", o.LiveNodes, spec.Nodes)
+	}
+	if spec.Policy != "" {
+		fmt.Fprintf(out, "closed-loop policy %q: %d epochs, %d actions applied\n",
+			spec.Policy, o.Epochs, len(o.Actions))
+		const maxShown = 12
+		for i, a := range o.Actions {
+			if i == maxShown {
+				fmt.Fprintf(out, "  ... (%d more)\n", len(o.Actions)-maxShown)
+				break
+			}
+			fmt.Fprintf(out, "  epoch %2d t=%v  %v\n", a.Epoch, a.At, a)
+		}
+		fmt.Fprintln(out)
+	}
+	if spec.Adaptive != nil {
 		fmt.Fprintln(out, "adaptive controller trace:")
 		for _, rcg := range o.Profiler.RateTrace {
 			fmt.Fprintf(out, "  t=%v  %v -> %v  distance=%.4f converged=%v (resampled %d)\n",
@@ -584,7 +424,7 @@ func (rc *runConfig) renderOut(o *experiments.Out, out io.Writer) {
 		}
 		fmt.Fprintln(out)
 	}
-	if rc.footprint && o.Footprints != nil {
+	if spec.Footprint != nil {
 		fmt.Fprintln(out, "sticky-set footprints (thread 0):")
 		fp := o.Footprints[0]
 		for _, c := range fp.Classes() {
@@ -597,14 +437,15 @@ func (rc *runConfig) renderOut(o *experiments.Out, out io.Writer) {
 		fmt.Fprintln(out, o.TCM)
 	}
 	if rc.plan && o.TCM != nil {
-		cur := jessica2.BlockedPlacement(rc.threads, rc.nodes)
-		next, moves := jessica2.PlanPlacement(o.TCM, cur, rc.nodes)
+		cur := jessica2.BlockedPlacement(spec.Threads, spec.Nodes)
+		next, moves := jessica2.PlanPlacement(o.TCM, cur, spec.Nodes)
 		fmt.Fprintf(out, "placement plan: cross-volume %.0f -> %.0f bytes\n",
 			jessica2.CrossVolume(o.TCM, cur), jessica2.CrossVolume(o.TCM, next))
 		for _, mv := range moves {
 			fmt.Fprintf(out, "  %s\n", mv)
 		}
 	}
+	return nil
 }
 
 // writeBenchJSON emits the -benchjson report (no-op when the flag is
@@ -630,159 +471,6 @@ func (rc *runConfig) writeBenchJSON(execs []jessica2.Time, wall time.Duration) e
 		return err
 	}
 	return os.WriteFile(rc.benchjson, append(data, '\n'), 0o644)
-}
-
-// runSeed executes one replica of the invocation at the given seed,
-// returning the workload execution time.
-func (rc *runConfig) runSeed(seed uint64, out io.Writer) (jessica2.Time, error) {
-	// Fresh per-replica instances: the scenario's jitter stream follows the
-	// replica's seed (unless pinned by -scenario-seed), and policies may
-	// carry state across epochs.
-	ss := rc.scenSeed
-	if ss == 0 {
-		ss = seed
-	}
-	scen, err := jessica2.ParseScenario(rc.scenSpec, rc.nodes, ss)
-	if err != nil {
-		return 0, err
-	}
-	scen = rc.ensureArrivals(scen, ss)
-	policy, err := newPolicy(rc.policyTag, rc.loaded)
-	if err != nil {
-		return 0, err
-	}
-	scenName := "none"
-	if scen != nil {
-		scenName = scen.String()
-	}
-
-	epoch := rc.epoch
-	if policy != nil && epoch <= 0 {
-		// Pilot run: measure the baseline to calibrate the epoch length.
-		// The pilot never loads or saves a profile — the calibration must
-		// reflect the plain cold baseline.
-		pilot, _, err := rc.buildSession(scen, nil, seed, 0, jessica2.ProfileIO{})
-		if err != nil {
-			return 0, err
-		}
-		rep, err := pilot.Run()
-		if err != nil {
-			return 0, err
-		}
-		epoch = rep.ExecTime() / jessica2.Time(rc.epochs)
-		if epoch <= 0 {
-			epoch = jessica2.Millisecond
-		}
-		fmt.Fprintf(out, "pilot (no policy): exec %v -> epoch %v over %d epochs\n\n",
-			rep.ExecTime(), epoch, rc.epochs)
-	}
-
-	sess, prof, err := rc.buildSession(scen, policy, seed, epoch,
-		jessica2.ProfileIO{Load: rc.loaded, Save: rc.profileOut != ""})
-	if err != nil {
-		return 0, err
-	}
-	rep, err := sess.Run()
-	if err != nil {
-		return 0, err
-	}
-	w, err := newWorkload(rc.app)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(out, "%s on %d nodes, %d threads (scenario: %s)\n\n%s\n",
-		w.Name(), rc.nodes, rc.threads, scenName, rep)
-
-	if warn := sess.ProfileWarning(); warn != "" {
-		fmt.Fprintf(out, "warning: %s\n\n", warn)
-	} else if rc.loaded != nil {
-		fmt.Fprintf(out, "warm start from %s: %d hot-object homes, %d stored decisions replayable (fingerprint %s)\n\n",
-			rc.profileIn, len(rc.loaded.HotHomes), len(rc.loaded.Decisions), rc.loaded.Fingerprint)
-	}
-	if rc.profileOut != "" {
-		stored, err := sess.CapturedProfile()
-		if err != nil {
-			return 0, fmt.Errorf("capturing profile: %w", err)
-		}
-		if err := jessica2.SaveProfile(rc.profileOut, stored); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(out, "profile saved to %s: %d TCM threads, %d hot-object homes, %d decisions (fingerprint %s)\n\n",
-			rc.profileOut, stored.TCMThreads, len(stored.HotHomes), len(stored.Decisions), stored.Fingerprint)
-	}
-
-	if snap := sess.Snapshot(); snap.Serve != nil {
-		fmt.Fprintf(out, "open-loop serving: %s\n\n", snap.Serve)
-		if sv := snap.Serve; sv.Robust {
-			fmt.Fprintf(out, "serving robustness (%s): slo-goodput %.0f/s (%d in SLO), shed %d, expired %d, failed fast %d\n",
-				rc.protection(), sv.SLOGoodputPerSec, sv.CompletedInSLO,
-				sv.Shed, sv.DeadlineExceeded, sv.FailedFast)
-			fmt.Fprintf(out, "  recovery work: %d retried, %d hedged (%d wins), %d rerouted, %d breaker opens, %d wasted attempts\n\n",
-				sv.Retried, sv.Hedged, sv.HedgeWins, sv.Rerouted, sv.BreakerOpens, sv.Wasted)
-		}
-	}
-
-	if rc.recover {
-		fs := sess.Kernel().FailureStats()
-		fmt.Fprintf(out, "failure layer: %d lease expiries, %d recoveries, %d evacuations\n",
-			fs.LeaseExpiries, fs.NodeRecoveries, fs.Evacuations)
-		fmt.Fprintf(out, "  flushes: %d sent, %d retried, %d acked, %d abandoned, %d duplicates dropped\n",
-			fs.FlushesSent, fs.FlushRetries, fs.FlushesAcked, fs.FlushesAbandoned, fs.DuplicateFlushes)
-		if h := sess.Kernel().HealthInto(nil); h != nil {
-			fmt.Fprintf(out, "  final health: %d/%d nodes alive\n", h.LiveNodes, rc.nodes)
-		}
-		fmt.Fprintln(out)
-	}
-	if policy != nil {
-		var applied []jessica2.AppliedAction
-		for _, a := range sess.Actions() {
-			if a.Note == "" {
-				applied = append(applied, a)
-			}
-		}
-		fmt.Fprintf(out, "closed-loop policy %q: %d epochs, %d actions applied\n",
-			policy.Name(), sess.Epochs(), len(applied))
-		const maxShown = 12
-		for i, a := range applied {
-			if i == maxShown {
-				fmt.Fprintf(out, "  ... (%d more)\n", len(applied)-maxShown)
-				break
-			}
-			fmt.Fprintf(out, "  epoch %2d t=%v  %v\n", a.Epoch, a.At, a.Action)
-		}
-		fmt.Fprintln(out)
-	}
-	if rc.adaptive {
-		fmt.Fprintln(out, "adaptive controller trace:")
-		for _, rcg := range prof.RateTrace() {
-			fmt.Fprintf(out, "  t=%v  %v -> %v  distance=%.4f converged=%v (resampled %d)\n",
-				rcg.At, rcg.From, rcg.To, rcg.Distance, rcg.Converged, rcg.Resampled)
-		}
-		fmt.Fprintln(out)
-	}
-	if rc.footprint {
-		fmt.Fprintln(out, "sticky-set footprints (thread 0):")
-		fp := prof.Footprint(0)
-		for _, c := range fp.Classes() {
-			fmt.Fprintf(out, "  %-10s %8d bytes\n", c, fp[c])
-		}
-		fmt.Fprintln(out)
-	}
-	if rc.showTCM && rc.rate != 0 {
-		fmt.Fprintln(out, "thread correlation map:")
-		fmt.Fprintln(out, rep.TCM())
-	}
-	if rc.plan && rc.rate != 0 {
-		m := rep.TCM()
-		cur := jessica2.BlockedPlacement(rc.threads, rc.nodes)
-		next, moves := jessica2.PlanPlacement(m, cur, rc.nodes)
-		fmt.Fprintf(out, "placement plan: cross-volume %.0f -> %.0f bytes\n",
-			jessica2.CrossVolume(m, cur), jessica2.CrossVolume(m, next))
-		for _, mv := range moves {
-			fmt.Fprintf(out, "  %s\n", mv)
-		}
-	}
-	return rep.ExecTime(), nil
 }
 
 func main() {

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strconv"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"jessica2"
+	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
 )
 
@@ -24,11 +27,12 @@ func TestParseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.app != "sor" || rc.nodes != 8 || rc.threads != 8 || rc.seed != 42 {
+	if rc.app != "sor" || rc.spec.App != experiments.AppSOR ||
+		rc.spec.Nodes != 8 || rc.spec.Threads != 8 || rc.spec.Seed != 42 {
 		t.Fatalf("defaults: %+v", rc)
 	}
-	if rc.rate != jessica2.FullRate || rc.policyTag != "none" || rc.scenSpec != "none" {
-		t.Fatalf("defaults: rate=%v policy=%v scenario=%v", rc.rate, rc.policyTag, rc.scenSpec)
+	if rc.spec.Rate != jessica2.FullRate || rc.policyTag != "none" || rc.spec.Policy != "" || rc.scenSpec != "none" {
+		t.Fatalf("defaults: rate=%v policy=%v scenario=%v", rc.spec.Rate, rc.policyTag, rc.scenSpec)
 	}
 }
 
@@ -37,19 +41,16 @@ func TestParseAppScenarioPolicyEpochCombos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.app != "kv" || rc.scenSpec != "phased" || rc.policyTag != "rebalance" || rc.epochs != 8 {
+	if rc.spec.App != experiments.AppKVMix || rc.scenSpec != "phased" || rc.spec.Policy != "rebalance" || rc.spec.Epochs != 8 {
 		t.Fatalf("combo: %+v", rc)
-	}
-	if p, err := newPolicy(rc.policyTag, nil); err != nil || p.Name() != "rebalance" {
-		t.Fatalf("policy: %v err=%v", p, err)
 	}
 
 	rc, err = parse(t, "-app", "lu", "-scenario", "hetero,noisy", "-policy", "nop", "-epoch", "5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.policyTag != "nop" || rc.epoch != 5*jessica2.Millisecond {
-		t.Fatalf("nop/epoch: policy=%v epoch=%v", rc.policyTag, rc.epoch)
+	if rc.spec.Policy != "nop" || rc.spec.Epoch != 5*jessica2.Millisecond {
+		t.Fatalf("nop/epoch: policy=%v epoch=%v", rc.spec.Policy, rc.spec.Epoch)
 	}
 
 	// Policy "none" disables the closed loop regardless of epoch flags.
@@ -57,13 +58,13 @@ func TestParseAppScenarioPolicyEpochCombos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("none: err=%v", err)
 	}
-	if p, _ := newPolicy(rc.policyTag, nil); p != nil {
-		t.Fatalf("none resolved to policy %v", p)
+	if rc.spec.Policy != "" {
+		t.Fatalf("none resolved to policy %q", rc.spec.Policy)
 	}
 }
 
-// TestSpecAppsBuildPaperScale: every spec-app alias builds the workload the
-// library's paper-scale constructor returns.
+// TestSpecAppsBuildPaperScale: every -app alias resolves, in any case, to
+// the app whose spec workload is the library's paper-scale constructor.
 func TestSpecAppsBuildPaperScale(t *testing.T) {
 	want := map[experiments.App]jessica2.Workload{
 		experiments.AppSOR:          jessica2.NewSOR(),
@@ -71,12 +72,21 @@ func TestSpecAppsBuildPaperScale(t *testing.T) {
 		experiments.AppWaterSpatial: jessica2.NewWaterSpatial(),
 		experiments.AppLU:           jessica2.NewLU(),
 		experiments.AppKVMix:        jessica2.NewKVMix(),
+		experiments.AppSynthetic:    jessica2.NewSynthetic(),
+		experiments.AppServe:        jessica2.NewServeMix(),
 	}
-	for alias, app := range specApps {
-		w, err := newWorkload(strings.ToUpper(alias))
-		if err != nil || !reflect.DeepEqual(w, want[app]) {
-			t.Errorf("-app %s built %+v (err %v), want %+v", alias, w, err, want[app])
+	for alias, app := range apps {
+		a, err := parseApp(strings.ToUpper(alias))
+		if err != nil || a != app {
+			t.Errorf("-app %s resolved to %v (err %v), want %v", alias, a, err, app)
+			continue
 		}
+		if w := experiments.NewWorkload(a, false, 1); !reflect.DeepEqual(w, want[app]) {
+			t.Errorf("-app %s built %+v, want %+v", alias, w, want[app])
+		}
+	}
+	if len(want) != len(experiments.AllApps)+2 {
+		t.Errorf("%d apps covered; AllApps plus synth and serve is %d", len(want), len(experiments.AllApps)+2)
 	}
 }
 
@@ -107,64 +117,29 @@ func TestParseRejections(t *testing.T) {
 
 // TestParseProtect pins the -protect grammar and the auto resolution: off
 // unless -recover is armed on an open-loop app, where the full stack (and
-// only then) is installed.
+// only then) is installed. experiments' TestRobustConfigLevels pins what
+// each level arms.
 func TestParseProtect(t *testing.T) {
-	rc, err := parse(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.protect != "auto" || rc.protection() != "off" || robustFor(rc.protection()) != nil {
-		t.Fatalf("default: protect=%q resolves %q", rc.protect, rc.protection())
-	}
-
-	rc, err = parse(t, "-app", "serve")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.protection() != "off" {
-		t.Fatalf("serve without -recover resolved to %q", rc.protection())
-	}
-
-	rc, err = parse(t, "-app", "serve", "-recover")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.protection() != "full" {
-		t.Fatalf("serve with -recover resolved to %q, want full", rc.protection())
-	}
-	full := robustFor(rc.protection())
-	if full == nil || full.MaxRetries == 0 || full.BreakerThreshold == 0 || full.HedgeQuantile == 0 {
-		t.Fatalf("full level missing mechanisms: %+v", full)
-	}
-
-	// -recover on a closed-loop app must NOT arm serving protection.
-	rc, err = parse(t, "-app", "kv", "-recover")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.protection() != "off" {
-		t.Fatalf("closed-loop -recover resolved to %q", rc.protection())
-	}
-
-	rc, err = parse(t, "-app", "serve", "-protect", "shed", "-scenario", "crash+burst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shed := robustFor(rc.protection())
-	if shed == nil || shed.Deadline <= 0 || shed.Capacity <= 0 {
-		t.Fatalf("shed level = %+v", shed)
-	}
-	if shed.MaxRetries != 0 || shed.HedgeQuantile != 0 || shed.BreakerThreshold != 0 {
-		t.Fatalf("shed level armed extra mechanisms: %+v", shed)
-	}
-
-	// An explicit level overrides auto's recover coupling.
-	rc, err = parse(t, "-app", "serve", "-recover", "-protect", "off")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.protection() != "off" {
-		t.Fatalf("explicit off resolved to %q", rc.protection())
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"-app", "serve"}, ""},
+		{[]string{"-app", "serve", "-recover"}, "full"},
+		// -recover on a closed-loop app must NOT arm serving protection.
+		{[]string{"-app", "kv", "-recover"}, ""},
+		{[]string{"-app", "serve", "-protect", "shed", "-scenario", "crash+burst"}, "shed"},
+		// An explicit level overrides auto's recover coupling.
+		{[]string{"-app", "serve", "-recover", "-protect", "off"}, ""},
+	} {
+		rc, err := parse(t, c.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if rc.spec.Protect != c.want {
+			t.Errorf("%v resolved to protection %q, want %q", c.args, rc.spec.Protect, c.want)
+		}
 	}
 }
 
@@ -294,7 +269,7 @@ func TestExecuteClosedLoopSmoke(t *testing.T) {
 	}
 	// Shrink the run so the smoke test stays fast: an explicit epoch skips
 	// the pilot.
-	rc.epoch = 20 * jessica2.Millisecond
+	rc.spec.Epoch = 20 * jessica2.Millisecond
 	var sb strings.Builder
 	if err := rc.execute(&sb); err != nil {
 		t.Fatal(err)
@@ -370,4 +345,63 @@ func TestExecuteProfileRoundTrip(t *testing.T) {
 	if !strings.Contains(mismatch, "warning: profile fingerprint mismatch") {
 		t.Fatalf("mismatched profile produced no warning:\n%s", mismatch)
 	}
+}
+
+// TestDispatchedMatchesLocal: dispatched to a worker, a run prints exactly
+// the local run's stdout — a plain run at seed 0, a policy run that takes
+// the pilot path, a recovering serve run, a profile capture (whose file
+// bytes match too) and its warm-start reload.
+func TestDispatchedMatchesLocal(t *testing.T) {
+	worker := dispatch.NewWorker(nil)
+	srv := httptest.NewServer(worker.Handler())
+	defer srv.Close()
+	run := func(workers string, args ...string) string {
+		t.Helper()
+		if workers != "" {
+			args = append(args, "-workers", workers)
+			// The fleet must run the job: a local fallback would match
+			// trivially.
+			defer func(before int64) {
+				if worker.Runs() == before {
+					t.Errorf("%v: no job reached the worker", args)
+				}
+			}(worker.Runs())
+		}
+		rc, err := parse(t, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := rc.execute(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	same := func(name string, args ...string) {
+		t.Helper()
+		local := run("", args...)
+		if got := run(srv.URL, args...); got != local {
+			t.Errorf("%s: dispatched stdout differs from local\n--- local\n%s\n--- dispatched\n%s", name, local, got)
+		}
+	}
+	same("seed 0", "-app", "kv", "-nodes", "4", "-threads", "4", "-rate", "4", "-seed", "0")
+	same("pilot", "-app", "kv", "-nodes", "2", "-threads", "4", "-policy", "rebalance", "-epochs", "4", "-tcm=false")
+	same("recover serve", "-app", "serve", "-scenario", "crash+burst", "-recover", "-nodes", "4", "-rate", "off", "-tcm=false")
+
+	path := t.TempDir() + "/kv.j2pf"
+	capture := []string{"-app", "kv", "-scenario", "phased", "-threads", "4", "-nodes", "2",
+		"-epoch", "20ms", "-tcm=false", "-policy", "rebalance", "-profile-out", path}
+	local := run("", capture...)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(srv.URL, capture...); got != local {
+		t.Errorf("capture: dispatched stdout differs from local\n--- local\n%s\n--- dispatched\n%s", local, got)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("capture: dispatched profile file differs from local (%d vs %d bytes, err %v)", len(got), len(want), err)
+	}
+	same("warm start", "-app", "kv", "-scenario", "phased", "-threads", "4", "-nodes", "2",
+		"-epoch", "20ms", "-tcm=false", "-policy", "warmstart", "-profile-in", path)
 }

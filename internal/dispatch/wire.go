@@ -15,6 +15,17 @@
 // not come from the fixed-point accumulator, like the page-based baseline's
 // — round-trip bit-identically, which is what makes a distributed
 // regeneration byte-identical to a sequential one.
+//
+// A spec carries the session-side settings too (policy and epochs, failure
+// detector, serving protection, the profile to load and the save flag), and
+// an Out carries what a session run reports beyond the profiling totals:
+// the analyzer time before the final TCM build, the pilot's calibration,
+// the applied policy actions as typed records, serving stats, failure
+// counters and live nodes, the profile warning and the captured profile.
+// Every such field is omitted when zero, so a plain profiling run's
+// encoding carries none of them. Stored profiles and serving stats travel
+// as plain JSON numbers: their floats (rate-trace distances, goodputs) are
+// always finite, and JSON carries finite floats exactly.
 package dispatch
 
 import (
@@ -41,7 +52,10 @@ const WireSchema = "jessica2/dispatch"
 // WireVersion is the current wire revision. Coordinator and workers must
 // run the same revision: the fleet is one build fanned out, not a
 // long-lived deployment, so the format is forward-incompatible by design.
-const WireVersion = 1
+// Revision 2 added the session-side fields; a revision-1 worker would drop
+// them silently and run a policy job as a plain one, so it gets ErrVersion
+// instead.
+const WireVersion = 2
 
 // Typed decode errors; match with errors.Is.
 var (
@@ -217,6 +231,7 @@ type wireOut struct {
 	PageTCM    *wireMap                 `json:"page_tcm,omitempty"`
 	Profiler   *wireProfiler            `json:"profiler,omitempty"`
 	Footprints map[int]sticky.Footprint `json:"footprints,omitempty"`
+	experiments.SessionOut
 }
 
 // EncodeOut serializes one run outcome. The output is a pure function of
@@ -234,6 +249,7 @@ func EncodeOut(o *experiments.Out) ([]byte, error) {
 		TCMTime:    int64(o.TCMTime),
 		PageTCM:    mapToWire(o.PageTCM),
 		Footprints: o.Footprints,
+		SessionOut: o.SessionOut,
 	}
 	if p := o.Profiler; p != nil {
 		wp := &wireProfiler{
@@ -279,6 +295,7 @@ func DecodeOut(data []byte) (*experiments.Out, error) {
 		TCMCost:    w.TCMCost,
 		TCMTime:    sim.Time(w.TCMTime),
 		Footprints: w.Footprints,
+		SessionOut: w.SessionOut,
 	}
 	if o.TCM, err = mapFromWire(w.TCM, "tcm"); err != nil {
 		return nil, err

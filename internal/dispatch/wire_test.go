@@ -6,12 +6,15 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"testing"
 
 	"jessica2/internal/core"
 	"jessica2/internal/experiments"
 	"jessica2/internal/gos"
+	"jessica2/internal/profile"
 	"jessica2/internal/sampling"
+	"jessica2/internal/scenario"
 	"jessica2/internal/sim"
 	"jessica2/internal/sticky"
 	"jessica2/internal/tcm"
@@ -40,6 +43,22 @@ func richSpec() experiments.Spec {
 	}
 }
 
+// sessionSpec exercises the session-side fields: a rebalance policy whose
+// epoch a pilot calibrates, the failure detector through a crash, the full
+// serving protection stack on open-loop arrivals, and profile capture.
+func sessionSpec(t *testing.T) experiments.Spec {
+	scen, err := scenario.Parse("crash+burst", 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return experiments.Spec{
+		App: experiments.AppServe, Nodes: 4, Threads: 4, Seed: 7,
+		Tracking: gos.TrackingSampled, Rate: sampling.FullRate, TransferOALs: true,
+		Scenario: scen, Policy: "rebalance", Epochs: 4,
+		Failure: gos.DefaultFailureConfig(), Protect: "full", SaveProfile: true,
+	}
+}
+
 // TestOutRoundTripExact: decode∘encode is the identity on the wire form —
 // the property the distributed identity gate rests on. Verified field by
 // field against the original Out, then by re-encoding the decoded Out and
@@ -50,7 +69,21 @@ func TestOutRoundTripExact(t *testing.T) {
 		len(out.Profiler.RateTrace) == 0 || len(out.Footprints) == 0 {
 		t.Fatal("rich spec did not populate every wire-visible field")
 	}
+	requireRoundTrip(t, out)
 
+	out = experiments.Run(sessionSpec(t))
+	if out.PilotExec == 0 || out.Epoch == 0 || out.Epochs == 0 || len(out.Actions) == 0 ||
+		out.Serve == nil || !out.Serve.Robust || out.Failure == nil || out.Failure.LeaseExpiries == 0 ||
+		out.LiveNodes == 0 || out.Captured == nil || out.AnalyzerTime == 0 {
+		t.Fatal("session spec did not populate every session-side field")
+	}
+	requireRoundTrip(t, out)
+}
+
+// requireRoundTrip checks one Out's wire round trip field by field and then
+// byte for byte.
+func requireRoundTrip(t *testing.T, out *experiments.Out) {
+	t.Helper()
 	enc, err := EncodeOut(out)
 	if err != nil {
 		t.Fatalf("EncodeOut: %v", err)
@@ -63,8 +96,21 @@ func TestOutRoundTripExact(t *testing.T) {
 	if !specsEqual(t, dec.Spec, out.Spec) {
 		t.Fatalf("Spec drifted:\n got %+v\nwant %+v", dec.Spec, out.Spec)
 	}
-	if dec.Exec != out.Exec || dec.TCMTime != out.TCMTime {
-		t.Fatalf("times drifted: exec %v/%v tcmTime %v/%v", dec.Exec, out.Exec, dec.TCMTime, out.TCMTime)
+	if dec.Exec != out.Exec || dec.TCMTime != out.TCMTime || dec.AnalyzerTime != out.AnalyzerTime ||
+		dec.PilotExec != out.PilotExec || dec.Epoch != out.Epoch {
+		t.Fatalf("times drifted: %+v vs %+v", dec, out)
+	}
+	if dec.Epochs != out.Epochs || !reflect.DeepEqual(dec.Actions, out.Actions) {
+		t.Fatalf("policy log drifted: %d epochs, %d actions; want %d, %d",
+			dec.Epochs, len(dec.Actions), out.Epochs, len(out.Actions))
+	}
+	if !reflect.DeepEqual(dec.Serve, out.Serve) || !reflect.DeepEqual(dec.Failure, out.Failure) ||
+		dec.LiveNodes != out.LiveNodes || dec.ProfileWarning != out.ProfileWarning {
+		t.Fatalf("serving or failure outcome drifted")
+	}
+	if (dec.Captured == nil) != (out.Captured == nil) ||
+		out.Captured != nil && !bytes.Equal(profile.Encode(dec.Captured), profile.Encode(out.Captured)) {
+		t.Fatalf("captured profile drifted")
 	}
 	if dec.Stats != out.Stats {
 		t.Fatalf("kernel stats drifted")
@@ -79,6 +125,12 @@ func TestOutRoundTripExact(t *testing.T) {
 		name      string
 		got, want *tcm.Map
 	}{{"tcm", dec.TCM, out.TCM}, {"page tcm", dec.PageTCM, out.PageTCM}} {
+		if m.want == nil {
+			if m.got != nil {
+				t.Fatalf("%s appeared on the wire", m.name)
+			}
+			continue
+		}
 		if m.got.N() != m.want.N() {
 			t.Fatalf("%s dimension %d, want %d", m.name, m.got.N(), m.want.N())
 		}
@@ -129,23 +181,39 @@ func TestOutRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestJobRoundTrip: lease and spec survive the job envelope.
+// TestJobRoundTrip: lease and spec survive the job envelope, a warm-start
+// spec's stored profile included.
 func TestJobRoundTrip(t *testing.T) {
 	lease := Lease{Job: 7, Epoch: 3, Token: "j7.e3.s42"}
-	spec := richSpec()
-	enc, err := EncodeJob(lease, spec)
-	if err != nil {
-		t.Fatalf("EncodeJob: %v", err)
+	warm := sessionSpec(t)
+	warm.Policy, warm.SaveProfile = "warmstart", false
+	warm.LoadProfile = &profile.Profile{
+		Fingerprint: profile.Fingerprint{Workload: "ServeMix", Scenario: "crash+burst", Nodes: 4, Threads: 4, Seed: 7},
+		TCMThreads:  2,
+		TCMCells:    []int64{0, 3, 3, 0},
+		Assignment:  []int{0, 1},
+		HotHomes:    []profile.HotHome{{Key: 5, Home: 1}},
+		RateTrace:   []profile.RateChange{{At: sim.Millisecond, From: 1, To: 4, Distance: 1.0 / 3.0}},
+		Decisions:   []profile.Decision{{Epoch: 1, At: sim.Millisecond, Kind: profile.DecisionRehomeObject, A: 5, B: 1}},
 	}
-	gotLease, gotSpec, err := DecodeJob(enc)
-	if err != nil {
-		t.Fatalf("DecodeJob: %v", err)
-	}
-	if gotLease != lease {
-		t.Fatalf("lease = %+v, want %+v", gotLease, lease)
-	}
-	if !specsEqual(t, gotSpec, spec) {
-		t.Fatalf("spec drifted:\n got %+v\nwant %+v", gotSpec, spec)
+	for _, spec := range []experiments.Spec{richSpec(), warm} {
+		enc, err := EncodeJob(lease, spec)
+		if err != nil {
+			t.Fatalf("EncodeJob: %v", err)
+		}
+		gotLease, gotSpec, err := DecodeJob(enc)
+		if err != nil {
+			t.Fatalf("DecodeJob: %v", err)
+		}
+		if gotLease != lease {
+			t.Fatalf("lease = %+v, want %+v", gotLease, lease)
+		}
+		if !specsEqual(t, gotSpec, spec) {
+			t.Fatalf("spec drifted:\n got %+v\nwant %+v", gotSpec, spec)
+		}
+		if spec.LoadProfile != nil && !bytes.Equal(profile.Encode(gotSpec.LoadProfile), profile.Encode(spec.LoadProfile)) {
+			t.Fatalf("stored profile drifted")
+		}
 	}
 }
 

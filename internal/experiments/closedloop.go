@@ -151,16 +151,16 @@ func figCLGrid(sc Scale) *Grid[FigCLRow] {
 		Base: "none",
 		Run: func(group, mode string, base *FigCLRow) (FigCLRow, error) {
 			c := cellOf(group)
-			run := sessionCell{load: c.make(sc), preset: c.scen}
+			run := sessionCell{load: c.make(sc), preset: c.scen, spec: figSpec(nil)}
 			row := FigCLRow{Epochs: 1, Speedup: 1}
 			switch mode {
 			case "one-shot":
 				run.policy = &oncePolicy{inner: session.NewRebalancePolicy()}
-				run.epoch = base.Exec / 2
+				run.spec.Epoch = base.Exec / 2
 				row.Epochs = 2
 			case "closed-loop":
 				run.policy = session.NewRebalancePolicy()
-				run.epoch = base.Exec / FigCLEpochs
+				run.spec.Epoch = base.Exec / FigCLEpochs
 				row.Epochs = FigCLEpochs
 			}
 			s, ex, err := run.run()
@@ -209,8 +209,9 @@ func ClosedLoopProbe(sc Scale, load string) (*session.Session, sim.Time) {
 	default:
 		w = figCLSynthetic(sc)
 	}
-	s, exec, err := sessionCell{load: w, preset: "phased", epoch: 2 * sim.Millisecond,
-		policy: session.NewRebalancePolicy()}.run()
+	spec := figSpec(nil)
+	spec.Epoch = 2 * sim.Millisecond
+	s, exec, err := sessionCell{load: w, policy: session.NewRebalancePolicy(), preset: "phased", spec: spec}.run()
 	if err != nil {
 		panic(err)
 	}

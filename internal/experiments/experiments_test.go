@@ -6,6 +6,8 @@ import (
 
 	"jessica2/internal/gos"
 	"jessica2/internal/sampling"
+	"jessica2/internal/scenario"
+	"jessica2/internal/sim"
 )
 
 // Experiment integration tests run at 1/8 dataset scale so the suite stays
@@ -250,5 +252,71 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if d := a.TCM.Total() - b.TCM.Total(); d != 0 {
 		t.Fatalf("TCM totals differ by %v", d)
+	}
+}
+
+// TestSpecValidate: Validate accepts runnable specs and rejects each
+// setting that cannot run; every shipped policy name resolves.
+func TestSpecValidate(t *testing.T) {
+	burst, err := scenario.Preset("burst", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func(edit func(*Spec)) Spec {
+		s := Spec{App: AppKVMix, Nodes: 4, Threads: 4}
+		edit(&s)
+		return s
+	}
+	serve := func(s *Spec) { s.App, s.Scenario = AppServe, burst }
+	for name, s := range map[string]Spec{
+		"plain":          base(func(*Spec) {}),
+		"pilot epochs":   base(func(s *Spec) { s.Policy, s.Epochs = "rebalance", 8 }),
+		"explicit epoch": base(func(s *Spec) { s.Policy, s.Epoch = "warmstart", sim.Millisecond }),
+		"shed serve":     base(func(s *Spec) { serve(s); s.Protect = "shed" }),
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
+	}
+	for name, s := range map[string]Spec{
+		"unknown app":          base(func(s *Spec) { s.App = AppServe + 1 }),
+		"zero nodes":           base(func(s *Spec) { s.Nodes = 0 }),
+		"zero threads":         base(func(s *Spec) { s.Threads = 0 }),
+		"scenario too wide":    base(func(s *Spec) { s.Scenario = &scenario.Scenario{CPUFactors: []float64{1, 1, 1, 1, 1}} }),
+		"serve without stream": base(func(s *Spec) { s.App = AppServe }),
+		"unknown protect":      base(func(s *Spec) { serve(s); s.Protect = "max" }),
+		"protect closed-loop":  base(func(s *Spec) { s.Protect = "full" }),
+		"unknown policy":       base(func(s *Spec) { s.Policy, s.Epochs = "wat", 8 }),
+		"policy without epoch": base(func(s *Spec) { s.Policy = "rebalance" }),
+		"negative epoch":       base(func(s *Spec) { s.Epoch = -sim.Millisecond }),
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, name := range []string{"nop", "rebalance", "warmstart"} {
+		if p, err := newPolicy(name, nil); err != nil || p.Name() != name {
+			t.Errorf("policy %q built %v (err %v)", name, p, err)
+		}
+	}
+}
+
+// TestRobustConfigLevels pins what each protection level arms: nothing by
+// default, deadlines and admission control for shed, and retries, hedging
+// and breakers on top for full.
+func TestRobustConfigLevels(t *testing.T) {
+	if off := robustConfig(""); off != nil {
+		t.Fatalf("default level armed %+v", off)
+	}
+	full := robustConfig("full")
+	if full == nil || full.MaxRetries == 0 || full.BreakerThreshold == 0 || full.HedgeQuantile == 0 {
+		t.Fatalf("full level missing mechanisms: %+v", full)
+	}
+	shed := robustConfig("shed")
+	if shed == nil || shed.Deadline <= 0 || shed.Capacity <= 0 {
+		t.Fatalf("shed level = %+v", shed)
+	}
+	if shed.MaxRetries != 0 || shed.HedgeQuantile != 0 || shed.BreakerThreshold != 0 {
+		t.Fatalf("shed level armed extra mechanisms: %+v", shed)
 	}
 }

@@ -39,7 +39,7 @@ var Fig9Rates = sampling.SweepRates(512)
 // series is computed from the ordered results.
 func Fig9(scale Scale, p *runner.Pool) *Fig9Result {
 	spec := func(a App, rate sampling.Rate) Spec {
-		return Spec{App: a, Scale: scale, Nodes: 8, Threads: 16,
+		return Spec{App: a, Scale: scale, Nodes: 8, Threads: 16, Seed: figSeed,
 			Tracking: gos.TrackingSampled, Rate: rate, TransferOALs: true}
 	}
 	perApp := 1 + len(Fig9Rates)
@@ -120,7 +120,7 @@ type Fig1Result struct {
 // the other generators (one job executes inline).
 func Fig1(scale Scale, p *runner.Pool) *Fig1Result {
 	threads := 32
-	out := RunAll(p, []Spec{{App: AppBarnesHut, Scale: scale, Nodes: 8, Threads: threads,
+	out := RunAll(p, []Spec{{App: AppBarnesHut, Scale: scale, Nodes: 8, Threads: threads, Seed: figSeed,
 		Tracking: gos.TrackingExact, TransferOALs: true, PageTracker: true}})[0]
 	return &Fig1Result{Scale: scale, Threads: threads, Inherent: out.TCM, Induced: out.PageTCM}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"jessica2/internal/core"
 	"jessica2/internal/gos"
 	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
@@ -240,50 +239,36 @@ func (r *Result[R]) String() string { return r.Table().String() }
 // figNodes and figThreads are every session cell's cluster shape.
 const figNodes, figThreads = 4, 8
 
-// sessionCell is one figure run: a 4-node, 8-thread session at figSeed,
-// profiled at the full rate unless untracked. The scenario is scen, or the
-// named preset when one is given.
+// figSpec is a figure cell's run: a 4-node, 8-thread session at figSeed,
+// profiled at the full rate, under scen.
+func figSpec(scen *scenario.Scenario) Spec {
+	return Spec{Nodes: figNodes, Threads: figThreads, Seed: figSeed,
+		Tracking: gos.TrackingSampled, Rate: sampling.FullRate, TransferOALs: true, Scenario: scen}
+}
+
+// sessionCell is one figure run: spec's session with load and policy (nil
+// for none) standing in for its App and Policy, under the named scenario
+// preset when one is given.
 type sessionCell struct {
-	load      workload.Workload
-	scen      *scenario.Scenario
-	preset    string
-	epoch     sim.Time
-	policy    session.Policy
-	failure   *gos.FailureConfig
-	profile   session.ProfileIO
-	untracked bool
+	load   workload.Workload
+	policy session.Policy
+	preset string
+	spec   Spec
 }
 
 // run executes the cell and returns the finished session and its
 // execution time.
 func (c sessionCell) run() (*session.Session, sim.Time, error) {
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = figNodes
-	kcfg.Tracking = gos.TrackingSampled
-	if c.untracked {
-		kcfg.Tracking = gos.TrackingOff
-	}
-	kcfg.Failure = c.failure
-	scen := c.scen
+	spec := c.spec
 	if c.preset != "" {
 		var err error
-		if scen, err = scenario.Preset(c.preset, figNodes, figSeed); err != nil {
+		if spec.Scenario, err = scenario.Preset(c.preset, spec.Nodes, spec.Seed); err != nil {
 			return nil, 0, err
 		}
 	}
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: c.epoch, Profile: c.profile})
-	if err := s.Launch(c.load, workload.Params{Threads: figThreads, Seed: figSeed}); err != nil {
+	s, _, err := newSession(spec, c.load, c.policy)
+	if err != nil {
 		return nil, 0, err
-	}
-	if !c.untracked {
-		if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-			return nil, 0, err
-		}
-	}
-	if c.policy != nil {
-		if err := s.SetPolicy(c.policy); err != nil {
-			return nil, 0, err
-		}
 	}
 	exec, err := s.Run()
 	return s, exec, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"jessica2/internal/gos"
 	"jessica2/internal/runner"
 	"jessica2/internal/scenario"
 	"jessica2/internal/sim"
@@ -144,16 +145,13 @@ func figGGrid(sc Scale) *Grid[FigGRow] {
 				// so goodput-within-SLO is comparable across all three levels.
 				w.SLO = figGDeadline
 			}
-			cell := sessionCell{
-				load:      w,
-				scen:      figGScenario(sched, sc),
-				epoch:     figTHorizon / FigTEpochs,
-				untracked: true,
-			}
+			cell := sessionCell{load: w, spec: figSpec(figGScenario(sched, sc))}
+			cell.spec.Tracking, cell.spec.Rate = gos.TrackingOff, 0
+			cell.spec.Epoch = figTHorizon / FigTEpochs
 			if mode == "full" {
 				// Leases expire in a fraction of the request deadline, so
 				// breakers open while stranded requests can still be rescued.
-				cell.failure = failureConfig(figGDeadline / 5)
+				cell.spec.Failure = failureConfig(figGDeadline / 5)
 			}
 			s, exec, err := cell.run()
 			if err != nil {

@@ -152,7 +152,7 @@ func figRRun(sc Scale, cell sessionCell, base sim.Time) (FigRRow, error) {
 // three modes per crash schedule fanned out through the pool. The pilot
 // renders as the first row, under schedule "-".
 func FigR(sc Scale, p *runner.Pool) *Result[FigRRow] {
-	pilot, err := figRRun(sc, sessionCell{}, 0)
+	pilot, err := figRRun(sc, sessionCell{spec: figSpec(nil)}, 0)
 	if err != nil {
 		return &Result[FigRRow]{Grid: figRGrid(sc, 0), Failures: []string{"-/crash-free: " + err.Error()}}
 	}
@@ -191,20 +191,21 @@ func figRGrid(sc Scale, base sim.Time) *Grid[FigRRow] {
 			{"Vetoed", func(r *FigRRow) string { return fmt.Sprint(r.Vetoed) }},
 		},
 		Run: func(sched, mode string, _ *FigRRow) (FigRRow, error) {
-			cell := sessionCell{scen: &scenario.Scenario{Name: "figR/" + sched, Seed: figSeed}}
+			scen := &scenario.Scenario{Name: "figR/" + sched, Seed: figSeed}
 			for _, c := range figRCrashes[sched] {
-				cell.scen.Crashes = append(cell.scen.Crashes, scenario.Crash{Node: c.node, At: base * c.num / c.den})
+				scen.Crashes = append(scen.Crashes, scenario.Crash{Node: c.node, At: base * c.num / c.den})
 			}
+			cell := sessionCell{spec: figSpec(scen)}
 			var gate *HealthGate
 			switch mode {
 			case "one-shot":
 				cell.policy = &oncePolicy{inner: session.NewRebalancePolicy()}
-				cell.epoch = epoch
+				cell.spec.Epoch = epoch
 			case "recovery":
 				gate = &HealthGate{Inner: session.NewRebalancePolicy()}
 				cell.policy = gate
-				cell.epoch = epoch
-				cell.failure = failureConfig(hb)
+				cell.spec.Epoch = epoch
+				cell.spec.Failure = failureConfig(hb)
 			}
 			row, err := figRRun(sc, cell, base)
 			if gate != nil {

@@ -73,14 +73,14 @@ func rateSweep(scale Scale, nodes int, transfer bool) ([]rateCell, []Spec) {
 	var specs []Spec
 	for _, a := range Apps {
 		cells = append(cells, rateCell{a, 0})
-		specs = append(specs, Spec{App: a, Scale: scale, Nodes: nodes, Threads: nodes,
+		specs = append(specs, Spec{App: a, Scale: scale, Nodes: nodes, Threads: nodes, Seed: figSeed,
 			Tracking: gos.TrackingOff})
 		for _, r := range table2Rates {
 			if rateNA(a, r) {
 				continue
 			}
 			cells = append(cells, rateCell{a, r})
-			specs = append(specs, Spec{App: a, Scale: scale, Nodes: nodes, Threads: nodes,
+			specs = append(specs, Spec{App: a, Scale: scale, Nodes: nodes, Threads: nodes, Seed: figSeed,
 				Tracking: gos.TrackingSampled, Rate: r, TransferOALs: transfer})
 		}
 	}
@@ -305,7 +305,7 @@ func footprintSpec(a App, scale Scale, rate sampling.Rate) Spec {
 		TrapPerKB:   1536 * sim.Nanosecond,
 		EWMA:        0.5,
 	}}
-	return Spec{App: a, Scale: scale, Nodes: 8, Threads: 8,
+	return Spec{App: a, Scale: scale, Nodes: 8, Threads: 8, Seed: figSeed,
 		Tracking: gos.TrackingOff, Rate: rate, Footprint: fp}
 }
 
@@ -394,7 +394,7 @@ type table5Set func(r *Table5Result, ms float64)
 func table5Specs(a App, scale Scale) ([]Spec, []table5Set) {
 	small := a == AppSOR
 	base := func() Spec {
-		return Spec{App: a, Small: small, Scale: scale, Nodes: 1, Threads: 1,
+		return Spec{App: a, Small: small, Scale: scale, Nodes: 1, Threads: 1, Seed: figSeed,
 			Tracking: gos.TrackingOff}
 	}
 	lazyStack := func() *core.StackConfig {

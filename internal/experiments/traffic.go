@@ -127,10 +127,10 @@ func figTGrid(sc Scale) *Grid[FigTRow] {
 			w := figTServeMix()
 			cell := sessionCell{
 				load:   w,
-				scen:   &scenario.Scenario{Name: "figT/" + sched, Seed: figSeed, Arrivals: figTArrivals(sched, sc)},
-				epoch:  figTHorizon / FigTEpochs,
 				policy: session.NopPolicy{},
+				spec:   figSpec(&scenario.Scenario{Name: "figT/" + sched, Seed: figSeed, Arrivals: figTArrivals(sched, sc)}),
 			}
+			cell.spec.Epoch = figTHorizon / FigTEpochs
 			switch mode {
 			case "one-shot":
 				cell.policy = &oncePolicy{inner: session.NewRebalancePolicy()}

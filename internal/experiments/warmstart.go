@@ -153,20 +153,21 @@ func figWGrid(sc Scale) *Grid[FigWRow] {
 			var serve *workload.ServeMix
 			switch app {
 			case "KVMix/phased":
-				cell = sessionCell{load: figCLKVMix(sc), preset: "phased", epoch: figWEpoch}
+				cell = sessionCell{load: figCLKVMix(sc), preset: "phased", spec: figSpec(nil)}
+				cell.spec.Epoch = figWEpoch
 			case "ServeMix/diurnal":
 				serve = figTServeMix()
 				cell = sessionCell{
-					load:  serve,
-					scen:  &scenario.Scenario{Name: "figW/diurnal", Seed: figSeed, Arrivals: figTArrivals("diurnal", sc)},
-					epoch: figTHorizon / FigTEpochs,
+					load: serve,
+					spec: figSpec(&scenario.Scenario{Name: "figW/diurnal", Seed: figSeed, Arrivals: figTArrivals("diurnal", sc)}),
 				}
+				cell.spec.Epoch = figTHorizon / FigTEpochs
 			}
 			if cold == nil {
-				cell.profile = session.ProfileIO{Save: true}
+				cell.spec.SaveProfile = true
 				cell.policy = session.NewRebalancePolicy()
 			} else {
-				cell.profile = session.ProfileIO{Load: cold.captured}
+				cell.spec.LoadProfile = cold.captured
 				cell.policy = session.NewWarmStartPolicy(cold.captured)
 			}
 			s, exec, err := cell.run()
