@@ -168,9 +168,11 @@ func Attach(k *gos.Kernel, cfg Config) *Profiler {
 		for _, t := range k.Threads() {
 			fp := sticky.NewFootprinter(t, cfg.Footprint.FootprinterConfig)
 			p.Footprinters[t.ID()] = fp
-			k.AddObserver(fp)
+			t.AddObserver(fp)
 		}
 		if cfg.Footprint.EagerResolve {
+			// Registered after the footprinters, so each thread's
+			// footprint is folded before its interval's resolution.
 			k.AddObserver(&eagerResolver{p: p})
 		}
 	}

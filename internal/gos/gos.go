@@ -143,9 +143,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// AccessObserver receives profiling callbacks; the sticky-set footprinter
-// registers one. Callbacks run on the accessing thread's proc (cheaply; any
-// CPU cost the observer wants to model must be charged via t.Charge).
+// AccessObserver receives profiling callbacks. The sticky-set footprinter
+// registers one per thread (Thread.AddObserver); the page-based tracker
+// registers one for every thread (Kernel.AddObserver). Callbacks run on the
+// accessing thread's proc (cheaply; any CPU cost the observer wants to
+// model must be charged via t.Charge).
 type AccessObserver interface {
 	// OnAccess fires for every Access call. first marks the thread's
 	// first touch of the object in the current interval.
@@ -173,6 +175,8 @@ type Kernel struct {
 	// version check is an array load instead of a map probe.
 	versions []int64
 
+	// observers are the kernel-wide observers, copied into each thread's
+	// own list at spawn (see Thread.observers).
 	observers []AccessObserver
 
 	// recPool recycles OAL records between intervals: a record created at
@@ -279,9 +283,14 @@ func (k *Kernel) Master() *Master { return k.master }
 // Stats returns a snapshot of kernel counters.
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
-// AddObserver registers a profiling observer.
+// AddObserver registers a profiling observer of every thread, those
+// already spawned and those spawned later. On each thread it runs after the
+// observers already registered there.
 func (k *Kernel) AddObserver(obs AccessObserver) {
 	k.observers = append(k.observers, obs)
+	for _, t := range k.threads {
+		t.AddObserver(obs)
+	}
 }
 
 // Version returns the home version of an object.

@@ -30,10 +30,19 @@ type Thread struct {
 	pc           int64
 	startPC      int64
 
-	accessed      map[heap.ObjectID]*accessInfo
-	accessedOrder []heap.ObjectID
-	rec           *oal.Record
-	lastLogged    []heap.ObjectID
+	// accessed is the thread's per-object access state, indexed by
+	// ObjectID; touched lists the entries first touched in the current
+	// interval, in first-touch order.
+	accessed   heap.Table[accessEntry]
+	touched    []*accessEntry
+	rec        *oal.Record
+	lastLogged []heap.ObjectID
+
+	// observers receive this thread's access and interval-close
+	// callbacks in registration order: the kernel-wide observers
+	// (Kernel.AddObserver) interleaved with the thread's own
+	// (Thread.AddObserver).
+	observers []AccessObserver
 
 	// diffBytes/diffHomes are interval-close scratch: per-home-node diff
 	// payload accumulation reused across intervals.
@@ -66,19 +75,19 @@ type ThreadStats struct {
 	Migrations    int64
 }
 
-// accessInfo tracks one object within the current interval. It caches the
-// node's copy header so the per-access fast path costs one map lookup.
-// Entries persist in the thread's accessed map across intervals and are
-// revived in place when their interval stamp is stale, so the steady-state
-// access path allocates nothing.
-type accessInfo struct {
-	// interval stamps which interval the counters belong to; a stale stamp
+// accessEntry tracks one object within the current interval. It caches the
+// node's copy header so the per-access fast path costs one table index.
+// Entries persist across intervals and are revived in place when their
+// interval stamp is stale, so the steady-state access path allocates
+// nothing.
+type accessEntry struct {
+	// interval stamps which interval the entry belongs to; a stale stamp
 	// means the entry is logically absent from the current interval.
-	interval      int64
-	reads, writes int
-	writtenBytes  int
-	logged        bool
-	copy          *copyState
+	interval     int64
+	copy         *copyState // nil until resolved on the thread's node
+	writtenBytes int
+	written      bool
+	logged       bool
 }
 
 // SpawnThread creates a DJVM thread with global id len(threads) running
@@ -90,12 +99,12 @@ func (k *Kernel) SpawnThread(node int, name string, body func(*Thread)) *Thread 
 	}
 	k.startFailureDetector() // idempotent; no-op when Cfg.Failure is nil
 	t := &Thread{
-		k:        k,
-		id:       len(k.threads),
-		name:     name,
-		node:     k.nodes[node],
-		accessed: make(map[heap.ObjectID]*accessInfo),
-		Stack:    stack.NewThreadStack(),
+		k:         k,
+		id:        len(k.threads),
+		name:      name,
+		node:      k.nodes[node],
+		Stack:     stack.NewThreadStack(),
+		observers: append([]AccessObserver(nil), k.observers...),
 	}
 	k.threads = append(k.threads, t)
 	t.proc = k.Eng.Spawn(name, func(p *sim.Proc) {
@@ -134,6 +143,13 @@ func (t *Thread) PC() int64 { return t.pc }
 
 // Finished reports whether the thread body has returned.
 func (t *Thread) Finished() bool { return t.finished }
+
+// AddObserver registers a profiling observer of this thread alone. It runs
+// after the observers already registered for the thread, kernel-wide ones
+// included.
+func (t *Thread) AddObserver(obs AccessObserver) {
+	t.observers = append(t.observers, obs)
+}
 
 // cpuSliceFlush is the microbatching threshold for charging accrued
 // fast-path CPU time to the node CPU resource.
@@ -236,13 +252,15 @@ func (t *Thread) closeInterval() {
 	}
 	t.diffHomes = t.diffHomes[:0]
 	var diffCPU sim.Time
-	for _, id := range t.accessedOrder {
-		ai := t.accessed[id]
-		if ai.writes == 0 {
+	for _, e := range t.touched {
+		if !e.written {
 			continue
 		}
-		o := t.k.Reg.MustObject(id)
-		wb := ai.writtenBytes
+		// The cached copy is this node's header: a migration closes the
+		// interval before the thread leaves.
+		c := e.copy
+		o := c.obj
+		wb := e.writtenBytes
 		if wb <= 0 || wb > o.Bytes() {
 			wb = o.Bytes()
 		}
@@ -251,9 +269,9 @@ func (t *Thread) closeInterval() {
 		// advance the home version synchronously while the diff message
 		// below models the traffic and latency. The writer's own copy
 		// stays valid at the new version (it holds the data it wrote).
-		t.k.bumpVersion(id)
-		if c := t.node.copyAt(id); c != nil && c.valid {
-			c.version = t.k.version(id)
+		t.k.bumpVersion(o.ID)
+		if c.valid {
+			c.version = t.k.version(o.ID)
 		}
 		if o.Home == t.node.id {
 			continue
@@ -263,9 +281,7 @@ func (t *Thread) closeInterval() {
 		}
 		t.diffBytes[o.Home] += wb + 8 // per-object diff header
 		// The twin is discarded after diffing.
-		if c := t.node.copyAt(id); c != nil {
-			c.hasTwin = false
-		}
+		c.hasTwin = false
 	}
 	if diffCPU > 0 {
 		t.Charge(diffCPU)
@@ -292,14 +308,13 @@ func (t *Thread) closeInterval() {
 	}
 	t.rec = nil
 
-	for _, obs := range t.k.observers {
+	for _, obs := range t.observers {
 		obs.OnIntervalClose(t)
 	}
 
-	// Reset per-interval access state. Entries stay in the accessed map
-	// with a now-stale interval stamp; the next interval revives them in
-	// place instead of reallocating.
-	t.accessedOrder = t.accessedOrder[:0]
+	// Reset per-interval access state. Entries stay in the table with a
+	// now-stale interval stamp; the next interval revives them in place.
+	t.touched = t.touched[:0]
 	t.closing = false
 }
 
@@ -342,27 +357,27 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 	t.pc++
 	t.stats.Accesses++
 	t.k.stats.Checks++
-	cost := t.k.Cfg.Costs
+	cost := &t.k.Cfg.Costs
 	t.Charge(cost.CheckCost)
 
-	ai := t.accessed[o.ID]
+	// The entry pointer stays valid across a parked fault: table pages
+	// never move.
+	ai := t.accessed.At(o.ID)
 	n := t.node
-	first := ai == nil || ai.interval != t.interval
-	if ai == nil {
-		ai = &accessInfo{interval: t.interval, copy: n.copyOf(o)}
-		t.accessed[o.ID] = ai
-		t.accessedOrder = append(t.accessedOrder, o.ID)
-	} else if ai.interval != t.interval {
-		// Revive a stale entry in place, keeping the cached copy header
-		// (invalidated only by migration, which clears the whole map).
-		*ai = accessInfo{interval: t.interval, copy: ai.copy}
-		t.accessedOrder = append(t.accessedOrder, o.ID)
+	first := ai.interval != t.interval
+	if first {
+		// Revive the entry in place, keeping the cached copy header
+		// (invalidated only by migration, which clears the table).
+		c := ai.copy
+		if c == nil {
+			c = n.copyOf(o)
+		}
+		*ai = accessEntry{interval: t.interval, copy: c}
+		t.touched = append(t.touched, ai)
 	}
 	if write {
-		ai.writes++
+		ai.written = true
 		ai.writtenBytes += writtenBytes
-	} else {
-		ai.reads++
 	}
 
 	c := ai.copy
@@ -406,7 +421,7 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 		t.Charge(sim.Time(o.Bytes()) * cost.TwinCostPerByte)
 	}
 
-	for _, obs := range t.k.observers {
+	for _, obs := range t.observers {
 		obs.OnAccess(t, o, write, first)
 	}
 }
@@ -435,7 +450,7 @@ func (t *Thread) fault(o *heap.Object, c *copyState) {
 
 // maybeLog appends an OAL entry for a sampled object, at most once per
 // thread-interval.
-func (t *Thread) maybeLog(o *heap.Object, ai *accessInfo, write bool) {
+func (t *Thread) maybeLog(o *heap.Object, ai *accessEntry, write bool) {
 	if t.k.Cfg.Tracking != TrackingSampled || ai.logged {
 		return
 	}
@@ -454,7 +469,7 @@ func (t *Thread) maybeLog(o *heap.Object, ai *accessInfo, write bool) {
 }
 
 // logExact is the oracle logging mode.
-func (t *Thread) logExact(o *heap.Object, ai *accessInfo, write bool) {
+func (t *Thread) logExact(o *heap.Object, ai *accessEntry, write bool) {
 	if ai.logged {
 		return
 	}
@@ -498,10 +513,9 @@ func (t *Thread) MoveTo(nodeID int, payloadBytes int) {
 		}})
 	t.proc.Block("migrate")
 	t.node = target
-	// The cached copy headers in the accessed map belong to the old node;
+	// The cached copy headers in the access table belong to the old node;
 	// drop them so accesses on the new node resolve fresh ones.
-	clear(t.accessed)
-	t.accessedOrder = t.accessedOrder[:0]
+	t.accessed.Clear()
 	self.stats.Migrations++
 }
 

@@ -131,12 +131,15 @@ type Footprinter struct {
 	cfg    FootprinterConfig
 	thread *gos.Thread
 
-	// counts tracks, per sampled object touched this interval, how many
-	// re-arm periods trapped it (the access-frequency statistic). The map
-	// and its objCount entries are recycled across intervals.
-	counts  map[heap.ObjectID]*objCount
-	ocFree  []*objCount
-	idOrder []int64 // interval-close iteration scratch
+	// counts holds, per sampled object touched this interval, how many
+	// re-arm periods trapped it (the access-frequency statistic). Entries
+	// are stamped with the interval, so a stale stamp reads as absent and
+	// interval close clears nothing. tracked lists the interval's entries.
+	counts  heap.Table[objCount]
+	tracked []*objCount
+	// disarmed counts the objects trapped since the last sweep or
+	// interval close: exactly the objects the next sweep re-arms.
+	disarmed int
 
 	nextSweep sim.Time
 
@@ -151,15 +154,20 @@ type Footprinter struct {
 	intervals int64
 }
 
+// objCount is one tracked object's statistic within an interval.
 type objCount struct {
-	obj    *heap.Object
-	count  int
-	writes int
-	armed  bool
+	obj *heap.Object
+	// interval is the footprinter's interval count plus one while the
+	// entry is live; the zero entry is never live.
+	interval int64
+	// sweep is the Sweeps count at the object's last trap: it stays
+	// disarmed until the next sweep moves Sweeps past it.
+	sweep int64
+	count int
 }
 
-// NewFootprinter attaches a footprinter for t; register it with
-// k.AddObserver to activate.
+// NewFootprinter returns a footprinter for t; register it with
+// t.AddObserver to activate.
 func NewFootprinter(t *gos.Thread, cfg FootprinterConfig) *Footprinter {
 	if cfg.MinAccesses <= 0 {
 		cfg.MinAccesses = 1
@@ -173,7 +181,6 @@ func NewFootprinter(t *gos.Thread, cfg FootprinterConfig) *Footprinter {
 	return &Footprinter{
 		cfg:       cfg,
 		thread:    t,
-		counts:    make(map[heap.ObjectID]*objCount),
 		footprint: make(Footprint),
 	}
 }
@@ -205,8 +212,8 @@ func (fp *Footprinter) effectiveGap(o *heap.Object) int64 {
 
 // OnAccess implements gos.AccessObserver: repeated object sampling within
 // the interval. The first touch of a sampled object traps; afterwards it
-// traps once per re-arm sweep. Sweeps run inline on the profiled thread
-// (the sweep iterates the thread's tracked set, paying ArmCost each).
+// traps once per re-arm sweep. Sweeps run inline on the profiled thread and
+// pay ArmCost per object they re-arm.
 func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool) {
 	if t != fp.thread {
 		return
@@ -221,42 +228,30 @@ func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool
 	if !o.SampledAtGap(fp.effectiveGap(o)) {
 		return
 	}
-	oc := fp.counts[o.ID]
-	if oc == nil {
-		if n := len(fp.ocFree); n > 0 {
-			oc = fp.ocFree[n-1]
-			fp.ocFree = fp.ocFree[:n-1]
-			*oc = objCount{obj: o, armed: true}
-		} else {
-			oc = &objCount{obj: o, armed: true} // first touch traps
-		}
-		fp.counts[o.ID] = oc
+	oc := fp.counts.At(o.ID)
+	if live := fp.intervals + 1; oc.interval != live {
+		// First touch this interval: the object starts armed.
+		*oc = objCount{obj: o, interval: live}
+		fp.tracked = append(fp.tracked, oc)
+	} else if oc.sweep == fp.Sweeps {
+		return // trapped since the last sweep: still disarmed
 	}
-	if !oc.armed {
-		return
-	}
-	oc.armed = false
+	oc.sweep = fp.Sweeps
 	oc.count++
-	if write {
-		oc.writes++
-	}
+	fp.disarmed++
 	fp.TrackedAccesses++
 	t.Charge(fp.cfg.TrapBase + sim.Time(o.Bytes())*fp.cfg.TrapPerKB/1024)
 }
 
-// sweep re-arms the false-invalid trap on every tracked object, charging
-// the per-object iteration cost.
+// sweep re-arms the false-invalid trap on every tracked object. Only the
+// objects that trapped since the last sweep or interval close are disarmed,
+// so it charges ArmCost for fp.disarmed of them: the count a walk of the
+// tracked set would find, kept without the walk.
 func (fp *Footprinter) sweep(t *gos.Thread, now sim.Time) {
 	fp.Sweeps++
-	n := 0
-	for _, oc := range fp.counts {
-		if !oc.armed {
-			oc.armed = true
-			n++
-		}
-	}
-	if n > 0 {
-		t.Charge(sim.Time(n) * fp.cfg.ArmCost)
+	if fp.disarmed > 0 {
+		t.Charge(sim.Time(fp.disarmed) * fp.cfg.ArmCost)
+		fp.disarmed = 0
 	}
 	fp.nextSweep = now + fp.cfg.RearmPeriod
 }
@@ -270,21 +265,11 @@ func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 	}
 	fp.intervals++
 	raw := make(Footprint)
-	ids := fp.idOrder[:0]
-	for id := range fp.counts {
-		ids = append(ids, int64(id))
-	}
-	fp.idOrder = ids
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		oc := fp.counts[heap.ObjectID(id)]
+	for _, oc := range fp.tracked {
 		if oc.count < fp.cfg.MinAccesses {
 			continue
 		}
-		gap := oc.obj.Class.Gap()
-		if gap < fp.cfg.MinGap {
-			gap = fp.cfg.MinGap
-		}
+		gap := fp.effectiveGap(oc.obj)
 		raw[oc.obj.Class.Name] += int64(oc.obj.AmortizedBytesAtGap(gap)) * gap
 	}
 	fp.lastInterval = raw
@@ -298,11 +283,10 @@ func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 			fp.footprint[c] = int64((1 - a) * float64(fp.footprint[c]))
 		}
 	}
-	// Recycle the interval's counts instead of reallocating them.
-	for _, oc := range fp.counts {
-		fp.ocFree = append(fp.ocFree, oc)
-	}
-	clear(fp.counts)
+	// The bumped interval count retires every entry; nothing is left
+	// disarmed.
+	fp.tracked = fp.tracked[:0]
+	fp.disarmed = 0
 }
 
 // Footprint returns a copy of the current smoothed estimate.

@@ -48,7 +48,7 @@ func footKernel(t *testing.T, cfg FootprinterConfig, body func(th *gos.Thread, c
 		body(th, cls)
 	})
 	fp = NewFootprinter(th, cfg)
-	k.AddObserver(fp)
+	th.AddObserver(fp)
 	k.Run()
 	return fp
 }
@@ -126,7 +126,7 @@ func TestFootprinterGapScaleUp(t *testing.T) {
 		th.Release(1)
 	})
 	fp = NewFootprinter(th, cfg)
-	k.AddObserver(fp)
+	th.AddObserver(fp)
 	k.Run()
 	got := float64(fp.LastInterval()["Rec"])
 	truth := 70.0 * 100
