@@ -187,23 +187,45 @@ func TestBarrierPartyMismatchPanics(t *testing.T) {
 }
 
 // TestDeadlockReportNamesLockAndBarrier pins the deadlock report for
-// threads parked on a lock that is never released and on a barrier that
-// never fills: each entry is the thread name, then the lock or barrier id.
+// threads parked on a lock that is never released, on a barrier that never
+// fills, on a fault whose fetch is lost, on a CPU that is never freed and on
+// a queue that is never woken: each entry is the proc name, then the lock
+// or barrier id, the faulted class, the resource or the queue.
 func TestDeadlockReportNamesLockAndBarrier(t *testing.T) {
-	k := testKernel(2, TrackingOff)
+	k := testKernel(3, TrackingOff)
 	k.SpawnThread(0, "holder", func(th *Thread) { th.Acquire(7) })
 	k.SpawnThread(1, "waiter", func(th *Thread) {
 		th.Compute(sim.Millisecond) // the holder's grant lands first
 		th.Acquire(7)
 	})
 	k.SpawnThread(1, "lonely", func(th *Thread) { th.Barrier(3, 2) })
+	// Node 2's traffic is lost, so its fetch never returns; a hog holds
+	// its CPU while parked on a queue nobody wakes.
+	k.Net.SetInterceptor(dropFrom(2))
+	obj := k.Reg.Alloc(k.Reg.DefineClass("Rec", 64, 0), 0)
+	k.SpawnThread(2, "faulter", func(th *Thread) { th.Read(obj) })
+	k.Eng.Spawn("hog", func(p *sim.Proc) {
+		k.Node(2).CPU().Acquire(p)
+		sim.NewWaitQueue("stuck").Wait(p)
+	})
+	k.SpawnThread(2, "cruncher", func(th *Thread) {
+		th.SleepUntil(sim.Millisecond) // the hog holds the CPU by now
+		th.Compute(sim.Millisecond)
+	})
 	defer func() {
-		const want = "sim: deadlock: [lonely@barrier3 waiter@lock7]"
+		const want = "sim: deadlock: [cruncher@acquire node20.cpu faulter@fault Rec hog@wait stuck lonely@barrier3 waiter@lock7]"
 		if got := recover(); got != want {
 			t.Errorf("deadlock report = %q, want %q", got, want)
 		}
 	}()
 	k.Run()
+}
+
+// dropFrom is an interceptor that loses every message one node sends.
+type dropFrom network.NodeID
+
+func (d dropFrom) Intercept(now sim.Time, from, to network.NodeID, cat network.Category, bytes int) network.Verdict {
+	return network.Verdict{Drop: from == network.NodeID(d)}
 }
 
 // TestAtMostOnceLogging: a thread logs each sampled object at most once

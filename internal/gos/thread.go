@@ -437,7 +437,7 @@ func (t *Thread) fault(o *heap.Object, c *copyState) {
 	t.k.Net.Send(network.NodeID(t.node.id), network.NodeID(o.Home),
 		network.CatControl, 32, &protoMsg{kind: msgFetchReq, tok: tok, obj: o.ID})
 	wait0 := t.proc.Now()
-	t.proc.Block("fault " + o.Class.Name)
+	t.proc.BlockNamed("fault ", o.Class.Name)
 	t.stats.FaultWaitTime += t.proc.Now() - wait0
 	c.valid = true
 	c.version = t.k.version(o.ID)

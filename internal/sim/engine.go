@@ -250,7 +250,7 @@ func (e *Engine) blockedReport() string {
 	var names []string
 	for _, p := range e.procs {
 		if p.started && !p.done {
-			at := p.name + "@" + p.blockedAt
+			at := p.name + "@" + p.blockedAt + p.blockedName
 			if p.blockedOnID {
 				at += strconv.Itoa(p.blockedID)
 			}
@@ -278,6 +278,10 @@ type Proc struct {
 	// string lets BlockOn park without formatting on every call.
 	blockedID   int
 	blockedOnID bool
+	// blockedName, set by BlockNamed, is the name the deadlock report
+	// appends to blockedAt (a class, resource or queue name), kept apart
+	// for the same reason.
+	blockedName string
 
 	// wakeFn is the proc's dispatch closure, built once at Spawn so that
 	// Sleep and Wake — fired once per simulated event on the hot path —
@@ -334,6 +338,16 @@ func (p *Proc) BlockOn(why string, id int) {
 	p.blockedID, p.blockedOnID = id, true
 	p.yield(why)
 	p.blockedOnID = false
+}
+
+// BlockNamed is Block for a reason that names an object: the deadlock
+// report shows why followed by name (BlockNamed("wait ", "q") reads
+// "wait q"). The two are joined only if that report is built, so parking
+// allocates nothing.
+func (p *Proc) BlockNamed(why, name string) {
+	p.blockedName = name
+	p.yield(why)
+	p.blockedName = ""
 }
 
 // Wake schedules p to resume at the current virtual time. It must be called
@@ -420,7 +434,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.waiters = append(r.waiters, p)
-	p.Block("acquire " + r.name)
+	p.BlockNamed("acquire ", r.name)
 	// On wake, ownership has been transferred to p by Release.
 }
 
@@ -456,7 +470,7 @@ func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{name: name} }
 // Wait parks the calling proc on the queue.
 func (q *WaitQueue) Wait(p *Proc) {
 	q.waiters = append(q.waiters, p)
-	p.Block("wait " + q.name)
+	p.BlockNamed("wait ", q.name)
 }
 
 // WakeOne releases the oldest waiter; it reports whether one was woken.
