@@ -5,9 +5,10 @@
 // version, the payload kind and a CRC32 fingerprint of the body, mirroring
 // internal/profile's hardening: a worker or coordinator never trusts bytes
 // off the network — foreign payloads (ErrSchema), newer revisions
-// (ErrVersion) and truncated or bit-flipped bodies (ErrCorrupt) come back
-// as typed errors, never panics, and a corrupt result is indistinguishable
-// from a lost one (the coordinator retries or reassigns either way).
+// (ErrVersion), truncated or bit-flipped bodies (ErrCorrupt) and jobs whose
+// spec fails validation (ErrInvalidSpec) come back as typed errors, never
+// panics, and a corrupt result is indistinguishable from a lost one (the
+// coordinator retries or reassigns either way).
 //
 // Encoding is exact: a decoded Out re-encodes to the same bytes the worker
 // produced. Correlation-map cells and adaptive-trace distances travel as
@@ -66,6 +67,9 @@ var (
 	// ErrCorrupt rejects malformed, truncated or bit-flipped payloads
 	// (JSON syntax, CRC or structural check failure).
 	ErrCorrupt = errors.New("dispatch: corrupt wire payload")
+	// ErrInvalidSpec rejects a well-formed job whose spec fails
+	// experiments.Spec.Validate; the validation error is wrapped too.
+	ErrInvalidSpec = errors.New("dispatch: invalid job spec")
 )
 
 // Envelope kinds.
@@ -147,7 +151,8 @@ func EncodeJob(l Lease, spec experiments.Spec) ([]byte, error) {
 	return seal(kindJob, wireJob{Lease: l, Spec: spec})
 }
 
-// DecodeJob parses a job envelope.
+// DecodeJob parses a job envelope and validates its spec, so a worker
+// rejects a job it could not run instead of failing it mid-run.
 func DecodeJob(data []byte) (Lease, experiments.Spec, error) {
 	body, err := open(data, kindJob)
 	if err != nil {
@@ -156,6 +161,9 @@ func DecodeJob(data []byte) (Lease, experiments.Spec, error) {
 	var j wireJob
 	if err := json.Unmarshal(body, &j); err != nil {
 		return Lease{}, experiments.Spec{}, fmt.Errorf("%w: job body: %v", ErrCorrupt, err)
+	}
+	if err := j.Spec.Validate(); err != nil {
+		return Lease{}, experiments.Spec{}, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}
 	return j.Lease, j.Spec, nil
 }

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"jessica2/internal/core"
@@ -251,9 +254,12 @@ func mutateEnvelope(t *testing.T, data []byte, f func(*envelope)) []byte {
 // TestDecodeTypedErrors: every way a payload can be wrong maps to its
 // typed error, and none of them panic.
 func TestDecodeTypedErrors(t *testing.T) {
-	good, err := EncodeJob(Lease{Job: 1, Epoch: 1, Token: "t"}, experiments.Spec{App: experiments.AppSOR})
+	good, err := EncodeJob(Lease{Job: 1, Epoch: 1, Token: "t"}, experiments.Spec{App: experiments.AppSOR, Nodes: 1, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, err := DecodeJob(good); err != nil {
+		t.Fatalf("DecodeJob(good) = %v", err)
 	}
 	cases := []struct {
 		name string
@@ -275,6 +281,25 @@ func TestDecodeTypedErrors(t *testing.T) {
 		if _, _, err := DecodeJob(tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: DecodeJob error = %v, want %v", tc.name, err, tc.want)
 		}
+	}
+	// A well-formed job whose spec fails Validate is rejected on decode,
+	// so a worker answers 400 instead of failing the lease mid-run.
+	zeroNodes, err := EncodeJob(Lease{Job: 1, Epoch: 1, Token: "t"}, experiments.Spec{App: experiments.AppSOR, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeJob(zeroNodes); !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "need at least one node") {
+		t.Errorf("DecodeJob(zero-node spec) = %v, want %v naming the node count", err, ErrInvalidSpec)
+	}
+	srv := httptest.NewServer(NewWorker(nil).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/submit", "application/json", bytes.NewReader(zeroNodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("worker answered an invalid spec with %d, want %d", resp.StatusCode, http.StatusBadRequest)
 	}
 	// The same envelope validation guards results.
 	if _, err := DecodeOut(good); !errors.Is(err, ErrCorrupt) {
