@@ -115,22 +115,28 @@ bench-seq:
 # of its own that the root `go test ./...` never builds, then runs a 1 s pass
 # of each workload listed in testdata/bench_allocs.txt. A pass exits 1 if
 # any output check fails: the same-seed digest, request conservation or a
-# codec round-trip. The allocs gate fails when a pass's allocs_per_iter, read
-# from its last JSON line, exceeds 1.10x the workload's seed-42 baseline in
-# that file: BENCHMARK.json's 10% bound.
+# codec round-trip. Each line of that file holds a workload's seed-42
+# baselines for allocs_per_iter and alloc_mb_per_iter; a gate fails when a
+# pass's value, read from its last JSON line, exceeds 1.10x the baseline:
+# BENCHMARK.json's 10% bound. The count gate catches new small objects, the
+# MB gate large buffers and tables that add few objects but many bytes.
 bench-check:
 	cd bench && go vet ./... && go test ./...
 	@mkdir -p .bench_build; fail=0; \
-	while read -r name base; do \
+	while read -r name allocs mb; do \
 		out=.bench_build/bench-check-$$name.out; \
 		status=0; bash bench/run.sh -workload $$name -seconds 1 < /dev/null > $$out || status=$$?; \
 		cat $$out; \
 		[ $$status = 0 ] || { echo "$$name: pass failed (exit $$status)"; fail=1; }; \
-		got=$$(tail -n 1 $$out | sed -n 's/.*"allocs_per_iter":{"value":\([0-9.eE+-]*\).*/\1/p'); \
-		if [ -z "$$got" ]; then echo "$$name: no allocs_per_iter in the pass's last line"; fail=1; continue; fi; \
-		verdict=$$(awk -v got="$$got" -v base="$$base" 'BEGIN { print (got <= 1.10 * base ? "ok" : "FAIL") }'); \
-		printf 'allocs gate %-15s baseline %10s measured %12s limit 1.10x: %s\n' $$name $$base $$got $$verdict; \
-		[ $$verdict = ok ] || fail=1; \
+		for gate in allocs_per_iter=$$allocs alloc_mb_per_iter=$$mb; do \
+			metric=$${gate%%=*}; base=$${gate#*=}; \
+			if [ -z "$$base" ]; then echo "$$name: no $$metric baseline in testdata/bench_allocs.txt"; fail=1; continue; fi; \
+			got=$$(tail -n 1 $$out | sed -n "s/.*\"$$metric\":{\"value\":\([0-9.eE+-]*\).*/\1/p"); \
+			if [ -z "$$got" ]; then echo "$$name: no $$metric in the pass's last line"; fail=1; continue; fi; \
+			verdict=$$(awk -v got="$$got" -v base="$$base" 'BEGIN { print (got <= 1.10 * base ? "ok" : "FAIL") }'); \
+			printf '%-17s gate %-15s baseline %10s measured %12s limit 1.10x: %s\n' $$metric $$name $$base $$got $$verdict; \
+			[ $$verdict = ok ] || fail=1; \
+		done; \
 	done < testdata/bench_allocs.txt; \
 	exit $$fail
 
