@@ -4,7 +4,7 @@ BENCH ?= BENCH_current.json
 # SCALE divides the paper datasets (1 = paper scale, 8 = CI-friendly).
 SCALE ?= 8
 
-.PHONY: verify build fmtcheck vet test test-race test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve loc clean
+.PHONY: verify build fmtcheck vet test test-race test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve loc identity clean
 
 verify: build fmtcheck vet test
 
@@ -163,6 +163,16 @@ loc:
 		gross=$$(cat /dev/null $$files | wc -l); \
 		printf '%-8s Go: %6d code lines, %6d gross\n' $$kind $$code $$gross; \
 	done
+
+# identity compares the working tree's outputs with those of the commit
+# BASE, each built from its own source: djvmbench -all -scale 16 as text
+# and as -csv, the twelve djvmrun runs of EXPERIMENTS.md's options audit,
+# the bytes of a -profile-out file and tcmviz -profile on it. It stops at
+# the first difference and names that run:
+#   make identity BASE=HEAD~1
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	bash scripts/identity.sh $(BASE)
 
 clean:
 	rm -f BENCH_current.json
