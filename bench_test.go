@@ -201,7 +201,7 @@ func BenchmarkAblationArrayBias(b *testing.B) {
 func BenchmarkAblationMigration(b *testing.B) {
 	run := func(prefetch bool) (faults int64) {
 		cfg := jessica2.DefaultConfig()
-		cfg.Nodes = 2
+		cfg.Kernel.Nodes = 2
 		sess := jessica2.NewSession(cfg)
 		eng := sess.MigrationEngine()
 		cls := sess.Kernel().Reg.DefineClass("Rec", 128, 1)

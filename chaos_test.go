@@ -25,18 +25,18 @@ func chaosWorkload() jessica2.Workload {
 func chaosTrace(t *testing.T, presets string, recover bool, seed uint64) (string, jessica2.FailureStats) {
 	t.Helper()
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	// A low flush threshold forces dedicated CatOAL messages (lock-heavy
 	// workloads otherwise piggyback their whole OAL on control traffic,
 	// which failure injection never touches).
-	cfg.OALFlushEntries = 8
-	scen, err := jessica2.ParseScenario(presets, cfg.Nodes, seed)
+	cfg.Kernel.OALFlushEntries = 8
+	scen, err := jessica2.ParseScenario(presets, cfg.Kernel.Nodes, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Scenario = scen
 	if recover {
-		cfg.Failure = jessica2.DefaultFailureConfig()
+		cfg.Kernel.Failure = jessica2.DefaultFailureConfig()
 	}
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(chaosWorkload(), jessica2.Params{Threads: 6, Seed: seed}); err != nil {
@@ -45,7 +45,10 @@ func chaosTrace(t *testing.T, presets string, recover bool, seed uint64) (string
 	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: 4}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func chaosTrace(t *testing.T, presets string, recover bool, seed uint64) (string
 	sb.WriteString(rep.TCM().String())
 	fmt.Fprintf(&sb, "failure: %+v\n", fs)
 	if h := sess.Kernel().HealthInto(nil); h != nil {
-		fmt.Fprintf(&sb, "health: %d/%d alive\n", h.LiveNodes, cfg.Nodes)
+		fmt.Fprintf(&sb, "health: %d/%d alive\n", h.LiveNodes, cfg.Kernel.Nodes)
 	}
 	return sb.String(), fs
 }
@@ -181,13 +184,13 @@ func (w *healthWatcher) Observe(snap *jessica2.Snapshot) []jessica2.Action {
 // staleness and the retry counters to policies while the run is live.
 func TestChaosHealthPolicy(t *testing.T) {
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
-	scen, err := jessica2.ParseScenario("crash,flaky", cfg.Nodes, 42)
+	cfg.Kernel.Nodes = 4
+	scen, err := jessica2.ParseScenario("crash,flaky", cfg.Kernel.Nodes, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Scenario = scen
-	cfg.Failure = jessica2.DefaultFailureConfig()
+	cfg.Kernel.Failure = jessica2.DefaultFailureConfig()
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(chaosWorkload(), jessica2.Params{Threads: 6, Seed: 42}); err != nil {
 		t.Fatal(err)

@@ -24,9 +24,9 @@ func clRun(t *testing.T, policy jessica2.Policy, epochs int) (jessica2.Time, *je
 	t.Helper()
 	const nominal = 800 * jessica2.Millisecond
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	cfg.Epoch = nominal / jessica2.Time(epochs)
-	scen, err := jessica2.ScenarioPreset("phased", cfg.Nodes, 7)
+	scen, err := jessica2.ScenarioPreset("phased", cfg.Kernel.Nodes, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,10 @@ func clRun(t *testing.T, policy jessica2.Policy, epochs int) (jessica2.Time, *je
 	if err := sess.SetPolicy(policy); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ func run(policy jessica2.Policy, verbose bool) jessica2.Time {
 	const epoch = 50 * jessica2.Millisecond
 
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
-	scen, err := jessica2.ScenarioPreset("phased", cfg.Nodes, 7)
+	cfg.Kernel.Nodes = 4
+	scen, err := jessica2.ScenarioPreset("phased", cfg.Kernel.Nodes, 7)
 	if err != nil {
 		panic(err)
 	}

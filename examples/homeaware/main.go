@@ -23,8 +23,8 @@ func main() {
 	const threads, nodes = 8, 4
 
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = nodes
-	cfg.DistributedTCM = true // §VI: workers pre-reduce OALs
+	cfg.Kernel.Nodes = nodes
+	cfg.Kernel.DistributedTCM = true // §VI: workers pre-reduce OALs
 	sess := jessica2.NewSession(cfg)
 
 	ws := jessica2.NewWaterSpatial()
@@ -37,7 +37,10 @@ func main() {
 		panic(err)
 	}
 
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		panic(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		panic(err)
 	}

@@ -122,7 +122,10 @@ func run(prefetch bool) {
 		panic(err)
 	}
 	w.prof = prof
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		panic(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		panic(err)
 	}

@@ -34,14 +34,17 @@ func main() {
 		panic(err)
 	}
 
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		panic(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(rep)
 
 	fmt.Println("adaptive controller trace (rate ladder):")
-	for _, rc := range prof.RateTrace() {
+	for _, rc := range prof.RateTrace {
 		fmt.Printf("  t=%-10v %5v -> %-5v relative-distance=%.4f converged=%v\n",
 			rc.At, rc.From, rc.To, rc.Distance, rc.Converged)
 	}
@@ -54,8 +57,8 @@ func main() {
 	// Feed the map to the global load balancer: starting from the
 	// spawn-order (blocked) placement, how much cross-node sharing can
 	// migration remove?
-	cur := jessica2.BlockedPlacement(threads, cfg.Nodes)
-	next, moves := jessica2.PlanPlacement(m, cur, cfg.Nodes)
+	cur := jessica2.BlockedPlacement(threads, cfg.Kernel.Nodes)
+	next, moves := jessica2.PlanPlacement(m, cur, cfg.Kernel.Nodes)
 	fmt.Printf("balancer: cross-node volume %.0f B -> %.0f B with %d moves\n",
 		jessica2.CrossVolume(m, cur), jessica2.CrossVolume(m, next), len(moves))
 	for _, mv := range moves {

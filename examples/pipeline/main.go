@@ -83,9 +83,9 @@ func (w *pipelineWorkload) Launch(k *jessica2.Kernel, p jessica2.Params) {
 }
 
 func main() {
-	const threads = 8
+	const threads, nodes = 8, 4
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = nodes
 	sess := jessica2.NewSession(cfg)
 	w := &pipelineWorkload{itemsPerRound: 64, rounds: 6}
 	if err := sess.Launch(w, jessica2.Params{Threads: threads, Seed: 3}); err != nil {
@@ -95,7 +95,10 @@ func main() {
 		panic(err)
 	}
 
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		panic(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		panic(err)
 	}
@@ -111,12 +114,12 @@ func main() {
 	for tid := range cur {
 		pair := tid / 2
 		if tid%2 == 0 {
-			cur[tid] = pair % cfg.Nodes
+			cur[tid] = pair % nodes
 		} else {
-			cur[tid] = cfg.Nodes - 1 - pair%cfg.Nodes
+			cur[tid] = nodes - 1 - pair%nodes
 		}
 	}
-	next, moves := jessica2.PlanPlacement(m, cur, cfg.Nodes)
+	next, moves := jessica2.PlanPlacement(m, cur, nodes)
 	fmt.Printf("balancer: cross-node volume %.0f B -> %.0f B\n",
 		jessica2.CrossVolume(m, cur), jessica2.CrossVolume(m, next))
 	for _, mv := range moves {

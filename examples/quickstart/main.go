@@ -27,7 +27,10 @@ func main() {
 		panic(err)
 	}
 
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		panic(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		panic(err)
 	}

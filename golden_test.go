@@ -59,7 +59,7 @@ func goldenCases() []goldenCase {
 func goldenTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint64) string {
 	t.Helper()
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	cfg.Scenario = scen
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed}); err != nil {
@@ -69,7 +69,10 @@ func goldenTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func goldenTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint6
 	fmt.Fprintf(&sb, "net: %v", rep.NetworkStats())
 	fmt.Fprintf(&sb, "oal=%d gos=%d\n", rep.OALBytes(), rep.GOSBytes())
 	sb.WriteString(rep.TCM().String())
-	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU())
+	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU)
 	return sb.String()
 }
 
@@ -91,7 +94,7 @@ func goldenTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint6
 func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint64) string {
 	t.Helper()
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	cfg.Scenario = scen
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed}); err != nil {
@@ -124,7 +127,7 @@ func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint
 	fmt.Fprintf(&sb, "net: %v", rep.NetworkStats())
 	fmt.Fprintf(&sb, "oal=%d gos=%d\n", rep.OALBytes(), rep.GOSBytes())
 	sb.WriteString(rep.TCM().String())
-	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU())
+	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU)
 	return sb.String()
 }
 

@@ -24,7 +24,10 @@ func runProfiled(t *testing.T, cfg jessica2.Config, w jessica2.Workload, p jessi
 	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestConfigRejectsInvalidScenario(t *testing.T) {
 
 func TestPlacementPlanningAPI(t *testing.T) {
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	syn := jessica2.NewSynthetic()
 	syn.Intervals = 4
 	m := runProfiled(t, cfg, syn, jessica2.Params{Threads: 8, Seed: 2}).TCM()
@@ -144,7 +147,7 @@ func (w *chainWorkload) Launch(k *jessica2.Kernel, p jessica2.Params) {
 }
 
 // TestMigrationEngineAPI: a thread migrated by hand through the session's
-// engine reports its outcome and lands in MigrationHistory.
+// engine reports its outcome and lands in the engine's History.
 func TestMigrationEngineAPI(t *testing.T) {
 	sess := jessica2.NewSession(jessica2.DefaultConfig())
 	eng := sess.MigrationEngine()
@@ -161,7 +164,7 @@ func TestMigrationEngineAPI(t *testing.T) {
 	if out.From != 0 || out.To != 1 || out.ContextBytes <= 0 {
 		t.Fatalf("outcome: %+v", out)
 	}
-	if h := sess.MigrationHistory(); len(h) != 1 || h[0] != out {
+	if h := sess.MigrationEngine().History; len(h) != 1 || h[0] != out {
 		t.Fatalf("history = %+v, want [%+v]", h, out)
 	}
 }

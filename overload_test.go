@@ -55,12 +55,12 @@ func overloadLine(t *testing.T, spec, level string, seed uint64) string {
 	sc.Arrivals.Horizon /= 4
 
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	cfg.Scenario = sc
 	cfg.Epoch = 25 * jessica2.Millisecond
 	if level == "full" {
 		// The full stack's breakers are fed by the failure detector.
-		cfg.Failure = jessica2.DefaultFailureConfig()
+		cfg.Kernel.Failure = jessica2.DefaultFailureConfig()
 	}
 	sess := jessica2.NewSession(cfg)
 	w := jessica2.NewServeMix()
@@ -74,7 +74,10 @@ func overloadLine(t *testing.T, spec, level string, seed uint64) string {
 	if err := sess.SetPolicy(jessica2.NewRebalancePolicy()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		t.Fatal(err)
 	}

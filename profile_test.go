@@ -41,7 +41,7 @@ func profileCaptureRun(t *testing.T) (*jessica2.StoredProfile, *jessica2.Session
 func profileRunConfig(t *testing.T, nodes int) jessica2.Config {
 	t.Helper()
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = nodes
+	cfg.Kernel.Nodes = nodes
 	cfg.Epoch = 100 * jessica2.Millisecond
 	scen, err := jessica2.ScenarioPreset("phased", nodes, 7)
 	if err != nil {
@@ -133,7 +133,10 @@ func warmRun(t *testing.T, prof *jessica2.StoredProfile) (*jessica2.Report, *jes
 	if err := sess.SetPolicy(jessica2.NewWarmStartPolicy(prof)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Run()
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,10 @@ func TestProfileFingerprintMismatch(t *testing.T) {
 				if err := sess.SetPolicy(jessica2.NewWarmStartPolicy(load)); err != nil {
 					t.Fatal(err)
 				}
-				rep, err := sess.Run()
+				if _, err := sess.Run(); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := sess.Report()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,7 +285,7 @@ func TestProfileSaveGoldenIdentity(t *testing.T) {
 func profileArmedTrace(t *testing.T, c goldenCase, seed uint64) string {
 	t.Helper()
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	cfg.Profile = jessica2.ProfileIO{Save: true}
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed}); err != nil {
@@ -319,6 +325,6 @@ func profileArmedTrace(t *testing.T, c goldenCase, seed uint64) string {
 	fmt.Fprintf(&sb, "net: %v", rep.NetworkStats())
 	fmt.Fprintf(&sb, "oal=%d gos=%d\n", rep.OALBytes(), rep.GOSBytes())
 	sb.WriteString(rep.TCM().String())
-	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU())
+	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU)
 	return sb.String()
 }

@@ -21,7 +21,7 @@ func serveRun(t *testing.T, preset string, seed uint64) (string, *jessica2.Snaps
 	sc.Arrivals.Horizon /= 4
 
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	cfg.Scenario = sc
 	cfg.Epoch = 25 * jessica2.Millisecond
 	sess := jessica2.NewSession(cfg)
@@ -76,7 +76,7 @@ func TestServeMixGoldenDeterminism(t *testing.T) {
 // arrival source is a configuration error, not a hang.
 func TestServeMixNeedsSchedule(t *testing.T) {
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(jessica2.NewServeMix(), jessica2.Params{Threads: 4, Seed: 1}); err == nil {
 		t.Fatal("Launch accepted an open-loop workload with no schedule")
@@ -87,7 +87,7 @@ func TestServeMixNeedsSchedule(t *testing.T) {
 // Serve field move (golden byte-identity depends on it).
 func TestServeMixClosedLoopSnapshotNil(t *testing.T) {
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg.Kernel.Nodes = 4
 	sess := jessica2.NewSession(cfg)
 	syn := jessica2.NewSynthetic()
 	if err := sess.Launch(syn, jessica2.Params{Threads: 4, Seed: 1}); err != nil {

@@ -67,7 +67,7 @@ func TestSessionInvalidScenarioSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 1 // noisy's slowdown nodes don't exist in a 1-node cluster
+	cfg.Kernel.Nodes = 1 // noisy's slowdown nodes don't exist in a 1-node cluster
 	cfg.Scenario = scen
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(quickSOR(), jessica2.Params{Threads: 2, Seed: 1}); err == nil {
