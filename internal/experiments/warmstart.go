@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"jessica2/internal/gos"
 	"jessica2/internal/profile"
 	"jessica2/internal/runner"
 	"jessica2/internal/scenario"
@@ -111,8 +112,8 @@ func lastPlacementEpoch(s *session.Session) int {
 func profilingCharge(s *session.Session) sim.Time {
 	k := s.Kernel()
 	st := k.Stats()
-	return sim.Time(st.CorrelationLogs)*k.Cfg.Costs.LogCost +
-		sim.Time(st.ResampledObjs)*k.Cfg.Costs.ResampleCostPerObject +
+	return sim.Time(st.CorrelationLogs)*gos.LogCost +
+		sim.Time(st.ResampledObjs)*gos.ResampleCostPerObject +
 		k.Master().ComputeTime()
 }
 

@@ -47,68 +47,48 @@ func (m TrackingMode) String() string {
 	}
 }
 
-// CostModel charges virtual CPU time for protocol and profiling actions.
-// The defaults approximate the paper's 2 GHz Pentium 4 nodes; the absolute
-// values matter less than their ratios, which shape the overhead tables.
-type CostModel struct {
-	// CheckCost is one JIT-inlined object state check (fast path).
-	CheckCost sim.Time
+// The calibrated CPU cost model charges virtual time for protocol and
+// profiling actions. The values approximate the paper's 2 GHz Pentium 4
+// nodes; their ratios matter more than their absolute values, since the
+// ratios shape the overhead tables.
+const (
+	// checkCost is one JIT-inlined object state check (fast path).
+	checkCost = 3 * sim.Nanosecond
 	// LogCost is one OAL log operation inside the access-fault service
-	// routine (append entry, cancel false-invalid, bookkeeping).
-	LogCost sim.Time
-	// ResetCost is marking one object false-invalid at interval open.
-	ResetCost sim.Time
-	// FaultCPUCost is the faulting node's software handler per object
+	// routine (correlation-fault trap, OAL append, cancel false-invalid).
+	LogCost = 2 * sim.Microsecond
+	// resetCost is marking one object false-invalid at interval open.
+	resetCost = 200 * sim.Nanosecond
+	// faultCPUCost is the faulting node's software handler per object
 	// fault (request construction, copy-in), excluding network time.
-	FaultCPUCost sim.Time
-	// HomeServiceCost is the home node's handler per fetch/diff request.
-	HomeServiceCost sim.Time
-	// TwinCostPerByte is the copy-on-first-write twin creation.
-	TwinCostPerByte sim.Time
-	// DiffCostPerByte is diff computation + encoding at interval close.
-	DiffCostPerByte sim.Time
+	faultCPUCost = 4 * sim.Microsecond
+	// homeServiceCost is the home node's handler per fetch/diff request.
+	homeServiceCost = 3 * sim.Microsecond
+	// twinCostPerByte is the copy-on-first-write twin creation (1 ns/B,
+	// about a 1 GB/s copy).
+	twinCostPerByte = 1 * sim.Nanosecond
+	// diffCostPerByte is diff computation and encoding at interval close.
+	diffCostPerByte = 1 * sim.Nanosecond
 	// ResampleCostPerObject is re-tagging one cached object after a
 	// sampling-gap change notice.
-	ResampleCostPerObject sim.Time
-	// OALPackCostPerEntry is packing one OAL entry into a jumbo message.
-	OALPackCostPerEntry sim.Time
-	// TCMReorgCostPerEntry is the daemon's per-entry OAL reorganization
+	ResampleCostPerObject = 25 * sim.Nanosecond
+	// oalPackCostPerEntry is packing one OAL entry into a jumbo message.
+	oalPackCostPerEntry = 30 * sim.Nanosecond
+	// tcmReorgCostPerEntry is the daemon's per-entry OAL reorganization
 	// (per-thread lists to per-object lists).
-	TCMReorgCostPerEntry sim.Time
-	// TCMPairCost is one accrual into the correlation map.
-	TCMPairCost sim.Time
-	// LockServiceCost / BarrierServiceCost are manager-side handler costs.
-	LockServiceCost    sim.Time
-	BarrierServiceCost sim.Time
-}
-
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() CostModel {
-	return CostModel{
-		CheckCost:             3 * sim.Nanosecond,
-		LogCost:               2 * sim.Microsecond, // correlation-fault trap + OAL append
-		ResetCost:             200 * sim.Nanosecond,
-		FaultCPUCost:          4 * sim.Microsecond,
-		HomeServiceCost:       3 * sim.Microsecond,
-		TwinCostPerByte:       sim.Nanosecond / 1, // 1 ns/B ≈ 1 GB/s copy
-		DiffCostPerByte:       1 * sim.Nanosecond,
-		ResampleCostPerObject: 25 * sim.Nanosecond,
-		OALPackCostPerEntry:   30 * sim.Nanosecond,
-		TCMReorgCostPerEntry:  90 * sim.Nanosecond,
-		TCMPairCost:           14 * sim.Nanosecond,
-		LockServiceCost:       2 * sim.Microsecond,
-		BarrierServiceCost:    2 * sim.Microsecond,
-	}
-}
+	tcmReorgCostPerEntry = 90 * sim.Nanosecond
+	// tcmPairCost is one accrual into the correlation map.
+	tcmPairCost = 14 * sim.Nanosecond
+	// lockServiceCost and barrierServiceCost are manager-side handler
+	// costs.
+	lockServiceCost    = 2 * sim.Microsecond
+	barrierServiceCost = 2 * sim.Microsecond
+)
 
 // Config assembles a kernel.
 type Config struct {
 	// Nodes is the cluster size; node 0 doubles as the master JVM.
 	Nodes int
-	// Net is the interconnect model.
-	Net network.Config
-	// Costs is the CPU cost model.
-	Costs CostModel
 	// Tracking selects the correlation tracking mode.
 	Tracking TrackingMode
 	// TransferOALs, when false, collects OALs but never ships them
@@ -135,8 +115,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Nodes:           8,
-		Net:             network.DefaultConfig(),
-		Costs:           DefaultCosts(),
 		Tracking:        TrackingOff,
 		TransferOALs:    true,
 		OALFlushEntries: 4096,
@@ -239,7 +217,8 @@ type KernelStats struct {
 	HomeMigrations  int64
 }
 
-// NewKernel builds a kernel: engine, network, nodes and master collector.
+// NewKernel builds a kernel: engine, network (the Fast Ethernet model of
+// network.DefaultConfig), nodes and master collector.
 func NewKernel(cfg Config) *Kernel {
 	if cfg.Nodes <= 0 {
 		panic("gos: need at least one node")
@@ -251,7 +230,7 @@ func NewKernel(cfg Config) *Kernel {
 	k := &Kernel{
 		Eng:      eng,
 		Reg:      heap.NewRegistry(),
-		Net:      network.New(eng, cfg.Net),
+		Net:      network.New(eng, network.DefaultConfig()),
 		Cfg:      cfg,
 		locks:    make(map[int]*lockState),
 		barriers: make(map[int]*barrierState),
@@ -390,11 +369,10 @@ func (k *Kernel) TCM() (*tcm.Map, tcm.BuildCost) {
 	return k.master.Build(len(k.threads))
 }
 
-// BroadcastPlanCost models the master broadcasting a sampling-rate change
-// notice: each node iterates its cached objects of the affected classes and
-// re-tags them. It returns the summed virtual CPU cost charged to nodes.
-// (The resample pass is what the paper bounds at "no more than 0.1% of
-// total CPU time".)
+// ChargeResample counts objects re-tagged after a sampling-rate change
+// notice in KernelStats.ResampledObjs. It charges no CPU; readers of the
+// count price it at ResampleCostPerObject. (The resample pass is what the
+// paper bounds at "no more than 0.1% of total CPU time".)
 func (k *Kernel) ChargeResample(objects int) {
 	k.stats.ResampledObjs += int64(objects)
 }

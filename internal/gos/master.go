@@ -68,7 +68,7 @@ func (m *Master) IngestSummary(s *tcm.Summary) {
 		}
 	}
 	m.ingestedRecords++
-	m.reorgTime += sim.Time(entries) * m.k.Cfg.Costs.TCMPairCost // merge is cheap
+	m.reorgTime += sim.Time(entries) * tcmPairCost // merge is cheap
 }
 
 // IngestPayload dispatches on the shipment kind.
@@ -89,7 +89,7 @@ func (m *Master) IngestLocal(r *oal.Record) {
 	bl.IngestRecord(r)
 	m.ingestedRecords++
 	m.ingestedEntries += int64(len(r.Entries))
-	m.reorgTime += sim.Time(len(r.Entries)) * m.k.Cfg.Costs.TCMReorgCostPerEntry
+	m.reorgTime += sim.Time(len(r.Entries)) * tcmReorgCostPerEntry
 	for _, e := range r.Entries {
 		m.accrueHome(r.Thread, e.Obj, float64(e.Bytes))
 	}
@@ -152,8 +152,8 @@ func widen(mp *tcm.Map, n int) *tcm.Map {
 func (m *Master) Build(n int) (*tcm.Map, tcm.BuildCost) {
 	bl := m.ensureBuilder()
 	mp, cost := bl.Build()
-	m.buildTime += sim.Time(cost.PairAdds)*m.k.Cfg.Costs.TCMPairCost +
-		sim.Time(cost.Objects)*m.k.Cfg.Costs.TCMReorgCostPerEntry
+	m.buildTime += sim.Time(cost.PairAdds)*tcmPairCost +
+		sim.Time(cost.Objects)*tcmReorgCostPerEntry
 	return widen(mp, n), cost
 }
 

@@ -192,7 +192,7 @@ func (n *Node) handleMessage(m *network.Message) {
 		o := n.k.Reg.MustObject(pm.obj)
 		reply := &protoMsg{kind: msgFetchReply, tok: pm.tok, obj: o.ID,
 			data: n.k.version(o.ID)}
-		n.k.Eng.After(n.k.Cfg.Costs.HomeServiceCost, func() {
+		n.k.Eng.After(homeServiceCost, func() {
 			n.k.Net.Send(network.NodeID(n.id), m.From, network.CatGOSData, o.Bytes(), reply)
 		})
 	case msgFetchReply:
@@ -201,7 +201,7 @@ func (n *Node) handleMessage(m *network.Message) {
 		// Versions were advanced synchronously at interval close (the
 		// version table is the simulation's ground truth); this message
 		// models the diff traffic and the home-side application cost.
-		n.k.Eng.After(n.k.Cfg.Costs.HomeServiceCost, func() {})
+		n.k.Eng.After(homeServiceCost, func() {})
 	case msgOALBatch:
 		n.receiveFlush(m.From, pm)
 	case msgLockReq:
@@ -308,7 +308,7 @@ func (n *Node) drainOAL(t *Thread) *oalPayload {
 			n.k.recycleRecord(r)
 		}
 		if t != nil {
-			t.Charge(sim.Time(entries) * n.k.Cfg.Costs.TCMReorgCostPerEntry)
+			t.Charge(sim.Time(entries) * tcmReorgCostPerEntry)
 		}
 		p.sum = bl.Summarize()
 		p.wire = p.sum.WireBytes()
@@ -339,7 +339,7 @@ func (n *Node) flushOAL(t *Thread) {
 		return
 	}
 	if t != nil && p.batch != nil {
-		t.Charge(sim.Time(p.batch.NumEntries()) * n.k.Cfg.Costs.OALPackCostPerEntry)
+		t.Charge(sim.Time(p.batch.NumEntries()) * oalPackCostPerEntry)
 	}
 	if n.id == 0 {
 		// Local delivery to the master collector.

@@ -236,7 +236,7 @@ func (k *Kernel) lockRequest(id int, from network.NodeID, tok int64, gen int64, 
 	if gen != ls.gen {
 		return
 	}
-	k.Eng.After(k.Cfg.Costs.LockServiceCost, func() {
+	k.Eng.After(lockServiceCost, func() {
 		if !ls.held {
 			ls.held = true
 			k.grantLock(id, ls, lockWaiter{node: from, tok: tok})
@@ -253,7 +253,7 @@ func (k *Kernel) lockRelease(id int, gen int64) {
 	if gen != ls.gen {
 		return
 	}
-	k.Eng.After(k.Cfg.Costs.LockServiceCost, func() {
+	k.Eng.After(lockServiceCost, func() {
 		if gen != ls.gen {
 			return // rebuilt while the service cost elapsed
 		}
@@ -334,7 +334,7 @@ func (k *Kernel) barrierArrive(id int, from network.NodeID, tok int64, pl *oalPa
 		bs.arrived = nil
 		bs.Episodes++
 		k.stats.Barriers++
-		k.Eng.After(k.Cfg.Costs.BarrierServiceCost, func() {
+		k.Eng.After(barrierServiceCost, func() {
 			for _, w := range waiters {
 				k.Net.Send(0, w.node, network.CatControl, 16,
 					&protoMsg{kind: msgBarrierRelease, tok: w.tok})

@@ -216,7 +216,7 @@ func (t *Thread) openInterval() {
 	// regardless of their real status"). Only sampled objects — the OAL
 	// from last interval contains exactly those.
 	if t.k.Cfg.Tracking == TrackingSampled {
-		var resetCost sim.Time
+		var resetCPU sim.Time
 		for _, id := range t.lastLogged {
 			c := t.node.copyAt(id)
 			if c == nil {
@@ -225,11 +225,11 @@ func (t *Thread) openInterval() {
 			if c.obj.Sampled() {
 				c.falseInvalid = true
 				t.k.stats.Resets++
-				resetCost += t.k.Cfg.Costs.ResetCost
+				resetCPU += resetCost
 			}
 		}
-		if resetCost > 0 {
-			t.Charge(resetCost)
+		if resetCPU > 0 {
+			t.Charge(resetCPU)
 		}
 	}
 }
@@ -242,7 +242,6 @@ func (t *Thread) closeInterval() {
 	}
 	t.intervalOpen = false
 	t.closing = true
-	cost := t.k.Cfg.Costs
 
 	// Propagate diffs of written non-home objects to their homes, batched
 	// per home node. The per-home byte accumulator is a reused per-thread
@@ -264,7 +263,7 @@ func (t *Thread) closeInterval() {
 		if wb <= 0 || wb > o.Bytes() {
 			wb = o.Bytes()
 		}
-		diffCPU += sim.Time(wb) * cost.DiffCostPerByte
+		diffCPU += sim.Time(wb) * diffCostPerByte
 		// Commit the update: home writes commit in place; remote writes
 		// advance the home version synchronously while the diff message
 		// below models the traffic and latency. The writer's own copy
@@ -357,8 +356,7 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 	t.pc++
 	t.stats.Accesses++
 	t.k.stats.Checks++
-	cost := &t.k.Cfg.Costs
-	t.Charge(cost.CheckCost)
+	t.Charge(checkCost)
 
 	// The entry pointer stays valid across a parked fault: table pages
 	// never move.
@@ -418,7 +416,7 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 
 	if write && o.Home != n.id && !c.hasTwin {
 		c.hasTwin = true
-		t.Charge(sim.Time(o.Bytes()) * cost.TwinCostPerByte)
+		t.Charge(sim.Time(o.Bytes()) * twinCostPerByte)
 	}
 
 	for _, obs := range t.observers {
@@ -430,8 +428,7 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 // or revalidates a stale home copy (never happens for true homes — home
 // copies are always valid — but kept for safety).
 func (t *Thread) fault(o *heap.Object, c *copyState) {
-	cost := t.k.Cfg.Costs
-	t.Charge(cost.FaultCPUCost)
+	t.Charge(faultCPUCost)
 	t.flushCPU() // blocking: release the CPU while waiting
 	tok := t.node.newToken(t)
 	t.k.Net.Send(network.NodeID(t.node.id), network.NodeID(o.Home),
@@ -459,7 +456,7 @@ func (t *Thread) maybeLog(o *heap.Object, ai *accessEntry, write bool) {
 		return
 	}
 	ai.logged = true
-	t.Charge(t.k.Cfg.Costs.LogCost)
+	t.Charge(LogCost)
 	// Scaled estimator: amortized sample size × gap, so sampled maps
 	// estimate the full-population shared volume.
 	bytes := int64(o.AmortizedBytes()) * gap

@@ -42,7 +42,7 @@ func TestShaperRampAndJitterBounds(t *testing.T) {
 		},
 		Jitter: &Jitter{Amplitude: 100 * sim.Microsecond},
 	}
-	k := gos.NewKernel(gos.Config{Nodes: 2, Net: cfg, Costs: gos.DefaultCosts()})
+	k := gos.NewKernel(gos.Config{Nodes: 2})
 	sc.Apply(k, nil)
 
 	// At end-of-ramp, latency doubled and bandwidth halved: base transfer
@@ -161,7 +161,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 // TestSlowdownScalesNodeCPU drives a tiny two-node run and checks that the
 // scheduled slowdown events actually change the resource speed.
 func TestSlowdownScalesNodeCPU(t *testing.T) {
-	k := gos.NewKernel(gos.Config{Nodes: 2, Net: network.DefaultConfig(), Costs: gos.DefaultCosts()})
+	k := gos.NewKernel(gos.Config{Nodes: 2})
 	sc := &Scenario{
 		Name:       "t",
 		CPUFactors: []float64{1, 0.5},

@@ -138,19 +138,10 @@ type AppliedAction struct {
 // not validate against the cluster) is recorded as a sticky error returned
 // by the first Launch/Step/Run call, keeping construction chainable.
 func New(cfg Config) *Session {
-	// Default only the missing pieces of the kernel config; a caller's
-	// partial config (say, tracking mode without a node count) must not be
-	// silently discarded wholesale.
+	// A kernel config without a node count takes the default cluster size.
 	kcfg := cfg.Kernel
-	def := gos.DefaultConfig()
 	if kcfg.Nodes <= 0 {
-		kcfg.Nodes = def.Nodes
-	}
-	if kcfg.Net == (network.Config{}) {
-		kcfg.Net = def.Net
-	}
-	if kcfg.Costs == (gos.CostModel{}) {
-		kcfg.Costs = def.Costs
+		kcfg.Nodes = gos.DefaultConfig().Nodes
 	}
 	s := &Session{cfg: cfg, phase: new(workload.Phase)}
 	if cfg.Scenario != nil {
