@@ -20,10 +20,11 @@ import (
 // fully defaulted enablement.
 type FailureConfig struct {
 	// HeartbeatInterval is the worker beat period. A worker skips a beat
-	// when its CPU speed is below SuspendBelowSpeed — that, not an
-	// explicit crash flag, is how the scenario layer's crash crawl
-	// (scenario.DefaultCrashFactor) silences a node; the detector cannot
-	// tell a dead node from a catatonic one, by design.
+	// when its CPU runs below suspendBelowSpeed, a fifth of its nominal
+	// speed — that, not an explicit crash flag, is how the scenario
+	// layer's crash crawl (scenario.DefaultCrashFactor) silences a node;
+	// the detector cannot tell a dead node from a catatonic one, by
+	// design.
 	HeartbeatInterval sim.Time
 	// LeaseTimeout is how long the master tolerates silence before
 	// declaring a worker dead.
@@ -39,21 +40,21 @@ type FailureConfig struct {
 	FlushBackoff    sim.Time
 	MaxFlushBackoff sim.Time
 	MaxFlushRetries int
-	// SuspendBelowSpeed gates heartbeat emission (see HeartbeatInterval).
-	SuspendBelowSpeed float64
-	// HeartbeatBytes is the on-wire size of one beat.
-	HeartbeatBytes int
-	// NoEvacuation disables moving a dead node's threads; the detector
-	// still declares death and decays its correlations.
-	NoEvacuation bool
-	// EvacPayloadBytes is the migration payload per evacuated thread
-	// (stack context; no sticky set is prefetched on an emergency move).
-	EvacPayloadBytes int
-	// DecayFactor scales a dead node's threads' accumulated correlations
-	// (tcm DecayThreads) when death is declared. 0 means the default 0.5;
-	// use a negative value for full quarantine (clamped to 0).
-	DecayFactor float64
 }
+
+// The failure layer's fixed parameters.
+const (
+	// suspendBelowSpeed gates heartbeat emission (see HeartbeatInterval).
+	suspendBelowSpeed = 0.2
+	// heartbeatBytes is the on-wire size of one beat.
+	heartbeatBytes = 32
+	// evacPayloadBytes is the migration payload per evacuated thread
+	// (stack context; no sticky set is prefetched on an emergency move).
+	evacPayloadBytes = 2048
+	// decayFactor scales a dead node's threads' accumulated correlations
+	// (tcm DecayThreads) when death is declared.
+	decayFactor = 0.5
+)
 
 // DefaultFailureConfig returns the defaulted enablement.
 func DefaultFailureConfig() *FailureConfig {
@@ -65,10 +66,6 @@ func DefaultFailureConfig() *FailureConfig {
 		FlushBackoff:      10 * sim.Millisecond,
 		MaxFlushBackoff:   200 * sim.Millisecond,
 		MaxFlushRetries:   6,
-		SuspendBelowSpeed: 0.2,
-		HeartbeatBytes:    32,
-		EvacPayloadBytes:  2048,
-		DecayFactor:       0.5,
 	}
 }
 
@@ -96,18 +93,6 @@ func (fc FailureConfig) withDefaults() FailureConfig {
 	if fc.MaxFlushRetries <= 0 {
 		fc.MaxFlushRetries = d.MaxFlushRetries
 	}
-	if fc.SuspendBelowSpeed <= 0 {
-		fc.SuspendBelowSpeed = d.SuspendBelowSpeed
-	}
-	if fc.HeartbeatBytes <= 0 {
-		fc.HeartbeatBytes = d.HeartbeatBytes
-	}
-	if fc.EvacPayloadBytes <= 0 {
-		fc.EvacPayloadBytes = d.EvacPayloadBytes
-	}
-	if fc.DecayFactor == 0 {
-		fc.DecayFactor = d.DecayFactor
-	}
 	return fc
 }
 
@@ -116,7 +101,7 @@ func (fc FailureConfig) withDefaults() FailureConfig {
 // failure-disabled goldens must stay byte-identical.
 type FailureStats struct {
 	HeartbeatsSent    int64 // beats that reached the wire
-	HeartbeatsSkipped int64 // beats suppressed below SuspendBelowSpeed
+	HeartbeatsSkipped int64 // beats suppressed below suspendBelowSpeed
 	LeaseExpiries     int64 // workers declared dead
 	NodeRecoveries    int64 // declared-dead workers heard from again
 	Evacuations       int64 // safe-point thread moves requested off dead nodes
@@ -248,10 +233,10 @@ func (fd *failureDetector) startBeats(n *Node) {
 		if fd.k.AllThreadsFinished() {
 			return
 		}
-		if n.cpu.Speed() >= fc.SuspendBelowSpeed {
+		if n.cpu.Speed() >= suspendBelowSpeed {
 			fd.k.fstats.HeartbeatsSent++
 			fd.k.Net.Send(network.NodeID(n.id), 0, network.CatControl,
-				fc.HeartbeatBytes, &protoMsg{kind: msgHeartbeat})
+				heartbeatBytes, &protoMsg{kind: msgHeartbeat})
 		} else {
 			fd.k.fstats.HeartbeatsSkipped++
 		}
@@ -297,16 +282,15 @@ func (fd *failureDetector) onBeat(node int) {
 
 // declareDead expires a worker's lease: its threads' accumulated
 // correlations are decayed (graceful degradation — stale evidence must not
-// dominate future placement) and, unless disabled, its unfinished threads
-// are asked to evacuate at their next safe point, each to the
-// least-loaded live node (lowest id on ties). Iteration is in thread-id
-// order, so targets are deterministic.
+// dominate future placement) and its unfinished threads are asked to
+// evacuate at their next safe point, each to the least-loaded live node
+// (lowest id on ties). Iteration is in thread-id order, so targets are
+// deterministic.
 func (fd *failureDetector) declareDead(node int) {
 	fd.dead[node] = true
 	fd.k.fstats.LeaseExpiries++
 	fd.k.failoverLocks(node)
 	fd.k.notifyHealth(node, false)
-	fc := &fd.k.fcfg
 
 	var deadThreads []int
 	load := make([]int, fd.k.NumNodes())
@@ -319,12 +303,9 @@ func (fd *failureDetector) declareDead(node int) {
 			deadThreads = append(deadThreads, t.id)
 		}
 	}
-	if len(deadThreads) > 0 && fc.DecayFactor < 1 {
-		fd.k.master.DecayThreads(deadThreads, fc.DecayFactor)
+	if len(deadThreads) > 0 {
+		fd.k.master.DecayThreads(deadThreads, decayFactor)
 		fd.k.fstats.DecayPasses++
-	}
-	if fc.NoEvacuation {
-		return
 	}
 	for _, tid := range deadThreads {
 		target := fd.evacTarget(load)
@@ -332,8 +313,7 @@ func (fd *failureDetector) declareDead(node int) {
 			return // no live node left to take them
 		}
 		load[target]++
-		payload := fc.EvacPayloadBytes
-		fd.k.threads[tid].AtSafePoint(func(th *Thread) { th.MoveTo(target, payload) })
+		fd.k.threads[tid].AtSafePoint(func(th *Thread) { th.MoveTo(target, evacPayloadBytes) })
 		fd.k.fstats.Evacuations++
 	}
 }

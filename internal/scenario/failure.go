@@ -32,8 +32,8 @@ import (
 // a Crash does not specify one. A crash is modeled as a near-freeze rather
 // than a total stop: threads still (glacially) reach safe points so the
 // failure detector can evacuate them, and the node stops emitting
-// heartbeats (the gos heartbeat loop suppresses beats below its
-// SuspendBelowSpeed threshold), which is what actually declares it dead.
+// heartbeats (the gos heartbeat loop suppresses beats below a fifth of
+// nominal speed), which is what actually declares it dead.
 const DefaultCrashFactor = 0.05
 
 // downPenalty is the extra per-message delivery delay for protocol traffic
