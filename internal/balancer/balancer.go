@@ -3,9 +3,9 @@
 // effective thread-to-core placement and dynamic load balancing"). Given a
 // thread correlation map and per-thread sticky-set footprints, it computes
 // thread placements that maximize collocated sharing subject to a load
-// balance constraint, and migration plans that weigh the locality gain of a
-// move against its cost (context + sticky-set transfer) — the paper's §V
-// future-work policy, built out as an extension.
+// balance constraint, and migration plans that make a move only when its
+// locality gain clears a threshold — the paper's §V future-work policy,
+// built out as an extension.
 package balancer
 
 import (
@@ -61,19 +61,12 @@ func LocalVolume(m *tcm.Map, a Assignment) float64 {
 type Config struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// Slack is how many threads above the floor average a node may hold
-	// (load-balance constraint; 0 forces near-perfect balance).
-	Slack int
 	// MaxMoves caps the number of migrations in one plan (each migration
 	// has real cost; the paper warns against thread thrashing).
 	MaxMoves int
 	// MinGain is the minimum cross-volume reduction (bytes) to justify a
-	// move; combined with MoveCostBytes it implements the paper's
-	// gain-vs-footprint weighing.
+	// move.
 	MinGain float64
-	// MoveCostBytes charges each move a fixed byte-equivalent cost
-	// (context size plus expected sticky-set transfer).
-	MoveCostBytes float64
 	// HomeAffinity, when non-nil, is the thread×node matrix of shared
 	// volume with objects homed per node (gos.Master.HomeAffinity). It
 	// supplies the "home effect" the paper's §VI calls for: moving a
@@ -89,8 +82,12 @@ type Config struct {
 
 // DefaultConfig returns a conservative planner.
 func DefaultConfig(nodes int) Config {
-	return Config{Nodes: nodes, Slack: 1, MaxMoves: 8, MinGain: 1, MoveCostBytes: 0}
+	return Config{Nodes: nodes, MaxMoves: 8, MinGain: 1}
 }
+
+// slack is how many threads above the rounded-up average a node may hold
+// after a plan: the load-balance constraint.
+const slack = 1
 
 // Move is one planned migration.
 type Move struct {
@@ -107,8 +104,7 @@ func (m Move) String() string {
 // Plan improves the current assignment by greedy best-move iteration: at
 // each step it evaluates every (thread, node) relocation that keeps the
 // load constraint and picks the one with the largest cross-volume
-// reduction, until no move clears MinGain + MoveCostBytes or MaxMoves is
-// reached.
+// reduction, until no move clears MinGain or MaxMoves is reached.
 func Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
 	if cfg.Nodes <= 0 {
 		panic("balancer: config needs Nodes")
@@ -119,7 +115,7 @@ func Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
 	}
 	a := current.Clone()
 	counts := a.Counts(cfg.Nodes)
-	maxPerNode := (n+cfg.Nodes-1)/cfg.Nodes + cfg.Slack
+	maxPerNode := (n+cfg.Nodes-1)/cfg.Nodes + slack
 	var moves []Move
 	if cfg.MaxMoves <= 0 {
 		cfg.MaxMoves = n
@@ -160,7 +156,7 @@ func Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
 				}
 			}
 		}
-		if !found || best.Gain < cfg.MinGain+cfg.MoveCostBytes {
+		if !found || best.Gain < cfg.MinGain {
 			break
 		}
 		a[best.Thread] = best.To

@@ -235,9 +235,8 @@ type RebalancePolicy struct{}
 
 // RebalancePolicy's tuning.
 const (
-	// rebalanceSlack, rebalanceMaxMoves and rebalanceMinGainBytes tune the
-	// placement planner (see balancer.Config).
-	rebalanceSlack        = 1
+	// rebalanceMaxMoves and rebalanceMinGainBytes tune the placement
+	// planner (see balancer.Config).
 	rebalanceMaxMoves     = 4
 	rebalanceMinGainBytes = 4096
 	// maxRehomesPerEpoch caps object home migrations per epoch.
@@ -263,7 +262,6 @@ func (p *RebalancePolicy) Observe(snap *Snapshot) []Action {
 	next := snap.Assignment
 	if snap.TCM != nil && snap.TCM.N() == snap.Threads && snap.TCM.Total() > 0 {
 		cfg := balancer.DefaultConfig(snap.Nodes)
-		cfg.Slack = rebalanceSlack
 		cfg.MaxMoves = rebalanceMaxMoves
 		cfg.MinGain = rebalanceMinGainBytes
 		planned, moves := balancer.Plan(snap.TCM, snap.Assignment, cfg)
