@@ -89,8 +89,8 @@ import (
 	"jessica2"
 	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
-	"jessica2/internal/network"
 	"jessica2/internal/runner"
+	"jessica2/internal/session"
 )
 
 // runConfig is one fully parsed and validated invocation.
@@ -359,18 +359,8 @@ func (rc *runConfig) report(o *experiments.Out, out io.Writer) error {
 	if spec.Scenario != nil {
 		scenName = spec.Scenario.String()
 	}
-	st := o.Stats
 	fmt.Fprintf(out, "%s on %d nodes, %d threads (scenario: %s)\n\n", name, spec.Nodes, spec.Threads, scenName)
-	fmt.Fprintf(out, "workloads:         %s\n", name)
-	fmt.Fprintf(out, "execution time:    %v\n", o.Exec)
-	fmt.Fprintf(out, "intervals:         %d\n", st.Intervals)
-	fmt.Fprintf(out, "remote faults:     %d (%d KB)\n", st.Faults, st.FaultBytes/1024)
-	fmt.Fprintf(out, "correlation logs:  %d\n", st.CorrelationLogs)
-	fmt.Fprintf(out, "barriers/locks:    %d / %d\n", st.Barriers, st.LockAcquires)
-	fmt.Fprintf(out, "OAL traffic:       %d KB\n", o.Net.CatBytes(network.CatOAL)/1024)
-	fmt.Fprintf(out, "GOS traffic:       %d KB\n",
-		(o.Net.CatBytes(network.CatGOSData)+o.Net.CatBytes(network.CatControl)+o.Net.HeaderBytesTotal)/1024)
-	fmt.Fprintf(out, "TCM compute time:  %v\n\n", o.AnalyzerTime)
+	fmt.Fprintln(out, session.Summary(name, o.Exec, o.Stats, o.Net, o.AnalyzerTime))
 
 	if o.ProfileWarning != "" {
 		fmt.Fprintf(out, "warning: %s\n\n", o.ProfileWarning)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jessica2/internal/gos"
+	"jessica2/internal/network"
 	"jessica2/internal/sampling"
 	"jessica2/internal/workload"
 )
@@ -35,8 +36,7 @@ func TestScaleProbe(t *testing.T) {
 			net := k.Net.Stats()
 			t.Logf("%s: exec=%v faults=%d logs=%d intervals=%d oalKB=%d gosKB=%d",
 				app.name, end, st.Faults, st.CorrelationLogs, st.Intervals,
-				net.CatBytes(3-3+2)/1024, // CatOAL
-				(net.CatBytes(1)+net.CatBytes(0)+net.HeaderBytesTotal)/1024)
+				net.CatBytes(network.CatOAL)/1024, net.GOSBytes()/1024)
 		})
 	}
 }

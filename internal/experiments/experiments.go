@@ -377,7 +377,7 @@ func (o *Out) OALKB() float64 { return float64(o.Net.CatBytes(network.CatOAL)) /
 
 // GOSKB is the protocol traffic (data + control + headers) in KB.
 func (o *Out) GOSKB() float64 {
-	return float64(o.Net.CatBytes(network.CatGOSData)+o.Net.CatBytes(network.CatControl)+o.Net.HeaderBytesTotal) / 1024
+	return float64(o.Net.GOSBytes()) / 1024
 }
 
 // Run executes one spec deterministically: a pilot first when the policy

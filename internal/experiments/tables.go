@@ -291,22 +291,12 @@ func Table4(scale Scale, p *runner.Pool) *Table4Result {
 	return res
 }
 
-// footprintSpec builds one Table IV cell's spec. Each spec gets its own
-// FootprintConfig: specs run concurrently under the pool and must not share
-// pointered configuration.
+// footprintSpec builds one Table IV cell's spec: nonstop footprinting.
+// Each spec gets its own FootprintConfig: specs run concurrently under the
+// pool and must not share pointered configuration.
 func footprintSpec(a App, scale Scale, rate sampling.Rate) Spec {
-	fp := &core.FootprintConfig{FootprinterConfig: sticky.FootprinterConfig{
-		MinAccesses: 2,
-		Nonstop:     true,
-		RearmPeriod: 1 * sim.Millisecond,
-		MinGap:      1,
-		ArmCost:     80 * sim.Nanosecond,
-		TrapBase:    150 * sim.Nanosecond,
-		TrapPerKB:   1536 * sim.Nanosecond,
-		EWMA:        0.5,
-	}}
 	return Spec{App: a, Scale: scale, Nodes: 8, Threads: 8, Seed: figSeed,
-		Tracking: gos.TrackingOff, Rate: rate, Footprint: fp}
+		Tracking: gos.TrackingOff, Rate: rate, Footprint: footprintConfig(true)}
 }
 
 // Table renders Table IV in paper layout.
@@ -369,19 +359,12 @@ var footCfgs = []struct {
 	{"timerFull", false, sampling.FullRate},
 }
 
+// footprintConfig is the calibrated default footprinter, sweeping nonstop
+// or on the paper's 100 ms timer.
 func footprintConfig(nonstop bool) *core.FootprintConfig {
-	return &core.FootprintConfig{FootprinterConfig: sticky.FootprinterConfig{
-		MinAccesses: 2,
-		Nonstop:     nonstop,
-		RearmPeriod: 1 * sim.Millisecond,
-		OnPhase:     100 * sim.Millisecond,
-		OffPhase:    100 * sim.Millisecond,
-		MinGap:      1,
-		ArmCost:     80 * sim.Nanosecond,
-		TrapBase:    150 * sim.Nanosecond,
-		TrapPerKB:   1536 * sim.Nanosecond,
-		EWMA:        0.5,
-	}}
+	fc := sticky.DefaultFootprinterConfig()
+	fc.Nonstop = nonstop
+	return &core.FootprintConfig{FootprinterConfig: fc}
 }
 
 // table5Set files one Table V run's execution time into the result.
@@ -397,8 +380,11 @@ func table5Specs(a App, scale Scale) ([]Spec, []table5Set) {
 		return Spec{App: a, Small: small, Scale: scale, Nodes: 1, Threads: 1, Seed: figSeed,
 			Tracking: gos.TrackingOff}
 	}
+	// lazyStack is a fresh copy of the default stack profiler: lazy
+	// extraction every 16 ms.
 	lazyStack := func() *core.StackConfig {
-		return &core.StackConfig{Gap: 16 * sim.Millisecond, Lazy: true, MinSurvived: 1, Costs: core.DefaultStackCosts()}
+		sc := core.DefaultStackConfig()
+		return &sc
 	}
 	var specs []Spec
 	var sets []table5Set
@@ -411,7 +397,8 @@ func table5Specs(a App, scale Scale) ([]Spec, []table5Set) {
 
 	for _, sc := range stackCfgs {
 		s := base()
-		s.Stack = &core.StackConfig{Gap: sc.Gap, Lazy: sc.Lazy, MinSurvived: 1, Costs: core.DefaultStackCosts()}
+		s.Stack = lazyStack()
+		s.Stack.Gap, s.Stack.Lazy = sc.Gap, sc.Lazy
 		add(s, func(r *Table5Result, ms float64) { r.StackMs[a][sc.Key] = ms })
 	}
 

@@ -159,6 +159,12 @@ type Stats struct {
 // CatBytes returns the byte count for one category.
 func (s Stats) CatBytes(c Category) int64 { return s.Bytes[c] }
 
+// GOSBytes is the protocol traffic: GOS data and control payloads plus the
+// headers of every message.
+func (s Stats) GOSBytes() int64 {
+	return s.Bytes[CatGOSData] + s.Bytes[CatControl] + s.HeaderBytesTotal
+}
+
 // TotalBytes sums payload bytes over all categories plus headers.
 func (s Stats) TotalBytes() int64 {
 	var n int64 = s.HeaderBytesTotal

@@ -41,10 +41,7 @@ func (r *Report) NetworkStats() network.Stats { return r.s.k.Net.Stats() }
 func (r *Report) OALBytes() int64 { return r.NetworkStats().CatBytes(network.CatOAL) }
 
 // GOSBytes is protocol traffic volume (data + control + headers).
-func (r *Report) GOSBytes() int64 {
-	st := r.NetworkStats()
-	return st.CatBytes(network.CatGOSData) + st.CatBytes(network.CatControl) + st.HeaderBytesTotal
-}
+func (r *Report) GOSBytes() int64 { return r.NetworkStats().GOSBytes() }
 
 // HomeAffinity exports the thread×node shared-volume matrix (the "home
 // effect" input for home-aware placement planning).
@@ -63,16 +60,23 @@ func (r *Report) AdviseHomeMigrations(assignment balancer.Assignment, minBytes i
 
 // String renders a human-readable summary.
 func (r *Report) String() string {
+	return Summary(strings.Join(r.s.Workloads(), ", "), r.ExecTime(),
+		r.KernelStats(), r.NetworkStats(), r.s.k.Master().ComputeTime())
+}
+
+// Summary renders the nine-line run summary that Report.String and djvmrun
+// print: the workloads, execution time, kernel counters, OAL and GOS
+// traffic, and the master analyzer's CPU time.
+func Summary(workloads string, exec sim.Time, st gos.KernelStats, net network.Stats, tcmTime sim.Time) string {
 	var sb strings.Builder
-	st := r.KernelStats()
-	fmt.Fprintf(&sb, "workloads:         %s\n", strings.Join(r.s.Workloads(), ", "))
-	fmt.Fprintf(&sb, "execution time:    %v\n", r.ExecTime())
+	fmt.Fprintf(&sb, "workloads:         %s\n", workloads)
+	fmt.Fprintf(&sb, "execution time:    %v\n", exec)
 	fmt.Fprintf(&sb, "intervals:         %d\n", st.Intervals)
 	fmt.Fprintf(&sb, "remote faults:     %d (%d KB)\n", st.Faults, st.FaultBytes/1024)
 	fmt.Fprintf(&sb, "correlation logs:  %d\n", st.CorrelationLogs)
 	fmt.Fprintf(&sb, "barriers/locks:    %d / %d\n", st.Barriers, st.LockAcquires)
-	fmt.Fprintf(&sb, "OAL traffic:       %d KB\n", r.OALBytes()/1024)
-	fmt.Fprintf(&sb, "GOS traffic:       %d KB\n", r.GOSBytes()/1024)
-	fmt.Fprintf(&sb, "TCM compute time:  %v\n", r.s.k.Master().ComputeTime())
+	fmt.Fprintf(&sb, "OAL traffic:       %d KB\n", net.CatBytes(network.CatOAL)/1024)
+	fmt.Fprintf(&sb, "GOS traffic:       %d KB\n", net.GOSBytes()/1024)
+	fmt.Fprintf(&sb, "TCM compute time:  %v\n", tcmTime)
 	return sb.String()
 }
