@@ -45,13 +45,7 @@ func chaosTrace(t *testing.T, presets string, recover bool, seed uint64) (string
 	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, sess)
 
 	fs := sess.Kernel().FailureStats()
 	var sb strings.Builder

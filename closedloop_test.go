@@ -41,13 +41,7 @@ func clRun(t *testing.T, policy jessica2.Policy, epochs int) (jessica2.Time, *je
 	if err := sess.SetPolicy(policy); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, sess)
 	return rep.ExecTime(), sess
 }
 

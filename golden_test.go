@@ -69,13 +69,7 @@ func goldenTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, sess)
 
 	var sb strings.Builder
 	sb.WriteString(rep.String())

@@ -24,6 +24,12 @@ func runProfiled(t *testing.T, cfg jessica2.Config, w jessica2.Workload, p jessi
 	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate}); err != nil {
 		t.Fatal(err)
 	}
+	return runReport(t, sess)
+}
+
+// runReport runs sess to completion and returns its report.
+func runReport(t *testing.T, sess *jessica2.Session) *jessica2.Report {
+	t.Helper()
 	if _, err := sess.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -74,13 +74,7 @@ func overloadLine(t *testing.T, spec, level string, seed uint64) string {
 	if err := sess.SetPolicy(jessica2.NewRebalancePolicy()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, sess)
 	snap := sess.Snapshot()
 	if snap.Serve == nil {
 		t.Fatalf("%s/%s: no serving snapshot", spec, level)

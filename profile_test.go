@@ -133,13 +133,7 @@ func warmRun(t *testing.T, prof *jessica2.StoredProfile) (*jessica2.Report, *jes
 	if err := sess.SetPolicy(jessica2.NewWarmStartPolicy(prof)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runReport(t, sess)
 	return rep, sess
 }
 
@@ -235,13 +229,7 @@ func TestProfileFingerprintMismatch(t *testing.T) {
 				if err := sess.SetPolicy(jessica2.NewWarmStartPolicy(load)); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := sess.Run(); err != nil {
-					t.Fatal(err)
-				}
-				rep, err := sess.Report()
-				if err != nil {
-					t.Fatal(err)
-				}
+				rep := runReport(t, sess)
 				return rep.String(), sess
 			}
 			mismatched, sess := run(prof)
