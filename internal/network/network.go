@@ -55,14 +55,15 @@ type Message struct {
 	From, To NodeID
 	Parts    []Part
 	Payload  any
-	// SentAt / DeliveredAt are virtual times for latency diagnostics.
-	SentAt, DeliveredAt sim.Time
 
 	// partsBuf inline-stores the parts: every protocol message carries one
 	// or two categories, so Send/SendParts fill this buffer instead of
 	// allocating a separate Parts array (and the caller's parts slice no
 	// longer escapes).
 	partsBuf [2]Part
+
+	// net is the owning network, which delivers the message.
+	net *Network
 }
 
 // TotalBytes sums all parts plus the fixed per-message header.
@@ -255,7 +256,7 @@ func (n *Network) TransferTime(totalBytes int) sim.Time {
 
 // Send transmits a single-category message. See SendParts.
 func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
-	msg := &Message{From: from, To: to, Payload: payload, SentAt: n.eng.Now()}
+	msg := &Message{From: from, To: to, Payload: payload, net: n}
 	msg.partsBuf[0] = Part{Cat: cat, Bytes: bytes}
 	msg.Parts = msg.partsBuf[:1]
 	n.post(msg)
@@ -266,19 +267,29 @@ func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
 // accounting splits per category. Local sends (from == to) are delivered
 // with zero delay and no traffic accounting.
 func (n *Network) SendParts(from, to NodeID, parts []Part, payload any) {
-	msg := &Message{From: from, To: to, Payload: payload, SentAt: n.eng.Now()}
+	msg := &Message{From: from, To: to, Payload: payload, net: n}
 	msg.Parts = append(msg.partsBuf[:0], parts...)
 	n.post(msg)
+}
+
+// delivery is a message's delivery event: a queued message fires as
+// itself, once per delivery.
+type delivery Message
+
+func (d *delivery) Fire() {
+	msg := (*Message)(d)
+	n := msg.net
+	if msg.From != msg.To {
+		n.inFlight--
+	}
+	n.deliver(msg)
 }
 
 // post schedules the message's delivery.
 func (n *Network) post(msg *Message) {
 	from, to, parts := msg.From, msg.To, msg.Parts
 	if from == to {
-		n.eng.After(0, func() {
-			msg.DeliveredAt = n.eng.Now()
-			n.deliver(msg)
-		})
+		n.eng.AfterEvent(0, (*delivery)(msg))
 		return
 	}
 	total := msg.TotalBytes(n.cfg.HeaderBytes)
@@ -310,18 +321,11 @@ func (n *Network) post(msg *Message) {
 		if v.Duplicate {
 			n.stats.Duplicated++
 			n.inFlight++
-			n.eng.After(delay+n.cfg.Latency, func() {
-				n.inFlight--
-				n.deliver(msg)
-			})
+			n.eng.AfterEvent(delay+n.cfg.Latency, (*delivery)(msg))
 		}
 	}
 	n.inFlight++
-	n.eng.After(delay, func() {
-		n.inFlight--
-		msg.DeliveredAt = n.eng.Now()
-		n.deliver(msg)
-	})
+	n.eng.AfterEvent(delay, (*delivery)(msg))
 }
 
 func (n *Network) account(from NodeID, parts []Part) {

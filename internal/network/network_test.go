@@ -29,18 +29,20 @@ func TestZeroBandwidthPanics(t *testing.T) {
 func TestDeliveryAndAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, DefaultConfig())
-	var got *Message
-	n.Bind(1, func(m *Message) { got = m })
+	var payload any
+	deliveredAt := sim.Time(-1)
+	n.Bind(1, func(m *Message) { payload, deliveredAt = m.Payload, eng.Now() })
 	n.Bind(0, func(m *Message) {})
+	sentAt := eng.Now()
 	n.Send(0, 1, CatGOSData, 500, "payload")
 	if n.InFlight() != 1 {
 		t.Fatal("message not in flight")
 	}
 	eng.Run()
-	if got == nil || got.Payload.(string) != "payload" {
+	if payload == nil || payload.(string) != "payload" {
 		t.Fatal("message not delivered")
 	}
-	if got.DeliveredAt <= got.SentAt {
+	if deliveredAt <= sentAt {
 		t.Fatal("no latency applied")
 	}
 	st := n.Stats()

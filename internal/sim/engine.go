@@ -6,8 +6,11 @@
 // that run one at a time, each until it yields back to the scheduler.
 // A Proc advances the clock by sleeping or by using a Resource (e.g. a node
 // CPU); it can block on a WaitQueue and be woken by another Proc or by an
-// event closure. Events at the same virtual time fire in the order they were
-// scheduled, so a run is a pure function of its inputs.
+// event. An event is any value with a Fire method: a func scheduled with
+// Schedule or After, or a typed target scheduled with ScheduleEvent or
+// AfterEvent, which lets hot paths schedule an object they already hold
+// instead of allocating a closure. Events at the same virtual time fire in
+// the order they were scheduled, so a run is a pure function of its inputs.
 package sim
 
 import (
@@ -47,12 +50,21 @@ func (t Time) String() string {
 	}
 }
 
-// event is a scheduled callback. Events run in the scheduler's context and
-// must not block; they typically wake Procs or schedule further events.
+// Event is a scheduled action. Fire runs in the scheduler's context and
+// must not block; it typically wakes Procs or schedules further events.
+type Event interface{ Fire() }
+
+// funcEvent adapts a func to Event for Schedule and After. A func value is
+// one pointer, so converting it to the interface does not allocate.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// event is a queue entry: an Event and the time it fires at.
 type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among events at the same time
-	fn  func()
+	ev  Event
 }
 
 // eventPQ is a 4-ary min-heap of events ordered by (at, seq). Events are
@@ -97,8 +109,8 @@ func (q *eventPQ) pop() event {
 	n := len(h) - 1
 	h[0] = h[n]
 	// Zero the vacated slot: the slice keeps its capacity across reuse, so a
-	// stale fn would pin its captured Proc (and everything the closure
-	// reaches) until the slot is next overwritten.
+	// stale event would pin its target (and everything that reaches) until
+	// the slot is next overwritten.
 	h[n] = event{}
 	h = h[:n]
 	*q = h
@@ -149,20 +161,28 @@ func (e *Engine) Now() Time { return e.now }
 
 // Schedule registers fn to run at absolute virtual time at. Scheduling in the
 // past (at < Now) is a programming error and panics.
-func (e *Engine) Schedule(at Time, fn func()) {
+func (e *Engine) Schedule(at Time, fn func()) { e.ScheduleEvent(at, funcEvent(fn)) }
+
+// After registers fn to run d after the current time.
+func (e *Engine) After(d Time, fn func()) { e.AfterEvent(d, funcEvent(fn)) }
+
+// ScheduleEvent registers ev to fire at absolute virtual time at. Scheduling
+// in the past (at < Now) is a programming error and panics. The same event
+// may be queued more than once; it fires once per registration.
+func (e *Engine) ScheduleEvent(at Time, ev Event) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule in the past: at=%v now=%v", at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
+	e.queue.push(event{at: at, seq: e.seq, ev: ev})
 }
 
-// After registers fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) {
+// AfterEvent registers ev to fire d after the current time.
+func (e *Engine) AfterEvent(d Time, ev Event) {
 	if d < 0 {
 		d = 0
 	}
-	e.Schedule(e.now+d, fn)
+	e.ScheduleEvent(e.now+d, ev)
 }
 
 // Spawn creates a Proc running body as a coroutine. The Proc does not start
@@ -170,7 +190,6 @@ func (e *Engine) After(d Time, fn func()) {
 // before Run or from within a running Proc or event.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	p.wakeFn = func() { p.next() }
 	e.procs = append(e.procs, p)
 	e.running++
 	e.Schedule(e.now, func() {
@@ -202,7 +221,7 @@ func (e *Engine) Run() Time {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
-		ev.fn()
+		ev.ev.Fire()
 	}
 	if e.running > 0 {
 		panic("sim: deadlock: " + e.blockedReport())
@@ -233,7 +252,7 @@ func (e *Engine) RunUntil(limit Time) bool {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
-		ev.fn()
+		ev.ev.Fire()
 	}
 	if e.running > 0 {
 		panic("sim: deadlock: " + e.blockedReport())
@@ -283,11 +302,6 @@ type Proc struct {
 	// for the same reason.
 	blockedName string
 
-	// wakeFn is the proc's dispatch closure, built once at Spawn so that
-	// Sleep and Wake — fired once per simulated event on the hot path —
-	// enqueue it without allocating a fresh closure each time.
-	wakeFn func()
-
 	// next runs the proc's coroutine until it yields or returns. A panic in
 	// the body re-panics from next, on the scheduler's goroutine, with its
 	// original value. yieldFn, called from the body, hands control back to
@@ -299,6 +313,12 @@ type Proc struct {
 	// via Use; useful for per-thread CPU accounting.
 	CPUTime Time
 }
+
+// procWake is a proc's wake event: Sleep and Wake, fired once per simulated
+// event on the hot path, queue the proc itself and allocate nothing.
+type procWake Proc
+
+func (w *procWake) Fire() { w.next() }
 
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
@@ -322,7 +342,7 @@ func (p *Proc) Sleep(d Time) {
 		panic("sim: negative sleep")
 	}
 	e := p.eng
-	e.Schedule(e.now+d, p.wakeFn)
+	e.ScheduleEvent(e.now+d, (*procWake)(p))
 	p.yield("sleep")
 }
 
@@ -351,9 +371,9 @@ func (p *Proc) BlockNamed(why, name string) {
 }
 
 // Wake schedules p to resume at the current virtual time. It must be called
-// from the scheduler context (an event closure) or from another running proc.
+// from the scheduler context (an event) or from another running proc.
 func (p *Proc) Wake() {
-	p.eng.Schedule(p.eng.now, p.wakeFn)
+	p.eng.ScheduleEvent(p.eng.now, (*procWake)(p))
 }
 
 // Use occupies r exclusively for a nominal duration d of work, queuing FIFO

@@ -449,3 +449,46 @@ func BenchmarkProcHandoff(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// nopEvent is a typed event that counts its firings.
+type nopEvent struct{ fired int }
+
+func (e *nopEvent) Fire() { e.fired++ }
+
+// TestEventsAllocateNothing: a proc's Sleep, its Wake of a parked proc and
+// a typed event scheduled with AfterEvent queue their targets themselves,
+// so a warm round trip allocates nothing.
+func TestEventsAllocateNothing(t *testing.T) {
+	e := NewEngine()
+	q := NewWaitQueue("q")
+	ev := &nopEvent{}
+	woken, done := 0, false
+	e.Spawn("waiter", func(p *Proc) {
+		for q.Wait(p); !done; q.Wait(p) {
+			woken++
+		}
+	})
+	var allocs float64
+	e.Spawn("driver", func(p *Proc) {
+		step := func() {
+			q.WakeOne()
+			e.AfterEvent(1, ev)
+			p.Sleep(2)
+		}
+		// Warm the scheduler: each step lands in a later ring bucket, and
+		// a bucket's first event allocates its heap.
+		for i := 0; i < 4096; i++ {
+			step()
+		}
+		allocs = testing.AllocsPerRun(100, step)
+		done = true
+		q.WakeOne()
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("sleep/wake/event round trip allocates %v times, want 0", allocs)
+	}
+	if ev.fired != 4096+101 || woken != 4096+101 {
+		t.Fatalf("fired %d, woken %d, want %d each", ev.fired, woken, 4096+101)
+	}
+}

@@ -151,13 +151,13 @@ func TestSchedRunUntilPauseThenPush(t *testing.T) {
 }
 
 // TestSchedReleasesClosures: both schedulers recycle slice capacity, so
-// every vacated slot must drop its fn — a retained closure would pin the
-// Proc (and transitively the whole simulated heap) it captured.
+// every vacated slot must drop its event — a retained event would pin its
+// target (a Proc, a message, and transitively the whole simulated heap).
 func TestSchedReleasesClosures(t *testing.T) {
 	leaked := func(q []event) int {
 		n := 0
 		for _, e := range q[:cap(q)] {
-			if e.fn != nil {
+			if e.ev != nil {
 				n++
 			}
 		}
@@ -167,7 +167,7 @@ func TestSchedReleasesClosures(t *testing.T) {
 		rng := splitmix64(7)
 		var now Time
 		for i := 0; i < 500; i++ {
-			q.push(event{at: now + delta(&rng, "mixed"), seq: uint64(i), fn: func() {}})
+			q.push(event{at: now + delta(&rng, "mixed"), seq: uint64(i), ev: &nopEvent{}})
 			if i%3 == 0 {
 				now = q.pop().at
 			}
@@ -180,18 +180,18 @@ func TestSchedReleasesClosures(t *testing.T) {
 	h := &eventPQ{}
 	fill(h)
 	if n := leaked((*h)[:0]); n != 0 {
-		t.Errorf("4-ary heap retained %d closures after drain", n)
+		t.Errorf("4-ary heap retained %d events after drain", n)
 	}
 
 	s := &schedQueue{}
 	fill(s)
 	for i := range s.ring {
 		if n := leaked(s.ring[i][:0]); n != 0 {
-			t.Errorf("ring bucket %d retained %d closures after drain", i, n)
+			t.Errorf("ring bucket %d retained %d events after drain", i, n)
 		}
 	}
 	if n := leaked(s.overflow[:0]); n != 0 {
-		t.Errorf("overflow heap retained %d closures after drain", n)
+		t.Errorf("overflow heap retained %d events after drain", n)
 	}
 }
 
@@ -202,7 +202,6 @@ func TestWaitQueueReleasesProcRefs(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 4; i++ {
 		p := &Proc{eng: e, name: fmt.Sprint(i)}
-		p.wakeFn = func() {}
 		q.waiters = append(q.waiters, p)
 	}
 	q.WakeOne()
