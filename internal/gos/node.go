@@ -189,11 +189,13 @@ func (n *Node) handleMessage(m *network.Message) {
 	case msgFetchReq:
 		// Home-side service: charge service cost via a transient proc-less
 		// delay folded into the reply latency, then reply with the data.
+		// The network recycles m after this handler returns: copy From.
 		o := n.k.Reg.MustObject(pm.obj)
 		reply := &protoMsg{kind: msgFetchReply, tok: pm.tok, obj: o.ID,
 			data: n.k.version(o.ID)}
+		from := m.From
 		n.k.Eng.After(homeServiceCost, func() {
-			n.k.Net.Send(network.NodeID(n.id), m.From, network.CatGOSData, o.Bytes(), reply)
+			n.k.Net.Send(network.NodeID(n.id), from, network.CatGOSData, o.Bytes(), reply)
 		})
 	case msgFetchReply:
 		n.completePending(pm.tok)

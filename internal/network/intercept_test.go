@@ -160,3 +160,64 @@ func TestShaperComposesWithInterceptor(t *testing.T) {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
 }
+
+// dupThenDrop duplicates its first message and drops every later one.
+type dupThenDrop struct{ calls int }
+
+func (d *dupThenDrop) Intercept(sim.Time, NodeID, NodeID, Category, int) Verdict {
+	d.calls++
+	if d.calls == 1 {
+		return Verdict{Duplicate: true}
+	}
+	return Verdict{Drop: true}
+}
+
+// TestRecycledMessagesAreSafe: a duplicated message hands the same payload
+// and parts to both deliveries and stays off the free list until the second
+// one, so a Send between them cannot reuse it; a dropped message goes back
+// to the free list at once and leaves nothing in flight.
+func TestRecycledMessagesAreSafe(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, DefaultConfig())
+	n.SetInterceptor(&dupThenDrop{})
+	type seen struct {
+		payload any
+		bytes   int
+		final   bool
+	}
+	var got []seen
+	var first *Message
+	n.Bind(0, func(m *Message) {})
+	n.Bind(1, func(m *Message) {
+		got = append(got, seen{m.Payload, m.TotalBytes(0), m.Final()})
+		if first == nil {
+			first = m
+			// Between the two deliveries: a new send must get a message
+			// of its own (it is dropped, so the handler never sees it).
+			n.Send(0, 1, CatGOSData, 999, "other")
+			if len(n.free) != 1 || n.free[0] == m {
+				t.Errorf("free list after the drop = %v, want only the dropped message", n.free)
+			}
+		} else if m != first {
+			t.Error("duplicate delivered as a different message")
+		}
+	})
+	n.SendParts(0, 1, []Part{{CatControl, 16}, {CatOAL, 100}}, "p")
+	if n.InFlight() != 2 {
+		t.Fatalf("in flight after a duplicated send = %d, want 2", n.InFlight())
+	}
+	eng.Run()
+	want := []seen{{"p", 116, false}, {"p", 116, true}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("deliveries = %+v, want %+v", got, want)
+	}
+	if n.InFlight() != 0 {
+		t.Fatalf("in flight after the run = %d, want 0", n.InFlight())
+	}
+	if st := n.Stats(); st.Dropped != 1 || st.Duplicated != 1 {
+		t.Fatalf("dropped/duplicated = %d/%d, want 1/1", st.Dropped, st.Duplicated)
+	}
+	if len(n.free) != 2 || n.free[1] != first || n.free[1].Payload != nil {
+		t.Fatal("the duplicated message did not return to the free list, payload dropped, after its final delivery")
+	}
+}

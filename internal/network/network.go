@@ -50,7 +50,8 @@ type Part struct {
 	Bytes int
 }
 
-// Message is what a handler receives.
+// Message is what a handler receives. Messages are recycled; see Handler
+// for what a handler may keep.
 type Message struct {
 	From, To NodeID
 	Parts    []Part
@@ -62,9 +63,17 @@ type Message struct {
 	// longer escapes).
 	partsBuf [2]Part
 
-	// net is the owning network, which delivers the message.
-	net *Network
+	// net is the owning network; pending counts the deliveries still
+	// queued (two for a duplicated message). The message returns to the
+	// network's free list after its last delivery.
+	net     *Network
+	pending int
 }
+
+// Final reports whether the delivery being handled is the message's last:
+// no duplicate of it is still in flight. A receiver that recycles the
+// payload does so only on the final delivery.
+func (m *Message) Final() bool { return m.pending == 0 }
 
 // TotalBytes sums all parts plus the fixed per-message header.
 func (m *Message) TotalBytes(headerBytes int) int {
@@ -96,7 +105,11 @@ func DefaultConfig() Config {
 }
 
 // Handler consumes a delivered message. Handlers run in scheduler context
-// and must not block; they may wake procs and schedule events.
+// and must not block; they may wake procs and schedule events. The network
+// recycles the message once the handler returns, so a handler must not
+// keep the *Message or its Parts: it copies the fields it needs later. The
+// Payload value itself may be kept. A duplicated message is handed over
+// once per delivery; Message.Final tells the last one apart.
 type Handler func(*Message)
 
 // Shaper is a time-varying link model: when installed, it replaces the
@@ -204,6 +217,10 @@ type Network struct {
 	inFlight int
 	shaper   Shaper
 	icept    Interceptor
+
+	// free holds delivered messages for reuse. The network lives on one
+	// engine's goroutine, so a plain slice is enough.
+	free []*Message
 }
 
 // New creates a network over the engine with the given physical config.
@@ -256,7 +273,7 @@ func (n *Network) TransferTime(totalBytes int) sim.Time {
 
 // Send transmits a single-category message. See SendParts.
 func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
-	msg := &Message{From: from, To: to, Payload: payload, net: n}
+	msg := n.newMessage(from, to, payload)
 	msg.partsBuf[0] = Part{Cat: cat, Bytes: bytes}
 	msg.Parts = msg.partsBuf[:1]
 	n.post(msg)
@@ -267,13 +284,34 @@ func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
 // accounting splits per category. Local sends (from == to) are delivered
 // with zero delay and no traffic accounting.
 func (n *Network) SendParts(from, to NodeID, parts []Part, payload any) {
-	msg := &Message{From: from, To: to, Payload: payload, net: n}
+	msg := n.newMessage(from, to, payload)
 	msg.Parts = append(msg.partsBuf[:0], parts...)
 	n.post(msg)
 }
 
+// newMessage takes a message from the free list, or allocates one.
+func (n *Network) newMessage(from, to NodeID, payload any) *Message {
+	var msg *Message
+	if k := len(n.free); k > 0 {
+		msg = n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+	} else {
+		msg = &Message{net: n}
+	}
+	msg.From, msg.To, msg.Payload = from, to, payload
+	return msg
+}
+
+// release returns a message whose deliveries are over to the free list,
+// dropping its payload reference.
+func (n *Network) release(msg *Message) {
+	msg.Payload = nil
+	n.free = append(n.free, msg)
+}
+
 // delivery is a message's delivery event: a queued message fires as
-// itself, once per delivery.
+// itself, once per pending delivery.
 type delivery Message
 
 func (d *delivery) Fire() {
@@ -282,12 +320,17 @@ func (d *delivery) Fire() {
 	if msg.From != msg.To {
 		n.inFlight--
 	}
+	msg.pending--
 	n.deliver(msg)
+	if msg.pending == 0 {
+		n.release(msg)
+	}
 }
 
 // post schedules the message's delivery.
 func (n *Network) post(msg *Message) {
 	from, to, parts := msg.From, msg.To, msg.Parts
+	msg.pending = 1
 	if from == to {
 		n.eng.AfterEvent(0, (*delivery)(msg))
 		return
@@ -313,7 +356,8 @@ func (n *Network) post(msg *Message) {
 		v := n.icept.Intercept(n.eng.Now(), from, to, primary, total)
 		if v.Drop {
 			n.stats.Dropped++
-			return // accounted on the wire, never delivered
+			n.release(msg) // accounted on the wire, never delivered
+			return
 		}
 		if v.Delay > 0 {
 			delay += v.Delay
@@ -321,6 +365,7 @@ func (n *Network) post(msg *Message) {
 		if v.Duplicate {
 			n.stats.Duplicated++
 			n.inFlight++
+			msg.pending = 2
 			n.eng.AfterEvent(delay+n.cfg.Latency, (*delivery)(msg))
 		}
 	}
