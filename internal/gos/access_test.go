@@ -142,6 +142,35 @@ func TestSteadyStateHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWarmRemoteFaultAllocatesNothing: once the free lists are warm, a
+// remote fault's request, the home's service event and the reply reuse
+// pooled messages, so a fault allocates nothing.
+func TestWarmRemoteFaultAllocatesNothing(t *testing.T) {
+	k := testKernel(2, TrackingOff)
+	o := k.Reg.Alloc(k.Reg.DefineClass("X", 64, 0), 0)
+	var allocs float64
+	th := k.SpawnThread(1, "t1", func(th *Thread) {
+		th.Read(o)
+		fault := func() {
+			th.node.copyAt(o.ID).valid = false
+			th.Read(o)
+		}
+		// Warm the scheduler too: each fault lands in a later ring
+		// bucket, and a bucket's first event allocates its heap.
+		for i := 0; i < 1000; i++ {
+			fault()
+		}
+		allocs = testing.AllocsPerRun(100, fault)
+	})
+	k.Run()
+	if got := th.Stats().Faults; got != 1+1000+101 {
+		t.Fatalf("faults = %d, want %d", got, 1+1000+101)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm remote fault allocates %v times, want 0", allocs)
+	}
+}
+
 // TestKernelObserverAddedAfterSpawnSeesEveryThread: Kernel.AddObserver
 // reaches threads spawned before and after it.
 func TestKernelObserverAddedAfterSpawnSeesEveryThread(t *testing.T) {

@@ -236,7 +236,7 @@ func (fd *failureDetector) startBeats(n *Node) {
 		if n.cpu.Speed() >= suspendBelowSpeed {
 			fd.k.fstats.HeartbeatsSent++
 			fd.k.Net.Send(network.NodeID(n.id), 0, network.CatControl,
-				heartbeatBytes, &protoMsg{kind: msgHeartbeat})
+				heartbeatBytes, fd.k.newMsg(protoMsg{kind: msgHeartbeat}))
 		} else {
 			fd.k.fstats.HeartbeatsSkipped++
 		}
@@ -388,7 +388,7 @@ func (n *Node) sendFlush(p *oalPayload) {
 
 func (n *Node) transmitFlush(seq int64, p *oalPayload, attempt int) {
 	n.k.Net.Send(network.NodeID(n.id), 0, network.CatOAL, p.wire,
-		&protoMsg{kind: msgOALBatch, tok: seq, oal: p.batch, sum: p.sum})
+		n.k.newMsg(protoMsg{kind: msgOALBatch, tok: seq, oal: p.batch, sum: p.sum}))
 	n.k.Eng.After(n.k.flushWait(attempt), func() {
 		if _, waiting := n.inflight[seq]; !waiting {
 			return // acked in the meantime
@@ -428,5 +428,5 @@ func (n *Node) receiveFlush(from network.NodeID, pm *protoMsg) {
 		n.k.fstats.DuplicateFlushes++
 	}
 	n.k.Net.Send(network.NodeID(n.id), from, network.CatControl, flushAckBytes,
-		&protoMsg{kind: msgOALAck, tok: pm.tok})
+		n.k.newMsg(protoMsg{kind: msgOALAck, tok: pm.tok}))
 }

@@ -163,6 +163,8 @@ type Kernel struct {
 	// instead of becoming garbage. The simulation is single-threaded under
 	// the scheduler, so no locking is needed.
 	recPool []*oal.Record
+	// msgPool recycles protocol messages the same way (newMsg, freeMsg).
+	msgPool []*protoMsg
 
 	stats KernelStats
 

@@ -38,7 +38,7 @@ func (k *Kernel) MigrateHome(o *heap.Object, newHome int) HomeMove {
 	mv := HomeMove{Obj: o.ID, From: o.Home, To: newHome, Bytes: o.Bytes()}
 	// Ship the home copy (cost-accounted; version table is global truth).
 	k.Net.Send(network.NodeID(o.Home), network.NodeID(newHome),
-		network.CatGOSData, o.Bytes(), &protoMsg{kind: msgDiff})
+		network.CatGOSData, o.Bytes(), k.newMsg(protoMsg{kind: msgDiff}))
 	// Old home's replica becomes a plain cache copy at the current version.
 	old := k.nodes[o.Home].copyOf(o)
 	old.version = k.version(o.ID)

@@ -180,23 +180,61 @@ type protoMsg struct {
 	sum     *tcm.Summary // distributed-TCM summary payload
 	data    any
 	gen     int64 // lock-manager generation (release fencing)
+
+	// k is the kernel whose free list the message belongs to. home and
+	// peer are the serving node and the requester of a service event (see
+	// fetchService).
+	k    *Kernel
+	home network.NodeID
+	peer network.NodeID
+}
+
+// newMsg returns a protoMsg holding v, reusing a recycled one if possible.
+// A message goes back to the free list (freeMsg) after the last delivery
+// of the network message that carries it, or when its service event has
+// run; a payload whose message is dropped is left to the GC.
+func (k *Kernel) newMsg(v protoMsg) *protoMsg {
+	var pm *protoMsg
+	if n := len(k.msgPool); n > 0 {
+		pm = k.msgPool[n-1]
+		k.msgPool[n-1] = nil
+		k.msgPool = k.msgPool[:n-1]
+	} else {
+		pm = new(protoMsg)
+	}
+	*pm = v
+	pm.k = k
+	return pm
+}
+
+// freeMsg returns a consumed message to the free list. The caller must not
+// touch pm afterwards.
+func (k *Kernel) freeMsg(pm *protoMsg) {
+	*pm = protoMsg{}
+	k.msgPool = append(k.msgPool, pm)
+}
+
+// fetchService is the home node's fetch reply, sent once the service cost
+// has elapsed: the pooled reply message is its own event.
+type fetchService protoMsg
+
+func (e *fetchService) Fire() {
+	pm := (*protoMsg)(e)
+	k := pm.k
+	k.Net.Send(pm.home, pm.peer, network.CatGOSData, k.Reg.MustObject(pm.obj).Bytes(), pm)
 }
 
 // handleMessage is the node's network handler; it runs in scheduler context.
+// The payload goes back to the kernel's free list after the message's last
+// delivery.
 func (n *Node) handleMessage(m *network.Message) {
 	pm := m.Payload.(*protoMsg)
 	switch pm.kind {
 	case msgFetchReq:
-		// Home-side service: charge service cost via a transient proc-less
-		// delay folded into the reply latency, then reply with the data.
-		// The network recycles m after this handler returns: copy From.
-		o := n.k.Reg.MustObject(pm.obj)
-		reply := &protoMsg{kind: msgFetchReply, tok: pm.tok, obj: o.ID,
-			data: n.k.version(o.ID)}
-		from := m.From
-		n.k.Eng.After(homeServiceCost, func() {
-			n.k.Net.Send(network.NodeID(n.id), from, network.CatGOSData, o.Bytes(), reply)
-		})
+		// Home-side service: the reply leaves after the service cost.
+		reply := n.k.newMsg(protoMsg{kind: msgFetchReply, tok: pm.tok, obj: pm.obj,
+			home: network.NodeID(n.id), peer: m.From})
+		n.k.Eng.AfterEvent(homeServiceCost, (*fetchService)(reply))
 	case msgFetchReply:
 		n.completePending(pm.tok)
 	case msgDiff:
@@ -209,10 +247,10 @@ func (n *Node) handleMessage(m *network.Message) {
 	case msgLockReq:
 		n.k.lockRequest(pm.lock, m.From, pm.tok, pm.gen, pm.payload())
 	case msgLockGrant:
-		if pm.gen != n.k.lock(pm.lock).gen {
-			return // superseded by a failover re-issue
+		// A grant superseded by a failover re-issue is ignored.
+		if pm.gen == n.k.lock(pm.lock).gen {
+			n.completePending(pm.tok)
 		}
-		n.completePending(pm.tok)
 	case msgLockRelease:
 		n.k.lockRelease(pm.lock, pm.gen)
 	case msgBarrierArrive:
@@ -229,6 +267,9 @@ func (n *Node) handleMessage(m *network.Message) {
 		}
 	case msgOALAck:
 		n.onFlushAck(pm.tok)
+	}
+	if m.Final() {
+		n.k.freeMsg(pm)
 	}
 }
 
@@ -353,7 +394,7 @@ func (n *Node) flushOAL(t *Thread) {
 		return
 	}
 	n.k.Net.Send(network.NodeID(n.id), 0, network.CatOAL, p.wire,
-		&protoMsg{kind: msgOALBatch, oal: p.batch, sum: p.sum})
+		n.k.newMsg(protoMsg{kind: msgOALBatch, oal: p.batch, sum: p.sum}))
 }
 
 // FlushAllOAL is called at end-of-run to drain any remaining records.

@@ -109,7 +109,7 @@ func (k *Kernel) failoverLocks(dead int) {
 func (k *Kernel) resendInflight(id int, ls *lockState) {
 	for _, w := range ls.inflight {
 		k.Net.Send(w.node, network.NodeID(ls.home), network.CatControl, 24,
-			&protoMsg{kind: msgLockReq, lock: id, tok: w.tok, gen: ls.gen})
+			k.newMsg(protoMsg{kind: msgLockReq, lock: id, tok: w.tok, gen: ls.gen}))
 	}
 }
 
@@ -185,7 +185,7 @@ func (t *Thread) Acquire(lockID int) {
 	}
 	ls := t.k.lock(lockID)
 	ls.inflight = append(ls.inflight, lockWaiter{node: network.NodeID(t.node.id), tok: tok})
-	pm := &protoMsg{kind: msgLockReq, lock: lockID, tok: tok, gen: ls.gen}
+	pm := t.k.newMsg(protoMsg{kind: msgLockReq, lock: lockID, tok: tok, gen: ls.gen})
 	if pl != nil {
 		pm.oal, pm.sum = pl.batch, pl.sum
 	}
@@ -212,7 +212,7 @@ func (t *Thread) Release(lockID int) {
 			parts = append(parts, network.Part{Cat: network.CatOAL, Bytes: pl.wire})
 		}
 	}
-	pm := &protoMsg{kind: msgLockRelease, lock: lockID, gen: ls.gen}
+	pm := t.k.newMsg(protoMsg{kind: msgLockRelease, lock: lockID, gen: ls.gen})
 	if pl != nil {
 		pm.oal, pm.sum = pl.batch, pl.sum
 	}
@@ -236,14 +236,25 @@ func (k *Kernel) lockRequest(id int, from network.NodeID, tok int64, gen int64, 
 	if gen != ls.gen {
 		return
 	}
-	k.Eng.After(lockServiceCost, func() {
-		if !ls.held {
-			ls.held = true
-			k.grantLock(id, ls, lockWaiter{node: from, tok: tok})
-			return
-		}
-		ls.queue = append(ls.queue, lockWaiter{node: from, tok: tok})
-	})
+	k.Eng.AfterEvent(lockServiceCost,
+		(*lockReqService)(k.newMsg(protoMsg{lock: id, tok: tok, peer: from})))
+}
+
+// lockReqService grants or queues a lock request once the manager's
+// service cost has elapsed; a pooled protoMsg carries its state.
+type lockReqService protoMsg
+
+func (e *lockReqService) Fire() {
+	pm := (*protoMsg)(e)
+	k, id, w := pm.k, pm.lock, lockWaiter{node: pm.peer, tok: pm.tok}
+	k.freeMsg(pm)
+	ls := k.lock(id)
+	if !ls.held {
+		ls.held = true
+		k.grantLock(id, ls, w)
+		return
+	}
+	ls.queue = append(ls.queue, w)
 }
 
 // lockRelease runs on the manager node. A release from a superseded
@@ -253,21 +264,32 @@ func (k *Kernel) lockRelease(id int, gen int64) {
 	if gen != ls.gen {
 		return
 	}
-	k.Eng.After(lockServiceCost, func() {
-		if gen != ls.gen {
-			return // rebuilt while the service cost elapsed
-		}
-		if len(ls.queue) == 0 {
-			ls.held = false
-			ls.holder = nil
-			ls.holderDone = false
-			return
-		}
-		next := ls.queue[0]
-		copy(ls.queue, ls.queue[1:])
-		ls.queue = ls.queue[:len(ls.queue)-1]
-		k.grantLock(id, ls, next)
-	})
+	k.Eng.AfterEvent(lockServiceCost,
+		(*lockRelService)(k.newMsg(protoMsg{lock: id, gen: gen})))
+}
+
+// lockRelService frees a released lock, or hands it to the next waiter,
+// once the manager's service cost has elapsed.
+type lockRelService protoMsg
+
+func (e *lockRelService) Fire() {
+	pm := (*protoMsg)(e)
+	k, id, gen := pm.k, pm.lock, pm.gen
+	k.freeMsg(pm)
+	ls := k.lock(id)
+	if gen != ls.gen {
+		return // rebuilt while the service cost elapsed
+	}
+	if len(ls.queue) == 0 {
+		ls.held = false
+		ls.holder = nil
+		ls.holderDone = false
+		return
+	}
+	next := ls.queue[0]
+	copy(ls.queue, ls.queue[1:])
+	ls.queue = ls.queue[:len(ls.queue)-1]
+	k.grantLock(id, ls, next)
 }
 
 // grantLock issues the grant from the lock's current manager. Grants are
@@ -280,7 +302,7 @@ func (k *Kernel) grantLock(id int, ls *lockState, w lockWaiter) {
 	ls.grantee = w
 	ls.holderDone = false
 	k.Net.Send(network.NodeID(ls.home), w.node, network.CatControl, 16,
-		&protoMsg{kind: msgLockGrant, lock: id, tok: w.tok, gen: ls.gen})
+		k.newMsg(protoMsg{kind: msgLockGrant, lock: id, tok: w.tok, gen: ls.gen}))
 }
 
 // barrierState lives on the master node.
@@ -307,7 +329,7 @@ func (t *Thread) Barrier(barrierID, parties int) {
 	if pl != nil {
 		parts = append(parts, network.Part{Cat: network.CatOAL, Bytes: pl.wire})
 	}
-	pm := &protoMsg{kind: msgBarrierArrive, bar: barrierID, tok: tok, parties: parties}
+	pm := t.k.newMsg(protoMsg{kind: msgBarrierArrive, bar: barrierID, tok: tok, parties: parties})
 	if pl != nil {
 		pm.oal, pm.sum = pl.batch, pl.sum
 	}
@@ -337,7 +359,7 @@ func (k *Kernel) barrierArrive(id int, from network.NodeID, tok int64, pl *oalPa
 		k.Eng.After(barrierServiceCost, func() {
 			for _, w := range waiters {
 				k.Net.Send(0, w.node, network.CatControl, 16,
-					&protoMsg{kind: msgBarrierRelease, tok: w.tok})
+					k.newMsg(protoMsg{kind: msgBarrierRelease, tok: w.tok}))
 			}
 		})
 	}

@@ -291,7 +291,7 @@ func (t *Thread) closeInterval() {
 		t.k.stats.DiffBytes += int64(bytes)
 		t.k.stats.DiffMessages++
 		t.k.Net.Send(network.NodeID(t.node.id), network.NodeID(home),
-			network.CatGOSData, bytes, &protoMsg{kind: msgDiff})
+			network.CatGOSData, bytes, t.k.newMsg(protoMsg{kind: msgDiff}))
 	}
 
 	// Finalize the OAL record.
@@ -432,7 +432,7 @@ func (t *Thread) fault(o *heap.Object, c *copyState) {
 	t.flushCPU() // blocking: release the CPU while waiting
 	tok := t.node.newToken(t)
 	t.k.Net.Send(network.NodeID(t.node.id), network.NodeID(o.Home),
-		network.CatControl, 32, &protoMsg{kind: msgFetchReq, tok: tok, obj: o.ID})
+		network.CatControl, 32, t.k.newMsg(protoMsg{kind: msgFetchReq, tok: tok, obj: o.ID}))
 	wait0 := t.proc.Now()
 	t.proc.BlockNamed("fault ", o.Class.Name)
 	t.stats.FaultWaitTime += t.proc.Now() - wait0
@@ -505,9 +505,9 @@ func (t *Thread) MoveTo(nodeID int, payloadBytes int) {
 	self := t
 	t.k.Net.Send(network.NodeID(from.id), network.NodeID(nodeID),
 		network.CatMigration, payloadBytes,
-		&protoMsg{kind: msgMigrateIn, data: func() {
+		t.k.newMsg(protoMsg{kind: msgMigrateIn, data: func() {
 			from.completePending(tok)
-		}})
+		}}))
 	t.proc.Block("migrate")
 	t.node = target
 	// The cached copy headers in the access table belong to the old node;
