@@ -171,6 +171,41 @@ func TestWarmRemoteFaultAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLockRoundTripAllocatesOnlyOAL: a lock acquire and release, one of
+// them carrying an OAL record to the master, reuse pooled messages and
+// service events and build their part lists on the stack. What still
+// allocates is the OAL path itself: the drained payload, its batch and the
+// node buffer regrown after the drain.
+func TestLockRoundTripAllocatesOnlyOAL(t *testing.T) {
+	k := testKernel(2, TrackingExact)
+	cls := k.Reg.DefineClass("X", 64, 0)
+	var allocs float64
+	k.SpawnThread(1, "t1", func(th *Thread) {
+		o := th.Alloc(cls)
+		cycle := func() {
+			// Lock 1 is managed locally, so its release buffers the
+			// interval's record; lock 0 is managed by the master, so its
+			// request carries that record.
+			th.Acquire(1)
+			th.Write(o)
+			th.Release(1)
+			th.Acquire(0)
+			th.Release(0)
+		}
+		for i := 0; i < 1000; i++ {
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(100, cycle)
+	})
+	k.Run()
+	if got, want := k.Master().IngestedEntries(), int64(1000+101); got != want {
+		t.Fatalf("master ingested %d entries, want %d", got, want)
+	}
+	if allocs > 3 {
+		t.Fatalf("lock round trip allocates %v times, want at most the OAL path's 3", allocs)
+	}
+}
+
 // TestKernelObserverAddedAfterSpawnSeesEveryThread: Kernel.AddObserver
 // reaches threads spawned before and after it.
 func TestKernelObserverAddedAfterSpawnSeesEveryThread(t *testing.T) {

@@ -176,20 +176,13 @@ func (t *Thread) Acquire(lockID int) {
 	t.flushCPU()
 	home := t.k.lock(lockID).home
 	tok := t.node.newToken(t)
-	parts := []network.Part{{Cat: network.CatControl, Bytes: 24}}
 	var pl *oalPayload
 	if home == 0 {
-		if pl = t.node.drainOAL(t); pl != nil {
-			parts = append(parts, network.Part{Cat: network.CatOAL, Bytes: pl.wire})
-		}
+		pl = t.node.drainOAL(t)
 	}
 	ls := t.k.lock(lockID)
 	ls.inflight = append(ls.inflight, lockWaiter{node: network.NodeID(t.node.id), tok: tok})
-	pm := t.k.newMsg(protoMsg{kind: msgLockReq, lock: lockID, tok: tok, gen: ls.gen})
-	if pl != nil {
-		pm.oal, pm.sum = pl.batch, pl.sum
-	}
-	t.k.Net.SendParts(network.NodeID(t.node.id), network.NodeID(home), parts, pm)
+	t.sendSync(home, 24, pl, protoMsg{kind: msgLockReq, lock: lockID, tok: tok, gen: ls.gen})
 	t.proc.BlockOn("lock", lockID)
 	// The grant has landed: it is no longer on the wire.
 	t.k.lock(lockID).granting = false
@@ -205,18 +198,25 @@ func (t *Thread) Release(lockID int) {
 	ls := t.k.lock(lockID)
 	ls.holderDone = true
 	home := ls.home
-	parts := []network.Part{{Cat: network.CatControl, Bytes: 16}}
 	var pl *oalPayload
 	if home == 0 {
-		if pl = t.node.drainOAL(t); pl != nil {
-			parts = append(parts, network.Part{Cat: network.CatOAL, Bytes: pl.wire})
-		}
+		pl = t.node.drainOAL(t)
 	}
-	pm := t.k.newMsg(protoMsg{kind: msgLockRelease, lock: lockID, gen: ls.gen})
+	t.sendSync(home, 16, pl, protoMsg{kind: msgLockRelease, lock: lockID, gen: ls.gen})
+}
+
+// sendSync sends a synchronization message of ctlBytes control bytes to
+// node to, piggybacking the drained OAL payload pl when there is one. The
+// parts list lives on the stack; SendParts copies it.
+func (t *Thread) sendSync(to, ctlBytes int, pl *oalPayload, v protoMsg) {
+	parts := [2]network.Part{{Cat: network.CatControl, Bytes: ctlBytes}}
+	np := 1
 	if pl != nil {
-		pm.oal, pm.sum = pl.batch, pl.sum
+		parts[1] = network.Part{Cat: network.CatOAL, Bytes: pl.wire}
+		np = 2
+		v.oal, v.sum = pl.batch, pl.sum
 	}
-	t.k.Net.SendParts(network.NodeID(t.node.id), network.NodeID(home), parts, pm)
+	t.k.Net.SendParts(network.NodeID(t.node.id), network.NodeID(to), parts[:np], t.k.newMsg(v))
 }
 
 // lockRequest runs on the manager node (scheduler context). A request from
@@ -324,16 +324,8 @@ func (t *Thread) Barrier(barrierID, parties int) {
 	t.closeInterval()
 	t.flushCPU()
 	tok := t.node.newToken(t)
-	parts := []network.Part{{Cat: network.CatControl, Bytes: 16}}
 	pl := t.node.drainOAL(t)
-	if pl != nil {
-		parts = append(parts, network.Part{Cat: network.CatOAL, Bytes: pl.wire})
-	}
-	pm := t.k.newMsg(protoMsg{kind: msgBarrierArrive, bar: barrierID, tok: tok, parties: parties})
-	if pl != nil {
-		pm.oal, pm.sum = pl.batch, pl.sum
-	}
-	t.k.Net.SendParts(network.NodeID(t.node.id), 0, parts, pm)
+	t.sendSync(0, 16, pl, protoMsg{kind: msgBarrierArrive, bar: barrierID, tok: tok, parties: parties})
 	t.proc.BlockOn("barrier", barrierID)
 	t.node.advanceEpoch()
 }
