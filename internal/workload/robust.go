@@ -124,17 +124,23 @@ const (
 	reqFailed
 )
 
-// serveReq is one request's lifecycle state.
+// serveReq is one request's lifecycle state. Its deadline and hedge timers
+// are the request itself (deadlineTimer, hedgeTimer): reqs is sized once,
+// so the pointer the engine holds stays valid.
 type serveReq struct {
+	d          *serveDispatcher
+	idx        int // the request's index in reqs and the schedule
+	retries    int // retry dispatches used
+	live       int // attempts queued or executing, not cancelled/finished
+	lastWorker int // worker of the most recent dispatch (hedges avoid it)
 	status     reqStatus
-	retries    int  // retry dispatches used
 	hedged     bool // the request's one hedge was dispatched
-	live       int  // attempts queued or executing, not cancelled/finished
-	lastWorker int  // worker of the most recent dispatch (hedges avoid it)
 }
 
-// serveAttempt is one dispatch of a request to a worker.
+// serveAttempt is one dispatch of a request to a worker. Its timeout and
+// retry timers are the attempt itself (timeoutTimer, retryTimer).
 type serveAttempt struct {
+	d         *serveDispatcher
 	req       int
 	worker    int // worker it was enqueued to
 	node      int // node that worker sat on at dispatch (breaker accounting)
@@ -197,13 +203,17 @@ type serveDispatcher struct {
 	half    int // replica offset in the sticky pair
 
 	// attempts is the current arena chunk. A full chunk is replaced, never
-	// grown, so the attempt pointers that timer closures and mailboxes hold
-	// stay valid.
+	// grown, so the attempt pointers that timers and mailboxes hold stay
+	// valid.
 	attempts []serveAttempt
 
 	inFlight int // admitted, not yet terminal
 	terminal int
 	closed   bool
+
+	// nextArrival is the request whose arrival event is queued; the
+	// dispatcher itself is that event (arrivalTimer).
+	nextArrival int
 
 	hedgeDelay  sim.Time
 	sinceHedged int // completions since the last quantile re-estimate
@@ -252,6 +262,9 @@ func newServeDispatcher(w *ServeMix, k *gos.Kernel, threads int) *serveDispatche
 		stripeBusy: make([]int, w.Locks),
 		stripePen:  make([][]int, w.Locks),
 	}
+	for i := range d.reqs {
+		d.reqs[i].d, d.reqs[i].idx = d, i
+	}
 	if cfg.BreakerThreshold > 0 && k.FailureEnabled() {
 		// The push form of the health snapshot: breakers open the instant
 		// the detector declares death, and the dead node's queued attempts
@@ -278,10 +291,37 @@ func (d *serveDispatcher) scheduleArrival(i int) {
 	if i >= len(d.w.schedule) {
 		return
 	}
-	d.k.Eng.Schedule(d.w.schedule[i], func() {
-		d.scheduleArrival(i + 1)
-		d.arrive(i)
-	})
+	d.nextArrival = i
+	d.k.Eng.ScheduleEvent(d.w.schedule[i], (*arrivalTimer)(d))
+}
+
+// The dispatcher's timers are typed events over state that never moves, so
+// arming one allocates nothing.
+type (
+	arrivalTimer  serveDispatcher
+	deadlineTimer serveReq
+	hedgeTimer    serveReq
+	timeoutTimer  serveAttempt
+	retryTimer    serveAttempt
+)
+
+func (e *arrivalTimer) Fire() {
+	d := (*serveDispatcher)(e)
+	i := d.nextArrival
+	d.scheduleArrival(i + 1)
+	d.arrive(i)
+}
+
+func (e *deadlineTimer) Fire() { e.d.expire(e.idx) }
+
+func (e *hedgeTimer) Fire() { e.d.hedge(e.idx) }
+
+func (e *timeoutTimer) Fire() { e.d.timeout((*serveAttempt)(e)) }
+
+func (e *retryTimer) Fire() {
+	if e.d.reqs[e.req].status == reqPending {
+		e.d.dispatch(e.req, attemptRetry)
+	}
 }
 
 // arrive admits or sheds request i at its scheduled arrival time.
@@ -292,7 +332,7 @@ func (d *serveDispatcher) arrive(i int) {
 		return
 	}
 	d.inFlight++
-	d.k.Eng.Schedule(d.w.schedule[i]+d.cfg.Deadline, func() { d.expire(i) })
+	d.k.Eng.ScheduleEvent(d.w.schedule[i]+d.cfg.Deadline, (*deadlineTimer)(&d.reqs[i]))
 	d.dispatch(i, attemptPrimary)
 }
 
@@ -324,16 +364,16 @@ func (d *serveDispatcher) dispatch(i int, kind int8) {
 		return
 	}
 	a := d.newAttempt()
-	*a = serveAttempt{req: i, worker: worker, node: d.threads[worker].Node().ID(), kind: kind, probe: d.pickedProbe}
+	*a = serveAttempt{d: d, req: i, worker: worker, node: d.threads[worker].Node().ID(), kind: kind, probe: d.pickedProbe}
 	d.pickedProbe = false
 	r.live++
 	r.lastWorker = worker
 	d.enqueue(worker, a)
 	if d.cfg.MaxRetries > 0 || d.cfg.BreakerThreshold > 0 {
-		d.k.Eng.After(d.attemptTimeout, func() { d.timeout(a) })
+		d.k.Eng.AfterEvent(d.attemptTimeout, (*timeoutTimer)(a))
 	}
 	if kind == attemptPrimary && d.cfg.HedgeQuantile > 0 {
-		d.k.Eng.After(d.currentHedgeDelay(), func() { d.hedge(i) })
+		d.k.Eng.AfterEvent(d.currentHedgeDelay(), (*hedgeTimer)(r))
 	}
 }
 
@@ -493,11 +533,7 @@ func (d *serveDispatcher) timeout(a *serveAttempt) {
 		d.w.state.retried++
 		attempt := r.retries - 1
 		delay := sim.Time(d.retryBackoff.Delay(attempt))
-		d.k.Eng.After(delay, func() {
-			if d.reqs[a.req].status == reqPending {
-				d.dispatch(a.req, attemptRetry)
-			}
-		})
+		d.k.Eng.AfterEvent(delay, (*retryTimer)(a))
 		return
 	}
 	if r.live == 0 {

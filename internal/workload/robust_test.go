@@ -275,3 +275,45 @@ func TestRobustBreakerOnCrash(t *testing.T) {
 		t.Fatalf("no requests served through the crash: %s", st)
 	}
 }
+
+// TestRobustTimersAllocateNothing: a robust dispatch's arrival, deadline,
+// attempt-timeout, hedge and retry timers are typed events over request
+// and attempt state that never moves, so arming them allocates nothing.
+// No worker serves here, so every request times out, retries, hedges and
+// fails; the arena chunks and mailbox growth that remain are amortized far
+// below one allocation per request.
+func TestRobustTimersAllocateNothing(t *testing.T) {
+	const n, gap = 2048, sim.Millisecond
+	cfg := gos.DefaultConfig()
+	cfg.Nodes = 2
+	k := gos.NewKernel(cfg)
+	w := NewServeMix()
+	w.Robust = DefaultRobustConfig()
+	w.SetSchedule(robustSchedule(n, gap, gap))
+	w.tenant = make([]int32, n)
+	for i := range w.tenant {
+		w.tenant[i] = int32(i % w.Tenants)
+	}
+	d := newServeDispatcher(w, k, 8)
+	for i := range d.threads {
+		d.threads[i] = k.SpawnThread(i%2, "idle", func(*gos.Thread) {})
+	}
+	d.start()
+	now := sim.Time(0)
+	step := func() {
+		now += gap
+		k.RunUntil(now)
+	}
+	for i := 0; i < n/2; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("robust timers allocate %v times per request, want 0", allocs)
+	}
+	k.Run()
+	st := w.state
+	if st.retried == 0 || st.hedged == 0 || st.failedFast+st.expired != n {
+		t.Fatalf("retried %d, hedged %d, failed %d + expired %d of %d: the timers did not all run",
+			st.retried, st.hedged, st.failedFast, st.expired, n)
+	}
+}
