@@ -205,9 +205,9 @@ func (t *Thread) Release(lockID int) {
 	t.sendSync(home, 16, pl, protoMsg{kind: msgLockRelease, lock: lockID, gen: ls.gen})
 }
 
-// sendSync sends a synchronization message of ctlBytes control bytes to
-// node to, piggybacking the drained OAL payload pl when there is one. The
-// parts list lives on the stack; SendParts copies it.
+// sendSync sends the synchronization message v, carrying ctlBytes of
+// control data, to node to; the drained OAL payload pl, when there is one,
+// piggybacks on it. The parts list lives on the stack; SendParts copies it.
 func (t *Thread) sendSync(to, ctlBytes int, pl *oalPayload, v protoMsg) {
 	parts := [2]network.Part{{Cat: network.CatControl, Bytes: ctlBytes}}
 	np := 1
