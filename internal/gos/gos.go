@@ -163,8 +163,11 @@ type Kernel struct {
 	// instead of becoming garbage. The simulation is single-threaded under
 	// the scheduler, so no locking is needed.
 	recPool []*oal.Record
-	// msgPool recycles protocol messages the same way (newMsg, freeMsg).
+	// msgPool recycles protocol messages the same way (newMsg, freeMsg),
+	// and oalBufs the record buffers that drains hand to the master
+	// (newOALBuf, freeOALBuf).
 	msgPool []*protoMsg
+	oalBufs [][]*oal.Record
 
 	stats KernelStats
 
@@ -197,6 +200,31 @@ func (k *Kernel) recycleRecord(r *oal.Record) {
 	}
 	r.Reset()
 	k.recPool = append(k.recPool, r)
+}
+
+// newOALBuf returns an empty record buffer, reusing a freed one if possible
+// (nil when none is free: the first append allocates).
+func (k *Kernel) newOALBuf() []*oal.Record {
+	n := len(k.oalBufs)
+	if n == 0 {
+		return nil
+	}
+	buf := k.oalBufs[n-1]
+	k.oalBufs[n-1] = nil
+	k.oalBufs = k.oalBufs[:n-1]
+	return buf
+}
+
+// freeOALBuf returns a drained record buffer once the master has consumed
+// it. The records themselves are not touched: ingested ones are already
+// back in recPool, and the buffer drops its pointers so that it pins none.
+// The caller must not use recs afterwards.
+func (k *Kernel) freeOALBuf(recs []*oal.Record) {
+	if cap(recs) == 0 {
+		return
+	}
+	clear(recs)
+	k.oalBufs = append(k.oalBufs, recs[:0])
 }
 
 // KernelStats aggregates protocol and profiling counters across the run.

@@ -8,7 +8,7 @@ import (
 )
 
 // Master is the correlation collector + analyzer daemon on the master JVM
-// (node 0). It ingests OAL batches, reorganizes them into per-object thread
+// (node 0). It ingests OAL records, reorganizes them into per-object thread
 // lists and constructs correlation maps on demand. Its CPU cost is tracked
 // separately because the paper runs the analyzer on a dedicated machine
 // ("so that total execution time is not affected").
@@ -40,16 +40,6 @@ func (m *Master) ensureBuilder() *tcm.Builder {
 	return m.builder
 }
 
-// Ingest consumes a batch arriving over the network (or locally on node 0).
-func (m *Master) Ingest(b *oal.Batch) {
-	if b == nil {
-		return
-	}
-	for _, r := range b.Records {
-		m.IngestLocal(r)
-	}
-}
-
 // IngestSummary merges a worker-side per-object summary (distributed-TCM
 // mode). Merging deduplicated summaries is cheaper than reorganizing raw
 // records, which is the point of the §VI extension.
@@ -71,12 +61,13 @@ func (m *Master) IngestSummary(s *tcm.Summary) {
 	m.reorgTime += sim.Time(entries) * tcmPairCost // merge is cheap
 }
 
-// IngestPayload dispatches on the shipment kind.
-func (m *Master) IngestPayload(p *oalPayload) {
-	if p == nil {
-		return
+// ingestPayload consumes a shipment arriving over the network (or locally
+// on node 0), dispatching on its kind. The records go back to the record
+// pool; the buffer holding them stays the caller's to free.
+func (m *Master) ingestPayload(p oalPayload) {
+	for _, r := range p.recs {
+		m.IngestLocal(r)
 	}
-	m.Ingest(p.batch)
 	m.IngestSummary(p.sum)
 }
 

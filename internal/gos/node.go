@@ -42,7 +42,9 @@ type Node struct {
 	// against home versions lazily when first touched in a new epoch.
 	epoch int64
 
-	// oalBuf holds closed-interval records awaiting shipment to master.
+	// oalBuf holds closed-interval records awaiting shipment to master; a
+	// drain hands it to the payload and takes a recycled buffer in its
+	// place (Kernel.newOALBuf).
 	oalBuf        []*oal.Record
 	oalBufEntries int
 
@@ -63,7 +65,7 @@ type Node struct {
 	// Reliable OAL flush state (failure.go); all zero when the failure
 	// layer is off. inflight maps sequence numbers to unacked payloads.
 	flushSeq  int64
-	inflight  map[int64]*oalPayload
+	inflight  map[int64]oalPayload
 	lastAckAt sim.Time
 
 	// Stats
@@ -176,8 +178,7 @@ type protoMsg struct {
 	lock    int
 	bar     int
 	parties int
-	oal     *oal.Batch
-	sum     *tcm.Summary // distributed-TCM summary payload
+	pl      oalPayload // OAL shipment of a flush or a synchronization message
 	data    any
 	gen     int64 // lock-manager generation (release fencing)
 
@@ -226,7 +227,9 @@ func (e *fetchService) Fire() {
 
 // handleMessage is the node's network handler; it runs in scheduler context.
 // The payload goes back to the kernel's free list after the message's last
-// delivery.
+// delivery, and so does the record buffer of its OAL shipment — unless the
+// message is a sequenced flush, whose buffer the sender's inflight table
+// may still retransmit.
 func (n *Node) handleMessage(m *network.Message) {
 	pm := m.Payload.(*protoMsg)
 	switch pm.kind {
@@ -245,7 +248,7 @@ func (n *Node) handleMessage(m *network.Message) {
 	case msgOALBatch:
 		n.receiveFlush(m.From, pm)
 	case msgLockReq:
-		n.k.lockRequest(pm.lock, m.From, pm.tok, pm.gen, pm.payload())
+		n.k.lockRequest(pm.lock, m.From, pm.tok, pm.gen, pm.pl)
 	case msgLockGrant:
 		// A grant superseded by a failover re-issue is ignored.
 		if pm.gen == n.k.lock(pm.lock).gen {
@@ -254,7 +257,7 @@ func (n *Node) handleMessage(m *network.Message) {
 	case msgLockRelease:
 		n.k.lockRelease(pm.lock, pm.gen)
 	case msgBarrierArrive:
-		n.k.barrierArrive(pm.bar, m.From, pm.tok, pm.payload(), pm.parties)
+		n.k.barrierArrive(pm.bar, m.From, pm.tok, pm.pl, pm.parties)
 	case msgBarrierRelease:
 		n.completePending(pm.tok)
 	case msgMigrateIn:
@@ -269,6 +272,9 @@ func (n *Node) handleMessage(m *network.Message) {
 		n.onFlushAck(pm.tok)
 	}
 	if m.Final() {
+		if pm.kind != msgOALBatch || pm.tok == 0 {
+			n.k.freeOALBuf(pm.pl.recs)
+		}
 		n.k.freeMsg(pm)
 	}
 }
@@ -318,25 +324,32 @@ func (n *Node) bufferOAL(r *oal.Record) {
 }
 
 // oalPayload is a drained OAL shipment: either raw records (central mode)
-// or a locally reorganized per-object summary (distributed mode).
+// or a locally reorganized per-object summary (distributed mode). It
+// travels by value, inside the pooled protoMsg and the failure layer's
+// inflight table; the zero value is "nothing to send". The recs buffer
+// goes back to the kernel's free list once the master has consumed it.
 type oalPayload struct {
-	batch *oal.Batch
-	sum   *tcm.Summary
-	wire  int
+	recs []*oal.Record
+	sum  *tcm.Summary
+	wire int
 }
 
-// drainOAL empties the buffer for shipment. In distributed-TCM mode the
-// records are reorganized on the worker (charged to t when present — this
-// is the reorganization work the extension moves off the master) and only
-// the per-object summary travels. Returns nil if there is nothing to send.
-func (n *Node) drainOAL(t *Thread) *oalPayload {
+// empty reports whether the payload carries nothing.
+func (p *oalPayload) empty() bool { return p.recs == nil && p.sum == nil }
+
+// drainOAL empties the buffer for shipment, handing the node a recycled
+// buffer in its place. In distributed-TCM mode the records are reorganized
+// on the worker (charged to t when present — this is the reorganization
+// work the extension moves off the master) and only the per-object summary
+// travels; the emptied buffer stays with the node. Returns the zero
+// payload if there is nothing to send.
+func (n *Node) drainOAL(t *Thread) oalPayload {
 	if !n.k.Cfg.TransferOALs || len(n.oalBuf) == 0 {
-		return nil
+		return oalPayload{}
 	}
 	recs := n.oalBuf
-	n.oalBuf = nil
 	n.oalBufEntries = 0
-	p := &oalPayload{}
+	var p oalPayload
 	if n.k.Cfg.DistributedTCM {
 		if n.summBuilder == nil || n.summBuilder.N() != len(n.k.threads) {
 			n.summBuilder = tcm.NewBuilder(len(n.k.threads))
@@ -350,14 +363,19 @@ func (n *Node) drainOAL(t *Thread) *oalPayload {
 			entries += len(r.Entries)
 			n.k.recycleRecord(r)
 		}
+		clear(recs)
+		n.oalBuf = recs[:0]
 		if t != nil {
 			t.Charge(sim.Time(entries) * tcmReorgCostPerEntry)
 		}
 		p.sum = bl.Summarize()
 		p.wire = p.sum.WireBytes()
 	} else {
-		p.batch = &oal.Batch{Records: recs}
-		p.wire = p.batch.WireBytes()
+		n.oalBuf = n.k.newOALBuf()
+		p.recs = recs
+		for _, r := range recs {
+			p.wire += r.WireBytes()
+		}
 	}
 	n.k.stats.OALWireBytes += int64(p.wire)
 	return p
@@ -373,20 +391,26 @@ func (n *Node) flushOAL(t *Thread) {
 		for _, r := range n.oalBuf {
 			n.k.master.IngestLocal(r)
 		}
-		n.oalBuf = nil
+		clear(n.oalBuf)
+		n.oalBuf = n.oalBuf[:0]
 		n.oalBufEntries = 0
 		return
 	}
 	p := n.drainOAL(t)
-	if p == nil {
+	if p.empty() {
 		return
 	}
-	if t != nil && p.batch != nil {
-		t.Charge(sim.Time(p.batch.NumEntries()) * oalPackCostPerEntry)
+	if t != nil && p.recs != nil {
+		entries := 0
+		for _, r := range p.recs {
+			entries += len(r.Entries)
+		}
+		t.Charge(sim.Time(entries) * oalPackCostPerEntry)
 	}
 	if n.id == 0 {
 		// Local delivery to the master collector.
-		n.k.master.IngestPayload(p)
+		n.k.master.ingestPayload(p)
+		n.k.freeOALBuf(p.recs)
 		return
 	}
 	if n.k.FailureEnabled() {
@@ -394,7 +418,7 @@ func (n *Node) flushOAL(t *Thread) {
 		return
 	}
 	n.k.Net.Send(network.NodeID(n.id), 0, network.CatOAL, p.wire,
-		n.k.newMsg(protoMsg{kind: msgOALBatch, oal: p.batch, sum: p.sum}))
+		n.k.newMsg(protoMsg{kind: msgOALBatch, pl: p}))
 }
 
 // FlushAllOAL is called at end-of-run to drain any remaining records.
@@ -402,12 +426,4 @@ func (k *Kernel) FlushAllOAL() {
 	for _, n := range k.nodes {
 		n.flushOAL(nil)
 	}
-}
-
-// payload extracts the message's OAL shipment, if any.
-func (pm *protoMsg) payload() *oalPayload {
-	if pm.oal == nil && pm.sum == nil {
-		return nil
-	}
-	return &oalPayload{batch: pm.oal, sum: pm.sum}
 }

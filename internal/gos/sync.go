@@ -176,7 +176,7 @@ func (t *Thread) Acquire(lockID int) {
 	t.flushCPU()
 	home := t.k.lock(lockID).home
 	tok := t.node.newToken(t)
-	var pl *oalPayload
+	var pl oalPayload
 	if home == 0 {
 		pl = t.node.drainOAL(t)
 	}
@@ -198,7 +198,7 @@ func (t *Thread) Release(lockID int) {
 	ls := t.k.lock(lockID)
 	ls.holderDone = true
 	home := ls.home
-	var pl *oalPayload
+	var pl oalPayload
 	if home == 0 {
 		pl = t.node.drainOAL(t)
 	}
@@ -208,13 +208,13 @@ func (t *Thread) Release(lockID int) {
 // sendSync sends the synchronization message v, carrying ctlBytes of
 // control data, to node to; the drained OAL payload pl, when there is one,
 // piggybacks on it. The parts list lives on the stack; SendParts copies it.
-func (t *Thread) sendSync(to, ctlBytes int, pl *oalPayload, v protoMsg) {
+func (t *Thread) sendSync(to, ctlBytes int, pl oalPayload, v protoMsg) {
 	parts := [2]network.Part{{Cat: network.CatControl, Bytes: ctlBytes}}
 	np := 1
-	if pl != nil {
+	if !pl.empty() {
 		parts[1] = network.Part{Cat: network.CatOAL, Bytes: pl.wire}
 		np = 2
-		v.oal, v.sum = pl.batch, pl.sum
+		v.pl = pl
 	}
 	t.k.Net.SendParts(network.NodeID(t.node.id), network.NodeID(to), parts[:np], t.k.newMsg(v))
 }
@@ -224,8 +224,8 @@ func (t *Thread) sendSync(to, ctlBytes int, pl *oalPayload, v protoMsg) {
 // time the adrift original drains; granting it twice would double-wake the
 // requester, so it is dropped (its piggybacked payload still ingests — the
 // data is real regardless of the lock protocol's fate).
-func (k *Kernel) lockRequest(id int, from network.NodeID, tok int64, gen int64, pl *oalPayload) {
-	k.master.IngestPayload(pl)
+func (k *Kernel) lockRequest(id int, from network.NodeID, tok int64, gen int64, pl oalPayload) {
+	k.master.ingestPayload(pl)
 	ls := k.lock(id)
 	for i, w := range ls.inflight {
 		if w.node == from && w.tok == tok {
@@ -332,8 +332,8 @@ func (t *Thread) Barrier(barrierID, parties int) {
 
 // barrierArrive runs on the master node. The party count travels in every
 // arrival message; arrivals must agree on it.
-func (k *Kernel) barrierArrive(id int, from network.NodeID, tok int64, pl *oalPayload, parties int) {
-	k.master.IngestPayload(pl)
+func (k *Kernel) barrierArrive(id int, from network.NodeID, tok int64, pl oalPayload, parties int) {
+	k.master.ingestPayload(pl)
 	bs := k.barriers[id]
 	if bs == nil {
 		bs = &barrierState{parties: parties}

@@ -49,27 +49,3 @@ const recordHeaderBytes = 24
 func (r *Record) WireBytes() int {
 	return recordHeaderBytes + entryWireBytes*len(r.Entries)
 }
-
-// Batch is a set of records travelling together (piggybacked on one
-// synchronization message or flushed in one jumbo message).
-type Batch struct {
-	Records []*Record
-}
-
-// WireBytes sums the encoded sizes of all records.
-func (b *Batch) WireBytes() int {
-	n := 0
-	for _, r := range b.Records {
-		n += r.WireBytes()
-	}
-	return n
-}
-
-// NumEntries counts entries across all records.
-func (b *Batch) NumEntries() int {
-	n := 0
-	for _, r := range b.Records {
-		n += len(r.Entries)
-	}
-	return n
-}

@@ -13,22 +13,6 @@ func TestRecordWireBytes(t *testing.T) {
 	}
 }
 
-func TestBatchAccounting(t *testing.T) {
-	a := &Record{Entries: make([]Entry, 3)}
-	b := &Record{Entries: make([]Entry, 5)}
-	batch := &Batch{Records: []*Record{a, b}}
-	if batch.NumEntries() != 8 {
-		t.Fatalf("entries = %d", batch.NumEntries())
-	}
-	if batch.WireBytes() != a.WireBytes()+b.WireBytes() {
-		t.Fatal("batch wire bytes wrong")
-	}
-	empty := &Batch{}
-	if empty.WireBytes() != 0 || empty.NumEntries() != 0 {
-		t.Fatal("empty batch accounting wrong")
-	}
-}
-
 func TestIntervalContextFields(t *testing.T) {
 	// The record carries the interval context the paper packs with OALs:
 	// start and end PCs delimiting the interval.

@@ -7,7 +7,7 @@ import (
 )
 
 // FullBuilder is the legacy correlation-computing daemon: it ingests OAL
-// batches into per-object thread-set maps and rebuilds the whole N×N map
+// records into per-object thread-set maps and rebuilds the whole N×N map
 // from scratch on every Build/Peek — the literal O(M·N²) pass of the paper.
 // It is kept only as the oracle Builder's property, fuzz and workload
 // identity tests compare against.
@@ -38,13 +38,6 @@ func NewFullBuilder(n int) *FullBuilder {
 
 // N returns the thread-count dimension.
 func (b *FullBuilder) N() int { return b.n }
-
-// Ingest reorganizes one batch of records into the per-object lists.
-func (b *FullBuilder) Ingest(batch *oal.Batch) {
-	for _, r := range batch.Records {
-		b.IngestRecord(r)
-	}
-}
 
 // IngestRecord reorganizes one record.
 func (b *FullBuilder) IngestRecord(r *oal.Record) {

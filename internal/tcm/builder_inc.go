@@ -123,13 +123,6 @@ func NewBuilder(n int) *Builder {
 // N returns the thread-count dimension.
 func (b *Builder) N() int { return b.n }
 
-// Ingest reorganizes one batch of records into the per-object state.
-func (b *Builder) Ingest(batch *oal.Batch) {
-	for _, r := range batch.Records {
-		b.IngestRecord(r)
-	}
-}
-
 // IngestRecord reorganizes one record.
 func (b *Builder) IngestRecord(r *oal.Record) {
 	b.cost.Records++
