@@ -3,7 +3,7 @@ package tcm
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"jessica2/internal/oal"
 )
@@ -16,6 +16,9 @@ import (
 //     construction), so the repeat-access hot path is one bit test and
 //     membership iteration is word-wise, with the ids emerging already
 //     sorted — no per-object sort, ever;
+//   - entries live by value in one slice and their bitsets in one flat
+//     word array, so a new object costs no allocation of its own and
+//     Reset keeps both arrays for the next window;
 //   - when thread t first touches an object, the (t, existing) pair deltas
 //     accrue immediately into a persistently-maintained N×N accumulator;
 //   - when a re-log upgrades an object's weight (bytes > entry weight), the
@@ -40,8 +43,13 @@ import (
 type Builder struct {
 	n     int
 	words int // bitset words per object: ceil(n/64)
-	objs  map[int64]*incEntry
-	cost  BuildCost
+	// objs maps each object key to its index in ents; entry i's thread
+	// bitset is bits[i*words:(i+1)*words]. Appending an entry may move
+	// both arrays, so no *incEntry is held across a call that adds one.
+	objs map[int64]int
+	ents []incEntry
+	bits []uint64
+	cost BuildCost
 
 	// acc is the persistently-maintained N×N accumulator (both symmetric
 	// mirrors, scaled fixed-point). livePairs tracks Σ_objects C(k,2) so a
@@ -64,9 +72,7 @@ type Builder struct {
 	dirtyMark []uint64
 	allDirty  bool
 
-	// free recycles entries (and their bitsets) across windows, capped by
-	// freePoolCap at Reset; keys/ts are iteration scratch.
-	free []*incEntry
+	// keys/ts are iteration scratch.
 	keys []int64
 	ts   []int32
 }
@@ -74,8 +80,7 @@ type Builder struct {
 type incEntry struct {
 	bytes float64
 	fixed int64 // bytes in fixed point, the accrued pair weight
-	count int   // popcount of bits
-	bits  []uint64
+	count int   // popcount of the entry's bitset
 }
 
 const (
@@ -114,7 +119,7 @@ func NewBuilder(n int) *Builder {
 	return &Builder{
 		n:         n,
 		words:     (n + 63) / 64,
-		objs:      make(map[int64]*incEntry),
+		objs:      make(map[int64]int),
 		acc:       make([]int64, n*n),
 		dirtyMark: make([]uint64, (n*n+63)/64),
 	}
@@ -145,67 +150,78 @@ func (b *Builder) AddAccess(t int, key int64, bytes float64) {
 		b.cost.DroppedEntries++
 		return
 	}
-	oe := b.objs[key]
-	if oe == nil {
-		oe = b.newEntry()
-		b.objs[key] = oe
+	i := b.entry(key)
+	if bytes > b.ents[i].bytes {
+		b.upgrade(i, bytes)
 	}
-	if bytes > oe.bytes {
-		b.upgrade(oe, bytes)
-	}
-	b.addThread(oe, key, t)
+	b.addThread(i, key, t)
 }
 
-// newEntry pops the recycle pool or allocates a zeroed entry.
-func (b *Builder) newEntry() *incEntry {
-	if n := len(b.free); n > 0 {
-		oe := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-		return oe
+// entry returns the index of the keyed object's entry, appending a zeroed
+// entry (and bitset) when the key is new.
+func (b *Builder) entry(key int64) int {
+	if i, ok := b.objs[key]; ok {
+		return i
 	}
-	return &incEntry{bits: make([]uint64, b.words)}
+	i := len(b.ents)
+	b.ents = append(b.ents, incEntry{})
+	w := len(b.bits)
+	b.bits = slices.Grow(b.bits, b.words)[:w+b.words]
+	clear(b.bits[w:])
+	b.objs[key] = i
+	return i
 }
 
-// upgrade raises the entry weight, re-accruing the fixed-point difference
+// bitsOf returns entry i's thread bitset.
+func (b *Builder) bitsOf(i int) []uint64 {
+	return b.bits[i*b.words : (i+1)*b.words]
+}
+
+// upgrade raises entry i's weight, re-accruing the fixed-point difference
 // over the existing pair set.
-func (b *Builder) upgrade(oe *incEntry, bytes float64) {
+func (b *Builder) upgrade(i int, bytes float64) {
+	oe := &b.ents[i]
 	nf := toFixed(bytes)
 	if d := nf - oe.fixed; d > 0 && oe.count >= 2 {
-		ts := b.members(oe)
-		for i := 0; i < len(ts); i++ {
-			for j := i + 1; j < len(ts); j++ {
-				b.accrue(int(ts[i]), int(ts[j]), d)
+		ts := b.members(i)
+		for x := 0; x < len(ts); x++ {
+			for y := x + 1; y < len(ts); y++ {
+				b.accrue(int(ts[x]), int(ts[y]), d)
 			}
 		}
 	}
 	oe.bytes, oe.fixed = bytes, nf
 }
 
-// members renders the entry's bitset into the shared ts scratch, ascending
+// members renders entry i's bitset into the shared ts scratch, ascending.
+func (b *Builder) members(i int) []int32 {
+	b.ts = b.appendMembers(b.ts[:0], i)
+	return b.ts
+}
+
+// appendMembers appends entry i's thread ids to dst in ascending order
 // (word-wise iteration; the ids emerge already sorted).
-func (b *Builder) members(oe *incEntry) []int32 {
-	ts := b.ts[:0]
-	for wi, w := range oe.bits {
+func (b *Builder) appendMembers(dst []int32, i int) []int32 {
+	for wi, w := range b.bitsOf(i) {
 		for w != 0 {
-			ts = append(ts, int32(wi<<6+bits.TrailingZeros64(w)))
+			dst = append(dst, int32(wi<<6+bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
-	b.ts = ts
-	return ts
+	return dst
 }
 
-// addThread inserts t into the entry's bitset, accruing the current weight
+// addThread inserts t into entry i's bitset, accruing the current weight
 // against every existing member and maintaining the pending and simulated
 // pair-charge bookkeeping.
-func (b *Builder) addThread(oe *incEntry, key int64, t int) {
+func (b *Builder) addThread(i int, key int64, t int) {
+	oe, bs := &b.ents[i], b.bitsOf(i)
 	w, bit := t>>6, uint64(1)<<uint(t&63)
-	if oe.bits[w]&bit != 0 {
+	if bs[w]&bit != 0 {
 		return // repeat access: the hot path
 	}
 	if oe.count > 0 && oe.fixed > 0 {
-		for wi, v := range oe.bits {
+		for wi, v := range bs {
 			for v != 0 {
 				s := wi<<6 + bits.TrailingZeros64(v)
 				v &= v - 1
@@ -213,7 +229,7 @@ func (b *Builder) addThread(oe *incEntry, key int64, t int) {
 			}
 		}
 	}
-	oe.bits[w] |= bit
+	bs[w] |= bit
 	b.livePairs += int64(oe.count)
 	oe.count++
 	if oe.count == 2 {
@@ -389,17 +405,18 @@ func (b *Builder) VisitNewlyShared(consume bool, visit func(key int64, bytes flo
 	if len(b.pending) == 0 {
 		return
 	}
-	sort.Slice(b.pending, func(i, j int) bool { return b.pending[i] < b.pending[j] })
+	slices.Sort(b.pending)
 	if !consume {
 		for _, k := range b.pending {
-			visit(k, b.objs[k].bytes, b.members(b.objs[k]))
+			i := b.objs[k]
+			visit(k, b.ents[i].bytes, b.members(i))
 		}
 		return
 	}
 	kept := b.pending[:0]
 	for _, k := range b.pending {
-		oe := b.objs[k]
-		if !visit(k, oe.bytes, b.members(oe)) {
+		i := b.objs[k]
+		if !visit(k, b.ents[i].bytes, b.members(i)) {
 			kept = append(kept, k)
 		}
 	}
@@ -409,21 +426,28 @@ func (b *Builder) VisitNewlyShared(consume bool, visit func(key int64, bytes flo
 // Summarize exports the builder's per-object state as a mergeable summary
 // (sorted by key for determinism) — the worker-side half of the distributed
 // reduction. The bitsets iterate in ascending id order, so no per-object
-// sort is needed.
+// sort is needed. Every thread list shares one backing array, each capped
+// by a full slice expression so that appending to one cannot overwrite the
+// next: a summary costs three allocations whatever its size.
 func (b *Builder) Summarize() *Summary {
-	s := &Summary{Objs: make([]ObjSummary, 0, len(b.objs))}
 	keys := b.keys[:0]
-	for k := range b.objs {
+	members := 0
+	for k, i := range b.objs {
 		keys = append(keys, k)
+		members += b.ents[i].count
 	}
 	b.keys = keys
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	s := &Summary{Objs: make([]ObjSummary, 0, len(keys))}
+	threads := make([]int32, 0, members)
 	for _, k := range keys {
-		oe := b.objs[k]
+		i := b.objs[k]
+		from := len(threads)
+		threads = b.appendMembers(threads, i)
 		s.Objs = append(s.Objs, ObjSummary{
 			Key:     k,
-			Bytes:   oe.bytes,
-			Threads: append([]int32(nil), b.members(oe)...),
+			Bytes:   b.ents[i].bytes,
+			Threads: threads[from:len(threads):len(threads)],
 		})
 	}
 	return s
@@ -435,20 +459,16 @@ func (b *Builder) Summarize() *Summary {
 // dropped, matching AddAccess and the legacy builder's accounting.
 func (b *Builder) IngestSummary(s *Summary) {
 	for _, o := range s.Objs {
-		oe := b.objs[o.Key]
-		if oe == nil {
-			oe = b.newEntry()
-			b.objs[o.Key] = oe
-		}
-		if o.Bytes > oe.bytes {
-			b.upgrade(oe, o.Bytes)
+		i := b.entry(o.Key)
+		if o.Bytes > b.ents[i].bytes {
+			b.upgrade(i, o.Bytes)
 		}
 		for _, t := range o.Threads {
 			if t < 0 || int(t) >= b.n {
 				b.cost.DroppedEntries++
 				continue
 			}
-			b.addThread(oe, o.Key, int(t))
+			b.addThread(i, o.Key, int(t))
 		}
 		b.cost.Entries += len(o.Threads)
 	}
@@ -461,22 +481,20 @@ func (b *Builder) Merge(other *Builder) {
 }
 
 // Reset clears ingested state for the next profiling window in one pass:
-// accumulator, pending list and simulated-charge counters zero, entries
-// recycle into the capped pool.
+// accumulator, pending list and simulated-charge counters zero, and the
+// entry and bitset arrays truncate for reuse. An array whose capacity
+// exceeds freePoolCap of the window just cleared is reallocated at that
+// cap, so a storm window cannot pin its peak memory.
 func (b *Builder) Reset() {
-	recycled := len(b.objs)
-	for _, oe := range b.objs {
-		oe.bytes, oe.fixed, oe.count = 0, 0, 0
-		clear(oe.bits)
-		b.free = append(b.free, oe)
-	}
+	max := freePoolCap(len(b.ents))
 	clear(b.objs)
-	if max := freePoolCap(recycled); len(b.free) > max {
-		tail := b.free[max:]
-		for i := range tail {
-			tail[i] = nil // release the dropped entries to the GC
-		}
-		b.free = b.free[:max]
+	b.ents = b.ents[:0]
+	if cap(b.ents) > max {
+		b.ents = make([]incEntry, 0, max)
+	}
+	b.bits = b.bits[:0]
+	if cap(b.bits) > max*b.words {
+		b.bits = make([]uint64, 0, max*b.words)
 	}
 	clear(b.acc)
 	b.livePairs = 0

@@ -9,8 +9,9 @@ import (
 // TestFreePoolCapAfterStormWindow is the pool-growth regression test: a
 // storm window that ingests a huge object population must not permanently
 // pin its peak entry memory — within one subsequent small window the
-// recycle pool must shrink to the small window's working set. Both builders
-// share the freePoolCap policy.
+// retained entry storage must shrink to the small window's working set.
+// Both builders share the freePoolCap policy: Builder on the capacity of
+// its entry and bitset arrays, FullBuilder on its entry free list.
 func TestFreePoolCapAfterStormWindow(t *testing.T) {
 	const storm, small = 20000, 50
 	t.Run("incremental", func(t *testing.T) {
@@ -19,21 +20,17 @@ func TestFreePoolCapAfterStormWindow(t *testing.T) {
 			b.AddAccess(int(o)%4, o, 64)
 		}
 		b.Reset()
-		if len(b.free) != storm {
-			t.Fatalf("after storm reset: pool %d, want %d", len(b.free), storm)
+		if len(b.ents) != 0 || cap(b.ents) < storm {
+			t.Fatalf("after storm reset: %d entries, capacity %d, want 0 entries and capacity >= %d",
+				len(b.ents), cap(b.ents), storm)
 		}
 		for o := int64(0); o < small; o++ {
 			b.AddAccess(int(o)%4, o, 64)
 		}
 		b.Reset()
-		if max := freePoolCap(small); len(b.free) > max {
-			t.Fatalf("after small-window reset: pool %d, want <= %d", len(b.free), max)
-		}
-		// The trimmed tail must not retain entry pointers.
-		for i, e := range b.free[:cap(b.free)] {
-			if i >= len(b.free) && e != nil {
-				t.Fatalf("trimmed pool slot %d still pins an entry", i)
-			}
+		if max := freePoolCap(small); cap(b.ents) > max || cap(b.bits) > max*b.words {
+			t.Fatalf("after small-window reset: entry capacity %d, bitset capacity %d, want <= %d and <= %d",
+				cap(b.ents), cap(b.bits), max, max*b.words)
 		}
 	})
 	t.Run("full", func(t *testing.T) {
@@ -198,5 +195,22 @@ func TestVisitNewlySharedParityWithFull(t *testing.T) {
 			full.Reset()
 			clear(retired)
 		}
+	}
+}
+
+// TestBuilderFreshObjectsAllocateLittle: entries live by value in one
+// slice and their bitsets in one flat array, so a fresh object costs only
+// its share of the arrays' and the key map's amortized growth.
+func TestBuilderFreshObjectsAllocateLittle(t *testing.T) {
+	const objects = 10000
+	allocs := testing.AllocsPerRun(1, func() {
+		b := NewBuilder(8)
+		for o := int64(0); o < objects; o++ {
+			b.AddAccess(int(o)%8, o, 64)
+		}
+	})
+	if per := allocs / objects; per >= 0.05 {
+		t.Fatalf("ingesting %d fresh objects allocates %v times (%.3f per object), want < 0.05 per object",
+			objects, allocs, per)
 	}
 }

@@ -108,3 +108,34 @@ func TestQuickDistributedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSummarizeAllocatesConstant: every thread list shares one backing
+// array, so a summary costs the same allocations at any object count.
+func TestSummarizeAllocatesConstant(t *testing.T) {
+	for _, objects := range []int64{1, 100, 10000} {
+		b := NewBuilder(8)
+		for o := int64(0); o < objects; o++ {
+			b.AddAccess(int(o)%8, o, 64)
+			b.AddAccess(int(o+3)%8, o, 64)
+		}
+		if got := testing.AllocsPerRun(10, func() { b.Summarize() }); got > 3 {
+			t.Errorf("Summarize of %d objects allocates %v times, want at most 3", objects, got)
+		}
+	}
+}
+
+// TestSummarizeThreadListsAreCapped: appending to one object's thread list
+// must not write into the next object's list, with which it shares a
+// backing array.
+func TestSummarizeThreadListsAreCapped(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddAccess(0, 10, 100)
+	b.AddAccess(1, 10, 100)
+	b.AddAccess(2, 20, 50)
+	b.AddAccess(3, 20, 50)
+	s := b.Summarize()
+	_ = append(s.Objs[0].Threads, 3)
+	if got := s.Objs[1].Threads; len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("next object's threads = %v after appending to the first, want [2 3]", got)
+	}
+}

@@ -254,8 +254,8 @@ type BuildCost struct {
 	DroppedEntries int64
 }
 
-// freePoolCap bounds the builder entry pools retained across Reset: a storm
-// window must not permanently pin its peak objEntry population. Keeping
-// 2×(the window just recycled)+slack adapts the pool to the current working
-// set within one window of a large→small transition.
+// freePoolCap bounds the entry storage the builders retain across Reset: a
+// storm window must not permanently pin its peak entry population. Keeping
+// 2×(the window just recycled)+slack adapts the retained storage to the
+// current working set within one window of a large→small transition.
 func freePoolCap(recycled int) int { return 2*recycled + 64 }
