@@ -198,7 +198,8 @@ func (p *Profiler) startStackProfiler(cfg StackConfig) {
 				}
 				proc.Sleep(cfg.Gap)
 				var cost sim.Time
-				for _, t := range k.Threads() {
+				for i := 0; i < k.NumThreads(); i++ {
+					t := k.Thread(i)
 					if t.Finished() || t.Node().ID() != n {
 						continue
 					}
@@ -314,7 +315,7 @@ func (p *Profiler) startAdaptiveDaemon(cfg AdaptiveConfig) {
 			// how much the profile is still changing — from new data and
 			// from the finer sampling rate together. Normalization keeps
 			// the comparison about structure, not volume growth.
-			cur, _ := k.Master().Build(len(k.Threads()))
+			cur, _ := k.Master().Build(k.NumThreads())
 			if cur.Total() == 0 {
 				continue // no OALs yet: nothing to judge
 			}

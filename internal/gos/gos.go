@@ -283,7 +283,8 @@ func (k *Kernel) Node(i int) *Node { return k.nodes[i] }
 // NumNodes returns the cluster size.
 func (k *Kernel) NumNodes() int { return len(k.nodes) }
 
-// Threads returns all spawned threads in id order.
+// Threads returns a copy of all spawned threads in id order; loops that
+// run often walk NumThreads and Thread instead.
 func (k *Kernel) Threads() []*Thread { return append([]*Thread(nil), k.threads...) }
 
 // Master returns the correlation collector / analyzer on node 0.

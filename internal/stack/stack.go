@@ -188,6 +188,10 @@ func (s *Stats) Add(other Stats) {
 type Sampler struct {
 	cfg     Config
 	samples map[uint64]*frameSample
+	// free recycles the samples of popped frames, slot arrays included;
+	// live is the discard pass's scratch set of live incarnations.
+	free []*frameSample
+	live map[uint64]struct{}
 	// Total accumulates stats over the sampler's lifetime.
 	Total Stats
 }
@@ -236,13 +240,17 @@ func (sp *Sampler) SampleStack(st *ThreadStack) Stats {
 	// Discard samples of frames that were popped ("if it is not visited
 	// for the second time, it will be discarded on the next sampling").
 	if len(sp.samples) > n {
-		live := make(map[uint64]struct{}, n)
-		for _, f := range st.frames {
-			live[f.inc] = struct{}{}
+		if sp.live == nil {
+			sp.live = make(map[uint64]struct{}, n)
 		}
-		for inc := range sp.samples {
-			if _, ok := live[inc]; !ok {
+		clear(sp.live)
+		for _, f := range st.frames {
+			sp.live[f.inc] = struct{}{}
+		}
+		for inc, smp := range sp.samples {
+			if _, ok := sp.live[inc]; !ok {
 				delete(sp.samples, inc)
+				sp.freeSample(smp)
 				stats.SamplesDropped++
 			}
 		}
@@ -254,13 +262,13 @@ func (sp *Sampler) SampleStack(st *ThreadStack) Stats {
 // captureSample takes a first-visit sample: raw under lazy extraction,
 // fully extracted otherwise.
 func (sp *Sampler) captureSample(f *Frame, stats *Stats) *frameSample {
+	smp := sp.newSample()
 	if sp.cfg.Lazy {
-		smp := &frameSample{raw: true, rawSlots: make([]*heap.Object, len(f.slots))}
-		copy(smp.rawSlots, f.slots)
+		smp.raw = true
+		smp.rawSlots = append(smp.rawSlots, f.slots...)
 		stats.RawCaptured += len(f.slots)
 		return smp
 	}
-	smp := &frameSample{}
 	for idx, ref := range f.slots {
 		stats.SlotsExtracted++
 		if ref != nil {
@@ -268,6 +276,25 @@ func (sp *Sampler) captureSample(f *Frame, stats *Stats) *frameSample {
 		}
 	}
 	return smp
+}
+
+// newSample returns an empty sample, reusing a freed one if possible.
+func (sp *Sampler) newSample() *frameSample {
+	n := len(sp.free)
+	if n == 0 {
+		return &frameSample{}
+	}
+	smp := sp.free[n-1]
+	sp.free[n-1] = nil
+	sp.free = sp.free[:n-1]
+	return smp
+}
+
+// freeSample empties a popped frame's sample, keeping its slot arrays, and
+// puts it on the free list.
+func (sp *Sampler) freeSample(smp *frameSample) {
+	*smp = frameSample{rawSlots: smp.rawSlots[:0], slots: smp.slots[:0]}
+	sp.free = append(sp.free, smp)
 }
 
 // convertRaw performs CONVERT-RAW-SAMPLE: extract frame content (find the
@@ -280,7 +307,7 @@ func (sp *Sampler) convertRaw(smp *frameSample, stats *Stats) {
 			smp.slots = append(smp.slots, slotEntry{idx: idx, ref: ref})
 		}
 	}
-	smp.rawSlots = nil
+	smp.rawSlots = smp.rawSlots[:0]
 	smp.raw = false
 }
 

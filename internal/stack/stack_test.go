@@ -367,3 +367,74 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatalf("total stats wrong: %+v", sp.Total)
 	}
 }
+
+// TestWarmSampleCycleAllocatesNothing: once the free list is warm, pushing
+// a frame, sampling the stack and popping the frame again allocates
+// nothing, under lazy and immediate extraction alike. The next first
+// visit reuses the popped frame's sample with its slot arrays, and the
+// discard pass reuses one live set, here larger than a small map.
+func TestWarmSampleCycleAllocatesNothing(t *testing.T) {
+	objs := testObjects(4)
+	m := &Method{Name: "f"}
+	for _, lazy := range []bool{true, false} {
+		sp := NewSampler(Config{Lazy: lazy, MinSurvived: 1})
+		st := NewThreadStack()
+		for i := 0; i < 16; i++ {
+			st.Push(m, 2).SetRef(0, objs[0])
+		}
+		cycle := func() {
+			f := st.Push(m, 4)
+			f.SetRef(1, objs[1])
+			f.SetRef(3, objs[3])
+			sp.SampleStack(st)
+			st.Pop()
+		}
+		for i := 0; i < 10; i++ {
+			cycle()
+		}
+		if got := testing.AllocsPerRun(100, cycle); got != 0 {
+			t.Errorf("lazy=%v: warm push/sample/pop allocates %v times, want 0", lazy, got)
+		}
+	}
+}
+
+// TestRecycledSampleCarriesNoSlots: the sample of a popped frame is reused
+// by a later frame's first visit, and it must arrive empty. The later
+// frame holds the same references at the same slots, so a leftover entry
+// would survive the comparison too and show up as an extra compared slot
+// or an invariant that survived twice.
+func TestRecycledSampleCarriesNoSlots(t *testing.T) {
+	objs := testObjects(4)
+	m := &Method{Name: "f"}
+	fill := func(f *Frame) {
+		for i, o := range objs {
+			f.SetRef(i, o)
+		}
+	}
+	for _, lazy := range []bool{true, false} {
+		sp := NewSampler(Config{Lazy: lazy, MinSurvived: 1})
+		st := NewThreadStack()
+		st.Push(m, 1)
+		fill(st.Push(m, 4))
+		sp.SampleStack(st)
+		sp.SampleStack(st) // the frame's four slots are now invariant
+		st.Pop()
+		st.Push(m, 1)
+		sp.SampleStack(st) // discards the popped frame's sample
+		st.Pop()
+		fill(st.Push(m, 4))
+		sp.SampleStack(st) // first visit: reuses the discarded sample
+		if got := sp.SampleStack(st).SlotsCompared; got != len(objs) {
+			t.Errorf("lazy=%v: second visit compared %d slots, want %d", lazy, got, len(objs))
+		}
+		inv := sp.Invariants(st)
+		if len(inv) != len(objs) {
+			t.Fatalf("lazy=%v: %d invariants, want %d: %+v", lazy, len(inv), len(objs), inv)
+		}
+		for i, r := range inv {
+			if r.Depth != 1 || r.Slot != i || r.Obj != objs[i] || r.Survived != 1 {
+				t.Errorf("lazy=%v: invariant %d = %+v, want slot %d of depth 1 surviving once", lazy, i, r, i)
+			}
+		}
+	}
+}
