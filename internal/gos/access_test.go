@@ -2,6 +2,8 @@ package gos
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -204,6 +206,69 @@ func TestLockRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("lock round trip allocates %v times, want 0", allocs)
+	}
+}
+
+// pointerFree reports whether a value of typ holds no pointer: only
+// booleans and numbers, directly or in arrays and structs.
+func pointerFree(typ reflect.Type) bool {
+	switch k := typ.Kind(); {
+	case k == reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case k == reflect.Array:
+		return pointerFree(typ.Elem())
+	default:
+		return k >= reflect.Bool && k <= reflect.Complex128
+	}
+}
+
+// TestSideTableEntriesArePointerFree: the per-object entries of the access
+// and copy tables hold no pointer, so the collector never scans their
+// pages, and each fits in 24 bytes.
+func TestSideTableEntriesArePointerFree(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeFor[accessEntry](), reflect.TypeFor[copyState]()} {
+		if !pointerFree(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+		if typ.Size() > 24 {
+			t.Errorf("%v is %d bytes, want at most 24", typ, typ.Size())
+		}
+	}
+}
+
+// TestFreshObjectsCostFewBytes: one thread touching 10,000 fresh objects
+// allocates at most 100 bytes per object. Measured: 85.1 with the access
+// and copy tables paged by value, of which the growth of the interval's
+// touched list is about 35; 139.2 with copy headers in an arena behind a
+// doubling pointer index and access entries that point at them.
+func TestFreshObjectsCostFewBytes(t *testing.T) {
+	const objs = 10000
+	k := testKernel(1, TrackingOff)
+	cls := k.Reg.DefineClass("X", 64, 0)
+	for i := 0; i < objs; i++ {
+		k.Reg.Alloc(cls, 0)
+	}
+	var perObj float64
+	k.SpawnThread(0, "t0", func(th *Thread) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for id := heap.ObjectID(1); id <= objs; id++ {
+			th.Read(k.Reg.Object(id))
+		}
+		runtime.ReadMemStats(&after)
+		perObj = float64(after.TotalAlloc-before.TotalAlloc) / objs
+	})
+	k.Run()
+	if n := k.Node(0).NumCopies(); n != objs {
+		t.Fatalf("copies = %d, want %d", n, objs)
+	}
+	if perObj > 100 {
+		t.Fatalf("touching a fresh object allocates %.1f bytes, want at most 100", perObj)
 	}
 }
 

@@ -149,9 +149,9 @@ type Kernel struct {
 
 	// versions is the home-side version number per object (write notices
 	// are modelled as version advances checked at sync epochs), indexed by
-	// ObjectID-1 — ObjectIDs are dense arena indexes, so the hot-path
-	// version check is an array load instead of a map probe.
-	versions []int64
+	// ObjectID, so the hot-path version check is a page index instead of a
+	// map probe.
+	versions heap.Table[int64]
 
 	// observers are the kernel-wide observers, copied into each thread's
 	// own list at spawn (see Thread.observers).
@@ -309,35 +309,18 @@ func (k *Kernel) Version(id heap.ObjectID) int64 { return k.version(id) }
 // version reads the home version without growing the table (objects never
 // written stay at version 0).
 func (k *Kernel) version(id heap.ObjectID) int64 {
-	idx := int64(id) - 1
-	if idx < 0 || idx >= int64(len(k.versions)) {
-		return 0
+	if v := k.versions.Peek(id); v != nil {
+		return *v
 	}
-	return k.versions[idx]
+	return 0
 }
 
 // bumpVersion applies one committed update at the home.
 func (k *Kernel) bumpVersion(id heap.ObjectID) {
-	idx := int64(id) - 1
-	if idx < 0 {
+	if id <= heap.InvalidObject {
 		panic("gos: bumpVersion on invalid object id")
 	}
-	k.versions = growTo(k.versions, int(idx))
-	k.versions[idx]++
-}
-
-// growTo returns s extended (geometrically) so that index idx is valid.
-func growTo[T any](s []T, idx int) []T {
-	if idx < len(s) {
-		return s
-	}
-	newLen := 2 * len(s)
-	if newLen <= idx {
-		newLen = idx + 1
-	}
-	grown := make([]T, newLen)
-	copy(grown, s)
-	return grown
+	*k.versions.At(id)++
 }
 
 // Run executes the simulation to completion and returns the workload

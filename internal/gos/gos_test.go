@@ -749,30 +749,42 @@ func TestWriterKeepsCopyAcrossRelease(t *testing.T) {
 	k.Run()
 }
 
-// TestCachedObjectsOfClass: the resample iteration set is sorted and
-// class-filtered.
-func TestCachedObjectsOfClass(t *testing.T) {
-	k := testKernel(1, TrackingOff)
+// TestCopyTable: a node holds a header for exactly the objects it touched,
+// valid for those it homes and for a fetched remote one, and NumCopies
+// counts them.
+func TestCopyTable(t *testing.T) {
+	k := testKernel(2, TrackingOff)
 	a := k.Reg.DefineClass("A", 64, 0)
 	b := k.Reg.DefineClass("B", 64, 0)
+	remote := k.Reg.Alloc(a, 1)
+	untouched := k.Reg.Alloc(b, 0)
+	var own []*heap.Object
 	k.SpawnThread(0, "t", func(th *Thread) {
 		for i := 0; i < 5; i++ {
-			th.Write(th.Alloc(a))
-			th.Write(th.Alloc(b))
+			own = append(own, th.Alloc(a), th.Alloc(b))
 		}
+		for _, o := range own {
+			th.Write(o)
+		}
+		th.Read(remote)
 	})
 	k.Run()
 	n := k.Node(0)
-	as := n.cachedObjectsOfClass(a)
-	if len(as) != 5 {
-		t.Fatalf("cached A = %d", len(as))
-	}
-	for i := 1; i < len(as); i++ {
-		if as[i].obj.ID <= as[i-1].obj.ID {
-			t.Fatal("not sorted")
+	for _, o := range own {
+		if c := n.copyAt(o.ID); c == nil || !c.valid {
+			t.Fatalf("home copy of object %d = %+v, want a valid header", o.ID, c)
 		}
 	}
-	if n.NumCopies() != 10 {
-		t.Fatalf("copies = %d", n.NumCopies())
+	if c := n.copyAt(remote.ID); c == nil || !c.valid || c.version != 0 {
+		t.Fatalf("remote copy = %+v, want a valid header fetched at version 0", c)
+	}
+	if c := n.copyAt(untouched.ID); c != nil {
+		t.Fatalf("untouched object has header %+v", c)
+	}
+	if c := k.Node(1).copyAt(own[0].ID); c != nil {
+		t.Fatalf("node 1 has header %+v for an object it never touched", c)
+	}
+	if n.NumCopies() != 11 {
+		t.Fatalf("copies = %d, want 11", n.NumCopies())
 	}
 }

@@ -11,14 +11,15 @@ import (
 // copyState is one node's replica header for a shared object: the 2-bit
 // object state of the paper (valid/invalid) plus the false-invalid flag
 // that triggers correlation faults, the fetched version (write-notice
-// equivalent), and twin bookkeeping for the current interval.
+// equivalent), and twin bookkeeping for the current interval. present marks
+// a header the node has created; the zero entry is "never touched".
 type copyState struct {
-	obj          *heap.Object
-	valid        bool
-	falseInvalid bool
 	version      int64 // home version at fetch time
 	checkedEpoch int64 // last sync epoch at which staleness was evaluated
+	valid        bool
+	falseInvalid bool
 	hasTwin      bool
+	present      bool
 }
 
 // Node is one worker JVM: local heap cache, CPU, OAL buffer.
@@ -27,16 +28,11 @@ type Node struct {
 	id  int
 	cpu *sim.Resource
 
-	// copies is the node's replica-header table, indexed by ObjectID-1
-	// (ObjectIDs are dense arena indexes), so the per-access lookup is an
-	// array index rather than a map probe. Slots are nil until the node
-	// first touches the object.
-	copies    []*copyState
+	// copies is the node's replica-header table, indexed by ObjectID, so
+	// the per-access lookup is a page index rather than a map probe. A
+	// header is present from the node's first touch of the object on.
+	copies    heap.Table[copyState]
 	numCopies int
-	// copyArena bulk-allocates copyState headers in chunks; pointers into a
-	// chunk stay valid for the node's lifetime.
-	copyArena *copyChunk
-	copyUsed  int
 	// epoch advances at every synchronization point observed by the node
 	// (lock acquire, barrier release); cached copies are re-validated
 	// against home versions lazily when first touched in a new epoch.
@@ -72,11 +68,6 @@ type Node struct {
 	localHits int64
 }
 
-// copyChunkLen is the copyState arena chunk size.
-const copyChunkLen = 512
-
-type copyChunk [copyChunkLen]copyState
-
 func newNode(k *Kernel, id int) *Node {
 	return &Node{
 		k:       k,
@@ -102,51 +93,22 @@ func (n *Node) Epoch() int64 { return n.epoch }
 // copyAt returns the node's replica header for the object id, or nil if the
 // node has never touched it.
 func (n *Node) copyAt(id heap.ObjectID) *copyState {
-	idx := int64(id) - 1
-	if idx < 0 || idx >= int64(len(n.copies)) {
-		return nil
+	if c := n.copies.Peek(id); c != nil && c.present {
+		return c
 	}
-	return n.copies[idx]
+	return nil
 }
 
 // copyOf returns (creating if needed) the node's replica header for o.
 // Home-node copies are created valid; remote copies start invalid.
 func (n *Node) copyOf(o *heap.Object) *copyState {
-	idx := int64(o.ID) - 1
-	n.copies = growTo(n.copies, int(idx))
-	c := n.copies[idx]
-	if c == nil {
-		if n.copyArena == nil || n.copyUsed == copyChunkLen {
-			n.copyArena = new(copyChunk)
-			n.copyUsed = 0
-		}
-		c = &n.copyArena[n.copyUsed]
-		n.copyUsed++
-		c.obj = o
-		if o.Home == n.id {
-			c.valid = true
-		}
-		n.copies[idx] = c
+	c := n.copies.At(o.ID)
+	if !c.present {
+		c.present = true
+		c.valid = o.Home == n.id
 		n.numCopies++
 	}
 	return c
-}
-
-// cachedObjectsOfClass returns the node's cached objects of a class sorted
-// by id — the set a resample change-notice must iterate. The copy table is
-// indexed in ID order, so the result is sorted by construction.
-func (n *Node) cachedObjectsOfClass(class *heap.Class) []*copyState {
-	capHint := n.k.Reg.NumObjectsOfClass(class)
-	if capHint > n.numCopies {
-		capHint = n.numCopies
-	}
-	out := make([]*copyState, 0, capHint)
-	for _, c := range n.copies {
-		if c != nil && c.obj.Class == class {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // NumCopies reports how many replica headers the node holds.

@@ -31,10 +31,10 @@ type Thread struct {
 	startPC      int64
 
 	// accessed is the thread's per-object access state, indexed by
-	// ObjectID; touched lists the entries first touched in the current
+	// ObjectID; touched lists the objects first touched in the current
 	// interval, in first-touch order.
 	accessed   heap.Table[accessEntry]
-	touched    []*accessEntry
+	touched    []heap.ObjectID
 	rec        *oal.Record
 	lastLogged []heap.ObjectID
 
@@ -75,16 +75,15 @@ type ThreadStats struct {
 	Migrations    int64
 }
 
-// accessEntry tracks one object within the current interval. It caches the
-// node's copy header so the per-access fast path costs one table index.
-// Entries persist across intervals and are revived in place when their
-// interval stamp is stale, so the steady-state access path allocates
-// nothing.
+// accessEntry tracks one object within the current interval. It holds
+// nothing node-specific: the access path reads the copy header from the
+// thread's current node, so a migrated thread needs no reset. Entries
+// persist across intervals and are revived in place when their interval
+// stamp is stale, so the steady-state access path allocates nothing.
 type accessEntry struct {
 	// interval stamps which interval the entry belongs to; a stale stamp
 	// means the entry is logically absent from the current interval.
 	interval     int64
-	copy         *copyState // nil until resolved on the thread's node
 	writtenBytes int
 	written      bool
 	logged       bool
@@ -222,7 +221,7 @@ func (t *Thread) openInterval() {
 			if c == nil {
 				continue // moved node; copies stay behind
 			}
-			if c.obj.Sampled() {
+			if t.k.Reg.Object(id).Sampled() {
 				c.falseInvalid = true
 				t.k.stats.Resets++
 				resetCPU += resetCost
@@ -251,14 +250,15 @@ func (t *Thread) closeInterval() {
 	}
 	t.diffHomes = t.diffHomes[:0]
 	var diffCPU sim.Time
-	for _, e := range t.touched {
+	for _, id := range t.touched {
+		e := t.accessed.At(id)
 		if !e.written {
 			continue
 		}
-		// The cached copy is this node's header: a migration closes the
-		// interval before the thread leaves.
-		c := e.copy
-		o := c.obj
+		// The interval's copies are this node's headers: a migration
+		// closes the interval before the thread leaves.
+		o := t.k.Reg.Object(id)
+		c := t.node.copyAt(id)
 		wb := e.writtenBytes
 		if wb <= 0 || wb > o.Bytes() {
 			wb = o.Bytes()
@@ -364,21 +364,15 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 	n := t.node
 	first := ai.interval != t.interval
 	if first {
-		// Revive the entry in place, keeping the cached copy header
-		// (invalidated only by migration, which clears the table).
-		c := ai.copy
-		if c == nil {
-			c = n.copyOf(o)
-		}
-		*ai = accessEntry{interval: t.interval, copy: c}
-		t.touched = append(t.touched, ai)
+		*ai = accessEntry{interval: t.interval} // revive in place
+		t.touched = append(t.touched, o.ID)
 	}
 	if write {
 		ai.written = true
 		ai.writtenBytes += writtenBytes
 	}
 
-	c := ai.copy
+	c := n.copyOf(o)
 	if c.version == 0 && c.valid && o.Home == n.id {
 		// Fresh home copy: seed tracking on creation ("each object is
 		// given a tag ... upon its creation").
@@ -509,10 +503,9 @@ func (t *Thread) MoveTo(nodeID int, payloadBytes int) {
 			from.completePending(tok)
 		}}))
 	t.proc.Block("migrate")
+	// Access entries stay: they hold nothing of the old node, and the
+	// closed interval's stamp already retires them.
 	t.node = target
-	// The cached copy headers in the access table belong to the old node;
-	// drop them so accesses on the new node resolve fresh ones.
-	t.accessed.Clear()
 	self.stats.Migrations++
 }
 

@@ -7,14 +7,15 @@ const (
 	tablePageMask  = tablePageLen - 1
 )
 
-// Table is a dense side table of T values indexed by ObjectID: per-thread
-// and per-profiler access state that would otherwise sit in a map keyed by
-// object. Entries live by value in fixed-size pages. A page is allocated,
-// zeroed, the first time an ID in its range is touched and never moves
-// afterwards, so a pointer returned by At stays valid for the table's
+// Table is a dense side table of T values indexed by ObjectID: per-node,
+// per-thread and per-profiler object state that would otherwise sit in a map
+// keyed by object. Entries live by value in fixed-size pages. A page is
+// allocated, zeroed, the first time an ID in its range is touched and never
+// moves afterwards, so a pointer returned by At stays valid for the table's
 // lifetime, across later growth and across a parked proc. Untouched ID
 // ranges cost one nil page pointer each, so a table costs memory in
 // proportion to the ranges its owner touches rather than to the whole heap.
+// Owners keep T free of pointers, so the collector never scans the pages.
 //
 // The zero Table is empty and ready to use.
 type Table[T any] struct {
@@ -38,12 +39,14 @@ func (tb *Table[T]) At(id ObjectID) *T {
 	return &pg[idx&tablePageMask]
 }
 
-// Clear zeroes every entry in place. Pages stay allocated, so pointers
-// returned by At remain valid and now point at zero entries.
-func (tb *Table[T]) Clear() {
-	for _, pg := range tb.pages {
-		if pg != nil {
-			clear(pg[:])
-		}
+// Peek returns the entry for id like At, or nil when id's page was never
+// touched. It never allocates, so readers that must not grow the table use
+// it; an entry on a touched page may still be T's zero value.
+func (tb *Table[T]) Peek(id ObjectID) *T {
+	idx := int(id) - 1
+	p := idx >> tablePageShift
+	if idx < 0 || p >= len(tb.pages) || tb.pages[p] == nil {
+		return nil
 	}
+	return &tb.pages[p][idx&tablePageMask]
 }

@@ -2,8 +2,8 @@ package heap
 
 import "testing"
 
-// TestTableEntriesStayPut: entries start zero, keep their address and value
-// while the table grows past them, and Clear zeroes them in place.
+// TestTableEntriesStayPut: entries start zero and keep their address and
+// value while the table grows past them.
 func TestTableEntriesStayPut(t *testing.T) {
 	var tb Table[int]
 	first := tb.At(1)
@@ -24,11 +24,38 @@ func TestTableEntriesStayPut(t *testing.T) {
 			t.Fatalf("page %d allocated = %v; only touched pages should be", p, pg != nil)
 		}
 	}
-	tb.Clear()
-	if *first != 0 || *far != 0 {
-		t.Fatalf("Clear left %d and %d, want zeros", *first, *far)
+}
+
+// TestTablePeek: Peek finds nothing in a range no ID was touched in, even
+// inside the page index, and allocates nothing doing so; for a touched ID
+// it returns At's pointer.
+func TestTablePeek(t *testing.T) {
+	var tb Table[int]
+	if tb.Peek(1) != nil {
+		t.Fatal("Peek on an empty table returned an entry")
 	}
-	if tb.At(1) != first {
-		t.Fatalf("Clear moved entry 1")
+	e := tb.At(3 * tablePageLen) // page 2; pages 0 and 1 stay untouched
+	*e = 5
+	for _, id := range []ObjectID{InvalidObject, 1, tablePageLen + 1, 3*tablePageLen + 1, 100 * tablePageLen} {
+		if tb.Peek(id) != nil {
+			t.Fatalf("Peek(%d) returned an entry of an untouched range", id)
+		}
+	}
+	if got := tb.Peek(3 * tablePageLen); got != e || *got != 5 {
+		t.Fatalf("Peek of a touched ID = %p, want At's %p", got, e)
+	}
+	if tb.Peek(2*tablePageLen+1) == nil {
+		t.Fatal("Peek found no entry on a touched page")
+	}
+	if got := len(tb.pages); got != 3 {
+		t.Fatalf("pages = %d after Peek, want 3", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tb.Peek(1)
+		tb.Peek(100 * tablePageLen)
+		tb.Peek(3 * tablePageLen)
+	})
+	if allocs != 0 {
+		t.Fatalf("Peek allocated %v times per run, want 0", allocs)
 	}
 }

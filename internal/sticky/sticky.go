@@ -134,9 +134,9 @@ type Footprinter struct {
 	// counts holds, per sampled object touched this interval, how many
 	// re-arm periods trapped it (the access-frequency statistic). Entries
 	// are stamped with the interval, so a stale stamp reads as absent and
-	// interval close clears nothing. tracked lists the interval's entries.
+	// interval close clears nothing. tracked lists the interval's objects.
 	counts  heap.Table[objCount]
-	tracked []*objCount
+	tracked []heap.ObjectID
 	// disarmed counts the objects trapped since the last sweep or
 	// interval close: exactly the objects the next sweep re-arms.
 	disarmed int
@@ -154,9 +154,9 @@ type Footprinter struct {
 	intervals int64
 }
 
-// objCount is one tracked object's statistic within an interval.
+// objCount is one tracked object's statistic within an interval. It holds
+// no pointer: interval close looks the object up by ID.
 type objCount struct {
-	obj *heap.Object
 	// interval is the footprinter's interval count plus one while the
 	// entry is live; the zero entry is never live.
 	interval int64
@@ -231,8 +231,8 @@ func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool
 	oc := fp.counts.At(o.ID)
 	if live := fp.intervals + 1; oc.interval != live {
 		// First touch this interval: the object starts armed.
-		*oc = objCount{obj: o, interval: live}
-		fp.tracked = append(fp.tracked, oc)
+		*oc = objCount{interval: live}
+		fp.tracked = append(fp.tracked, o.ID)
 	} else if oc.sweep == fp.Sweeps {
 		return // trapped since the last sweep: still disarmed
 	}
@@ -265,12 +265,14 @@ func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 	}
 	fp.intervals++
 	raw := make(Footprint)
-	for _, oc := range fp.tracked {
-		if oc.count < fp.cfg.MinAccesses {
+	reg := t.Kernel().Reg
+	for _, id := range fp.tracked {
+		if fp.counts.At(id).count < fp.cfg.MinAccesses {
 			continue
 		}
-		gap := fp.effectiveGap(oc.obj)
-		raw[oc.obj.Class.Name] += int64(oc.obj.AmortizedBytesAtGap(gap)) * gap
+		o := reg.Object(id)
+		gap := fp.effectiveGap(o)
+		raw[o.Class.Name] += int64(o.AmortizedBytesAtGap(gap)) * gap
 	}
 	fp.lastInterval = raw
 	// EWMA-smooth into the running estimate over the union of classes.

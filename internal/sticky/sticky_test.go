@@ -1,6 +1,7 @@
 package sticky
 
 import (
+	"reflect"
 	"testing"
 
 	"jessica2/internal/gos"
@@ -377,5 +378,20 @@ func TestFootprintIntoReusesMap(t *testing.T) {
 	}
 	if fresh := fp.FootprintInto(nil); fresh["Rec"] != 128 {
 		t.Fatalf("nil dst must allocate the footprint, got %v", fresh)
+	}
+}
+
+// TestObjCountIsPointerFree: the footprinter's per-object counts hold no
+// pointer, so the collector never scans their table pages, and each fits
+// in 24 bytes.
+func TestObjCountIsPointerFree(t *testing.T) {
+	typ := reflect.TypeFor[objCount]()
+	for i := 0; i < typ.NumField(); i++ {
+		if k := typ.Field(i).Type.Kind(); k < reflect.Bool || k > reflect.Complex128 {
+			t.Errorf("objCount.%s is a %v", typ.Field(i).Name, k)
+		}
+	}
+	if typ.Size() > 24 {
+		t.Errorf("objCount is %d bytes, want at most 24", typ.Size())
 	}
 }
