@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -148,6 +149,9 @@ type Engine struct {
 	seq     uint64
 	procs   []*Proc
 	running int // procs started and not yet finished
+	// limit is the time the running Run or RunUntil call pauses after:
+	// RunUntil's limit, the largest Time under Run.
+	limit Time
 }
 
 // NewEngine returns an engine with the clock at zero and the default
@@ -215,6 +219,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 // terminated). A panic raised in a proc body or an event reaches the caller
 // of Run with its original value.
 func (e *Engine) Run() Time {
+	e.limit = math.MaxInt64
 	for !e.queue.empty() {
 		ev := e.queue.pop()
 		if ev.at < e.now {
@@ -240,6 +245,7 @@ func (e *Engine) Run() Time {
 // procs are still blocked, and a panic in a proc body or an event reaches
 // its caller with the original value.
 func (e *Engine) RunUntil(limit Time) bool {
+	e.limit = limit
 	for !e.queue.empty() {
 		if e.queue.nextAt() > limit {
 			if limit > e.now {
@@ -337,12 +343,22 @@ func (p *Proc) yield(why string) {
 }
 
 // Sleep advances the proc's local time by d without consuming any resource.
+// When the wake would be the next event to fire anyway, before the engine
+// pauses and with every queued event strictly later, Sleep advances the
+// clock itself and returns without a coroutine switch. It still takes the
+// wake's sequence number, so every later event keeps its own.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
 	e := p.eng
-	e.ScheduleEvent(e.now+d, (*procWake)(p))
+	at := e.now + d
+	if d <= e.limit-e.now && (e.queue.empty() || e.queue.nextAt() > at) {
+		e.seq++
+		e.now = at
+		return
+	}
+	e.ScheduleEvent(at, (*procWake)(p))
 	p.yield("sleep")
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -436,15 +437,60 @@ func TestRunUntilAllowsMidRunScheduling(t *testing.T) {
 	}
 }
 
-// BenchmarkProcHandoff times one Sleep: the scheduler resumes the proc, and
-// the proc yields back.
+// TestSleepPastLimitParks: a sleep that ends at RunUntil's limit runs on
+// without a switch, but one that ends past it parks the proc, and the
+// engine pauses at the limit with its wake queued.
+func TestSleepPastLimitParks(t *testing.T) {
+	e := NewEngine()
+	var trace []Time
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(50) // ends at the limit
+		trace = append(trace, p.Now())
+		p.Sleep(100) // ends past it
+		trace = append(trace, p.Now())
+	})
+	if e.RunUntil(50) {
+		t.Fatal("completed before the sleeper woke")
+	}
+	if e.Now() != 50 || len(trace) != 1 || trace[0] != 50 || e.Idle() {
+		t.Fatalf("paused at %v with trace %v, idle %v; want 50, [50] and the wake queued", e.Now(), trace, e.Idle())
+	}
+	if !e.RunUntil(200) || len(trace) != 2 || trace[1] != 150 {
+		t.Fatalf("resumed run: trace %v, want [50 150]", trace)
+	}
+}
+
+// TestSleepZeroYieldsToQueuedEvent: Sleep(0) yields to an event already
+// queued at the current time, so the event fires first; with nothing queued
+// it returns at once.
+func TestSleepZeroYieldsToQueuedEvent(t *testing.T) {
+	e := NewEngine()
+	var trace []string
+	e.Spawn("p", func(p *Proc) {
+		e.Schedule(p.Now(), func() { trace = append(trace, "event") })
+		p.Sleep(0)
+		trace = append(trace, "proc")
+		p.Sleep(0)
+		trace = append(trace, "proc again")
+	})
+	e.Run()
+	if got := fmt.Sprint(trace); got != "[event proc proc again]" {
+		t.Fatalf("trace = %s, want [event proc proc again]", got)
+	}
+}
+
+// BenchmarkProcHandoff times one Sleep that yields: the scheduler resumes
+// the proc, and the proc yields back. Two procs sleep in lockstep, so each
+// finds the other's wake queued at its own wake time.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine()
-	e.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		e.Spawn("sleeper", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(1)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
