@@ -15,6 +15,7 @@
 package sticky
 
 import (
+	"math"
 	"sort"
 
 	"jessica2/internal/gos"
@@ -142,6 +143,11 @@ type Footprinter struct {
 	disarmed int
 
 	nextSweep sim.Time
+	// windowOn is the duty cycle's state until windowEnd: trackingOn
+	// recomputes both only when the clock reaches windowEnd, since virtual
+	// time never goes back.
+	windowOn  bool
+	windowEnd sim.Time
 
 	footprint Footprint
 	// Raw (unsmoothed) footprint of the last closed interval.
@@ -188,17 +194,31 @@ func NewFootprinter(t *gos.Thread, cfg FootprinterConfig) *Footprinter {
 // Thread returns the profiled thread.
 func (fp *Footprinter) Thread() *gos.Thread { return fp.thread }
 
-// trackingOn evaluates the on/off duty cycle at the current virtual time.
-func (fp *Footprinter) trackingOn() bool {
-	if fp.cfg.Nonstop {
-		return true
+// trackingOn reports whether the duty cycle is on at now, moving the cached
+// window first if now has left it.
+func (fp *Footprinter) trackingOn(now sim.Time) bool {
+	if now >= fp.windowEnd {
+		fp.nextWindow(now)
 	}
+	return fp.windowOn
+}
+
+// nextWindow moves the cached window to the one holding now: the duty cycle
+// is on while now modulo OnPhase+OffPhase is below OnPhase, and on for good
+// under Nonstop or a non-positive period.
+func (fp *Footprinter) nextWindow(now sim.Time) {
 	period := fp.cfg.OnPhase + fp.cfg.OffPhase
-	if period <= 0 {
-		return true
+	if fp.cfg.Nonstop || period <= 0 {
+		fp.windowOn, fp.windowEnd = true, math.MaxInt64
+		return
 	}
-	phase := sim.Time(int64(fp.thread.Kernel().Eng.Now()) % int64(period))
-	return phase < fp.cfg.OnPhase
+	start := now - now%period
+	fp.windowOn = now-start < fp.cfg.OnPhase
+	if fp.windowOn {
+		fp.windowEnd = start + fp.cfg.OnPhase
+	} else {
+		fp.windowEnd = start + period
+	}
 }
 
 // effectiveGap applies the MinGap lower bound to a class gap.
@@ -218,10 +238,10 @@ func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool
 	if t != fp.thread {
 		return
 	}
-	if !fp.trackingOn() {
+	now := t.Kernel().Eng.Now()
+	if !fp.trackingOn(now) {
 		return
 	}
-	now := t.Kernel().Eng.Now()
 	if now >= fp.nextSweep {
 		fp.sweep(t, now)
 	}

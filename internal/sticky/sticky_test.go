@@ -8,6 +8,7 @@ import (
 	"jessica2/internal/heap"
 	"jessica2/internal/sim"
 	"jessica2/internal/stack"
+	"jessica2/internal/xrand"
 )
 
 func TestFootprintBasics(t *testing.T) {
@@ -161,6 +162,44 @@ func TestFootprinterTimerDutyCycle(t *testing.T) {
 	}
 	if timer == 0 {
 		t.Fatal("timer mode tracked nothing")
+	}
+}
+
+// TestDutyCycleWindowMatchesModulo: over random duty cycles and random
+// non-decreasing clocks, with zero steps, steps onto window edges and
+// jumps over whole periods, the cached window gives the answer of
+// now % period < OnPhase at every step.
+func TestDutyCycleWindowMatchesModulo(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		cfg := DefaultFootprinterConfig()
+		cfg.OnPhase = sim.Time(rng.Intn(40))
+		cfg.OffPhase = sim.Time(1 + rng.Intn(40))
+		period := cfg.OnPhase + cfg.OffPhase
+		kcfg := gos.DefaultConfig()
+		kcfg.Nodes = 1
+		k := gos.NewKernel(kcfg)
+		var fp *Footprinter
+		on := 0
+		th := k.SpawnThread(0, "t", func(th *gos.Thread) {
+			for i := 0; i < 5000; i++ {
+				th.Proc().Sleep(sim.Time(rng.Intn(3 * int(period))))
+				now := th.Proc().Now()
+				want := now%period < cfg.OnPhase
+				if got := fp.trackingOn(now); got != want {
+					t.Errorf("seed %d, on %v off %v, at %v: tracking %v, want %v", seed, cfg.OnPhase, cfg.OffPhase, now, got, want)
+					return
+				}
+				if want {
+					on++
+				}
+			}
+		})
+		fp = NewFootprinter(th, cfg)
+		k.Run()
+		if cfg.OnPhase > 0 && (on == 0 || on == 5000) {
+			t.Errorf("seed %d: on at %d of 5000 steps; the clock never crossed a window edge", seed, on)
+		}
 	}
 }
 
