@@ -122,7 +122,7 @@ func BenchmarkAblationPrimeGaps(b *testing.B) {
 	bias := func(gap int64) float64 {
 		reg := heap.NewRegistry()
 		c := reg.DefineClass("cyclic", 64, 0)
-		c.SetGap(32, gap)
+		c.SetGap(gap)
 		const n = 32 * 200
 		hot, sampledHot, sampled := 0, 0, 0
 		for i := 0; i < n; i++ {
@@ -166,7 +166,7 @@ func BenchmarkAblationArrayBias(b *testing.B) {
 	run := func(amortized bool) (pctError float64) {
 		reg := heap.NewRegistry()
 		c := reg.DefineArrayClass("arr", 8)
-		c.SetGap(64, 61)
+		c.SetGap(61)
 		var truth, estimate float64
 		for i := 0; i < 200; i++ {
 			n := 16
@@ -205,7 +205,7 @@ func BenchmarkAblationMigration(b *testing.B) {
 		sess := jessica2.NewSession(cfg)
 		eng := sess.MigrationEngine()
 		cls := sess.Kernel().Reg.DefineClass("Rec", 128, 1)
-		cls.SetGap(1, 1)
+		cls.SetGap(1)
 		sess.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
 			var objs []*jessica2.Object
 			var prev *jessica2.Object

@@ -293,7 +293,7 @@ func TestFalseInvalidReenablesLogging(t *testing.T) {
 func TestUnsampledObjectsNotLogged(t *testing.T) {
 	k := testKernel(2, TrackingSampled)
 	cls := k.Reg.DefineClass("X", 64, 0)
-	cls.SetGap(64, 61) // sample ~1/61 of instances
+	cls.SetGap(61) // sample ~1/61 of instances
 	var objs []*heap.Object
 	k.SpawnThread(0, "owner", func(th *Thread) {
 		for i := 0; i < 61; i++ {
@@ -324,7 +324,7 @@ func TestUnsampledObjectsNotLogged(t *testing.T) {
 func TestScaledEstimator(t *testing.T) {
 	k := testKernel(2, TrackingSampled)
 	cls := k.Reg.DefineClass("X", 100, 0)
-	cls.SetGap(8, 7)
+	cls.SetGap(7)
 	var objs []*heap.Object
 	k.SpawnThread(0, "owner", func(th *Thread) {
 		for i := 0; i < 70; i++ {
@@ -359,7 +359,7 @@ func TestScaledEstimator(t *testing.T) {
 func TestTrackingExactLogsEverything(t *testing.T) {
 	k := testKernel(2, TrackingExact)
 	cls := k.Reg.DefineClass("X", 64, 0)
-	cls.SetGap(1024, 1021) // sampling gap irrelevant in exact mode
+	cls.SetGap(1021) // sampling gap irrelevant in exact mode
 	var objs []*heap.Object
 	k.SpawnThread(0, "owner", func(th *Thread) {
 		for i := 0; i < 10; i++ {

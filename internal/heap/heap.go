@@ -68,25 +68,17 @@ type Class struct {
 	// so every element owns a number ("these numbers are continuous").
 	nextSeq int64
 
-	// gap is the current real sampling gap (a prime), and nominalGap the
-	// power-of-two it was derived from. gap == 1 means full sampling;
-	// gap <= 0 means sampling disabled for the class.
-	gap        int64
-	nominalGap int64
+	// gap is the current real sampling gap (a prime). gap == 1 means full
+	// sampling; gap <= 0 means sampling disabled for the class.
+	gap int64
 }
 
 // Gap returns the class's current real (prime) sampling gap.
 func (c *Class) Gap() int64 { return c.gap }
 
-// NominalGap returns the power-of-two gap the real gap was derived from.
-func (c *Class) NominalGap() int64 { return c.nominalGap }
-
-// SetGap installs a new sampling gap pair (nominal, real). The caller is
-// responsible for triggering resampling of live objects.
-func (c *Class) SetGap(nominal, real int64) {
-	c.nominalGap = nominal
-	c.gap = real
-}
+// SetGap installs a new real sampling gap. The caller is responsible for
+// triggering resampling of live objects.
+func (c *Class) SetGap(real int64) { c.gap = real }
 
 // InstanceBytes returns the memory footprint of an instance with n elements
 // (n is ignored for scalar classes).
@@ -197,17 +189,14 @@ func (o *Object) AmortizedBytesAtGap(gap int64) int {
 // Registry owns all classes and objects of one DJVM instance.
 //
 // Objects live in a dense chunked arena: ObjectID n is the (n-1)-th slot of
-// the arena, so lookup is two array indexes, allocation is in-place (no
-// per-object heap allocation), and iteration order is ID order by
-// construction. Per-class indexes are maintained incrementally at Alloc /
-// AllocArray time, making ObjectsOfClass and ObjectsSorted O(1) slice
-// returns instead of full scans.
+// the arena, so lookup is two array indexes and allocation is in-place (no
+// per-object heap allocation). The only per-class state is an instance
+// count, kept at Alloc / AllocArray time.
 type Registry struct {
 	classes      []*Class
 	classByName  map[string]*Class
 	chunks       []*objChunk
-	all          []*Object   // every object, ID order
-	byClass      [][]*Object // indexed by ClassID, each ID order
+	classCount   []int // instances per class, indexed by ClassID
 	nextObjectID ObjectID
 
 	// refSlab bulk-allocates Refs arrays: reference-field slices are cut
@@ -268,9 +257,8 @@ func (r *Registry) define(c *Class) *Class {
 	}
 	c.ID = ClassID(len(r.classes))
 	c.gap = 1 // default: full sampling until a gap is configured
-	c.nominalGap = 1
 	r.classes = append(r.classes, c)
-	r.byClass = append(r.byClass, nil)
+	r.classCount = append(r.classCount, 0)
 	r.classByName[c.Name] = c
 	return c
 }
@@ -339,19 +327,17 @@ func (r *Registry) newObject(c *Class, node, n int) *Object {
 	brk = (brk + align - 1) / align * align
 	o.Addr = brk
 	r.nodeBrk[node] = brk + size
-	r.all = append(r.all, o)
-	r.byClass[c.ID] = append(r.byClass[c.ID], o)
+	r.classCount[c.ID]++
 	return o
 }
 
-// Object looks up an object by ID, or nil. Lookup indexes the chunk arena
-// directly (not the iteration slices), so it stays correct even if a caller
-// violates the read-only contract on ObjectsSorted/ObjectsOfClass.
+// Object looks up an object by ID in the chunk arena, or nil for an ID
+// that has not been allocated.
 func (r *Registry) Object(id ObjectID) *Object {
-	idx := int64(id) - 1
-	if idx < 0 || idx >= int64(len(r.all)) {
+	if id <= InvalidObject || id > r.nextObjectID {
 		return nil
 	}
+	idx := int64(id) - 1
 	return &r.chunks[idx>>objChunkShift][idx&objChunkMask]
 }
 
@@ -364,22 +350,8 @@ func (r *Registry) MustObject(id ObjectID) *Object {
 	return o
 }
 
-// NumObjects reports how many objects have been allocated.
-func (r *Registry) NumObjects() int { return len(r.all) }
-
-// ObjectsSorted returns every object sorted by ID (stable iteration order
-// for deterministic daemons). The returned slice is the registry's live
-// index — callers must treat it as read-only and must not append to it.
-func (r *Registry) ObjectsSorted() []*Object { return r.all }
-
-// ObjectsOfClass returns the class's live objects sorted by ID. The slice
-// is maintained incrementally at allocation time, so this is O(1); callers
-// must treat it as read-only and must not append to it.
-func (r *Registry) ObjectsOfClass(c *Class) []*Object { return r.byClass[c.ID] }
-
-// NumObjectsOfClass reports how many instances of c are live, without
-// materializing the object slice.
-func (r *Registry) NumObjectsOfClass(c *Class) int { return len(r.byClass[c.ID]) }
+// NumObjectsOfClass reports how many instances of c have been allocated.
+func (r *Registry) NumObjectsOfClass(c *Class) int { return r.classCount[c.ID] }
 
 // HeapBytes reports the bump-allocated heap size of one node.
 func (r *Registry) HeapBytes(node int) int64 { return r.nodeBrk[node] }

@@ -73,7 +73,7 @@ func TestMigrateWithPrefetchAvoidsFaults(t *testing.T) {
 	k := kernel2()
 	e := NewEngine(k)
 	cls := k.Reg.DefineClass("Rec", 128, 1)
-	cls.SetGap(1, 1)
+	cls.SetGap(1)
 	var post int64
 	var out Outcome
 	k.SpawnThread(0, "t", func(th *gos.Thread) {
@@ -116,7 +116,7 @@ func TestPrefetchTransferCostsMore(t *testing.T) {
 		k := kernel2()
 		e := NewEngine(k)
 		cls := k.Reg.DefineClass("Rec", 4096, 1)
-		cls.SetGap(1, 1)
+		cls.SetGap(1)
 		var out Outcome
 		k.SpawnThread(0, "t", func(th *gos.Thread) {
 			var objs []*heap.Object
@@ -152,7 +152,7 @@ func TestMigrationChargesResolutionCost(t *testing.T) {
 	k := kernel2()
 	e := NewEngine(k)
 	cls := k.Reg.DefineClass("Rec", 64, 1)
-	cls.SetGap(1, 1)
+	cls.SetGap(1)
 	k.SpawnThread(0, "t", func(th *gos.Thread) {
 		o := th.Alloc(cls)
 		th.Write(o)

@@ -122,11 +122,10 @@ func unitBytes(c *heap.Class) int {
 	return c.Size
 }
 
-// ApplyRate sets the class's gap pair for the given rate and returns the
-// real gap installed.
+// ApplyRate sets the class's real gap for the given rate and returns it.
 func ApplyRate(c *heap.Class, r Rate) int64 {
-	nom, real := GapsForRate(unitBytes(c), r)
-	c.SetGap(nom, real)
+	_, real := GapsForRate(unitBytes(c), r)
+	c.SetGap(real)
 	return real
 }
 

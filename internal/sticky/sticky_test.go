@@ -110,7 +110,7 @@ func TestFootprinterGapScaleUp(t *testing.T) {
 	kcfg.Nodes = 1
 	k := gos.NewKernel(kcfg)
 	cls := k.Reg.DefineClass("Rec", 100, 0)
-	cls.SetGap(8, 7) // 1/7 sampled
+	cls.SetGap(7) // 1/7 sampled
 	var fp *Footprinter
 	th := k.SpawnThread(0, "t", func(th *gos.Thread) {
 		var objs []*heap.Object
@@ -230,7 +230,7 @@ const time1 = 5 * sim.Millisecond
 func buildGraph(n int, gap int64) (invs []stack.InvariantRef, reg *heap.Registry, all []*heap.Object) {
 	reg = heap.NewRegistry()
 	c := reg.DefineClass("Rec", 100, 1)
-	c.SetGap(gap, gap)
+	c.SetGap(gap)
 	var prev *heap.Object
 	for i := 0; i < n; i++ {
 		o := reg.Alloc(c, 0)
@@ -287,7 +287,7 @@ func TestResolveLandmarkDrought(t *testing.T) {
 	// traversal stops after tolerance*gap.
 	reg := heap.NewRegistry()
 	c := reg.DefineClass("Rec", 100, 1)
-	c.SetGap(11, 11)
+	c.SetGap(11)
 	// Allocate 1 sampled head then 60 unsampled-only chain: seqs 0..60;
 	// every 11th is sampled, so landmarks exist. Use tolerance 1.5.
 	var prev *heap.Object
@@ -312,7 +312,7 @@ func TestResolveLandmarkDrought(t *testing.T) {
 	// Now sever landmarks: new chain where only the head is sampled.
 	reg2 := heap.NewRegistry()
 	c2 := reg2.DefineClass("Rec", 100, 1)
-	c2.SetGap(11, 11)
+	c2.SetGap(11)
 	var objs []*heap.Object
 	for i := 0; i < 40; i++ {
 		objs = append(objs, reg2.Alloc(c2, 0))
@@ -340,7 +340,7 @@ func TestResolveLandmarkDrought(t *testing.T) {
 func TestResolveMultipleRoots(t *testing.T) {
 	reg := heap.NewRegistry()
 	c := reg.DefineClass("Rec", 100, 1)
-	c.SetGap(1, 1)
+	c.SetGap(1)
 	a := reg.Alloc(c, 0)
 	b := reg.Alloc(c, 0)
 	a2 := reg.Alloc(c, 0)
@@ -359,8 +359,8 @@ func TestResolvePerClassBudgets(t *testing.T) {
 	reg := heap.NewRegistry()
 	recC := reg.DefineClass("Rec", 100, 2)
 	valC := reg.DefineClass("Val", 10, 0)
-	recC.SetGap(1, 1)
-	valC.SetGap(1, 1)
+	recC.SetGap(1)
+	valC.SetGap(1)
 	root := reg.Alloc(recC, 0)
 	child := reg.Alloc(recC, 0)
 	v1 := reg.Alloc(valC, 0)
@@ -381,7 +381,7 @@ func TestResolvePerClassBudgets(t *testing.T) {
 func TestResolveDedupAndCycles(t *testing.T) {
 	reg := heap.NewRegistry()
 	c := reg.DefineClass("Rec", 100, 1)
-	c.SetGap(1, 1)
+	c.SetGap(1)
 	a := reg.Alloc(c, 0)
 	b := reg.Alloc(c, 0)
 	a.Refs[0] = b

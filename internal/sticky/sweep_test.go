@@ -117,8 +117,8 @@ func TestSweepMatchesMapWalk(t *testing.T) {
 		rec := k.Reg.DefineClass("Rec", 128, 0)
 		small := k.Reg.DefineClass("Small", 24, 0)
 		arr := k.Reg.DefineArrayClass("Arr", 8)
-		small.SetGap(4, 3)
-		arr.SetGap(8, 7)
+		small.SetGap(3)
+		arr.SetGap(7)
 		var objs []*heap.Object
 		for i := 0; i < 700; i++ { // spans several table pages
 			switch i % 3 {
