@@ -206,9 +206,6 @@ func (t *Thread) openInterval() {
 	t.startPC = t.pc
 	t.rec = t.k.newRecord()
 	t.rec.Thread = t.id
-	t.rec.Node = t.node.id
-	t.rec.Interval = t.interval
-	t.rec.StartPC = t.startPC
 	t.k.stats.Intervals++
 	// Reset false-invalid on the objects this thread logged last interval
 	// ("reset to false-invalid state to enable tracking on them
@@ -295,7 +292,6 @@ func (t *Thread) closeInterval() {
 	}
 
 	// Finalize the OAL record.
-	t.rec.EndPC = t.pc
 	t.lastLogged = t.lastLogged[:0]
 	for _, e := range t.rec.Entries {
 		t.lastLogged = append(t.lastLogged, e.Obj)
@@ -393,19 +389,19 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 
 	if !c.valid {
 		t.fault(o, c)
-		t.maybeLog(o, ai, write)
+		t.maybeLog(o, ai)
 	} else if c.falseInvalid {
 		// Correlation fault: the state check sees "invalid", traps into
 		// the GOS service routine, which logs and cancels the fake state.
 		c.falseInvalid = false
 		t.k.stats.FalseInvalidHit++
-		t.maybeLog(o, ai, write)
+		t.maybeLog(o, ai)
 	} else {
 		n.localHits++
 	}
 
 	if t.k.Cfg.Tracking == TrackingExact && first {
-		t.logExact(o, ai, write)
+		t.logExact(o, ai)
 	}
 
 	if write && o.Home != n.id && !c.hasTwin {
@@ -441,7 +437,7 @@ func (t *Thread) fault(o *heap.Object, c *copyState) {
 
 // maybeLog appends an OAL entry for a sampled object, at most once per
 // thread-interval.
-func (t *Thread) maybeLog(o *heap.Object, ai *accessEntry, write bool) {
+func (t *Thread) maybeLog(o *heap.Object, ai *accessEntry) {
 	if t.k.Cfg.Tracking != TrackingSampled || ai.logged {
 		return
 	}
@@ -454,18 +450,18 @@ func (t *Thread) maybeLog(o *heap.Object, ai *accessEntry, write bool) {
 	// Scaled estimator: amortized sample size × gap, so sampled maps
 	// estimate the full-population shared volume.
 	bytes := int64(o.AmortizedBytes()) * gap
-	t.rec.Entries = append(t.rec.Entries, oal.Entry{Obj: o.ID, Bytes: bytes, Write: write})
+	t.rec.Entries = append(t.rec.Entries, oal.Entry{Obj: o.ID, Bytes: bytes})
 	t.stats.Logged++
 	t.k.stats.CorrelationLogs++
 }
 
 // logExact is the oracle logging mode.
-func (t *Thread) logExact(o *heap.Object, ai *accessEntry, write bool) {
+func (t *Thread) logExact(o *heap.Object, ai *accessEntry) {
 	if ai.logged {
 		return
 	}
 	ai.logged = true
-	t.rec.Entries = append(t.rec.Entries, oal.Entry{Obj: o.ID, Bytes: int64(o.Bytes()), Write: write})
+	t.rec.Entries = append(t.rec.Entries, oal.Entry{Obj: o.ID, Bytes: int64(o.Bytes())})
 	t.stats.Logged++
 	t.k.stats.CorrelationLogs++
 }

@@ -1,9 +1,11 @@
 // Package oal defines object access lists: the per-thread, per-interval
 // records of shared-object accesses that the access profiler emits and the
-// central correlation daemon consumes. Records carry the interval context
-// (delimiting bytecode PCs in the paper; logical interval ids here) and one
-// entry per distinct object accessed in the interval — the HLRC at-most-once
-// property guarantees a single log per object per interval.
+// central correlation daemon consumes. A record holds the thread id and one
+// entry per distinct object accessed in the interval — the HLRC
+// at-most-once property guarantees a single log per object per interval.
+// The interval context the paper packs into each record's header (node,
+// interval number, start and end bytecode PCs) is charged on the wire but
+// not kept, since no consumer reads it.
 package oal
 
 import "jessica2/internal/heap"
@@ -15,20 +17,12 @@ import "jessica2/internal/heap"
 type Entry struct {
 	Obj   heap.ObjectID
 	Bytes int64
-	// Write records whether the interval included a write to the object.
-	Write bool
 }
 
 // Record is the jumbo-message payload for one closed interval of one thread.
 type Record struct {
-	Thread   int   // global thread id
-	Node     int   // node the interval executed on
-	Interval int64 // per-thread interval sequence number
-	// StartPC/EndPC delimit the interval context (the paper packs the
-	// start and end bytecode PCs; our simulated threads use logical
-	// program counters).
-	StartPC, EndPC int64
-	Entries        []Entry
+	Thread  int // global thread id
+	Entries []Entry
 }
 
 // Reset clears the record for reuse, retaining the Entries backing array so
@@ -42,7 +36,9 @@ func (r *Record) Reset() {
 // + 4-byte size (matching the paper's "accessed object id and size").
 const entryWireBytes = 8
 
-// recordHeaderBytes covers thread id, node, interval number and the two PCs.
+// recordHeaderBytes prices the paper's packed record header on the wire:
+// thread id, node, interval number and the start and end PCs. Only the
+// thread id is kept in a Record; the rest is charged, not stored.
 const recordHeaderBytes = 24
 
 // WireBytes returns the encoded size of the record for network accounting.

@@ -70,12 +70,10 @@ func FuzzBuilder(f *testing.F) {
 				key := int64(binary.LittleEndian.Uint16(rest[1:3]))
 				bytes := float64(binary.LittleEndian.Uint32(rest[3:7]))
 				b.AddAccess(thread, key, bytes)
-			case 1: // a malformed OAL record: arbitrary thread/node/interval
-				rec := &oal.Record{
-					Thread:   int(int8(rest[0])),
-					Node:     int(int8(rest[1])),
-					Interval: int64(rest[2]),
-				}
+			case 1: // a malformed OAL record: arbitrary thread id
+				// rest[1:3] once held the record's node and interval; they
+				// are skipped so the corpus inputs keep their meaning.
+				rec := &oal.Record{Thread: int(int8(rest[0]))}
 				for i := 3; i+1 < len(rest); i += 2 {
 					rec.Entries = append(rec.Entries, oal.Entry{
 						Obj:   heap.ObjectID(rest[i]),
@@ -171,12 +169,8 @@ func FuzzBuilderEquivalence(f *testing.F) {
 				bytes := float64(binary.LittleEndian.Uint16(rest[3:5]))
 				inc.AddAccess(thread, key, bytes)
 				full.AddAccess(thread, key, bytes)
-			case 1: // a malformed OAL record
-				rec := &oal.Record{
-					Thread:   int(int8(rest[0])),
-					Node:     int(int8(rest[1])),
-					Interval: int64(rest[2]),
-				}
+			case 1: // a malformed OAL record (rest[1:3] skipped, as above)
+				rec := &oal.Record{Thread: int(int8(rest[0]))}
 				for i := 3; i+1 < len(rest); i += 2 {
 					rec.Entries = append(rec.Entries, oal.Entry{
 						Obj:   heap.ObjectID(rest[i]),
