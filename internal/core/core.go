@@ -230,15 +230,10 @@ func (p *Profiler) samplerFor(tid int, cfg StackConfig) *stack.Sampler {
 // (empty until the stack profiler has compared samples).
 func (p *Profiler) Invariants(tid int) []stack.InvariantRef {
 	sp := p.Samplers[tid]
-	if sp == nil {
+	if sp == nil || tid < 0 || tid >= p.K.NumThreads() {
 		return nil
 	}
-	for _, t := range p.K.Threads() {
-		if t.ID() == tid {
-			return sp.Invariants(t.Stack)
-		}
-	}
-	return nil
+	return sp.Invariants(p.K.Thread(tid).Stack)
 }
 
 // Footprint returns the sticky-set footprint estimate of a thread.

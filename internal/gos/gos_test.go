@@ -605,9 +605,6 @@ func TestIntervalContextPCs(t *testing.T) {
 		o := th.Alloc(cls)
 		th.Write(o)
 		th.Read(o)
-		if th.PC() != 2 {
-			t.Errorf("pc = %d, want 2", th.PC())
-		}
 		th.Release(1)
 		th.Read(o)
 	})

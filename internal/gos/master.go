@@ -16,7 +16,6 @@ type Master struct {
 	k       *Kernel
 	builder *tcm.Builder
 
-	ingestedRecords int64
 	ingestedEntries int64
 	reorgTime       sim.Time
 	buildTime       sim.Time
@@ -57,7 +56,6 @@ func (m *Master) IngestSummary(s *tcm.Summary) {
 			m.accrueHome(int(th), heap.ObjectID(o.Key), o.Bytes)
 		}
 	}
-	m.ingestedRecords++
 	m.reorgTime += sim.Time(entries) * tcmPairCost // merge is cheap
 }
 
@@ -78,7 +76,6 @@ func (m *Master) ingestPayload(p oalPayload) {
 func (m *Master) IngestLocal(r *oal.Record) {
 	bl := m.ensureBuilder()
 	bl.IngestRecord(r)
-	m.ingestedRecords++
 	m.ingestedEntries += int64(len(r.Entries))
 	m.reorgTime += sim.Time(len(r.Entries)) * tcmReorgCostPerEntry
 	for _, e := range r.Entries {

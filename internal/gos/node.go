@@ -48,10 +48,9 @@ type Node struct {
 	// distributed-TCM flushes (a fresh builder per drain would re-allocate
 	// per-object state every jumbo message); rebuilt only when the thread
 	// count grows. Only Summarize is read from it, so the incremental
-	// builder's pair accumulator is dead weight here — but its bitset
+	// builder's pair accumulator is dead weight here, but its bitset
 	// ingestion (one bit test per repeat entry) and sort-free Summarize
-	// more than pay for the bounded O(N²) clear at Reset, so the default
-	// Builder alias is the right worker-side choice under either tag.
+	// more than pay for the bounded O(N²) clear at Reset.
 	summBuilder *tcm.Builder
 
 	// pending maps in-flight remote-operation tokens to the blocked thread.
@@ -63,9 +62,6 @@ type Node struct {
 	flushSeq  int64
 	inflight  map[int64]oalPayload
 	lastAckAt sim.Time
-
-	// Stats
-	localHits int64
 }
 
 func newNode(k *Kernel, id int) *Node {

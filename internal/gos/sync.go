@@ -309,8 +309,6 @@ func (k *Kernel) grantLock(id int, ls *lockState, w lockWaiter) {
 type barrierState struct {
 	parties int
 	arrived []lockWaiter
-	// Episodes counts completed barrier crossings.
-	Episodes int64
 }
 
 // Barrier joins a cluster-wide barrier with the given party count. The
@@ -346,7 +344,6 @@ func (k *Kernel) barrierArrive(id int, from network.NodeID, tok int64, pl oalPay
 	if len(bs.arrived) >= bs.parties {
 		waiters := bs.arrived
 		bs.arrived = nil
-		bs.Episodes++
 		k.stats.Barriers++
 		k.Eng.After(barrierServiceCost, func() {
 			for _, w := range waiters {

@@ -26,9 +26,6 @@ type Thread struct {
 
 	interval     int64
 	intervalOpen bool
-	closing      bool // inside closeInterval (observer callbacks still see the interval's state)
-	pc           int64
-	startPC      int64
 
 	// accessed is the thread's per-object access state, indexed by
 	// ObjectID; touched lists the objects first touched in the current
@@ -66,13 +63,9 @@ type Thread struct {
 
 // ThreadStats are per-thread counters.
 type ThreadStats struct {
-	Accesses      int64
-	Faults        int64
-	FaultBytes    int64
-	Logged        int64
-	ComputeTime   sim.Time
-	FaultWaitTime sim.Time
-	Migrations    int64
+	Faults      int64
+	Logged      int64
+	ComputeTime sim.Time
 }
 
 // accessEntry tracks one object within the current interval. It holds
@@ -137,9 +130,6 @@ func (t *Thread) Stats() ThreadStats { return t.stats }
 // Interval returns the current interval sequence number.
 func (t *Thread) Interval() int64 { return t.interval }
 
-// PC returns the thread's logical program counter.
-func (t *Thread) PC() int64 { return t.pc }
-
 // Finished reports whether the thread body has returned.
 func (t *Thread) Finished() bool { return t.finished }
 
@@ -203,7 +193,6 @@ func (t *Thread) openInterval() {
 	}
 	t.interval++
 	t.intervalOpen = true
-	t.startPC = t.pc
 	t.rec = t.k.newRecord()
 	t.rec.Thread = t.id
 	t.k.stats.Intervals++
@@ -237,7 +226,6 @@ func (t *Thread) closeInterval() {
 		return
 	}
 	t.intervalOpen = false
-	t.closing = true
 
 	// Propagate diffs of written non-home objects to their homes, batched
 	// per home node. The per-home byte accumulator is a reused per-thread
@@ -310,7 +298,6 @@ func (t *Thread) closeInterval() {
 	// Reset per-interval access state. Entries stay in the table with a
 	// now-stale interval stamp; the next interval revives them in place.
 	t.touched = t.touched[:0]
-	t.closing = false
 }
 
 // --- the access path -------------------------------------------------------
@@ -349,8 +336,6 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 		fn(t)
 	}
 	t.openInterval()
-	t.pc++
-	t.stats.Accesses++
 	t.k.stats.Checks++
 	t.Charge(checkCost)
 
@@ -396,8 +381,6 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 		c.falseInvalid = false
 		t.k.stats.FalseInvalidHit++
 		t.maybeLog(o, ai)
-	} else {
-		n.localHits++
 	}
 
 	if t.k.Cfg.Tracking == TrackingExact && first {
@@ -423,14 +406,11 @@ func (t *Thread) fault(o *heap.Object, c *copyState) {
 	tok := t.node.newToken(t)
 	t.k.Net.Send(network.NodeID(t.node.id), network.NodeID(o.Home),
 		network.CatControl, 32, t.k.newMsg(protoMsg{kind: msgFetchReq, tok: tok, obj: o.ID}))
-	wait0 := t.proc.Now()
 	t.proc.BlockNamed("fault ", o.Class.Name)
-	t.stats.FaultWaitTime += t.proc.Now() - wait0
 	c.valid = true
 	c.version = t.k.version(o.ID)
 	c.falseInvalid = false
 	t.stats.Faults++
-	t.stats.FaultBytes += int64(o.Bytes())
 	t.k.stats.Faults++
 	t.k.stats.FaultBytes += int64(o.Bytes())
 }
@@ -492,7 +472,6 @@ func (t *Thread) MoveTo(nodeID int, payloadBytes int) {
 	from := t.node
 	target := t.k.nodes[nodeID]
 	tok := from.newToken(t)
-	self := t
 	t.k.Net.Send(network.NodeID(from.id), network.NodeID(nodeID),
 		network.CatMigration, payloadBytes,
 		t.k.newMsg(protoMsg{kind: msgMigrateIn, data: func() {
@@ -502,7 +481,6 @@ func (t *Thread) MoveTo(nodeID int, payloadBytes int) {
 	// Access entries stay: they hold nothing of the old node, and the
 	// closed interval's stamp already retires them.
 	t.node = target
-	self.stats.Migrations++
 }
 
 // InstallPrefetched marks objs valid in node's cache at current home
