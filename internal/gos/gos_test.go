@@ -188,9 +188,9 @@ func TestBarrierPartyMismatchPanics(t *testing.T) {
 
 // TestDeadlockReportNamesLockAndBarrier pins the deadlock report for
 // threads parked on a lock that is never released, on a barrier that never
-// fills, on a fault whose fetch is lost, on a CPU that is never freed and on
-// a queue that is never woken: each entry is the proc name, then the lock
-// or barrier id, the faulted class, the resource or the queue.
+// fills, on a fault whose fetch is lost, on a CPU that is never freed and in
+// a named wait that is never woken: each entry is the proc name, then the
+// lock or barrier id, the faulted class, the resource or the wait's name.
 func TestDeadlockReportNamesLockAndBarrier(t *testing.T) {
 	k := testKernel(3, TrackingOff)
 	k.SpawnThread(0, "holder", func(th *Thread) { th.Acquire(7) })
@@ -200,13 +200,13 @@ func TestDeadlockReportNamesLockAndBarrier(t *testing.T) {
 	})
 	k.SpawnThread(1, "lonely", func(th *Thread) { th.Barrier(3, 2) })
 	// Node 2's traffic is lost, so its fetch never returns; a hog holds
-	// its CPU while parked on a queue nobody wakes.
+	// its CPU while parked in a wait nobody ends.
 	k.Net.SetInterceptor(dropFrom(2))
 	obj := k.Reg.Alloc(k.Reg.DefineClass("Rec", 64, 0), 0)
 	k.SpawnThread(2, "faulter", func(th *Thread) { th.Read(obj) })
 	k.Eng.Spawn("hog", func(p *sim.Proc) {
 		k.Node(2).CPU().Acquire(p)
-		sim.NewWaitQueue("stuck").Wait(p)
+		p.BlockNamed("wait ", "stuck")
 	})
 	k.SpawnThread(2, "cruncher", func(th *Thread) {
 		th.SleepUntil(sim.Millisecond) // the hog holds the CPU by now

@@ -68,7 +68,7 @@ func newNode(k *Kernel, id int) *Node {
 	return &Node{
 		k:       k,
 		id:      id,
-		cpu:     sim.NewResource(k.Eng, nodeName(id)+".cpu"),
+		cpu:     sim.NewResource(nodeName(id) + ".cpu"),
 		pending: make(map[int64]*Thread),
 	}
 }

@@ -5,8 +5,7 @@
 // The engine owns a virtual clock. Simulated activities are Procs: coroutines
 // that run one at a time, each until it yields back to the scheduler.
 // A Proc advances the clock by sleeping or by using a Resource (e.g. a node
-// CPU); it can block on a WaitQueue and be woken by another Proc or by an
-// event. An event is any value with a Fire method: a func scheduled with
+// CPU); it can block and be woken by another Proc or by an event. An event is any value with a Fire method: a func scheduled with
 // Schedule or After, or a typed target scheduled with ScheduleEvent or
 // AfterEvent, which lets hot paths schedule an object they already hold
 // instead of allocating a closure. Events at the same virtual time fire in
@@ -266,11 +265,6 @@ func (e *Engine) RunUntil(limit Time) bool {
 	return true
 }
 
-// Idle reports whether the event queue has drained (no further work is
-// scheduled). Together with a false RunUntil return it distinguishes
-// "paused at the limit" from "finished before the limit".
-func (e *Engine) Idle() bool { return e.queue.empty() }
-
 func (e *Engine) blockedReport() string {
 	var names []string
 	for _, p := range e.procs {
@@ -304,7 +298,7 @@ type Proc struct {
 	blockedID   int
 	blockedOnID bool
 	// blockedName, set by BlockNamed, is the name the deadlock report
-	// appends to blockedAt (a class, resource or queue name), kept apart
+	// appends to blockedAt (a class or resource name), kept apart
 	// for the same reason.
 	blockedName string
 
@@ -314,10 +308,6 @@ type Proc struct {
 	// next's caller.
 	next    func() (struct{}, bool)
 	yieldFn func(struct{}) bool
-
-	// CPUTime accumulates virtual time this proc spent holding a Resource
-	// via Use; useful for per-thread CPU accounting.
-	CPUTime Time
 }
 
 // procWake is a proc's wake event: Sleep and Wake, fired once per simulated
@@ -408,19 +398,13 @@ func (p *Proc) Use(r *Resource, d Time) {
 	d = r.scale(d)
 	p.Sleep(d)
 	r.Release(p)
-	p.CPUTime += d
 }
 
 // Resource is a FIFO exclusive resource (e.g. one CPU core, a NIC).
 type Resource struct {
-	eng     *Engine
 	name    string
 	holder  *Proc
 	waiters []*Proc
-	// Busy accumulates total occupied virtual time.
-	Busy        Time
-	acquiredAt  Time
-	utilization bool
 
 	// speed is the resource's relative service rate: nominal work d
 	// occupies d/speed of virtual time. 0 means the default 1.0. It is the
@@ -429,9 +413,9 @@ type Resource struct {
 	speed float64
 }
 
-// NewResource creates a named resource on e.
-func NewResource(e *Engine, name string) *Resource {
-	return &Resource{eng: e, name: name}
+// NewResource creates a named resource for the procs of one engine.
+func NewResource(name string) *Resource {
+	return &Resource{name: name}
 }
 
 // SetSpeed installs a relative service rate: 1.0 is nominal, 0.5 makes the
@@ -466,7 +450,6 @@ func (r *Resource) scale(d Time) Time {
 func (r *Resource) Acquire(p *Proc) {
 	if r.holder == nil {
 		r.holder = p
-		r.acquiredAt = r.eng.now
 		return
 	}
 	r.waiters = append(r.waiters, p)
@@ -479,7 +462,6 @@ func (r *Resource) Release(p *Proc) {
 	if r.holder != p {
 		panic("sim: release by non-holder of " + r.name)
 	}
-	r.Busy += r.eng.now - r.acquiredAt
 	if len(r.waiters) == 0 {
 		r.holder = nil
 		return
@@ -489,49 +471,5 @@ func (r *Resource) Release(p *Proc) {
 	r.waiters[len(r.waiters)-1] = nil // drop the stale Proc reference
 	r.waiters = r.waiters[:len(r.waiters)-1]
 	r.holder = next
-	r.acquiredAt = r.eng.now
 	next.Wake()
 }
-
-// WaitQueue is a FIFO condition queue: procs Wait, other parties WakeOne or
-// WakeAll. It is the building block for locks, barriers and mailboxes.
-type WaitQueue struct {
-	name    string
-	waiters []*Proc
-}
-
-// NewWaitQueue returns an empty queue with a diagnostic name.
-func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{name: name} }
-
-// Wait parks the calling proc on the queue.
-func (q *WaitQueue) Wait(p *Proc) {
-	q.waiters = append(q.waiters, p)
-	p.BlockNamed("wait ", q.name)
-}
-
-// WakeOne releases the oldest waiter; it reports whether one was woken.
-func (q *WaitQueue) WakeOne() bool {
-	if len(q.waiters) == 0 {
-		return false
-	}
-	p := q.waiters[0]
-	copy(q.waiters, q.waiters[1:])
-	q.waiters[len(q.waiters)-1] = nil // drop the stale Proc reference
-	q.waiters = q.waiters[:len(q.waiters)-1]
-	p.Wake()
-	return true
-}
-
-// WakeAll releases every waiter in FIFO order and returns how many woke.
-func (q *WaitQueue) WakeAll() int {
-	n := len(q.waiters)
-	for i, p := range q.waiters {
-		p.Wake()
-		q.waiters[i] = nil // the retained backing array must not pin procs
-	}
-	q.waiters = q.waiters[:0]
-	return n
-}
-
-// Len reports the number of parked procs.
-func (q *WaitQueue) Len() int { return len(q.waiters) }

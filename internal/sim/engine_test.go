@@ -127,7 +127,7 @@ func TestBlockWake(t *testing.T) {
 
 func TestResourceExclusiveFIFO(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource("cpu")
 	var done []string
 	for _, name := range []string{"p0", "p1", "p2"} {
 		name := name
@@ -146,14 +146,11 @@ func TestResourceExclusiveFIFO(t *testing.T) {
 			t.Fatalf("completion order %v not FIFO", done)
 		}
 	}
-	if r.Busy != 30 {
-		t.Fatalf("busy = %v, want 30", r.Busy)
-	}
 }
 
 func TestResourceReleaseByNonHolderPanics(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource("cpu")
 	e.Spawn("bad", func(p *Proc) {
 		defer func() {
 			if recover() == nil {
@@ -163,58 +160,6 @@ func TestResourceReleaseByNonHolderPanics(t *testing.T) {
 		r.Release(p)
 	})
 	e.Run()
-}
-
-func TestProcCPUTimeAccounting(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "cpu")
-	var got Time
-	e.Spawn("worker", func(p *Proc) {
-		p.Use(r, 40)
-		p.Use(r, 2)
-		got = p.CPUTime
-	})
-	e.Run()
-	if got != 42 {
-		t.Fatalf("CPUTime = %v, want 42", got)
-	}
-}
-
-func TestWaitQueueWakeOneFIFO(t *testing.T) {
-	e := NewEngine()
-	q := NewWaitQueue("q")
-	var woke []string
-	for _, name := range []string{"w0", "w1"} {
-		name := name
-		e.Spawn(name, func(p *Proc) {
-			q.Wait(p)
-			woke = append(woke, name)
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(5)
-		if !q.WakeOne() {
-			t.Error("WakeOne found no waiter")
-		}
-		p.Sleep(5)
-		if n := q.WakeAll(); n != 1 {
-			t.Errorf("WakeAll woke %d, want 1", n)
-		}
-	})
-	e.Run()
-	if len(woke) != 2 || woke[0] != "w0" || woke[1] != "w1" {
-		t.Fatalf("wake order = %v", woke)
-	}
-}
-
-func TestWakeOneEmpty(t *testing.T) {
-	q := NewWaitQueue("q")
-	if q.WakeOne() {
-		t.Fatal("WakeOne on empty queue returned true")
-	}
-	if q.Len() != 0 {
-		t.Fatal("empty queue has waiters")
-	}
 }
 
 func TestDeadlockPanics(t *testing.T) {
@@ -291,7 +236,7 @@ func TestDeterminism(t *testing.T) {
 	build := func() (traceOut *[]int) {
 		var trace []int
 		e := NewEngine()
-		r := NewResource(e, "cpu")
+		r := NewResource("cpu")
 		for i := 0; i < 5; i++ {
 			i := i
 			e.Spawn("p", func(p *Proc) {
@@ -432,7 +377,7 @@ func TestRunUntilAllowsMidRunScheduling(t *testing.T) {
 	if !injected {
 		t.Fatal("event scheduled at the pause point did not fire on resume")
 	}
-	if !e.RunUntil(100) || !e.Idle() {
+	if !e.RunUntil(100) {
 		t.Fatal("run did not complete")
 	}
 }
@@ -452,8 +397,8 @@ func TestSleepPastLimitParks(t *testing.T) {
 	if e.RunUntil(50) {
 		t.Fatal("completed before the sleeper woke")
 	}
-	if e.Now() != 50 || len(trace) != 1 || trace[0] != 50 || e.Idle() {
-		t.Fatalf("paused at %v with trace %v, idle %v; want 50, [50] and the wake queued", e.Now(), trace, e.Idle())
+	if e.Now() != 50 || len(trace) != 1 || trace[0] != 50 || e.queue.empty() {
+		t.Fatalf("paused at %v with trace %v, queue empty %v; want 50, [50] and the wake queued", e.Now(), trace, e.queue.empty())
 	}
 	if !e.RunUntil(200) || len(trace) != 2 || trace[1] != 150 {
 		t.Fatalf("resumed run: trace %v, want [50 150]", trace)
@@ -506,29 +451,27 @@ func (e *nopEvent) Fire() { e.fired++ }
 // so a warm round trip allocates nothing.
 func TestEventsAllocateNothing(t *testing.T) {
 	e := NewEngine()
-	q := NewWaitQueue("q")
 	ev := &nopEvent{}
 	woken, done := 0, false
-	e.Spawn("waiter", func(p *Proc) {
-		for q.Wait(p); !done; q.Wait(p) {
+	waiter := e.Spawn("waiter", func(p *Proc) {
+		for p.Block("wait"); !done; p.Block("wait") {
 			woken++
 		}
 	})
 	var allocs float64
 	e.Spawn("driver", func(p *Proc) {
 		step := func() {
-			q.WakeOne()
+			waiter.Wake()
 			e.AfterEvent(1, ev)
 			p.Sleep(2)
 		}
-		// Let the bucket heap and the wait queue grow to their steady
-		// size first.
+		// Let the bucket heap grow to its steady size first.
 		for i := 0; i < 100; i++ {
 			step()
 		}
 		allocs = testing.AllocsPerRun(100, step)
 		done = true
-		q.WakeOne()
+		waiter.Wake()
 	})
 	e.Run()
 	if allocs != 0 {

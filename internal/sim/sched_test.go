@@ -195,24 +195,6 @@ func TestSchedReleasesClosures(t *testing.T) {
 	}
 }
 
-// TestWaitQueueReleasesProcRefs: the FIFO queues recycle their backing
-// arrays, so waking must clear the stale *Proc slots.
-func TestWaitQueueReleasesProcRefs(t *testing.T) {
-	q := NewWaitQueue("x")
-	e := NewEngine()
-	for i := 0; i < 4; i++ {
-		p := &Proc{eng: e, name: fmt.Sprint(i)}
-		q.waiters = append(q.waiters, p)
-	}
-	q.WakeOne()
-	q.WakeAll()
-	for i, p := range q.waiters[:cap(q.waiters)] {
-		if p != nil {
-			t.Errorf("waiters slot %d still pins a proc", i)
-		}
-	}
-}
-
 // BenchmarkSchedPushPop measures steady-state pop+push cycles at two queue
 // sizes, heap vs bucketed, across the event-shape distributions. The
 // bucketed queue must be no slower than the heap on uniform loads and
