@@ -44,19 +44,6 @@ func CrossVolume(m *tcm.Map, a Assignment) float64 {
 	return v
 }
 
-// LocalVolume is the collocated correlation volume.
-func LocalVolume(m *tcm.Map, a Assignment) float64 {
-	var v float64
-	for i := 0; i < m.N(); i++ {
-		for j := i + 1; j < m.N(); j++ {
-			if a[i] == a[j] {
-				v += m.At(i, j)
-			}
-		}
-	}
-	return v
-}
-
 // Config tunes the planner.
 type Config struct {
 	// Nodes is the cluster size.
@@ -165,68 +152,6 @@ func Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
 		moves = append(moves, best)
 	}
 	return a, moves
-}
-
-// InitialPlacement clusters threads onto nodes from scratch: it repeatedly
-// seeds a node with the unplaced thread having the largest total
-// correlation and greedily pulls in its strongest partners until the node
-// reaches capacity. This approximates the costzone-style locality grouping
-// the paper cites.
-func InitialPlacement(m *tcm.Map, cfg Config) Assignment {
-	n := m.N()
-	a := make(Assignment, n)
-	for i := range a {
-		a[i] = -1
-	}
-	capacity := (n + cfg.Nodes - 1) / cfg.Nodes
-	placed := 0
-	node := 0
-	for placed < n && node < cfg.Nodes {
-		// Seed: unplaced thread with max total volume.
-		seed, bestVol := -1, -1.0
-		for t := 0; t < n; t++ {
-			if a[t] != -1 {
-				continue
-			}
-			var v float64
-			for u := 0; u < n; u++ {
-				v += m.At(t, u)
-			}
-			if v > bestVol {
-				bestVol, seed = v, t
-			}
-		}
-		a[seed] = node
-		placed++
-		for count := 1; count < capacity && placed < n; count++ {
-			// Pull the unplaced thread most attracted to this node.
-			best, bestAtt := -1, -1.0
-			for t := 0; t < n; t++ {
-				if a[t] != -1 {
-					continue
-				}
-				var att float64
-				for u := 0; u < n; u++ {
-					if a[u] == node {
-						att += m.At(t, u)
-					}
-				}
-				if att > bestAtt {
-					bestAtt, best = att, t
-				}
-			}
-			a[best] = node
-			placed++
-		}
-		node++
-	}
-	// Anything left (shouldn't happen) goes round-robin.
-	for t := 0; t < n; t++ {
-		if a[t] == -1 {
-			a[t] = t % cfg.Nodes
-		}
-	}
-	return a
 }
 
 // RoundRobin is the locality-oblivious baseline placement.

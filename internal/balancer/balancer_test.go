@@ -17,17 +17,22 @@ func pairMap(n int, v float64) *tcm.Map {
 	return m
 }
 
+// TestCrossLocalComplementary: CrossVolume sums exactly the pairs a
+// placement splits across nodes and none of the collocated ones.
 func TestCrossLocalComplementary(t *testing.T) {
 	m := pairMap(8, 100)
+	m.Add(0, 4, 7) // collocated under round-robin on 4 nodes
 	a := RoundRobin(8, 4)
-	total := 0.0
+	split := 0.0
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
-			total += m.At(i, j)
+			if a[i] != a[j] {
+				split += m.At(i, j)
+			}
 		}
 	}
-	if got := CrossVolume(m, a) + LocalVolume(m, a); math.Abs(got-total) > 1e-9 {
-		t.Fatalf("cross+local = %v, want %v", got, total)
+	if got := CrossVolume(m, a); got != split || got != 400 {
+		t.Fatalf("cross = %v, want the split pairs' %v (400)", got, split)
 	}
 }
 
@@ -93,22 +98,6 @@ func TestPlanDimensionMismatchPanics(t *testing.T) {
 	Plan(tcm.NewMap(4), make(Assignment, 3), DefaultConfig(2))
 }
 
-func TestInitialPlacementClusters(t *testing.T) {
-	m := pairMap(8, 100)
-	a := InitialPlacement(m, Config{Nodes: 4})
-	for i := 0; i+1 < 8; i += 2 {
-		if a[i] != a[i+1] {
-			t.Fatalf("pair (%d,%d) split by initial placement: %v", i, i+1, a)
-		}
-	}
-	counts := a.Counts(4)
-	for n, c := range counts {
-		if c != 2 {
-			t.Fatalf("node %d has %d threads, want 2: %v", n, c, a)
-		}
-	}
-}
-
 func TestBlockedAndRoundRobin(t *testing.T) {
 	b := Blocked(8, 4)
 	want := Assignment{0, 0, 1, 1, 2, 2, 3, 3}
@@ -150,7 +139,8 @@ func TestSummaryRenders(t *testing.T) {
 	}
 }
 
-// Property: cross + local volume is invariant under any assignment.
+// Property: cross volume plus the collocated pairs' volume is the total
+// under any assignment.
 func TestQuickVolumeConservation(t *testing.T) {
 	f := func(cells [6]uint8, placement [4]uint8) bool {
 		m := tcm.NewMap(4)
@@ -165,13 +155,16 @@ func TestQuickVolumeConservation(t *testing.T) {
 		for i := range a {
 			a[i] = int(placement[i]) % 2
 		}
-		var total float64
+		var total, local float64
 		for i := 0; i < 4; i++ {
 			for j := i + 1; j < 4; j++ {
 				total += m.At(i, j)
+				if a[i] == a[j] {
+					local += m.At(i, j)
+				}
 			}
 		}
-		return math.Abs(CrossVolume(m, a)+LocalVolume(m, a)-total) < 1e-9
+		return math.Abs(CrossVolume(m, a)+local-total) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

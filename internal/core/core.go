@@ -9,8 +9,6 @@
 package core
 
 import (
-	"sort"
-
 	"jessica2/internal/gos"
 	"jessica2/internal/heap"
 	"jessica2/internal/sampling"
@@ -377,16 +375,4 @@ func (p *Profiler) LiveViewsInto(trace []RateChange, footprints map[int]sticky.F
 		footprints[tid] = fp.FootprintInto(footprints[tid])
 	}
 	return trace, footprints
-}
-
-// ClassRates reports the effective per-class rates currently installed,
-// sorted by class name (diagnostics).
-func (p *Profiler) ClassRates() map[string]sampling.Rate {
-	out := make(map[string]sampling.Rate)
-	names := p.K.Reg.ClassNames()
-	sort.Strings(names)
-	for _, n := range names {
-		out[n] = sampling.EffectiveRate(p.K.Reg.Class(n))
-	}
-	return out
 }

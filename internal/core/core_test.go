@@ -205,22 +205,6 @@ func TestEagerResolveCharges(t *testing.T) {
 	}
 }
 
-func TestClassRatesReporting(t *testing.T) {
-	cfg := gos.DefaultConfig()
-	cfg.Nodes = 1
-	k := gos.NewKernel(cfg)
-	s := workload.NewSynthetic()
-	s.Intervals = 1
-	s.AccessesPerInterval = 16
-	s.Launch(k, workload.Params{Threads: 1, Seed: 7})
-	p := Attach(k, Config{Rate: 4})
-	rates := p.ClassRates()
-	if len(rates) == 0 {
-		t.Fatal("no class rates")
-	}
-	k.Run()
-}
-
 func TestProfilerNilSubsystems(t *testing.T) {
 	cfg := gos.DefaultConfig()
 	cfg.Nodes = 1

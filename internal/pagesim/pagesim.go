@@ -18,8 +18,6 @@ type Tracker struct {
 	threads int
 	// pages maps page number -> set of accessing threads.
 	pages map[int64]map[int]struct{}
-	// PagesTouched counts distinct pages seen.
-	accesses int64
 }
 
 // NewTracker returns a tracker for a system with the given thread count.
@@ -34,7 +32,6 @@ func (tr *Tracker) OnAccess(t *gos.Thread, o *heap.Object, write, first bool) {
 	if !first {
 		return
 	}
-	tr.accesses++
 	firstPage, lastPage := o.PageSpan()
 	// Large objects (multi-page arrays) touch only their first page here
 	// unless the whole object is logged; the paper's page-DSM logs the

@@ -65,9 +65,6 @@ type ThreadStack struct {
 	frames  []*Frame
 	nextInc uint64
 	pool    []*Frame
-
-	// Pushes counts total frame pushes (workload realism diagnostics).
-	Pushes int64
 }
 
 // NewThreadStack returns an empty stack.
@@ -98,7 +95,6 @@ func (s *ThreadStack) Push(m *Method, nslots int) *Frame {
 	f.inc = s.nextInc
 	f.depth = len(s.frames)
 	s.frames = append(s.frames, f)
-	s.Pushes++
 	return f
 }
 

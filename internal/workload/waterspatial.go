@@ -49,16 +49,14 @@ type wsMol struct {
 	x, y, z    float64
 	fx, fy, fz float64
 	box        int
-	owner      int
 }
 
 // wsBox is one spatial cell with its membership list object.
 type wsBox struct {
-	idx   int
-	list  *heap.Object // Mol[] membership array
-	obj   *heap.Object // Box descriptor
-	mols  []*wsMol
-	owner int
+	idx  int
+	list *heap.Object // Mol[] membership array
+	obj  *heap.Object // Box descriptor
+	mols []*wsMol
 }
 
 // Name implements Workload.
@@ -122,7 +120,8 @@ func (w *WaterSpatial) Launch(k *gos.Kernel, p Params) {
 			// uniformly placed inside the thread's own box range so homes
 			// and box lists line up initially.
 			for bi := boxLo; bi < boxHi; bi++ {
-				bx := &wsBox{idx: bi, owner: tid,
+				bx := &wsBox{
+					idx:  bi,
 					obj:  t.Alloc(boxC),
 					list: t.AllocArray(listC, w.BoxCap),
 				}
@@ -140,12 +139,11 @@ func (w *WaterSpatial) Launch(k *gos.Kernel, p Params) {
 				by3 := (bi / nb) % nb
 				bz3 := bi % nb
 				m := &wsMol{
-					id:    i,
-					arr:   t.AllocArray(molC, 64), // 512 bytes
-					owner: tid,
-					x:     (float64(bx3) + rng.Float64()) * side,
-					y:     (float64(by3) + rng.Float64()) * side,
-					z:     (float64(bz3) + rng.Float64()) * side,
+					id:  i,
+					arr: t.AllocArray(molC, 64), // 512 bytes
+					x:   (float64(bx3) + rng.Float64()) * side,
+					y:   (float64(by3) + rng.Float64()) * side,
+					z:   (float64(bz3) + rng.Float64()) * side,
 				}
 				m.box = bi
 				t.WriteElems(m.arr, 64)

@@ -1,10 +1,6 @@
 package xrand
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
@@ -63,70 +59,6 @@ func TestFloat64Range(t *testing.T) {
 		if v < 0 || v >= 1 {
 			t.Fatalf("Float64 out of range: %v", v)
 		}
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(11)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 negative")
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(5)
-	n := 20000
-	var sum, sum2 float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / float64(n)
-	variance := sum2/float64(n) - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.1 {
-		t.Fatalf("variance = %v", variance)
-	}
-}
-
-// Property: Perm returns a valid permutation.
-func TestQuickPermValid(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		size := int(n%50) + 1
-		p := New(seed).Perm(size)
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(13)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatal("shuffle lost elements")
 	}
 }
 
