@@ -169,7 +169,7 @@ func (d *Dispatcher) RunSpecs(specs []experiments.Spec) ([]*experiments.Out, err
 
 	live := d.probeWorkers()
 	if len(live) > 0 {
-		var wg sync.WaitGroup
+		var wg, hb sync.WaitGroup
 		workers := make([]*batchWorker, 0, len(live))
 		for _, addr := range live {
 			w := newBatchWorker(addr)
@@ -182,12 +182,18 @@ func (d *Dispatcher) RunSpecs(specs []experiments.Spec) ([]*experiments.Out, err
 				defer wg.Done()
 				d.workerLoop(b, w)
 			}()
-			go d.heartbeatLoop(b, w)
+			hb.Add(1)
+			go func() {
+				defer hb.Done()
+				d.heartbeatLoop(w)
+			}()
 		}
 		wg.Wait()
 		for _, w := range workers {
 			w.cancel() // release surviving heartbeat loops
 		}
+		// Wait for them, so that Stats is final when RunSpecs returns.
+		hb.Wait()
 	} else if len(d.cfg.Workers) > 0 {
 		d.cfg.Logf("dispatch: no worker reachable; running %d jobs on the local pool", len(specs))
 	}
@@ -418,8 +424,9 @@ func (d *Dispatcher) workerLoop(b *batch, w *batchWorker) {
 // heartbeatLoop probes one worker's liveness until the batch releases it.
 // Sustained silence past heartbeatTimeout declares the worker dead, which
 // cancels its context: the worker loop's in-flight HTTP call aborts, the
-// lease expires, and the job requeues to the survivors.
-func (d *Dispatcher) heartbeatLoop(b *batch, w *batchWorker) {
+// lease expires, and the job requeues to the survivors. A ping that fails
+// because the batch released the worker is not silence.
+func (d *Dispatcher) heartbeatLoop(w *batchWorker) {
 	t := time.NewTicker(d.heartbeatEvery)
 	defer t.Stop()
 	lastOK := time.Now()
@@ -432,6 +439,9 @@ func (d *Dispatcher) heartbeatLoop(b *batch, w *batchWorker) {
 		if err := d.ping(w.ctx, w.addr); err == nil {
 			lastOK = time.Now()
 			continue
+		}
+		if w.ctx.Err() != nil {
+			return
 		}
 		if time.Since(lastOK) >= d.heartbeatTimeout {
 			d.declareLost(w, fmt.Sprintf("heartbeat silent for %v", time.Since(lastOK).Round(time.Millisecond)))

@@ -328,6 +328,50 @@ func TestHungWorkerLeaseTTLReassigns(t *testing.T) {
 	}
 }
 
+// TestReleasedWorkerIsNotLost: a heartbeat ping still in flight when the
+// batch ends fails because the batch released the worker, not because the
+// worker fell silent, so a healthy worker must not be counted lost. The
+// stub answers the batch-start probe and then holds every ping open until
+// it is cancelled; each submit is slowed so a ping is in flight when the
+// job finishes, and a 1 ns silence limit turns any misread failure into a
+// loss.
+func TestReleasedWorkerIsNotLost(t *testing.T) {
+	specs := testSpecs(1)
+	want := sequentialBaseline(specs)
+	var probed atomic.Bool
+	srv := httptest.NewServer(&stubWorker{
+		inner: NewWorker(nil).Handler(),
+		fault: func(w http.ResponseWriter, r *http.Request) bool {
+			switch r.URL.Path {
+			case "/healthz":
+				if probed.CompareAndSwap(false, true) {
+					return false
+				}
+				<-r.Context().Done()
+				return true
+			case "/submit":
+				time.Sleep(50 * time.Millisecond)
+			}
+			return false
+		},
+	})
+
+	d := fastDispatcher(srv.URL)
+	d.heartbeatTimeout = time.Nanosecond
+	d.requestTimeout = 5 * time.Second
+	got, err := d.RunSpecs(specs)
+	// Close waits for the held ping to end, which it does only once the
+	// batch has released the worker.
+	srv.Close()
+	if err != nil {
+		t.Fatalf("RunSpecs: %v", err)
+	}
+	requireIdentical(t, got, want)
+	if s := d.Stats(); s.WorkersLost != 0 || s.Remote != 1 {
+		t.Fatalf("a released healthy worker was declared lost: %+v", s)
+	}
+}
+
 // TestRestartedWorkerIsResubmitted: a worker that loses a submitted job
 // (process restart: fresh empty state) answers 404 on the result poll;
 // the coordinator resubmits under the same token and the batch completes.
