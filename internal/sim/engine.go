@@ -5,11 +5,12 @@
 // The engine owns a virtual clock. Simulated activities are Procs: coroutines
 // that run one at a time, each until it yields back to the scheduler.
 // A Proc advances the clock by sleeping or by using a Resource (e.g. a node
-// CPU); it can block and be woken by another Proc or by an event. An event is any value with a Fire method: a func scheduled with
-// Schedule or After, or a typed target scheduled with ScheduleEvent or
-// AfterEvent, which lets hot paths schedule an object they already hold
-// instead of allocating a closure. Events at the same virtual time fire in
-// the order they were scheduled, so a run is a pure function of its inputs.
+// CPU); it can block and be woken by another Proc or by an event. An event
+// is any value with a Fire method: a func scheduled with Schedule or After,
+// or a typed target scheduled with ScheduleEvent or AfterEvent, which lets
+// hot paths schedule an object they already hold instead of allocating a
+// closure. Events at the same virtual time fire in the order they were
+// scheduled, so a run is a pure function of its inputs.
 package sim
 
 import (
