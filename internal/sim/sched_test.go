@@ -195,6 +195,23 @@ func TestSchedReleasesClosures(t *testing.T) {
 	}
 }
 
+// TestWaitQueueReleasesProcRefs: a resource's FIFO waiter queue keeps its
+// backing array across hand-offs, so each hand-off must clear the slot it
+// vacates instead of pinning the proc that left it.
+func TestWaitQueueReleasesProcRefs(t *testing.T) {
+	e := NewEngine()
+	r := NewResource("x")
+	for i := 0; i < 4; i++ {
+		e.Spawn(fmt.Sprint(i), func(p *Proc) { p.Use(r, 10) })
+	}
+	e.Run()
+	for i, p := range r.waiters[:cap(r.waiters)] {
+		if p != nil {
+			t.Errorf("waiters slot %d still pins a proc", i)
+		}
+	}
+}
+
 // BenchmarkSchedPushPop measures steady-state pop+push cycles at two queue
 // sizes, heap vs bucketed, across the event-shape distributions. The
 // bucketed queue must be no slower than the heap on uniform loads and
