@@ -367,7 +367,7 @@ func TestObjectsOfClassAgreesWithBruteForce(t *testing.T) {
 	r.DefineClass("unused", 16, 0)
 	checkClassCounts(t, r)
 	for i := 0; i < 300; i++ {
-		c := classes[(i*7/3)%len(classes)]
+		c := classes[(i*7/3)%len(classes)] // an irregular interleaving
 		if c.IsArray {
 			r.AllocArray(c, 1+i%9, i%3)
 		} else {
