@@ -117,12 +117,16 @@ func TestControllerConvergesUnderStepChange(t *testing.T) {
 		c := NewController(threshold, 1, MaxRate)
 
 		steps := 0
+		var lastDist float64
+		var lastRaised bool
 		for !c.Converged() {
 			if steps == stepAt {
 				density *= factor
 			}
-			d := densityModel(c.Rate(), density, residue)
-			c.Observe(d)
+			from := c.Rate()
+			lastDist = densityModel(from, density, residue)
+			next, _ := c.Observe(lastDist)
+			lastRaised = next != from
 			steps++
 			if steps > 30 {
 				t.Fatalf("trial %d: no convergence after %d observations", trial, steps)
@@ -132,16 +136,13 @@ func TestControllerConvergesUnderStepChange(t *testing.T) {
 		if final < 1 || final > MaxRate {
 			t.Fatalf("trial %d: final rate %v out of bounds", trial, final)
 		}
-		hist := c.History()
-		if len(hist) == 0 {
-			t.Fatalf("trial %d: empty history", trial)
+		if lastRaised {
+			t.Fatalf("trial %d: the converging observation raised the rate to %v", trial, final)
 		}
-		last := hist[len(hist)-1]
-		if last.Action == "converged" && last.Distance > threshold {
-			t.Fatalf("trial %d: claimed convergence at distance %g > threshold %g", trial, last.Distance, threshold)
-		}
-		if last.Action == "saturated" && final != MaxRate {
-			t.Fatalf("trial %d: saturated below MaxRate at %v", trial, final)
+		// The last observation stopped the ladder: it converged, so its
+		// distance is under the threshold, or it saturated at MaxRate.
+		if final != MaxRate && lastDist > threshold {
+			t.Fatalf("trial %d: claimed convergence at distance %g > threshold %g", trial, lastDist, threshold)
 		}
 		// Convergence must be genuine under the post-step model: the
 		// distance at the final rate is under threshold, or the ladder is

@@ -129,30 +129,6 @@ func ApplyRate(c *heap.Class, r Rate) int64 {
 	return real
 }
 
-// EffectiveRate reports the nX rate a class actually achieves under its
-// current gap (it saturates at full sampling for large-object classes — the
-// paper's "some configurations like 16X might not apply to medium-to-coarse
-// grained applications").
-func EffectiveRate(c *heap.Class) Rate {
-	g := c.Gap()
-	if g <= 0 {
-		return 0
-	}
-	u := int64(unitBytes(c))
-	if g == 1 {
-		r := Rate(int64(heap.PageSize) / u)
-		if r < 1 {
-			r = 1
-		}
-		return r
-	}
-	r := Rate(int64(heap.PageSize) / (u * g))
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
 // Plan maps class names to rates; it is what the master broadcasts when the
 // controller changes rates ("change notice for a specific class").
 type Plan map[string]Rate
@@ -206,19 +182,10 @@ type Controller struct {
 
 	rate      Rate
 	converged bool
-	// compared records whether a comparison baseline exists: either a
-	// previous Observe produced a map to diff against, or the caller
-	// declared one via Prime. Until then a small distance is meaningless
-	// (there were never two maps) and must not stop the ladder.
+	// compared records whether a previous Observe produced a map to diff
+	// against. Until then a small distance is meaningless (there were
+	// never two maps) and must not stop the ladder.
 	compared bool
-	history  []Step
-}
-
-// Step records one controller decision for diagnostics.
-type Step struct {
-	Rate     Rate
-	Distance float64 // relative distance vs the previous rate's map
-	Action   string  // "raise", "converged", "saturated"
 }
 
 // NewController returns a controller starting at start and capped at max.
@@ -238,36 +205,23 @@ func (a *Controller) Rate() Rate { return a.rate }
 // Converged reports whether the search has stopped.
 func (a *Controller) Converged() bool { return a.converged }
 
-// History returns the decision log.
-func (a *Controller) History() []Step { return append([]Step(nil), a.history...) }
-
-// Prime records that a comparison baseline already exists — a correlation
-// map carried over from a previous run or window — so the very next Observe
-// is a genuine two-map comparison and may declare convergence immediately.
-func (a *Controller) Prime() { a.compared = true }
-
 // Observe feeds the relative distance between the map at the current rate
 // and the map at the previous (coarser) rate. It returns the next rate to
 // run at and whether the controller has converged. The first observation
 // for a fresh controller always raises (there is nothing to compare yet,
 // so the distance argument is ignored for convergence purposes) unless the
-// ladder has a single rung, in which case it saturates; call Prime first if
-// a prior map really exists. Callers typically pass distance = 1 for the
-// bootstrap observation.
+// ladder has a single rung, in which case it saturates. Callers typically
+// pass distance = 1 for the bootstrap observation.
 func (a *Controller) Observe(distance float64) (next Rate, converged bool) {
 	if a.converged {
 		return a.rate, true
 	}
-	st := Step{Rate: a.rate, Distance: distance}
 	switch {
 	case a.compared && distance <= a.Threshold:
-		st.Action = "converged"
 		a.converged = true
 	case a.rate >= a.Max || a.rate == FullRate:
-		st.Action = "saturated"
 		a.converged = true
 	default:
-		st.Action = "raise"
 		a.rate *= 2
 		if a.rate > a.Max {
 			a.rate = a.Max
@@ -275,6 +229,5 @@ func (a *Controller) Observe(distance float64) (next Rate, converged bool) {
 	}
 	// After any observation a map exists for the next one to diff against.
 	a.compared = true
-	a.history = append(a.history, st)
 	return a.rate, a.converged
 }
