@@ -255,7 +255,7 @@ func BenchmarkAblationLazyExtraction(b *testing.B) {
 		mStable := &stack.Method{Name: "forces"}
 		mWalk := &stack.Method{Name: "walk"}
 		st.Push(mStable, 3).SetRef(0, o)
-		sp := stack.NewSampler(stack.Config{Lazy: lazy})
+		sp := stack.NewSampler(lazy)
 		for tick := 0; tick < 50; tick++ {
 			// Fresh recursion frames between every sample.
 			for d := 0; d < 10; d++ {
@@ -406,7 +406,7 @@ func BenchmarkStackSample(b *testing.B) {
 	for d := 0; d < 12; d++ {
 		st.Push(m, 2).SetRef(0, o)
 	}
-	sp := stack.NewSampler(stack.DefaultConfig())
+	sp := stack.NewSampler(true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.SampleStack(st)

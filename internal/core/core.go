@@ -18,40 +18,32 @@ import (
 	"jessica2/internal/tcm"
 )
 
-// StackCosts charges the stack sampler's work to node CPUs.
-type StackCosts struct {
-	// Activation is the fixed cost of one sampler activation on a thread
-	// (suspend, locate top frame).
-	Activation sim.Time
-	// WalkPerFrame is the per-frame cost of the top-down/bottom-up scan.
-	WalkPerFrame sim.Time
-	// RawPerSlot is the cheap raw snapshot copy (lazy mode first visits).
-	RawPerSlot sim.Time
-	// ExtractPerSlot is frame-content extraction: GET-METHOD-BY-PC,
+// The stack sampler's CPU cost model, calibrated against Table V's
+// overheads.
+const (
+	// stackActivation is the fixed cost of one sampler activation on a
+	// thread (suspend, locate top frame).
+	stackActivation = 8 * sim.Microsecond
+	// stackWalkPerFrame is the per-frame cost of the top-down/bottom-up
+	// scan.
+	stackWalkPerFrame = 800 * sim.Nanosecond
+	// stackRawPerSlot is the cheap raw snapshot copy (lazy mode first
+	// visits).
+	stackRawPerSlot = 500 * sim.Nanosecond
+	// stackExtractPerSlot is frame-content extraction: GET-METHOD-BY-PC,
 	// layout decoding, GC pointer validation.
-	ExtractPerSlot sim.Time
-	// ComparePerSlot is one probing comparison.
-	ComparePerSlot sim.Time
-}
+	stackExtractPerSlot = 3 * sim.Microsecond
+	// stackComparePerSlot is one probing comparison.
+	stackComparePerSlot = 700 * sim.Nanosecond
+)
 
-// DefaultStackCosts returns values calibrated against Table V's overheads.
-func DefaultStackCosts() StackCosts {
-	return StackCosts{
-		Activation:     8 * sim.Microsecond,
-		WalkPerFrame:   800 * sim.Nanosecond,
-		RawPerSlot:     500 * sim.Nanosecond,
-		ExtractPerSlot: 3 * sim.Microsecond,
-		ComparePerSlot: 700 * sim.Nanosecond,
-	}
-}
-
-// Cost converts sampler stats into charged CPU time.
-func (c StackCosts) Cost(st stack.Stats) sim.Time {
-	return c.Activation +
-		sim.Time(st.FramesWalked)*c.WalkPerFrame +
-		sim.Time(st.RawCaptured)*c.RawPerSlot +
-		sim.Time(st.SlotsExtracted)*c.ExtractPerSlot +
-		sim.Time(st.SlotsCompared)*c.ComparePerSlot
+// stackCost converts sampler stats into charged CPU time.
+func stackCost(st stack.Stats) sim.Time {
+	return stackActivation +
+		sim.Time(st.FramesWalked)*stackWalkPerFrame +
+		sim.Time(st.RawCaptured)*stackRawPerSlot +
+		sim.Time(st.SlotsExtracted)*stackExtractPerSlot +
+		sim.Time(st.SlotsCompared)*stackComparePerSlot
 }
 
 // StackConfig enables the stack profiler.
@@ -60,34 +52,27 @@ type StackConfig struct {
 	Gap sim.Time
 	// Lazy selects lazy extraction (vs immediate).
 	Lazy bool
-	// MinSurvived is the invariance threshold (see stack.Config).
-	MinSurvived int
-	// Costs is the CPU cost model.
-	Costs StackCosts
 }
 
 // DefaultStackConfig is the paper's chosen operating point: 16 ms, lazy.
 func DefaultStackConfig() StackConfig {
-	return StackConfig{Gap: 16 * sim.Millisecond, Lazy: true, MinSurvived: 1, Costs: DefaultStackCosts()}
+	return StackConfig{Gap: 16 * sim.Millisecond, Lazy: true}
 }
 
-// AdaptiveConfig enables the master's adaptive rate controller.
+// AdaptiveConfig enables the master's adaptive rate controller. The rate
+// ladder runs from 1X to sampling.MaxRate, and successive maps are
+// compared by the paper's recommended ABS distance.
 type AdaptiveConfig struct {
 	// Threshold is the relative-distance convergence bound.
 	Threshold float64
 	// Window is how often the controller compares successive maps.
 	Window sim.Time
-	// Start and Max bound the rate ladder.
-	Start, Max sampling.Rate
-	// UseEUC switches the distance metric to Euclidean (default ABS, the
-	// paper's recommendation).
-	UseEUC bool
 }
 
 // DefaultAdaptiveConfig starts coarse and converges at 95% relative
 // accuracy.
 func DefaultAdaptiveConfig() AdaptiveConfig {
-	return AdaptiveConfig{Threshold: 0.05, Window: 500 * sim.Millisecond, Start: 1, Max: sampling.MaxRate}
+	return AdaptiveConfig{Threshold: 0.05, Window: 500 * sim.Millisecond}
 }
 
 // FootprintConfig enables sticky-set footprinting on every thread.
@@ -143,8 +128,6 @@ type Profiler struct {
 	Resolutions int64
 	// RateTrace logs adaptive controller decisions.
 	RateTrace []RateChange
-	// WindowMaps keeps the per-window TCMs the controller compared.
-	WindowMaps []*tcm.Map
 }
 
 // Attach wires the configured profiling subsystems into k. Call after the
@@ -201,9 +184,9 @@ func (p *Profiler) startStackProfiler(cfg StackConfig) {
 					if t.Finished() || t.Node().ID() != n {
 						continue
 					}
-					sp := p.samplerFor(t.ID(), cfg)
+					sp := p.samplerFor(t.ID(), cfg.Lazy)
 					st := sp.SampleStack(t.Stack)
-					cost += cfg.Costs.Cost(st)
+					cost += stackCost(st)
 					p.StackActivations++
 				}
 				if cost > 0 {
@@ -215,10 +198,10 @@ func (p *Profiler) startStackProfiler(cfg StackConfig) {
 	}
 }
 
-func (p *Profiler) samplerFor(tid int, cfg StackConfig) *stack.Sampler {
+func (p *Profiler) samplerFor(tid int, lazy bool) *stack.Sampler {
 	sp := p.Samplers[tid]
 	if sp == nil {
-		sp = stack.NewSampler(stack.Config{Lazy: cfg.Lazy, MinSurvived: cfg.MinSurvived})
+		sp = stack.NewSampler(lazy)
 		p.Samplers[tid] = sp
 	}
 	return sp
@@ -287,7 +270,7 @@ func (p *Profiler) startAdaptiveDaemon(cfg AdaptiveConfig) {
 		cfg.Threshold = 0.05
 	}
 	k := p.K
-	p.Controller = sampling.NewController(cfg.Threshold, cfg.Start, cfg.Max)
+	p.Controller = sampling.NewController(cfg.Threshold, 1, sampling.MaxRate)
 	sampling.Uniform(k.Reg, p.Controller.Rate()).Apply(k.Reg)
 	var prev *tcm.Map
 	var lastEntries int64 = -1
@@ -312,18 +295,13 @@ func (p *Profiler) startAdaptiveDaemon(cfg AdaptiveConfig) {
 			if cur.Total() == 0 {
 				continue // no OALs yet: nothing to judge
 			}
-			p.WindowMaps = append(p.WindowMaps, cur)
 			if p.Controller.Converged() {
 				continue
 			}
 			curN := cur.Clone().Scale(1 / cur.Total())
 			dist := 1.0
 			if prev != nil {
-				if cfg.UseEUC {
-					dist = tcm.DistanceEUC(prev, curN)
-				} else {
-					dist = tcm.DistanceABS(prev, curN)
-				}
+				dist = tcm.DistanceABS(prev, curN)
 			}
 			from := p.Controller.Rate()
 			next, converged := p.Controller.Observe(dist)

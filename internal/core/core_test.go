@@ -13,15 +13,17 @@ import (
 )
 
 func TestStackCostsCost(t *testing.T) {
-	c := DefaultStackCosts()
-	zero := c.Cost(stack.Stats{})
-	if zero != c.Activation {
+	if zero := stackCost(stack.Stats{}); zero != stackActivation {
 		t.Fatalf("empty sample cost = %v, want activation only", zero)
 	}
-	full := c.Cost(stack.Stats{FramesWalked: 3, RawCaptured: 4, SlotsExtracted: 5, SlotsCompared: 6})
-	want := c.Activation + 3*c.WalkPerFrame + 4*c.RawPerSlot + 5*c.ExtractPerSlot + 6*c.ComparePerSlot
+	full := stackCost(stack.Stats{FramesWalked: 3, RawCaptured: 4, SlotsExtracted: 5, SlotsCompared: 6})
+	want := stackActivation + 3*stackWalkPerFrame + 4*stackRawPerSlot + 5*stackExtractPerSlot + 6*stackComparePerSlot
 	if full != want {
 		t.Fatalf("cost = %v, want %v", full, want)
+	}
+	// 8 us + 3×0.8 + 4×0.5 + 5×3 + 6×0.7 us: the calibrated Table V model.
+	if full != 31600*sim.Nanosecond {
+		t.Fatalf("cost = %v, want 31.6 us", full)
 	}
 }
 
@@ -34,7 +36,7 @@ func TestStackProfilerChargesCPU(t *testing.T) {
 	s.AccessesPerInterval = 1024
 	s.AccessCost = 2 * sim.Microsecond
 	s.Launch(k, workload.Params{Threads: 2, Seed: 1})
-	p := Attach(k, Config{Stack: &StackConfig{Gap: 1 * sim.Millisecond, Lazy: true, MinSurvived: 1, Costs: DefaultStackCosts()}})
+	p := Attach(k, Config{Stack: &StackConfig{Gap: 1 * sim.Millisecond, Lazy: true}})
 	k.Run()
 	if p.StackActivations == 0 {
 		t.Fatal("stack profiler never activated")
@@ -53,7 +55,7 @@ func TestStackProfilerMinesInvariantsMidRun(t *testing.T) {
 	s.AccessesPerInterval = 2048
 	s.AccessCost = 4 * sim.Microsecond
 	s.Launch(k, workload.Params{Threads: 1, Seed: 2})
-	p := Attach(k, Config{Stack: &StackConfig{Gap: 2 * sim.Millisecond, Lazy: true, MinSurvived: 1, Costs: DefaultStackCosts()}})
+	p := Attach(k, Config{Stack: &StackConfig{Gap: 2 * sim.Millisecond, Lazy: true}})
 
 	// Check invariants from inside the run: hook interval closes.
 	found := false
@@ -115,9 +117,6 @@ func TestAdaptiveDaemonConvergesAndResamples(t *testing.T) {
 	}
 	if !raised {
 		t.Fatal("controller never raised the rate from 1X")
-	}
-	if len(p.WindowMaps) == 0 {
-		t.Fatal("no window maps collected")
 	}
 }
 
@@ -193,7 +192,7 @@ func TestEagerResolveCharges(t *testing.T) {
 	fpc.MinAccesses = 1
 	p := Attach(k, Config{
 		Rate:      sampling.FullRate,
-		Stack:     &StackConfig{Gap: 2 * sim.Millisecond, Lazy: true, MinSurvived: 1, Costs: DefaultStackCosts()},
+		Stack:     &StackConfig{Gap: 2 * sim.Millisecond, Lazy: true},
 		Footprint: &fpc,
 	})
 	k.Run()

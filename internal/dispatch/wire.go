@@ -55,8 +55,9 @@ const WireSchema = "jessica2/dispatch"
 // long-lived deployment, so the format is forward-incompatible by design.
 // Revision 2 added the session-side fields; a revision-1 worker would drop
 // them silently and run a policy job as a plain one, so it gets ErrVersion
-// instead.
-const WireVersion = 2
+// instead. Revision 3 dropped the profilers' cost-model fields, which are
+// constants now; a revision-2 worker would read them as zero costs.
+const WireVersion = 3
 
 // Typed decode errors; match with errors.Is.
 var (

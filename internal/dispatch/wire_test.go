@@ -270,6 +270,7 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"truncated", good[:len(good)/2], ErrCorrupt},
 		{"foreign schema", mutateEnvelope(t, good, func(e *envelope) { e.Schema = "jessica2/profile" }), ErrSchema},
 		{"future version", mutateEnvelope(t, good, func(e *envelope) { e.Version = WireVersion + 1 }), ErrVersion},
+		{"older version", mutateEnvelope(t, good, func(e *envelope) { e.Version = WireVersion - 1 }), ErrVersion},
 		{"wrong kind", mutateEnvelope(t, good, func(e *envelope) { e.Kind = kindOut }), ErrCorrupt},
 		{"tampered body", mutateEnvelope(t, good, func(e *envelope) {
 			// Change one digit: still valid JSON, but the CRC no longer matches.

@@ -20,7 +20,7 @@ func TestProbeResolution(t *testing.T) {
 	fp.Resolver = sticky.DefaultResolverConfig()
 	out := Run(Spec{App: AppBarnesHut, Scale: 4, Nodes: 1, Threads: 1,
 		Tracking: gos.TrackingOff, Rate: 4,
-		Stack:     &core.StackConfig{Gap: 16 * sim.Millisecond, Lazy: true, MinSurvived: 1, Costs: core.DefaultStackCosts()},
+		Stack:     &core.StackConfig{Gap: 16 * sim.Millisecond, Lazy: true},
 		Footprint: fp})
 	t.Logf("eager: resolutions=%d resolveCPU=%v stackCPU=%v activations=%d",
 		out.Profiler.Resolutions, out.Profiler.ResolveCPU,

@@ -72,7 +72,6 @@ func figSSpec(sc Scale, seed uint64, scenarioName string) Spec {
 // full-rate reference happen in the positional fold.
 func FigS(sc Scale, p *runner.Pool) *FigSResult {
 	const seed = 42
-	adStart := sampling.Rate(1)
 	specs := make([]Spec, 0, 3*len(FigSScenarios))
 	for _, name := range FigSScenarios {
 		// Full-rate reference for this scenario.
@@ -87,7 +86,6 @@ func FigS(sc Scale, p *runner.Pool) *FigSResult {
 		adSpec := figSSpec(sc, seed, name)
 		ad := core.DefaultAdaptiveConfig()
 		ad.Window = 2 * sim.Millisecond // KVMix runs are short; decide often
-		ad.Start = adStart
 		adSpec.Adaptive = &ad
 
 		specs = append(specs, fullSpec, fixedSpec, adSpec)
@@ -124,8 +122,9 @@ func FigS(sc Scale, p *runner.Pool) *FigSResult {
 			AccuracyABS: tcm.Accuracy(tcm.DistanceABS(fixed.TCM, full.TCM)),
 			OALKB:       fixed.OALKB(),
 		})
+		// The controller starts at 1X.
 		raises := 0
-		finalRate := adStart
+		finalRate := sampling.Rate(1)
 		for _, rc := range adaptive.Profiler.RateTrace {
 			if rc.To != rc.From {
 				raises++

@@ -21,7 +21,7 @@ func FuzzSamplerMiner(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, lazy bool) {
 		st := NewThreadStack()
-		sp := NewSampler(Config{Lazy: lazy, MinSurvived: 1})
+		sp := NewSampler(lazy)
 
 		// A small fixed object pool; slot refs index into it.
 		objs := make([]*heap.Object, 8)

@@ -145,19 +145,9 @@ type frameSample struct {
 	compared int
 }
 
-// Config tunes the sampler.
-type Config struct {
-	// Lazy enables lazy extraction: first visits store a raw snapshot and
-	// content extraction is deferred to the second visit. When false,
-	// extraction is immediate (the paper's comparison baseline).
-	Lazy bool
-	// MinSurvived is how many comparisons a slot must survive to count as
-	// invariant (the paper needs at least one).
-	MinSurvived int
-}
-
-// DefaultConfig returns lazy extraction with single-survival invariants.
-func DefaultConfig() Config { return Config{Lazy: true, MinSurvived: 1} }
+// minSurvived is how many comparisons a slot must survive to count as
+// invariant (the paper needs at least one).
+const minSurvived = 1
 
 // Stats quantifies one SampleStack call so the profiler can charge CPU:
 // raw captures are cheap copies, extractions require the reflection /
@@ -182,7 +172,10 @@ func (s *Stats) Add(other Stats) {
 
 // Sampler holds per-thread sampling state across timer activations.
 type Sampler struct {
-	cfg     Config
+	// lazy enables lazy extraction: first visits store a raw snapshot and
+	// content extraction is deferred to the second visit. When false,
+	// extraction is immediate (the paper's comparison baseline).
+	lazy    bool
 	samples map[uint64]*frameSample
 	// free recycles the samples of popped frames, slot arrays included;
 	// live is the discard pass's scratch set of live incarnations.
@@ -192,12 +185,9 @@ type Sampler struct {
 	Total Stats
 }
 
-// NewSampler returns a sampler with the given config.
-func NewSampler(cfg Config) *Sampler {
-	if cfg.MinSurvived <= 0 {
-		cfg.MinSurvived = 1
-	}
-	return &Sampler{cfg: cfg, samples: make(map[uint64]*frameSample)}
+// NewSampler returns a sampler with lazy or immediate extraction.
+func NewSampler(lazy bool) *Sampler {
+	return &Sampler{lazy: lazy, samples: make(map[uint64]*frameSample)}
 }
 
 // SampleStack runs one activation of SAMPLE-STACK (Fig. 8) over st.
@@ -259,7 +249,7 @@ func (sp *Sampler) SampleStack(st *ThreadStack) Stats {
 // fully extracted otherwise.
 func (sp *Sampler) captureSample(f *Frame, stats *Stats) *frameSample {
 	smp := sp.newSample()
-	if sp.cfg.Lazy {
+	if sp.lazy {
 		smp.raw = true
 		smp.rawSlots = append(smp.rawSlots, f.slots...)
 		stats.RawCaptured += len(f.slots)
@@ -336,7 +326,7 @@ type InvariantRef struct {
 }
 
 // Invariants mines the current invariant set for st: references that
-// survived at least MinSurvived comparisons, ordered topmost-frame first
+// survived at least minSurvived comparisons, ordered topmost-frame first
 // (the resolution heuristic "always start from topmost stack-invariants
 // because they tend to be more recent"). Duplicated objects are reported
 // once, at their topmost occurrence.
@@ -353,7 +343,7 @@ func (sp *Sampler) Invariants(st *ThreadStack) []InvariantRef {
 		entries := append([]slotEntry(nil), smp.slots...)
 		sort.Slice(entries, func(a, b int) bool { return entries[a].idx < entries[b].idx })
 		for _, e := range entries {
-			if e.survived < sp.cfg.MinSurvived {
+			if e.survived < minSurvived {
 				continue
 			}
 			if _, dup := seen[e.ref]; dup {

@@ -99,7 +99,7 @@ func TestInvariantMining(t *testing.T) {
 	f.SetRef(0, objs[0]) // will stay
 	f.SetRef(1, objs[1]) // will change
 
-	sp := NewSampler(Config{Lazy: true, MinSurvived: 1})
+	sp := NewSampler(true)
 	sp.SampleStack(st) // first visit: raw
 	if len(sp.Invariants(st)) != 0 {
 		t.Fatal("invariants before any comparison")
@@ -130,7 +130,7 @@ func TestLazyDiscardsTransientFrames(t *testing.T) {
 	mTemp := &Method{Name: "temp"}
 	st.Push(mStable, 1).SetRef(0, objs[0])
 
-	sp := NewSampler(Config{Lazy: true})
+	sp := NewSampler(true)
 	sp.SampleStack(st)
 
 	var extracted int
@@ -157,7 +157,7 @@ func TestImmediateExtractsEveryFirstVisit(t *testing.T) {
 	st := NewThreadStack()
 	m := &Method{Name: "f"}
 	st.Push(m, 4)
-	sp := NewSampler(Config{Lazy: false})
+	sp := NewSampler(false)
 	stats := sp.SampleStack(st)
 	if stats.SlotsExtracted != 4 {
 		t.Fatalf("immediate extraction got %d slots, want 4", stats.SlotsExtracted)
@@ -178,7 +178,7 @@ func TestLazyAndImmediateAgreeOnInvariants(t *testing.T) {
 		f.SetRef(0, objs[0])
 		f.SetRef(1, objs[1])
 		f.SetRef(2, objs[2])
-		sp := NewSampler(Config{Lazy: lazy})
+		sp := NewSampler(lazy)
 		sp.SampleStack(st)
 		f.SetRef(1, objs[3]) // slot 1 varies
 		sp.SampleStack(st)
@@ -208,7 +208,7 @@ func TestTwoPhaseScanStopsAtVisited(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		st.Push(m, 1)
 	}
-	sp := NewSampler(Config{Lazy: true})
+	sp := NewSampler(true)
 	s1 := sp.SampleStack(st) // all 5 frames walked
 	if s1.FramesWalked != 5 {
 		t.Fatalf("first sample walked %d frames", s1.FramesWalked)
@@ -228,7 +228,7 @@ func TestFig7Scenario(t *testing.T) {
 	mA := &Method{Name: "A"}
 	mB := &Method{Name: "B"}
 	mC := &Method{Name: "C"}
-	sp := NewSampler(Config{Lazy: true})
+	sp := NewSampler(true)
 
 	// State 1: frames A, B, C — all raw.
 	fA := st.Push(mA, 2)
@@ -286,7 +286,7 @@ func TestProbingShrinksOldSample(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.SetRef(i, objs[i])
 	}
-	sp := NewSampler(Config{Lazy: true})
+	sp := NewSampler(true)
 	sp.SampleStack(st)
 	// Change 3 of 4 slots.
 	f.SetRef(0, objs[4])
@@ -313,7 +313,7 @@ func TestInvariantsTopmostFirstAndDeduped(t *testing.T) {
 	tp.SetRef(0, objs[1])
 	tp.SetRef(1, objs[0]) // duplicate of the bottom frame's ref
 
-	sp := NewSampler(Config{Lazy: false})
+	sp := NewSampler(false)
 	sp.SampleStack(st)
 	sp.SampleStack(st)
 	// Force the bottom frame to be compared too: pop the top frame and
@@ -330,19 +330,19 @@ func TestInvariantsTopmostFirstAndDeduped(t *testing.T) {
 	}
 }
 
+// TestMinSurvivedThreshold: a slot counts as invariant once it has
+// survived one comparison, and not before.
 func TestMinSurvivedThreshold(t *testing.T) {
 	objs := testObjects(1)
 	st := NewThreadStack()
 	f := st.Push(&Method{Name: "f"}, 1)
 	f.SetRef(0, objs[0])
-	sp := NewSampler(Config{Lazy: false, MinSurvived: 3})
-	sp.SampleStack(st)
-	sp.SampleStack(st) // survived 1
-	sp.SampleStack(st) // survived 2
+	sp := NewSampler(false)
+	sp.SampleStack(st) // first visit: nothing compared yet
 	if len(sp.Invariants(st)) != 0 {
-		t.Fatal("invariant below threshold")
+		t.Fatal("invariant before any comparison")
 	}
-	sp.SampleStack(st) // survived 3
+	sp.SampleStack(st) // survived 1
 	if len(sp.Invariants(st)) != 1 {
 		t.Fatal("invariant at threshold missing")
 	}
@@ -350,7 +350,7 @@ func TestMinSurvivedThreshold(t *testing.T) {
 
 func TestEmptyStackSample(t *testing.T) {
 	st := NewThreadStack()
-	sp := NewSampler(DefaultConfig())
+	sp := NewSampler(true)
 	s := sp.SampleStack(st)
 	if s.FramesWalked != 0 || sp.NumSamples() != 0 {
 		t.Fatal("empty stack sampling should be a no-op")
@@ -360,7 +360,7 @@ func TestEmptyStackSample(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	st := NewThreadStack()
 	st.Push(&Method{Name: "f"}, 2)
-	sp := NewSampler(Config{Lazy: true})
+	sp := NewSampler(true)
 	sp.SampleStack(st)
 	sp.SampleStack(st)
 	if sp.Total.RawCaptured != 2 || sp.Total.SlotsExtracted != 2 {
@@ -377,7 +377,7 @@ func TestWarmSampleCycleAllocatesNothing(t *testing.T) {
 	objs := testObjects(4)
 	m := &Method{Name: "f"}
 	for _, lazy := range []bool{true, false} {
-		sp := NewSampler(Config{Lazy: lazy, MinSurvived: 1})
+		sp := NewSampler(lazy)
 		st := NewThreadStack()
 		for i := 0; i < 16; i++ {
 			st.Push(m, 2).SetRef(0, objs[0])
@@ -412,7 +412,7 @@ func TestRecycledSampleCarriesNoSlots(t *testing.T) {
 		}
 	}
 	for _, lazy := range []bool{true, false} {
-		sp := NewSampler(Config{Lazy: lazy, MinSurvived: 1})
+		sp := NewSampler(lazy)
 		st := NewThreadStack()
 		st.Push(m, 1)
 		fill(st.Push(m, 4))
