@@ -160,7 +160,6 @@ func TestFootprintersAttachPerThread(t *testing.T) {
 	s.Launch(k, workload.Params{Threads: 4, Seed: 5})
 	fpc := FootprintConfig{FootprinterConfig: sticky.DefaultFootprinterConfig()}
 	fpc.Nonstop = true
-	fpc.MinAccesses = 1
 	p := Attach(k, Config{Rate: sampling.FullRate, Footprint: &fpc})
 	k.Run()
 	if len(p.Footprinters) != 4 {
@@ -189,7 +188,6 @@ func TestEagerResolveCharges(t *testing.T) {
 	fpc := FootprintConfig{FootprinterConfig: sticky.DefaultFootprinterConfig(), EagerResolve: true,
 		Resolver: sticky.DefaultResolverConfig()}
 	fpc.Nonstop = true
-	fpc.MinAccesses = 1
 	p := Attach(k, Config{
 		Rate:      sampling.FullRate,
 		Stack:     &StackConfig{Gap: 2 * sim.Millisecond, Lazy: true},

@@ -33,15 +33,9 @@ func richSpec() experiments.Spec {
 	return experiments.Spec{
 		App: experiments.AppKVMix, Scale: 16, Nodes: 4, Threads: 4, Seed: 11,
 		Tracking: gos.TrackingSampled, Rate: 4, TransferOALs: true,
-		Stack:    &st,
-		Adaptive: &ad,
-		Footprint: &core.FootprintConfig{FootprinterConfig: sticky.FootprinterConfig{
-			MinAccesses: 2, RearmPeriod: 1 * sim.Millisecond,
-			OnPhase: 100 * sim.Millisecond, OffPhase: 100 * sim.Millisecond,
-			MinGap: 1, ArmCost: 80 * sim.Nanosecond,
-			TrapBase: 150 * sim.Nanosecond, TrapPerKB: 1536 * sim.Nanosecond,
-			EWMA: 0.5,
-		}},
+		Stack:       &st,
+		Adaptive:    &ad,
+		Footprint:   &core.FootprintConfig{FootprinterConfig: sticky.FootprinterConfig{Nonstop: true}},
 		PageTracker: true,
 	}
 }

@@ -70,67 +70,60 @@ func (f Footprint) Diff(g Footprint) int64 {
 	return d
 }
 
-// FootprinterConfig tunes sticky-set footprinting. The cost structure
-// mirrors the paper's mechanism: footprinting repeatedly re-arms the
-// false-invalid trap on the sampled objects the thread has touched, so each
-// re-arm sweep pays per sampled object, and each re-trapped access pays a
-// service-routine visit. "Nonstop" re-arms on a short period for the whole
-// run; the timer-based mode gates sweeps into on/off phases.
-type FootprinterConfig struct {
-	// MinAccesses is the number of distinct re-arm periods in which a
+// The footprinter's calibrated mechanism. Footprinting repeatedly re-arms
+// the false-invalid trap on the sampled objects the thread has touched, so
+// each re-arm sweep pays per sampled object, and each re-trapped access pays
+// a service-routine visit.
+const (
+	// minAccesses is the number of distinct re-arm periods in which a
 	// sampled object must be trapped to be considered sticky (objects
 	// "constantly accessed throughout the whole interval"; a single touch
 	// like object B in Fig. 4 does not qualify).
-	MinAccesses int
-	// Nonstop, when true, sweeps on RearmPeriod for the whole execution;
-	// otherwise sweeps happen only during OnPhase of every
-	// OnPhase+OffPhase cycle (the paper's 100 ms timer).
-	Nonstop bool
-	// RearmPeriod is the interval between re-arm sweeps while tracking.
-	RearmPeriod sim.Time
-	// OnPhase / OffPhase are the timer-based duty cycle.
-	OnPhase, OffPhase sim.Time
-	// MinGap is the lower bound on the object sampling gap during
+	minAccesses = 2
+	// rearmPeriod is the interval between re-arm sweeps while tracking.
+	rearmPeriod = 1 * sim.Millisecond
+	// onPhase and offPhase are the timer-based duty cycle: the paper's
+	// 100 ms timer.
+	onPhase  = 100 * sim.Millisecond
+	offPhase = 100 * sim.Millisecond
+	// minGap is the lower bound on the object sampling gap during
 	// footprinting (repeated tracking is costlier than once-per-interval
 	// correlation logging, so the paper bounds the rate).
-	MinGap int64
-	// ArmCost is charged per object re-armed in a sweep.
-	ArmCost sim.Time
-	// TrapBase is the fixed cost of one trapped (armed) access: the fault
+	minGap = 1
+	// armCost is charged per object re-armed in a sweep.
+	armCost = 80 * sim.Nanosecond
+	// trapBase is the fixed cost of one trapped (armed) access: the fault
 	// into the GOS service routine.
-	TrapBase sim.Time
-	// TrapPerKB scales the trap with the object size: cancelling the
+	trapBase = 150 * sim.Nanosecond
+	// trapPerKB scales the trap with the object size: cancelling the
 	// fake-invalid state revisits the object's consistency metadata, so
 	// large arrays pay proportionally (this is why the paper finds that
-	// lowering the rate to 4X "has no effect on SOR").
-	TrapPerKB sim.Time
-	// EWMA is the smoothing factor for per-class footprints across
-	// intervals (0 < EWMA <= 1; 1 = last interval only).
-	EWMA float64
+	// lowering the rate to 4X "has no effect on SOR"). 1.5 ns per byte.
+	trapPerKB = 1536 * sim.Nanosecond
+	// ewma is the smoothing factor for per-class footprints across
+	// intervals (1 would keep the last interval only).
+	ewma = 0.5
+)
+
+// FootprinterConfig tunes sticky-set footprinting.
+type FootprinterConfig struct {
+	// Nonstop, when true, sweeps every re-arm period for the whole
+	// execution; otherwise sweeps happen only during the on phase of every
+	// 100 ms on / 100 ms off cycle (the paper's timer).
+	Nonstop bool
 }
 
-// DefaultFootprinterConfig mirrors the paper's timer setting: 100 ms on /
+// DefaultFootprinterConfig is the paper's timer setting: 100 ms on /
 // 100 ms off phases with 1 ms re-arm sweeps while on.
 func DefaultFootprinterConfig() FootprinterConfig {
-	return FootprinterConfig{
-		MinAccesses: 2,
-		Nonstop:     false,
-		RearmPeriod: 1 * sim.Millisecond,
-		OnPhase:     100 * sim.Millisecond,
-		OffPhase:    100 * sim.Millisecond,
-		MinGap:      1,
-		ArmCost:     80 * sim.Nanosecond,
-		TrapBase:    150 * sim.Nanosecond,
-		TrapPerKB:   1536 * sim.Nanosecond, // 1.5 ns per byte
-		EWMA:        0.5,
-	}
+	return FootprinterConfig{}
 }
 
 // Footprinter observes one thread's accesses and maintains its sticky-set
 // footprint estimate. It implements gos.AccessObserver.
 type Footprinter struct {
-	cfg    FootprinterConfig
-	thread *gos.Thread
+	nonstop bool
+	thread  *gos.Thread
 
 	// counts holds, per sampled object touched this interval, how many
 	// re-arm periods trapped it (the access-frequency statistic). Entries
@@ -175,17 +168,8 @@ type objCount struct {
 // NewFootprinter returns a footprinter for t; register it with
 // t.AddObserver to activate.
 func NewFootprinter(t *gos.Thread, cfg FootprinterConfig) *Footprinter {
-	if cfg.MinAccesses <= 0 {
-		cfg.MinAccesses = 1
-	}
-	if cfg.EWMA <= 0 || cfg.EWMA > 1 {
-		cfg.EWMA = 0.5
-	}
-	if cfg.RearmPeriod <= 0 {
-		cfg.RearmPeriod = sim.Millisecond
-	}
 	return &Footprinter{
-		cfg:       cfg,
+		nonstop:   cfg.Nonstop,
 		thread:    t,
 		footprint: make(Footprint),
 	}
@@ -204,36 +188,32 @@ func (fp *Footprinter) trackingOn(now sim.Time) bool {
 }
 
 // nextWindow moves the cached window to the one holding now: the duty cycle
-// is on while now modulo OnPhase+OffPhase is below OnPhase, and on for good
-// under Nonstop or a non-positive period.
+// is on while now modulo onPhase+offPhase is below onPhase, and on for good
+// under Nonstop.
 func (fp *Footprinter) nextWindow(now sim.Time) {
-	period := fp.cfg.OnPhase + fp.cfg.OffPhase
-	if fp.cfg.Nonstop || period <= 0 {
+	if fp.nonstop {
 		fp.windowOn, fp.windowEnd = true, math.MaxInt64
 		return
 	}
+	const period = onPhase + offPhase
 	start := now - now%period
-	fp.windowOn = now-start < fp.cfg.OnPhase
+	fp.windowOn = now-start < onPhase
 	if fp.windowOn {
-		fp.windowEnd = start + fp.cfg.OnPhase
+		fp.windowEnd = start + onPhase
 	} else {
 		fp.windowEnd = start + period
 	}
 }
 
-// effectiveGap applies the MinGap lower bound to a class gap.
-func (fp *Footprinter) effectiveGap(o *heap.Object) int64 {
-	gap := o.Class.Gap()
-	if gap < fp.cfg.MinGap {
-		gap = fp.cfg.MinGap
-	}
-	return gap
+// effectiveGap applies the minGap lower bound to a class gap.
+func effectiveGap(o *heap.Object) int64 {
+	return max(o.Class.Gap(), minGap)
 }
 
 // OnAccess implements gos.AccessObserver: repeated object sampling within
 // the interval. The first touch of a sampled object traps; afterwards it
 // traps once per re-arm sweep. Sweeps run inline on the profiled thread and
-// pay ArmCost per object they re-arm.
+// pay armCost per object they re-arm.
 func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool) {
 	if t != fp.thread {
 		return
@@ -245,7 +225,7 @@ func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool
 	if now >= fp.nextSweep {
 		fp.sweep(t, now)
 	}
-	if !o.SampledAtGap(fp.effectiveGap(o)) {
+	if !o.SampledAtGap(effectiveGap(o)) {
 		return
 	}
 	oc := fp.counts.At(o.ID)
@@ -260,24 +240,24 @@ func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool
 	oc.count++
 	fp.disarmed++
 	fp.TrackedAccesses++
-	t.Charge(fp.cfg.TrapBase + sim.Time(o.Bytes())*fp.cfg.TrapPerKB/1024)
+	t.Charge(trapBase + sim.Time(o.Bytes())*trapPerKB/1024)
 }
 
 // sweep re-arms the false-invalid trap on every tracked object. Only the
 // objects that trapped since the last sweep or interval close are disarmed,
-// so it charges ArmCost for fp.disarmed of them: the count a walk of the
+// so it charges armCost for fp.disarmed of them: the count a walk of the
 // tracked set would find, kept without the walk.
 func (fp *Footprinter) sweep(t *gos.Thread, now sim.Time) {
 	fp.Sweeps++
 	if fp.disarmed > 0 {
-		t.Charge(sim.Time(fp.disarmed) * fp.cfg.ArmCost)
+		t.Charge(sim.Time(fp.disarmed) * armCost)
 		fp.disarmed = 0
 	}
-	fp.nextSweep = now + fp.cfg.RearmPeriod
+	fp.nextSweep = now + rearmPeriod
 }
 
 // OnIntervalClose folds the interval's counts into the footprint estimate:
-// objects accessed at least MinAccesses times contribute their amortized
+// objects accessed at least minAccesses times contribute their amortized
 // sample size scaled up by the sampling gap.
 func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 	if t != fp.thread {
@@ -287,16 +267,16 @@ func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 	raw := make(Footprint)
 	reg := t.Kernel().Reg
 	for _, id := range fp.tracked {
-		if fp.counts.At(id).count < fp.cfg.MinAccesses {
+		if fp.counts.At(id).count < minAccesses {
 			continue
 		}
 		o := reg.Object(id)
-		gap := fp.effectiveGap(o)
+		gap := effectiveGap(o)
 		raw[o.Class.Name] += int64(o.AmortizedBytesAtGap(gap)) * gap
 	}
 	fp.lastInterval = raw
 	// EWMA-smooth into the running estimate over the union of classes.
-	a := fp.cfg.EWMA
+	const a = ewma
 	for _, c := range raw.Classes() {
 		fp.footprint[c] = int64(a*float64(raw[c]) + (1-a)*float64(fp.footprint[c]))
 	}

@@ -56,11 +56,7 @@ func footKernel(t *testing.T, cfg FootprinterConfig, body func(th *gos.Thread, c
 }
 
 func TestFootprinterHotObjectsQualify(t *testing.T) {
-	cfg := DefaultFootprinterConfig()
-	cfg.Nonstop = true
-	cfg.MinAccesses = 2
-	cfg.RearmPeriod = sim.Millisecond
-	fp := footKernel(t, cfg, func(th *gos.Thread, cls *heap.Class) {
+	fp := footKernel(t, FootprinterConfig{Nonstop: true}, func(th *gos.Thread, cls *heap.Class) {
 		hot := th.Alloc(cls)
 		cold := th.Alloc(cls)
 		th.Write(hot)
@@ -87,10 +83,7 @@ func TestFootprinterHotObjectsQualify(t *testing.T) {
 }
 
 func TestFootprinterSingleTouchExcluded(t *testing.T) {
-	cfg := DefaultFootprinterConfig()
-	cfg.Nonstop = true
-	cfg.MinAccesses = 2
-	fp := footKernel(t, cfg, func(th *gos.Thread, cls *heap.Class) {
+	fp := footKernel(t, FootprinterConfig{Nonstop: true}, func(th *gos.Thread, cls *heap.Class) {
 		o := th.Alloc(cls)
 		th.Write(o)
 		th.Release(1)
@@ -103,9 +96,6 @@ func TestFootprinterSingleTouchExcluded(t *testing.T) {
 }
 
 func TestFootprinterGapScaleUp(t *testing.T) {
-	cfg := DefaultFootprinterConfig()
-	cfg.Nonstop = true
-	cfg.MinAccesses = 1
 	kcfg := gos.DefaultConfig()
 	kcfg.Nodes = 1
 	k := gos.NewKernel(kcfg)
@@ -127,7 +117,7 @@ func TestFootprinterGapScaleUp(t *testing.T) {
 		}
 		th.Release(1)
 	})
-	fp = NewFootprinter(th, cfg)
+	fp = NewFootprinter(th, FootprinterConfig{Nonstop: true})
 	th.AddObserver(fp)
 	k.Run()
 	got := float64(fp.LastInterval()["Rec"])
@@ -139,12 +129,7 @@ func TestFootprinterGapScaleUp(t *testing.T) {
 
 func TestFootprinterTimerDutyCycle(t *testing.T) {
 	runWith := func(nonstop bool) int64 {
-		cfg := DefaultFootprinterConfig()
-		cfg.Nonstop = nonstop
-		cfg.OnPhase = 50 * sim.Millisecond
-		cfg.OffPhase = 50 * sim.Millisecond
-		cfg.MinAccesses = 1
-		fp := footKernel(t, cfg, func(th *gos.Thread, cls *heap.Class) {
+		fp := footKernel(t, FootprinterConfig{Nonstop: nonstop}, func(th *gos.Thread, cls *heap.Class) {
 			o := th.Alloc(cls)
 			th.Write(o)
 			for i := 0; i < 100; i++ {
@@ -165,17 +150,14 @@ func TestFootprinterTimerDutyCycle(t *testing.T) {
 	}
 }
 
-// TestDutyCycleWindowMatchesModulo: over random duty cycles and random
-// non-decreasing clocks, with zero steps, steps onto window edges and
-// jumps over whole periods, the cached window gives the answer of
-// now % period < OnPhase at every step.
+// TestDutyCycleWindowMatchesModulo: over random non-decreasing clocks,
+// with zero steps, steps onto window edges and jumps over whole periods,
+// the cached window gives the answer of now % 200 ms < 100 ms (the fixed
+// 100 ms on / 100 ms off cycle) at every step.
 func TestDutyCycleWindowMatchesModulo(t *testing.T) {
+	const period = onPhase + offPhase
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := xrand.New(seed)
-		cfg := DefaultFootprinterConfig()
-		cfg.OnPhase = sim.Time(rng.Intn(40))
-		cfg.OffPhase = sim.Time(1 + rng.Intn(40))
-		period := cfg.OnPhase + cfg.OffPhase
 		kcfg := gos.DefaultConfig()
 		kcfg.Nodes = 1
 		k := gos.NewKernel(kcfg)
@@ -183,11 +165,17 @@ func TestDutyCycleWindowMatchesModulo(t *testing.T) {
 		on := 0
 		th := k.SpawnThread(0, "t", func(th *gos.Thread) {
 			for i := 0; i < 5000; i++ {
-				th.Proc().Sleep(sim.Time(rng.Intn(3 * int(period))))
+				// Land on a window edge now and then.
+				step := sim.Time(rng.Intn(3 * int(period)))
+				if rng.Intn(8) == 0 {
+					now := th.Proc().Now()
+					step = onPhase - now%onPhase
+				}
+				th.Proc().Sleep(step)
 				now := th.Proc().Now()
-				want := now%period < cfg.OnPhase
+				want := now%period < onPhase
 				if got := fp.trackingOn(now); got != want {
-					t.Errorf("seed %d, on %v off %v, at %v: tracking %v, want %v", seed, cfg.OnPhase, cfg.OffPhase, now, got, want)
+					t.Errorf("seed %d, at %v: tracking %v, want %v", seed, now, got, want)
 					return
 				}
 				if want {
@@ -195,30 +183,31 @@ func TestDutyCycleWindowMatchesModulo(t *testing.T) {
 				}
 			}
 		})
-		fp = NewFootprinter(th, cfg)
+		fp = NewFootprinter(th, FootprinterConfig{})
 		k.Run()
-		if cfg.OnPhase > 0 && (on == 0 || on == 5000) {
+		if on == 0 || on == 5000 {
 			t.Errorf("seed %d: on at %d of 5000 steps; the clock never crossed a window edge", seed, on)
 		}
 	}
 }
 
 func TestFootprinterEWMASmoothing(t *testing.T) {
-	cfg := DefaultFootprinterConfig()
-	cfg.Nonstop = true
-	cfg.MinAccesses = 1
-	cfg.EWMA = 0.5
-	fp := footKernel(t, cfg, func(th *gos.Thread, cls *heap.Class) {
+	fp := footKernel(t, FootprinterConfig{Nonstop: true}, func(th *gos.Thread, cls *heap.Class) {
 		o := th.Alloc(cls)
 		th.Write(o)
+		th.Compute(2 * rearmPeriod) // the next touch lands in a new re-arm period
 		th.Read(o)
 		th.Release(1) // interval 1: Rec appears
 		th.Compute(time1)
-		th.Release(2) // interval 2: empty -> decays
+		th.Read(th.Alloc(cls)) // one touch opens interval 2 but does not qualify
+		th.Release(2)          // interval 2: no sticky Rec -> decays
 	})
-	got := fp.Footprint()["Rec"]
-	if got == 0 || got >= 128 {
-		t.Fatalf("EWMA footprint = %d, want decayed in (0,128)", got)
+	if got := fp.LastInterval()["Rec"]; got != 0 {
+		t.Fatalf("last interval footprint = %d, want 0 (nothing qualified)", got)
+	}
+	// Interval 1 folds in half of 128 bytes, interval 2 halves it again.
+	if got := fp.Footprint()["Rec"]; got != 32 {
+		t.Fatalf("EWMA footprint = %d, want 32 (128 decayed twice by 0.5)", got)
 	}
 }
 
@@ -404,7 +393,7 @@ func TestResolveMaxObjectsCap(t *testing.T) {
 }
 
 func TestFootprintIntoReusesMap(t *testing.T) {
-	fp := NewFootprinter(nil, FootprinterConfig{MinAccesses: 1, EWMA: 1, MinGap: 1})
+	fp := NewFootprinter(nil, FootprinterConfig{})
 	fp.footprint = map[string]int64{"Rec": 128, "Cold": 0}
 	dst := Footprint{"Stale": 999}
 	got := fp.FootprintInto(dst)

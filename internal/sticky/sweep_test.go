@@ -13,9 +13,9 @@ import (
 // refFootprinter is the map-and-walk footprinter: per-object counts in a
 // map with an armed flag each, re-armed by walking the whole map at every
 // sweep, folded in object-ID order at interval close. It charges into cpu
-// instead of a thread.
+// instead of a thread. It reads the package's constants.
 type refFootprinter struct {
-	cfg          FootprinterConfig
+	nonstop      bool
 	counts       map[heap.ObjectID]*refCount
 	nextSweep    sim.Time
 	footprint    Footprint
@@ -32,12 +32,11 @@ type refCount struct {
 }
 
 func (r *refFootprinter) gap(o *heap.Object) int64 {
-	return max(o.Class.Gap(), r.cfg.MinGap)
+	return max(o.Class.Gap(), minGap)
 }
 
 func (r *refFootprinter) access(now sim.Time, o *heap.Object) {
-	period := r.cfg.OnPhase + r.cfg.OffPhase
-	if !r.cfg.Nonstop && now%period >= r.cfg.OnPhase {
+	if !r.nonstop && now%(onPhase+offPhase) >= onPhase {
 		return
 	}
 	if now >= r.nextSweep {
@@ -45,10 +44,10 @@ func (r *refFootprinter) access(now sim.Time, o *heap.Object) {
 		for _, oc := range r.counts {
 			if !oc.armed {
 				oc.armed = true
-				r.cpu += r.cfg.ArmCost
+				r.cpu += armCost
 			}
 		}
-		r.nextSweep = now + r.cfg.RearmPeriod
+		r.nextSweep = now + rearmPeriod
 	}
 	if !o.SampledAtGap(r.gap(o)) {
 		return
@@ -64,7 +63,7 @@ func (r *refFootprinter) access(now sim.Time, o *heap.Object) {
 	oc.armed = false
 	oc.count++
 	r.tracked++
-	r.cpu += r.cfg.TrapBase + sim.Time(o.Bytes())*r.cfg.TrapPerKB/1024
+	r.cpu += trapBase + sim.Time(o.Bytes())*trapPerKB/1024
 }
 
 func (r *refFootprinter) close() {
@@ -76,13 +75,13 @@ func (r *refFootprinter) close() {
 	raw := make(Footprint)
 	for _, id := range ids {
 		oc := r.counts[id]
-		if oc.count >= r.cfg.MinAccesses {
+		if oc.count >= minAccesses {
 			g := r.gap(oc.obj)
 			raw[oc.obj.Class.Name] += int64(oc.obj.AmortizedBytesAtGap(g)) * g
 		}
 	}
 	r.lastInterval = raw
-	a := r.cfg.EWMA
+	const a = ewma
 	for c, v := range raw {
 		r.footprint[c] = int64(a*float64(v) + (1-a)*float64(r.footprint[c]))
 	}
@@ -99,17 +98,6 @@ func (r *refFootprinter) close() {
 // the on/off duty cycle and interval closes. The O(1) sweep must charge
 // what the walk charges, and every reported figure must agree.
 func TestSweepMatchesMapWalk(t *testing.T) {
-	cfg := FootprinterConfig{
-		MinAccesses: 2,
-		RearmPeriod: 100 * sim.Microsecond,
-		OnPhase:     2 * sim.Millisecond,
-		OffPhase:    sim.Millisecond,
-		MinGap:      2,
-		ArmCost:     80 * sim.Nanosecond,
-		TrapBase:    150 * sim.Nanosecond,
-		TrapPerKB:   1536 * sim.Nanosecond,
-		EWMA:        0.5,
-	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		kcfg := gos.DefaultConfig()
 		kcfg.Nodes = 1
@@ -130,7 +118,7 @@ func TestSweepMatchesMapWalk(t *testing.T) {
 				objs = append(objs, k.Reg.AllocArray(arr, 1+i%5, 0))
 			}
 		}
-		ref := &refFootprinter{cfg: cfg, counts: make(map[heap.ObjectID]*refCount), footprint: make(Footprint)}
+		ref := &refFootprinter{counts: make(map[heap.ObjectID]*refCount), footprint: make(Footprint)}
 		var fp *Footprinter
 		var charged sim.Time
 		rng := xrand.New(seed)
@@ -145,7 +133,9 @@ func TestSweepMatchesMapWalk(t *testing.T) {
 					ref.access(th.Kernel().Eng.Now(), o)
 					fp.OnAccess(th, o, rng.Intn(4) == 0, false)
 				case r < 97:
-					th.SleepUntil(th.Now() + sim.Time(rng.Intn(int(400*sim.Microsecond))))
+					// Up to 4 ms: several re-arm periods, and the stream
+					// crosses the 100 ms on / 100 ms off cycle many times.
+					th.SleepUntil(th.Now() + sim.Time(rng.Intn(int(4*sim.Millisecond))))
 				default:
 					ref.close()
 					fp.OnIntervalClose(th)
@@ -157,7 +147,7 @@ func TestSweepMatchesMapWalk(t *testing.T) {
 			th.Now() // flush the footprinter's pending charges
 			charged = th.Stats().ComputeTime
 		})
-		fp = NewFootprinter(th, cfg)
+		fp = NewFootprinter(th, FootprinterConfig{})
 		k.Run()
 		if fp.TrackedAccesses != ref.tracked || fp.Sweeps != ref.sweeps {
 			t.Errorf("seed %d: tracked %d sweeps %d, want %d and %d", seed, fp.TrackedAccesses, fp.Sweeps, ref.tracked, ref.sweeps)
