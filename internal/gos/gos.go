@@ -247,8 +247,8 @@ type KernelStats struct {
 	HomeMigrations  int64
 }
 
-// NewKernel builds a kernel: engine, network (the Fast Ethernet model of
-// network.DefaultConfig), nodes and master collector.
+// NewKernel builds a kernel: engine, network (the network package's Fast
+// Ethernet model), nodes and master collector.
 func NewKernel(cfg Config) *Kernel {
 	if cfg.Nodes <= 0 {
 		panic("gos: need at least one node")
@@ -260,7 +260,7 @@ func NewKernel(cfg Config) *Kernel {
 	k := &Kernel{
 		Eng:      eng,
 		Reg:      heap.NewRegistry(),
-		Net:      network.New(eng, network.DefaultConfig()),
+		Net:      network.New(eng),
 		Cfg:      cfg,
 		locks:    make(map[int]*lockState),
 		barriers: make(map[int]*barrierState),

@@ -9,7 +9,7 @@ import (
 // fixedShaper returns a constant delay regardless of message or time.
 type fixedShaper struct{ d sim.Time }
 
-func (s fixedShaper) TransferTime(sim.Time, NodeID, NodeID, int, Config) sim.Time { return s.d }
+func (s fixedShaper) TransferTime(sim.Time, NodeID, NodeID, int) sim.Time { return s.d }
 
 // TestShaperDelayClamping: pathological shaper outputs must never produce
 // negative delivery delays — the message arrives at or after its send time,
@@ -30,7 +30,7 @@ func TestShaperDelayClamping(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			n := New(eng, DefaultConfig())
+			n := New(eng)
 			n.SetShaper(tc.shaper)
 			var deliveredAt sim.Time
 			delivered := false
@@ -87,13 +87,13 @@ func TestInterceptorVerdicts(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			n := New(eng, DefaultConfig())
+			n := New(eng)
 			ic := &scriptIcept{verdicts: []Verdict{tc.verdict}}
 			n.SetInterceptor(ic)
 			var times []sim.Time
 			n.Bind(1, func(m *Message) { times = append(times, eng.Now()) })
 			n.Send(0, 1, CatOAL, 256, nil)
-			base := n.TransferTime(256 + n.Config().HeaderBytes)
+			base := n.TransferTime(256 + HeaderBytes)
 			eng.Run()
 			if len(times) != tc.deliveries {
 				t.Fatalf("deliveries = %d, want %d", len(times), tc.deliveries)
@@ -128,7 +128,7 @@ func TestInterceptorVerdicts(t *testing.T) {
 // is never consulted for local sends.
 func TestInterceptorPrimaryCategoryAndLocalBypass(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	ic := &scriptIcept{}
 	n.SetInterceptor(ic)
 	n.Bind(0, func(m *Message) {})
@@ -149,7 +149,7 @@ func TestInterceptorPrimaryCategoryAndLocalBypass(t *testing.T) {
 // extra delay stack.
 func TestShaperComposesWithInterceptor(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	n.SetShaper(fixedShaper{1 * sim.Millisecond})
 	n.SetInterceptor(&scriptIcept{verdicts: []Verdict{{Delay: 3 * sim.Millisecond}}})
 	var at sim.Time
@@ -178,7 +178,7 @@ func (d *dupThenDrop) Intercept(sim.Time, NodeID, NodeID, Category, int) Verdict
 // to the free list at once and leaves nothing in flight.
 func TestRecycledMessagesAreSafe(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	n.SetInterceptor(&dupThenDrop{})
 	type seen struct {
 		payload any
@@ -189,7 +189,7 @@ func TestRecycledMessagesAreSafe(t *testing.T) {
 	var first *Message
 	n.Bind(0, func(m *Message) {})
 	n.Bind(1, func(m *Message) {
-		got = append(got, seen{m.Payload, m.TotalBytes(0), m.Final()})
+		got = append(got, seen{m.Payload, m.TotalBytes(), m.Final()})
 		if first == nil {
 			first = m
 			// Between the two deliveries: a new send must get a message
@@ -207,7 +207,7 @@ func TestRecycledMessagesAreSafe(t *testing.T) {
 		t.Fatalf("in flight after a duplicated send = %d, want 2", n.InFlight())
 	}
 	eng.Run()
-	want := []seen{{"p", 116, false}, {"p", 116, true}}
+	want := []seen{{"p", 116 + HeaderBytes, false}, {"p", 116 + HeaderBytes, true}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("deliveries = %+v, want %+v", got, want)
 	}

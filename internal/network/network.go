@@ -76,33 +76,25 @@ type Message struct {
 func (m *Message) Final() bool { return m.pending == 0 }
 
 // TotalBytes sums all parts plus the fixed per-message header.
-func (m *Message) TotalBytes(headerBytes int) int {
-	n := headerBytes
+func (m *Message) TotalBytes() int {
+	n := HeaderBytes
 	for _, p := range m.Parts {
 		n += p.Bytes
 	}
 	return n
 }
 
-// Config sets the physical characteristics of the interconnect.
-type Config struct {
+// The interconnect's physical characteristics approximate the paper's Fast
+// Ethernet testbed.
+const (
 	// Latency is the one-way propagation + protocol stack delay.
-	Latency sim.Time
-	// BandwidthBytesPerSec is the per-link throughput.
-	BandwidthBytesPerSec int64
+	Latency = 120 * sim.Microsecond
+	// BandwidthBytesPerSec is the per-link throughput: 100 Mbps.
+	BandwidthBytesPerSec int64 = 100_000_000 / 8
 	// HeaderBytes is the fixed per-message overhead (Ethernet + IP + UDP +
 	// DJVM protocol header).
-	HeaderBytes int
-}
-
-// DefaultConfig approximates the paper's Fast Ethernet testbed.
-func DefaultConfig() Config {
-	return Config{
-		Latency:              120 * sim.Microsecond,
-		BandwidthBytesPerSec: 100_000_000 / 8, // 100 Mbps
-		HeaderBytes:          64,
-	}
-}
+	HeaderBytes = 64
+)
 
 // Handler consumes a delivered message. Handlers run in scheduler context
 // and must not block; they may wake procs and schedule events. The network
@@ -120,10 +112,9 @@ type Handler func(*Message)
 // deterministic order, so a seeded stream drawn per message is fine.
 type Shaper interface {
 	// TransferTime returns the total delivery delay for a message of
-	// totalBytes (payload + header) posted at now from -> to. cfg is the
-	// network's static physical configuration. Negative results are
-	// clamped to zero by the caller.
-	TransferTime(now sim.Time, from, to NodeID, totalBytes int, cfg Config) sim.Time
+	// totalBytes (payload + header) posted at now from -> to. Negative
+	// results are clamped to zero by the caller.
+	TransferTime(now sim.Time, from, to NodeID, totalBytes int) sim.Time
 }
 
 // Verdict is an Interceptor's decision for one remote message.
@@ -210,7 +201,6 @@ func (s Stats) String() string {
 // Network connects a fixed set of nodes.
 type Network struct {
 	eng      *sim.Engine
-	cfg      Config
 	handlers map[NodeID]Handler
 	stats    Stats
 	perNode  map[NodeID]*Stats
@@ -223,14 +213,10 @@ type Network struct {
 	free []*Message
 }
 
-// New creates a network over the engine with the given physical config.
-func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.BandwidthBytesPerSec <= 0 {
-		panic("network: non-positive bandwidth")
-	}
+// New creates a network over the engine.
+func New(eng *sim.Engine) *Network {
 	return &Network{
 		eng:      eng,
-		cfg:      cfg,
 		handlers: make(map[NodeID]Handler),
 		perNode:  make(map[NodeID]*Stats),
 	}
@@ -239,9 +225,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Bind installs the message handler for a node. Rebinding replaces the
 // previous handler.
 func (n *Network) Bind(id NodeID, h Handler) { n.handlers[id] = h }
-
-// Config returns the physical configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Stats returns a snapshot of global traffic stats.
 func (n *Network) Stats() Stats { return n.stats }
@@ -267,8 +250,8 @@ func (n *Network) SetInterceptor(i Interceptor) { n.icept = i }
 
 // TransferTime computes latency + serialization delay for a payload size.
 func (n *Network) TransferTime(totalBytes int) sim.Time {
-	ser := sim.Time(int64(totalBytes) * int64(sim.Second) / n.cfg.BandwidthBytesPerSec)
-	return n.cfg.Latency + ser
+	ser := sim.Time(int64(totalBytes) * int64(sim.Second) / BandwidthBytesPerSec)
+	return Latency + ser
 }
 
 // Send transmits a single-category message. See SendParts.
@@ -335,14 +318,14 @@ func (n *Network) post(msg *Message) {
 		n.eng.AfterEvent(0, (*delivery)(msg))
 		return
 	}
-	total := msg.TotalBytes(n.cfg.HeaderBytes)
+	total := msg.TotalBytes()
 	n.account(from, parts)
 	delay := n.TransferTime(total)
 	if n.shaper != nil {
 		// Clamp shaper pathologies: extreme jitter or degenerate bandwidth
 		// factors must not yield negative (or NaN — which fails every
 		// comparison, so the clamp catches it too) delivery delays.
-		if d := n.shaper.TransferTime(n.eng.Now(), from, to, total, n.cfg); d >= 0 {
+		if d := n.shaper.TransferTime(n.eng.Now(), from, to, total); d >= 0 {
 			delay = d
 		} else {
 			delay = 0
@@ -366,7 +349,7 @@ func (n *Network) post(msg *Message) {
 			n.stats.Duplicated++
 			n.inFlight++
 			msg.pending = 2
-			n.eng.AfterEvent(delay+n.cfg.Latency, (*delivery)(msg))
+			n.eng.AfterEvent(delay+Latency, (*delivery)(msg))
 		}
 	}
 	n.inFlight++
@@ -379,8 +362,8 @@ func (n *Network) account(from NodeID, parts []Part) {
 		ns = &Stats{}
 		n.perNode[from] = ns
 	}
-	n.stats.HeaderBytesTotal += int64(n.cfg.HeaderBytes)
-	ns.HeaderBytesTotal += int64(n.cfg.HeaderBytes)
+	n.stats.HeaderBytesTotal += HeaderBytes
+	ns.HeaderBytesTotal += HeaderBytes
 	for _, p := range parts {
 		n.stats.Bytes[p.Cat] += int64(p.Bytes)
 		n.stats.Messages[p.Cat]++

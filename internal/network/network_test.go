@@ -7,28 +7,21 @@ import (
 )
 
 func TestTransferTimeMath(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(eng, Config{Latency: 100 * sim.Microsecond, BandwidthBytesPerSec: 1_000_000, HeaderBytes: 0})
-	// 1 MB/s: 1000 bytes take 1 ms, plus 100 us latency.
-	got := n.TransferTime(1000)
-	want := 100*sim.Microsecond + 1*sim.Millisecond
-	if got != want {
+	n := New(sim.NewEngine())
+	// 100 Mbps is 12.5 bytes per microsecond: 1000 bytes take 80 us, plus
+	// the 120 us latency.
+	if got, want := n.TransferTime(1000), 200*sim.Microsecond; got != want {
 		t.Fatalf("transfer time = %v, want %v", got, want)
 	}
-}
-
-func TestZeroBandwidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero bandwidth did not panic")
-		}
-	}()
-	New(sim.NewEngine(), Config{})
+	want := Latency + sim.Time(int64(1000)*int64(sim.Second)/BandwidthBytesPerSec)
+	if got := n.TransferTime(1000); got != want {
+		t.Fatalf("transfer time = %v, want latency + serialization %v", got, want)
+	}
 }
 
 func TestDeliveryAndAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	var payload any
 	deliveredAt := sim.Time(-1)
 	n.Bind(1, func(m *Message) { payload, deliveredAt = m.Payload, eng.Now() })
@@ -49,7 +42,7 @@ func TestDeliveryAndAccounting(t *testing.T) {
 	if st.CatBytes(CatGOSData) != 500 {
 		t.Fatalf("gos bytes = %d", st.CatBytes(CatGOSData))
 	}
-	if st.HeaderBytesTotal != int64(DefaultConfig().HeaderBytes) {
+	if st.HeaderBytesTotal != HeaderBytes {
 		t.Fatal("header not accounted")
 	}
 	if n.InFlight() != 0 {
@@ -59,7 +52,7 @@ func TestDeliveryAndAccounting(t *testing.T) {
 
 func TestPiggybackParts(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	n.Bind(0, func(m *Message) {})
 	var parts int
 	n.Bind(1, func(m *Message) { parts = len(m.Parts) })
@@ -76,14 +69,14 @@ func TestPiggybackParts(t *testing.T) {
 		t.Fatalf("split accounting wrong: %v", st)
 	}
 	// One message, one header.
-	if st.HeaderBytesTotal != int64(DefaultConfig().HeaderBytes) {
+	if st.HeaderBytesTotal != HeaderBytes {
 		t.Fatal("piggyback must pay one header")
 	}
 }
 
 func TestLocalDeliveryFreeAndUncounted(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	delivered := false
 	n.Bind(0, func(m *Message) { delivered = true })
 	n.Send(0, 0, CatOAL, 9999, nil)
@@ -101,7 +94,7 @@ func TestLocalDeliveryFreeAndUncounted(t *testing.T) {
 
 func TestPerNodeStats(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	for i := NodeID(0); i < 3; i++ {
 		n.Bind(i, func(m *Message) {})
 	}
@@ -121,7 +114,7 @@ func TestPerNodeStats(t *testing.T) {
 
 func TestUnboundHandlerPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	n.Bind(0, func(m *Message) {})
 	n.Send(0, 5, CatControl, 10, nil)
 	defer func() {
@@ -135,7 +128,7 @@ func TestUnboundHandlerPanics(t *testing.T) {
 func TestFIFOPerOrderedSends(t *testing.T) {
 	// Equal-size messages sent back-to-back arrive in order.
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	n.Bind(0, func(m *Message) {})
 	var order []int
 	n.Bind(1, func(m *Message) { order = append(order, m.Payload.(int)) })
@@ -164,8 +157,8 @@ func TestCategoryString(t *testing.T) {
 
 func TestMessageTotalBytes(t *testing.T) {
 	m := &Message{Parts: []Part{{CatControl, 10}, {CatOAL, 20}}}
-	if m.TotalBytes(64) != 94 {
-		t.Fatalf("total = %d", m.TotalBytes(64))
+	if m.TotalBytes() != 94 {
+		t.Fatalf("total = %d", m.TotalBytes())
 	}
 }
 
@@ -174,7 +167,7 @@ func TestMessageTotalBytes(t *testing.T) {
 // delivery event, so it allocates nothing.
 func TestWarmSendAllocatesNothing(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, DefaultConfig())
+	n := New(eng)
 	payload := &struct{ v int }{7}
 	got := 0
 	n.Bind(0, func(m *Message) {})

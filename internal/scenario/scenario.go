@@ -288,7 +288,7 @@ var _ network.Shaper = (*shaper)(nil)
 // TransferTime recomputes latency + serialization under the factors active
 // at now, then adds one jitter draw. Factors of stacked ramps on the same
 // parameter multiply.
-func (s *shaper) TransferTime(now sim.Time, from, to network.NodeID, totalBytes int, cfg network.Config) sim.Time {
+func (s *shaper) TransferTime(now sim.Time, from, to network.NodeID, totalBytes int) sim.Time {
 	latF, bwF := 1.0, 1.0
 	for _, r := range s.ramps {
 		switch r.Param {
@@ -308,8 +308,8 @@ func (s *shaper) TransferTime(now sim.Time, from, to network.NodeID, totalBytes 
 	if latF < 0 {
 		latF = 0
 	}
-	lat := sim.Time(float64(cfg.Latency)*latF + 0.5)
-	ser := sim.Time(float64(totalBytes) * float64(sim.Second) / (float64(cfg.BandwidthBytesPerSec) * bwF))
+	lat := sim.Time(float64(network.Latency)*latF + 0.5)
+	ser := sim.Time(float64(totalBytes) * float64(sim.Second) / (float64(network.BandwidthBytesPerSec) * bwF))
 	d := lat + ser
 	if s.rng != nil {
 		d += sim.Time(s.rng.Uint64() % uint64(s.jitterAmp))

@@ -33,7 +33,6 @@ func TestRampFactorAt(t *testing.T) {
 }
 
 func TestShaperRampAndJitterBounds(t *testing.T) {
-	cfg := network.DefaultConfig()
 	sc := &Scenario{
 		Seed: 7,
 		Ramps: []Ramp{
@@ -49,9 +48,9 @@ func TestShaperRampAndJitterBounds(t *testing.T) {
 	// time for 1000 bytes should at least double, jitter adds < amplitude.
 	base := k.Net.TransferTime(1000)
 	sh := &shaper{ramps: sc.Ramps}
-	noJit := sh.TransferTime(1000, 0, 1, 1000, cfg)
-	if noJit < 2*cfg.Latency {
-		t.Errorf("ramped latency %v < doubled base latency %v", noJit, 2*cfg.Latency)
+	noJit := sh.TransferTime(1000, 0, 1, 1000)
+	if noJit < 2*network.Latency {
+		t.Errorf("ramped latency %v < doubled base latency %v", noJit, 2*network.Latency)
 	}
 	if noJit <= base {
 		t.Errorf("ramped transfer %v not slower than base %v", noJit, base)
