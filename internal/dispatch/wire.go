@@ -40,6 +40,7 @@ import (
 	"jessica2/internal/experiments"
 	"jessica2/internal/gos"
 	"jessica2/internal/network"
+	"jessica2/internal/profile"
 	"jessica2/internal/sampling"
 	"jessica2/internal/sim"
 	"jessica2/internal/sticky"
@@ -286,7 +287,8 @@ func EncodeOut(o *experiments.Out) ([]byte, error) {
 // returned Out's Profiler, when present, is detached: charged totals and
 // the rate trace are restored, the live kernel-side state (samplers,
 // footprinters, kernel pointer) is not — exactly the wireProfiler
-// contract. Hostile input returns a typed error; it never panics.
+// contract. Hostile input returns a typed error; it never panics. A stored
+// profile the Out carries must pass profile.Validate, or ErrCorrupt.
 func DecodeOut(data []byte) (*experiments.Out, error) {
 	body, err := open(data, kindOut)
 	if err != nil {
@@ -311,6 +313,14 @@ func DecodeOut(data []byte) (*experiments.Out, error) {
 	}
 	if o.PageTCM, err = mapFromWire(w.PageTCM, "page tcm"); err != nil {
 		return nil, err
+	}
+	for _, p := range []*profile.Profile{o.Spec.LoadProfile, o.Captured} {
+		if p == nil {
+			continue
+		}
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: stored profile: %v", ErrCorrupt, err)
+		}
 	}
 	if wp := w.Profiler; wp != nil {
 		p := &core.Profiler{

@@ -337,6 +337,48 @@ func TestDecodeOutBoundsMapDims(t *testing.T) {
 	}
 }
 
+// shortCellsProfile is a stored profile whose 3 TCM cells cannot fill its
+// 2×2 map: its TCM() panics, so no decoder may accept it.
+func shortCellsProfile() *profile.Profile {
+	return &profile.Profile{
+		Fingerprint: profile.Fingerprint{Workload: "KVMix", Nodes: 4, Threads: 2, Seed: 42},
+		TCMThreads:  2,
+		TCMCells:    []int64{0, 3, 3},
+	}
+}
+
+// TestDecodeJobRejectsBadProfile: a job whose stored profile fails
+// profile.Validate is an invalid spec, not a run that panics.
+func TestDecodeJobRejectsBadProfile(t *testing.T) {
+	for _, bad := range []*profile.Profile{
+		shortCellsProfile(),
+		{Fingerprint: profile.Fingerprint{Workload: "KVMix", Nodes: 4, Threads: 2, Seed: 42}, Assignment: []int{0, 9}},
+	} {
+		spec := experiments.Spec{App: experiments.AppKVMix, Nodes: 4, Threads: 2, Seed: 42, LoadProfile: bad}
+		enc, err := EncodeJob(Lease{Job: 1, Epoch: 1, Token: "t"}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := DecodeJob(enc); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("DecodeJob(profile %+v) = %v, want %v", bad, err, ErrInvalidSpec)
+		}
+	}
+}
+
+// TestDecodeOutRejectsBadCaptured: a result whose captured profile fails
+// profile.Validate is corrupt.
+func TestDecodeOutRejectsBadCaptured(t *testing.T) {
+	out := &experiments.Out{Spec: experiments.Spec{App: experiments.AppKVMix}}
+	out.Captured = shortCellsProfile()
+	enc, err := EncodeOut(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeOut(enc); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeOut(short captured cells) = %v, want %v", err, ErrCorrupt)
+	}
+}
+
 // TestFloatBitsExactForSpecials: the bit-pattern transport carries values
 // plain JSON numbers cannot.
 func TestFloatBitsExactForSpecials(t *testing.T) {

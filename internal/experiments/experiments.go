@@ -226,6 +226,11 @@ func (s *Spec) Validate() error {
 	if pol != nil && s.Epoch == 0 && s.Epochs < 1 {
 		return fmt.Errorf("policy %s needs an epoch or an epoch count", s.Policy)
 	}
+	if s.LoadProfile != nil {
+		if err := s.LoadProfile.Validate(); err != nil {
+			return fmt.Errorf("invalid stored profile: %w", err)
+		}
+	}
 	return nil
 }
 

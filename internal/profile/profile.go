@@ -153,6 +153,29 @@ type Profile struct {
 	Decisions []Decision
 }
 
+// Validate reports the first way p cannot describe a run of its own
+// fingerprint: correlation cells that do not fill TCMThreads², or a
+// placement entry or hot-object home outside [0, Fingerprint.Nodes). Every
+// decoder that lets a stored profile into the program checks it, so an
+// accepted profile's TCM and placement can be used without a panic.
+func (p *Profile) Validate() error {
+	if n := p.TCMThreads; n < 0 || n > math.MaxInt32 || len(p.TCMCells) != n*n {
+		return fmt.Errorf("%d correlation cells for %d threads", len(p.TCMCells), n)
+	}
+	nodes := p.Fingerprint.Nodes
+	for t, n := range p.Assignment {
+		if n < 0 || n >= nodes {
+			return fmt.Errorf("thread %d placed on node %d of %d", t, n, nodes)
+		}
+	}
+	for _, h := range p.HotHomes {
+		if h.Home < 0 || int(h.Home) >= nodes {
+			return fmt.Errorf("object %d homed on node %d of %d", h.Key, h.Home, nodes)
+		}
+	}
+	return nil
+}
+
 // TCM reconstructs the stored correlation map.
 func (p *Profile) TCM() *tcm.Map {
 	return tcm.NewMapFromFixed(p.TCMThreads, p.TCMCells)
@@ -345,8 +368,8 @@ func (r *reader) count(minSize int, what string) int {
 	return n
 }
 
-// Decode parses an encoded profile, verifying magic, version and CRC.
-// Hostile input returns a typed error (ErrBadMagic, ErrVersion or
+// Decode parses an encoded profile, verifying magic, version, CRC and
+// Validate. Hostile input returns a typed error (ErrBadMagic, ErrVersion or
 // ErrCorrupt); it never panics. Empty sections decode to nil slices — the
 // canonical in-memory form — so Decode∘Encode is exact for profiles a
 // session captures and Encode∘Decode is exact for every accepted input.
@@ -375,14 +398,10 @@ func Decode(data []byte) (*Profile, error) {
 	p.Fingerprint.Seed = r.u64("fingerprint seed")
 
 	p.TCMThreads = int(r.u32("tcm dimension"))
-	if n := r.count(8, "tcm cells"); r.err == nil {
-		if n != p.TCMThreads*p.TCMThreads {
-			r.fail("tcm cell")
-		} else if n > 0 {
-			p.TCMCells = make([]int64, n)
-			for i := range p.TCMCells {
-				p.TCMCells[i] = r.i64("tcm cell")
-			}
+	if n := r.count(8, "tcm cells"); r.err == nil && n > 0 {
+		p.TCMCells = make([]int64, n)
+		for i := range p.TCMCells {
+			p.TCMCells[i] = r.i64("tcm cell")
 		}
 	}
 
@@ -450,6 +469,9 @@ func Decode(data []byte) (*Profile, error) {
 	}
 	if r.pos != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-r.pos)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return p, nil
 }

@@ -133,6 +133,28 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsProfilesOutsideTheirCluster: a CRC-valid file whose
+// placement or hot-object homes name a node outside its fingerprint's
+// cluster, or whose cells do not fill its map, is corrupt. Loaded, the
+// first would panic in Launch placing a thread on node 9 of 4.
+func TestDecodeRejectsProfilesOutsideTheirCluster(t *testing.T) {
+	fp := Fingerprint{Workload: "KVMix", Nodes: 4, Threads: 2, Seed: 42}
+	for _, tc := range []struct {
+		name string
+		p    *Profile
+	}{
+		{"placement past the last node", &Profile{Fingerprint: fp, Assignment: []int{0, 9}}},
+		{"placement on the node count", &Profile{Fingerprint: fp, Assignment: []int{4, 0}}},
+		{"home past the last node", &Profile{Fingerprint: fp, HotHomes: []HotHome{{Key: 3, Home: 4}}}},
+		{"negative home", &Profile{Fingerprint: fp, HotHomes: []HotHome{{Key: 3, Home: -1}}}},
+		{"cells short of the map", &Profile{Fingerprint: fp, TCMThreads: 2, TCMCells: []int64{0, 1, 1}}},
+	} {
+		if p, err := Decode(Encode(tc.p)); p != nil || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode = %v, %v; want %v", tc.name, p, err, ErrCorrupt)
+		}
+	}
+}
+
 // TestDecodeEveryTruncation feeds every strict prefix of a valid encoding:
 // all must error (typed), none may panic.
 func TestDecodeEveryTruncation(t *testing.T) {
