@@ -213,12 +213,25 @@ func TestDeadlockReportNamesLockAndBarrier(t *testing.T) {
 		th.Compute(sim.Millisecond)
 	})
 	defer func() {
-		const want = "sim: deadlock: [cruncher@acquire node20.cpu faulter@fault Rec hog@wait stuck lonely@barrier3 waiter@lock7]"
+		const want = "sim: deadlock: [cruncher@acquire node02.cpu faulter@fault Rec hog@wait stuck lonely@barrier3 waiter@lock7]"
 		if got := recover(); got != want {
 			t.Errorf("deadlock report = %q, want %q", got, want)
 		}
 	}()
 	k.Run()
+}
+
+// TestNodeNameDigitOrder: a node's name gives its id's two digits tens
+// first, so node 2's CPU is node02.cpu and node 12's is node12.cpu.
+func TestNodeNameDigitOrder(t *testing.T) {
+	for _, c := range []struct {
+		id   int
+		want string
+	}{{0, "node00"}, {1, "node01"}, {2, "node02"}, {10, "node10"}, {12, "node12"}} {
+		if got := nodeName(c.id); got != c.want {
+			t.Errorf("nodeName(%d) = %q, want %q", c.id, got, c.want)
+		}
+	}
 }
 
 // dropFrom is an interceptor that loses every message one node sends.

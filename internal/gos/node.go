@@ -73,8 +73,9 @@ func newNode(k *Kernel, id int) *Node {
 	}
 }
 
+// nodeName names a node by two decimal digits, tens first: node02, node12.
 func nodeName(id int) string {
-	return "node" + string(rune('0'+id%10)) + string(rune('0'+id/10%10))
+	return "node" + string(rune('0'+id/10%10)) + string(rune('0'+id%10))
 }
 
 // ID returns the node index.
