@@ -97,7 +97,9 @@ func requireRoundTrip(t *testing.T, out *experiments.Out) {
 		dec.PilotExec != out.PilotExec || dec.Epoch != out.Epoch {
 		t.Fatalf("times drifted: %+v vs %+v", dec, out)
 	}
-	if dec.Epochs != out.Epochs || !reflect.DeepEqual(dec.Actions, out.Actions) {
+	// An empty action log and none are the same on the wire.
+	if dec.Epochs != out.Epochs || len(dec.Actions) != len(out.Actions) ||
+		len(out.Actions) > 0 && !reflect.DeepEqual(dec.Actions, out.Actions) {
 		t.Fatalf("policy log drifted: %d epochs, %d actions; want %d, %d",
 			dec.Epochs, len(dec.Actions), out.Epochs, len(out.Actions))
 	}
@@ -140,17 +142,26 @@ func requireRoundTrip(t *testing.T, out *experiments.Out) {
 		}
 	}
 	gp, wp := dec.Profiler, out.Profiler
-	if gp.StackCPU != wp.StackCPU || gp.StackActivations != wp.StackActivations ||
-		gp.ResolveCPU != wp.ResolveCPU || gp.Resolutions != wp.Resolutions {
-		t.Fatalf("profiler totals drifted: %+v vs %+v", gp, wp)
+	if (gp == nil) != (wp == nil) {
+		t.Fatalf("profiler drifted: %v vs %v", gp, wp)
 	}
-	if len(gp.RateTrace) != len(wp.RateTrace) {
-		t.Fatalf("rate trace length %d, want %d", len(gp.RateTrace), len(wp.RateTrace))
-	}
-	for i := range wp.RateTrace {
-		g, w := gp.RateTrace[i], wp.RateTrace[i]
-		if g != w || math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
-			t.Fatalf("rate trace [%d]: %+v, want %+v", i, g, w)
+	if wp != nil {
+		if gp.StackCPU != wp.StackCPU || gp.StackActivations != wp.StackActivations ||
+			gp.ResolveCPU != wp.ResolveCPU || gp.Resolutions != wp.Resolutions {
+			t.Fatalf("profiler totals drifted: %+v vs %+v", gp, wp)
+		}
+		if len(gp.RateTrace) != len(wp.RateTrace) {
+			t.Fatalf("rate trace length %d, want %d", len(gp.RateTrace), len(wp.RateTrace))
+		}
+		for i := range wp.RateTrace {
+			// Distances compare by bits: a NaN distance equals itself on
+			// the wire.
+			g, w := gp.RateTrace[i], wp.RateTrace[i]
+			gd, wd := math.Float64bits(g.Distance), math.Float64bits(w.Distance)
+			g.Distance, w.Distance = 0, 0
+			if g != w || gd != wd {
+				t.Fatalf("rate trace [%d]: %+v, want %+v", i, gp.RateTrace[i], wp.RateTrace[i])
+			}
 		}
 	}
 	if len(dec.Footprints) != len(out.Footprints) {
