@@ -107,20 +107,25 @@ type Session struct {
 	// subtracts it so the stored prior cannot drown out live drift.
 	priorTCM *tcm.Map
 
-	// Scratch reused across boundary snapshots: sessions pause at every
+	// scratch is reused across boundary snapshots: sessions pause at every
 	// epoch, and rebuilding the N×N map, rate trace and footprint views
 	// from fresh allocations each time was the allocation hot spot of
-	// closed-loop runs. Boundary snapshots alias these buffers (valid for
-	// the duration of Policy.Observe); the public ad-hoc Snapshot still
-	// allocates fresh views the caller may retain.
-	scratchTCM      *tcm.Map
-	scratchTrace    []core.RateChange
-	scratchFoot     map[int]sticky.Footprint
-	scratchFinished []bool
-	scratchHealth   *gos.HealthSnapshot
-	scratchServe    *workload.ServeStats
+	// closed-loop runs. Boundary snapshots alias it (valid for the duration
+	// of Policy.Observe); the public ad-hoc Snapshot builds in a fresh one
+	// the caller may retain.
+	scratch snapScratch
 
 	err error // sticky configuration error, surfaced on first use
+}
+
+// snapScratch holds the buffers a snapshot's views are built in.
+type snapScratch struct {
+	tcm      *tcm.Map
+	trace    []core.RateChange
+	foot     map[int]sticky.Footprint
+	finished []bool
+	health   *gos.HealthSnapshot
+	serve    *workload.ServeStats
 }
 
 // AppliedAction is one executed policy decision.
@@ -439,7 +444,7 @@ func (s *Session) boundary() {
 		// the next epoch — the one-epoch profile lag of a real collector.
 		s.k.FlushAllOAL()
 	}
-	snap := s.snapshot(wantProfile, true)
+	snap := s.snapshot(&s.scratch, wantProfile, true)
 	for _, a := range s.policy.Observe(snap) {
 		if a == nil {
 			continue
@@ -460,24 +465,17 @@ func (s *Session) Snapshot() *Snapshot {
 	if s.k == nil {
 		return &Snapshot{Divergence: -1}
 	}
-	return s.snapshot(true, false)
+	return s.snapshot(&snapScratch{}, true, false)
 }
 
-// snapshot builds the state view at the current pause point. Boundary
-// snapshots (handed transiently to Policy.Observe) reuse the session's
-// scratch buffers; ad-hoc snapshots allocate fresh views the caller may
-// keep.
-func (s *Session) snapshot(wantProfile, boundary bool) *Snapshot {
+// snapshot builds the state view at the current pause point in sc's
+// buffers, which the views alias. consume marks the hot objects it reports
+// as surfaced; only boundary snapshots do.
+func (s *Session) snapshot(sc *snapScratch, wantProfile, consume bool) *Snapshot {
 	k := s.k
 	n := k.NumThreads()
-	var finished []bool
-	if boundary {
-		if cap(s.scratchFinished) < n {
-			s.scratchFinished = make([]bool, n)
-		}
-		finished = s.scratchFinished[:n]
-	} else {
-		finished = make([]bool, n)
+	if cap(sc.finished) < n {
+		sc.finished = make([]bool, n)
 	}
 	snap := &Snapshot{
 		Now:        k.Eng.Now(),
@@ -486,7 +484,7 @@ func (s *Session) snapshot(wantProfile, boundary bool) *Snapshot {
 		Nodes:      k.NumNodes(),
 		Threads:    n,
 		Assignment: balancer.Assignment(k.Assignment()),
-		Finished:   finished,
+		Finished:   sc.finished[:n],
 		Kernel:     k.Stats(),
 		Network:    k.Net.Stats(),
 	}
@@ -495,45 +493,29 @@ func (s *Session) snapshot(wantProfile, boundary bool) *Snapshot {
 	}
 	// Cluster health rides along when the failure layer is on (nil
 	// otherwise, so failure-unaware policies never see the field move).
-	if boundary {
-		if h := k.HealthInto(s.scratchHealth); h != nil {
-			s.scratchHealth, snap.Health = h, h
-		}
-	} else {
-		snap.Health = k.HealthInto(nil)
+	if h := k.HealthInto(sc.health); h != nil {
+		sc.health, snap.Health = h, h
 	}
 	// Open-loop serving stats ride along only when an open-loop workload is
 	// launched (nil otherwise, keeping closed-loop snapshots untouched).
 	if len(s.openLoops) > 0 {
-		if boundary {
-			s.scratchServe = s.openLoops[0].ServeStatsInto(s.scratchServe, snap.Now)
-			snap.Serve = s.scratchServe
-		} else {
-			snap.Serve = s.openLoops[0].ServeStatsInto(nil, snap.Now)
-		}
+		sc.serve = s.openLoops[0].ServeStatsInto(sc.serve, snap.Now)
+		snap.Serve = sc.serve
 	}
 	if s.prof != nil {
-		if boundary {
-			s.scratchTrace, s.scratchFoot = s.prof.LiveViewsInto(s.scratchTrace, s.scratchFoot)
-			snap.RateTrace, snap.Footprints = s.scratchTrace, s.scratchFoot
-		} else {
-			snap.RateTrace, snap.Footprints = s.prof.LiveViews()
-		}
+		sc.trace, sc.foot = s.prof.LiveViewsInto(sc.trace, sc.foot)
+		snap.RateTrace, snap.Footprints = sc.trace, sc.foot
 	}
 	snap.Divergence = -1
 	if !wantProfile {
 		return snap
 	}
-	if boundary {
-		snap.TCM = k.Master().PeekInto(s.scratchTCM, n)
-		s.scratchTCM = snap.TCM
-	} else {
-		snap.TCM = k.Master().Peek(n)
-	}
+	sc.tcm = k.Master().PeekInto(sc.tcm, n)
+	snap.TCM = sc.tcm
 	if s.loaded != nil {
 		snap.Divergence = profile.EvidenceDivergence(snap.TCM, s.priorTCM, s.loadedTCM)
 	}
-	snap.Hot = s.hotObjects(boundary)
+	snap.Hot = s.hotObjects(consume)
 	return snap
 }
 
