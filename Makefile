@@ -42,11 +42,14 @@ test-chaos:
 # suite (hung worker, restarted worker, corrupt results, fleet death), the
 # loopback identity gate (a dispatched batch must be byte-identical to the
 # sequential baseline), and the SIGKILL chaos test over real worker
-# processes — all under the race detector — then a djvmbench -workers smoke
-# against two local djvmworker processes with output byte-compared to the
-# local run.
+# processes — all under the race detector — then 10 s of fuzzing for each
+# wire decoder (FuzzDecodeJob, FuzzDecodeOut), then a djvmbench -workers
+# smoke against two local djvmworker processes with output byte-compared to
+# the local run.
 test-dispatch:
 	go test -race -count=1 ./internal/dispatch/
+	go test -run '^$$' -fuzz '^FuzzDecodeJob$$' -fuzztime 10s ./internal/dispatch/
+	go test -run '^$$' -fuzz '^FuzzDecodeOut$$' -fuzztime 10s ./internal/dispatch/
 	go build -o /tmp/j2_djvmworker ./cmd/djvmworker
 	set -e; \
 	/tmp/j2_djvmworker -listen 127.0.0.1:0 -quiet > /tmp/j2_w1.addr & P1=$$!; \
@@ -86,10 +89,12 @@ test-overload:
 # integration suite (fingerprint mismatch, Save-armed golden identity),
 # and the Figure W assertion (warm start must strictly cut convergence
 # epochs and profiling charge with quality inside the epsilons; non-zero
-# exit otherwise) — race detector on the test half, then a djvmrun
-# -profile-out -> -profile-in round trip through a scratch file.
+# exit otherwise) — race detector on the test half — then 10 s of fuzzing
+# the profile decoder (FuzzProfileDecode), then a djvmrun -profile-out ->
+# -profile-in round trip through a scratch file.
 test-profile:
 	go test -race -count=1 -run 'Profile|WarmStart|FigW|Divergence|SeedMap|FixedCells' . ./internal/profile/ ./internal/session/ ./internal/tcm/ ./internal/experiments/ ./cmd/djvmrun/ ./cmd/tcmviz/
+	go test -run '^$$' -fuzz '^FuzzProfileDecode$$' -fuzztime 10s ./internal/profile/
 	go run ./cmd/djvmbench -figW -scale $(SCALE)
 	go run ./cmd/djvmrun -app kv -scenario phased -policy rebalance -epoch 10ms -tcm=false -profile-out /tmp/j2_ci_kv.j2pf
 	go run ./cmd/djvmrun -app kv -scenario phased -policy warmstart -epoch 10ms -tcm=false -profile-in /tmp/j2_ci_kv.j2pf
