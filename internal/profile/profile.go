@@ -13,9 +13,9 @@
 // TCM cells travel as the incremental builder's scaled fixed-point int64
 // units and float64 fields travel as IEEE-754 bit patterns. Decoding
 // rejects foreign files (ErrBadMagic), files from a newer format revision
-// (ErrVersion), and anything truncated or bit-flipped (ErrCorrupt, via the
-// CRC and per-field bounds checks) — it never panics on hostile input,
-// which FuzzProfileDecode enforces.
+// (ErrVersion), and anything truncated, bit-flipped or failing Validate
+// (ErrCorrupt, via the CRC and per-field bounds checks) — it never panics
+// on hostile input, which FuzzProfileDecode enforces.
 package profile
 
 import (
@@ -159,6 +159,7 @@ type Profile struct {
 // decoder that lets a stored profile into the program checks it, so an
 // accepted profile's TCM and placement can be used without a panic.
 func (p *Profile) Validate() error {
+	// The bound keeps n*n from overflowing.
 	if n := p.TCMThreads; n < 0 || n > math.MaxInt32 || len(p.TCMCells) != n*n {
 		return fmt.Errorf("%d correlation cells for %d threads", len(p.TCMCells), n)
 	}
