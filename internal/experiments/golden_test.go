@@ -8,12 +8,17 @@ import (
 	"jessica2/internal/runner"
 )
 
-// goldenFigures holds the FigS/CL/R/T/G/W tables at testScale, one
-// "== <Fig> ==" section each. Every figure is a pure function of its seed,
-// so the rendering must match the file byte for byte through a nil pool and
-// through a parallel one: the check covers repeat determinism and
-// serial/parallel identity at once.
+// goldenFigures holds the FigS/CL/R/T/G/W tables at testScale and the
+// paper's Tables I–V and Figure 9 at tableScale, one "== <Name> ==" section
+// each. Every figure is a pure function of its seed, so the rendering must
+// match the file byte for byte through a nil pool and through a parallel
+// one: the check covers repeat determinism and serial/parallel identity at
+// once.
 const goldenFigures = "testdata/golden_figures.txt"
+
+// tableScale is the dataset scale of the paper's own tables in the golden,
+// the scale `djvmbench -all -scale 16` renders them at.
+const tableScale = Scale(16)
 
 // checkGolden renders one figure through a nil pool and a 3-worker pool and
 // compares each rendering against its golden section.
@@ -59,4 +64,28 @@ func TestFigGDeterministic(t *testing.T) {
 
 func TestFigWDeterministic(t *testing.T) {
 	checkGolden(t, "FigW", func(p *runner.Pool) string { return FigW(testScale, p).Table().String() })
+}
+
+func TestTable1Deterministic(t *testing.T) {
+	checkGolden(t, "Table1", func(*runner.Pool) string { return Table1(tableScale).String() })
+}
+
+func TestTable2Deterministic(t *testing.T) {
+	checkGolden(t, "Table2", func(p *runner.Pool) string { return Table2(tableScale, p).Table().String() })
+}
+
+func TestTable3Deterministic(t *testing.T) {
+	checkGolden(t, "Table3", func(p *runner.Pool) string { return Table3(tableScale, p).Table().String() })
+}
+
+func TestTable4Deterministic(t *testing.T) {
+	checkGolden(t, "Table4", func(p *runner.Pool) string { return Table4(tableScale, p).Table().String() })
+}
+
+func TestTable5Deterministic(t *testing.T) {
+	checkGolden(t, "Table5", func(p *runner.Pool) string { return Table5(tableScale, p).Table().String() })
+}
+
+func TestFig9Deterministic(t *testing.T) {
+	checkGolden(t, "Fig9", func(p *runner.Pool) string { return Fig9(tableScale, p).Table().String() })
 }
