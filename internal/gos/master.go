@@ -24,8 +24,9 @@ type Master struct {
 	// effect" input the paper's §VI says thread migration decisions need
 	// ("objects shared by a pair of threads are homed at neither node of
 	// the threads"). homeAff[t][n] is the logged bytes of objects homed at
-	// node n that thread t accessed.
-	homeAff map[int]map[int]float64
+	// node n that thread t accessed: one row per thread ingested so far,
+	// each as long as the node count.
+	homeAff [][]float64
 }
 
 func newMaster(k *Kernel) *Master {
@@ -90,15 +91,10 @@ func (m *Master) accrueHome(thread int, id heap.ObjectID, bytes float64) {
 	if o == nil {
 		return
 	}
-	if m.homeAff == nil {
-		m.homeAff = make(map[int]map[int]float64)
+	for len(m.homeAff) <= thread {
+		m.homeAff = append(m.homeAff, make([]float64, len(m.k.nodes)))
 	}
-	row := m.homeAff[thread]
-	if row == nil {
-		row = make(map[int]float64)
-		m.homeAff[thread] = row
-	}
-	row[o.Home] += bytes
+	m.homeAff[thread][o.Home] += bytes
 }
 
 // HomeAffinity exports the thread×node shared-volume matrix for the given
@@ -107,10 +103,8 @@ func (m *Master) HomeAffinity(threads, nodes int) [][]float64 {
 	out := make([][]float64, threads)
 	for t := range out {
 		out[t] = make([]float64, nodes)
-		for n, v := range m.homeAff[t] {
-			if n >= 0 && n < nodes {
-				out[t][n] = v
-			}
+		if t < len(m.homeAff) {
+			copy(out[t], m.homeAff[t])
 		}
 	}
 	return out
