@@ -106,6 +106,27 @@ func (row *FigGRow) terminal() int {
 // fanning the schedule × protection-level grid through the pool.
 func FigG(sc Scale, p *runner.Pool) *Result[FigGRow] { return figGGrid(sc).Sweep(p) }
 
+// figGCell is the ServeMix cell of one failure schedule and protection
+// level, and the workload it serves.
+func figGCell(sc Scale, sched, mode string) (sessionCell, *workload.ServeMix) {
+	w := figTServeMix()
+	w.Robust = figGRobust(mode)
+	if w.Robust == nil {
+		// The unprotected baseline still reports against the same SLO,
+		// so goodput-within-SLO is comparable across all three levels.
+		w.SLO = figGDeadline
+	}
+	cell := sessionCell{load: w, spec: figSpec(figGScenario(sched, sc))}
+	cell.spec.Tracking, cell.spec.Rate = gos.TrackingOff, 0
+	cell.spec.Epoch = figTHorizon / FigTEpochs
+	if mode == "full" {
+		// Leases expire in a fraction of the request deadline, so
+		// breakers open while stranded requests can still be rescued.
+		cell.spec.Failure = failureConfig(figGDeadline / 5)
+	}
+	return cell, w
+}
+
 func figGGrid(sc Scale) *Grid[FigGRow] {
 	gput := func(r *FigGRow) float64 { return r.SLOGoodputPerSec }
 	showGput := func(r *FigGRow) string { return fmt.Sprintf("%.0f/s", r.SLOGoodputPerSec) }
@@ -138,21 +159,7 @@ func figGGrid(sc Scale) *Grid[FigGRow] {
 		// No placement policy runs: the figure isolates the request-lifecycle
 		// layer, not the optimizer.
 		Run: func(sched, mode string, _ *FigGRow) (FigGRow, error) {
-			w := figTServeMix()
-			w.Robust = figGRobust(mode)
-			if w.Robust == nil {
-				// The unprotected baseline still reports against the same SLO,
-				// so goodput-within-SLO is comparable across all three levels.
-				w.SLO = figGDeadline
-			}
-			cell := sessionCell{load: w, spec: figSpec(figGScenario(sched, sc))}
-			cell.spec.Tracking, cell.spec.Rate = gos.TrackingOff, 0
-			cell.spec.Epoch = figTHorizon / FigTEpochs
-			if mode == "full" {
-				// Leases expire in a fraction of the request deadline, so
-				// breakers open while stranded requests can still be rescued.
-				cell.spec.Failure = failureConfig(figGDeadline / 5)
-			}
+			cell, w := figGCell(sc, sched, mode)
 			s, exec, err := cell.run()
 			if err != nil {
 				return FigGRow{}, err

@@ -125,10 +125,9 @@ type FigRRow struct {
 	Vetoed      int
 }
 
-// figRRun executes one KVMix cell and folds it against the crash-free
-// execution time base (the pilot is its own base).
-func figRRun(sc Scale, cell sessionCell, base sim.Time) (FigRRow, error) {
-	cell.load = figCLKVMix(sc)
+// figRRun executes one cell and folds it against the crash-free execution
+// time base (the pilot is its own base).
+func figRRun(cell sessionCell, base sim.Time) (FigRRow, error) {
 	s, exec, err := cell.run()
 	if err != nil {
 		return FigRRow{}, err
@@ -152,7 +151,7 @@ func figRRun(sc Scale, cell sessionCell, base sim.Time) (FigRRow, error) {
 // three modes per crash schedule fanned out through the pool. The pilot
 // renders as the first row, under schedule "-".
 func FigR(sc Scale, p *runner.Pool) *Result[FigRRow] {
-	pilot, err := figRRun(sc, sessionCell{spec: figSpec(nil)}, 0)
+	pilot, err := figRRun(figRPilot(sc), 0)
 	if err != nil {
 		return &Result[FigRRow]{Grid: figRGrid(sc, 0), Failures: []string{"-/crash-free: " + err.Error()}}
 	}
@@ -161,11 +160,17 @@ func FigR(sc Scale, p *runner.Pool) *Result[FigRRow] {
 	return res
 }
 
-// figRGrid declares the crash-schedule sweep calibrated against the
-// crash-free execution time base. The detector's timings scale with the
-// run length: leases expire within a few percent of base, so detection
-// latency does not dominate short CI-scale runs.
-func figRGrid(sc Scale, base sim.Time) *Grid[FigRRow] {
+// figRPilot is the crash-free KVMix cell that calibrates the sweep.
+func figRPilot(sc Scale) sessionCell {
+	return sessionCell{load: figCLKVMix(sc), spec: figSpec(nil)}
+}
+
+// figRCell is the KVMix cell of one crash schedule and mode, calibrated
+// against the crash-free execution time base; gate is the recovery mode's
+// health gate (nil in the other modes). The detector's timings scale with
+// the run length: leases expire within a few percent of base, so
+// detection latency does not dominate short CI-scale runs.
+func figRCell(sc Scale, sched, mode string, base sim.Time) (cell sessionCell, gate *HealthGate) {
 	epoch := base / FigREpochs
 	if epoch <= 0 {
 		epoch = sim.Millisecond
@@ -174,6 +179,27 @@ func figRGrid(sc Scale, base sim.Time) *Grid[FigRRow] {
 	if hb < 50*sim.Microsecond {
 		hb = 50 * sim.Microsecond
 	}
+	scen := &scenario.Scenario{Name: "figR/" + sched, Seed: figSeed}
+	for _, c := range figRCrashes[sched] {
+		scen.Crashes = append(scen.Crashes, scenario.Crash{Node: c.node, At: base * c.num / c.den})
+	}
+	cell = sessionCell{load: figCLKVMix(sc), spec: figSpec(scen)}
+	switch mode {
+	case "one-shot":
+		cell.policy = &oncePolicy{inner: session.NewRebalancePolicy()}
+		cell.spec.Epoch = epoch
+	case "recovery":
+		gate = &HealthGate{Inner: session.NewRebalancePolicy()}
+		cell.policy = gate
+		cell.spec.Epoch = epoch
+		cell.spec.Failure = failureConfig(hb)
+	}
+	return cell, gate
+}
+
+// figRGrid declares the crash-schedule sweep calibrated against the
+// crash-free execution time base.
+func figRGrid(sc Scale, base sim.Time) *Grid[FigRRow] {
 	exec := func(r *FigRRow) float64 { return float64(r.Exec) }
 	showExec := func(r *FigRRow) string { return r.Exec.String() }
 	return &Grid[FigRRow]{
@@ -191,23 +217,8 @@ func figRGrid(sc Scale, base sim.Time) *Grid[FigRRow] {
 			{"Vetoed", func(r *FigRRow) string { return fmt.Sprint(r.Vetoed) }},
 		},
 		Run: func(sched, mode string, _ *FigRRow) (FigRRow, error) {
-			scen := &scenario.Scenario{Name: "figR/" + sched, Seed: figSeed}
-			for _, c := range figRCrashes[sched] {
-				scen.Crashes = append(scen.Crashes, scenario.Crash{Node: c.node, At: base * c.num / c.den})
-			}
-			cell := sessionCell{spec: figSpec(scen)}
-			var gate *HealthGate
-			switch mode {
-			case "one-shot":
-				cell.policy = &oncePolicy{inner: session.NewRebalancePolicy()}
-				cell.spec.Epoch = epoch
-			case "recovery":
-				gate = &HealthGate{Inner: session.NewRebalancePolicy()}
-				cell.policy = gate
-				cell.spec.Epoch = epoch
-				cell.spec.Failure = failureConfig(hb)
-			}
-			row, err := figRRun(sc, cell, base)
+			cell, gate := figRCell(sc, sched, mode, base)
+			row, err := figRRun(cell, base)
 			if gate != nil {
 				row.Vetoed = gate.Vetoed
 			}

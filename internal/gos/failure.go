@@ -354,6 +354,11 @@ func (fd *failureDetector) admitFlush(src int, seq int64) bool {
 	return true
 }
 
+// admitted reports whether the master has ingested the (source, seq) flush.
+func (fd *failureDetector) admitted(src int, seq int64) bool {
+	return fd != nil && src < len(fd.seen) && fd.seen[src][seq]
+}
+
 // --- reliable OAL flush path (worker side) ---------------------------------
 
 const flushAckBytes = 16
@@ -396,6 +401,9 @@ func (n *Node) transmitFlush(seq int64, p oalPayload, attempt int) {
 		if attempt >= n.k.fcfg.MaxFlushRetries {
 			delete(n.inflight, seq)
 			n.k.fstats.FlushesAbandoned++
+			if !n.k.fd.admitted(n.id, seq) {
+				n.k.oalLost += int64(p.entries)
+			}
 			return
 		}
 		n.k.fstats.FlushRetries++
@@ -429,6 +437,10 @@ func (n *Node) receiveFlush(from network.NodeID, pm *protoMsg) {
 		return
 	}
 	if n.k.fd == nil || n.k.fd.admitFlush(int(from), pm.tok) {
+		if _, waiting := n.k.nodes[from].inflight[pm.tok]; !waiting {
+			// A late copy of a flush its sender has abandoned.
+			n.k.oalLost -= int64(pm.pl.entries)
+		}
 		n.k.master.ingestPayload(pm.pl)
 	} else {
 		n.k.fstats.DuplicateFlushes++

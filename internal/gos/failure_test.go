@@ -208,6 +208,50 @@ func TestFlushAbandonmentIsBounded(t *testing.T) {
 	}
 }
 
+// delayOAL holds every dedicated OAL flush on the wire for d.
+type delayOAL struct{ d sim.Time }
+
+func (o delayOAL) Intercept(_ sim.Time, _, _ network.NodeID, primary network.Category, _ int) network.Verdict {
+	if primary == network.CatOAL {
+		return network.Verdict{Delay: o.d}
+	}
+	return network.Verdict{}
+}
+
+// TestOALLedgerBooksLostFlushes: the entries of a flush the network drops
+// (failure layer off) or the failure layer abandons are booked as lost,
+// and a copy of an abandoned flush that arrives after all moves them back
+// to ingested; either way every logged entry is accounted for.
+func TestOALLedgerBooksLostFlushes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		fc    *FailureConfig
+		icept network.Interceptor
+		lost  bool
+	}{
+		{"dropped", nil, dropAllOAL{}, true},
+		{"abandoned", fastFailureConfig(), dropAllOAL{}, true},
+		{"abandoned then delivered", fastFailureConfig(), delayOAL{100 * sim.Millisecond}, false},
+	} {
+		k := flushKernel(t, c.fc, c.icept, 5)
+		k.Run()
+		logged := k.Stats().CorrelationLogs
+		want := int64(0)
+		if c.lost {
+			want = logged
+		}
+		if logged == 0 || k.oalLost != want {
+			t.Errorf("%s: %d of %d logged entries booked lost, want %d", c.name, k.oalLost, logged, want)
+		}
+		if c.fc != nil && k.FailureStats().FlushesAbandoned == 0 {
+			t.Errorf("%s: no flush was abandoned", c.name)
+		}
+		if err := k.CheckOALConservation(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
 // TestFailureLayerOffIsInert: without Config.Failure the kernel sends no
 // heartbeats, numbers no flushes, and reports no health.
 func TestFailureLayerOffIsInert(t *testing.T) {

@@ -171,6 +171,13 @@ type Kernel struct {
 
 	stats KernelStats
 
+	// oalWire and oalLost book the logged entries that left their node's
+	// buffer without reaching the master (CheckOALConservation): oalWire
+	// those in un-sequenced messages still on the wire, oalLost those in
+	// messages the network dropped and in flushes the failure layer
+	// abandoned before any copy was admitted.
+	oalWire, oalLost int64
+
 	// Failure-tolerance layer (failure.go); fd is nil until the first
 	// SpawnThread with Cfg.Failure set, fcfg is Cfg.Failure resolved with
 	// defaults.

@@ -1,6 +1,8 @@
 package gos
 
 import (
+	"fmt"
+
 	"jessica2/internal/heap"
 	"jessica2/internal/network"
 	"jessica2/internal/oal"
@@ -232,6 +234,7 @@ func (n *Node) handleMessage(m *network.Message) {
 	}
 	if m.Final() {
 		if pm.kind != msgOALBatch || pm.tok == 0 {
+			n.k.oalWire -= int64(pm.pl.entries)
 			n.k.freeOALBuf(pm.pl.recs)
 		}
 		n.k.freeMsg(pm)
@@ -287,10 +290,12 @@ func (n *Node) bufferOAL(r *oal.Record) {
 // travels by value, inside the pooled protoMsg and the failure layer's
 // inflight table; the zero value is "nothing to send". The recs buffer
 // goes back to the kernel's free list once the master has consumed it.
+// entries counts the logged entries drained into it.
 type oalPayload struct {
-	recs []*oal.Record
-	sum  *tcm.Summary
-	wire int
+	recs    []*oal.Record
+	sum     *tcm.Summary
+	wire    int
+	entries int
 }
 
 // empty reports whether the payload carries nothing.
@@ -307,8 +312,8 @@ func (n *Node) drainOAL(t *Thread) oalPayload {
 		return oalPayload{}
 	}
 	recs := n.oalBuf
+	p := oalPayload{entries: n.oalBufEntries}
 	n.oalBufEntries = 0
-	var p oalPayload
 	if n.k.Cfg.DistributedTCM {
 		if n.summBuilder == nil || n.summBuilder.N() != len(n.k.threads) {
 			n.summBuilder = tcm.NewBuilder(len(n.k.threads))
@@ -316,16 +321,14 @@ func (n *Node) drainOAL(t *Thread) oalPayload {
 			n.summBuilder.Reset()
 		}
 		bl := n.summBuilder
-		entries := 0
 		for _, r := range recs {
 			bl.IngestRecord(r)
-			entries += len(r.Entries)
 			n.k.recycleRecord(r)
 		}
 		clear(recs)
 		n.oalBuf = recs[:0]
 		if t != nil {
-			t.Charge(sim.Time(entries) * tcmReorgCostPerEntry)
+			t.Charge(sim.Time(p.entries) * tcmReorgCostPerEntry)
 		}
 		p.sum = bl.Summarize()
 		p.wire = p.sum.WireBytes()
@@ -360,11 +363,7 @@ func (n *Node) flushOAL(t *Thread) {
 		return
 	}
 	if t != nil && p.recs != nil {
-		entries := 0
-		for _, r := range p.recs {
-			entries += len(r.Entries)
-		}
-		t.Charge(sim.Time(entries) * oalPackCostPerEntry)
+		t.Charge(sim.Time(p.entries) * oalPackCostPerEntry)
 	}
 	if n.id == 0 {
 		// Local delivery to the master collector.
@@ -376,8 +375,22 @@ func (n *Node) flushOAL(t *Thread) {
 		n.sendFlush(p)
 		return
 	}
-	n.k.Net.Send(network.NodeID(n.id), 0, network.CatOAL, p.wire,
-		n.k.newMsg(protoMsg{kind: msgOALBatch, pl: p}))
+	parts := [1]network.Part{{Cat: network.CatOAL, Bytes: p.wire}}
+	n.k.sendPayload(n.id, 0, parts[:], protoMsg{kind: msgOALBatch, pl: p})
+}
+
+// sendPayload sends v, which carries an un-sequenced OAL payload, from
+// node from to node to. The payload's entries stay on the wire until the
+// message's last delivery ingests them, or are lost at once when the
+// network drops the message.
+func (k *Kernel) sendPayload(from, to int, parts []network.Part, v protoMsg) {
+	dropped := k.Net.Stats().Dropped
+	k.Net.SendParts(network.NodeID(from), network.NodeID(to), parts, k.newMsg(v))
+	if k.Net.Stats().Dropped > dropped {
+		k.oalLost += int64(v.pl.entries)
+	} else {
+		k.oalWire += int64(v.pl.entries)
+	}
 }
 
 // FlushAllOAL is called at end-of-run to drain any remaining records.
@@ -385,4 +398,45 @@ func (k *Kernel) FlushAllOAL() {
 	for _, n := range k.nodes {
 		n.flushOAL(nil)
 	}
+}
+
+// CheckOALConservation accounts for every OAL entry the threads logged
+// (KernelStats.CorrelationLogs). Each is in an interval still open,
+// buffered on its node, ingested by the master, on the wire, in a
+// sequenced flush that no delivery has yet admitted, or lost: dropped by
+// the network or abandoned by the failure layer. It returns an error
+// naming the counts when they do not add up, or when the entries buffered
+// at interval close (KernelStats.OALEntries) differ from those logged in
+// closed intervals. In distributed-TCM mode the master ingests
+// deduplicated summaries rather than entries, so only the second check
+// applies there.
+func (k *Kernel) CheckOALConservation() error {
+	var open, buffered, unadmitted int64
+	for _, t := range k.threads {
+		if t.rec != nil {
+			open += int64(len(t.rec.Entries))
+		}
+	}
+	for _, n := range k.nodes {
+		buffered += int64(n.oalBufEntries)
+		for seq, p := range n.inflight {
+			if !k.fd.admitted(n.id, seq) {
+				unadmitted += int64(p.entries)
+			}
+		}
+	}
+	logged := k.stats.CorrelationLogs
+	if closed := logged - open; closed != k.stats.OALEntries {
+		return fmt.Errorf("gos: %d OAL entries logged in closed intervals, but %d buffered at interval close",
+			closed, k.stats.OALEntries)
+	}
+	if k.Cfg.DistributedTCM {
+		return nil
+	}
+	ingested := k.master.ingestedEntries
+	if got := open + buffered + ingested + k.oalWire + unadmitted + k.oalLost; got != logged {
+		return fmt.Errorf("gos: %d OAL entries logged, %d accounted for: %d open, %d buffered, %d ingested, %d on the wire, %d in unadmitted flushes, %d lost",
+			logged, got, open, buffered, ingested, k.oalWire, unadmitted, k.oalLost)
+	}
+	return nil
 }

@@ -210,13 +210,13 @@ func (t *Thread) Release(lockID int) {
 // piggybacks on it. The parts list lives on the stack; SendParts copies it.
 func (t *Thread) sendSync(to, ctlBytes int, pl oalPayload, v protoMsg) {
 	parts := [2]network.Part{{Cat: network.CatControl, Bytes: ctlBytes}}
-	np := 1
-	if !pl.empty() {
-		parts[1] = network.Part{Cat: network.CatOAL, Bytes: pl.wire}
-		np = 2
-		v.pl = pl
+	if pl.empty() {
+		t.k.Net.SendParts(network.NodeID(t.node.id), network.NodeID(to), parts[:1], t.k.newMsg(v))
+		return
 	}
-	t.k.Net.SendParts(network.NodeID(t.node.id), network.NodeID(to), parts[:np], t.k.newMsg(v))
+	parts[1] = network.Part{Cat: network.CatOAL, Bytes: pl.wire}
+	v.pl = pl
+	t.k.sendPayload(t.node.id, to, parts[:], v)
 }
 
 // lockRequest runs on the manager node (scheduler context). A request from
