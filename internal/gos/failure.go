@@ -421,19 +421,13 @@ func (n *Node) onFlushAck(seq int64) {
 	n.k.fstats.FlushesAcked++
 }
 
-// receiveFlush is the master-side (node 0) ingestion of a remote OAL
-// flush. Un-sequenced flushes (failure layer off, or a peer predating it)
-// pass straight through; sequenced ones are deduplicated BEFORE ingestion
-// and always acked — acking a duplicate is what makes retransmits safe.
-//
-// Known defect: an un-sequenced flush that the network duplicates is
-// ingested once per delivery. Its records are then ingested and recycled
-// into the record pool twice, so one record can later be live in two
-// threads at once. Fixing it moves the flaky-network goldens, so it is
-// left to a change of its own.
+// receiveFlush is the master-side (node 0) ingestion of a sequenced OAL
+// flush: it is deduplicated BEFORE ingestion and always acked — acking a
+// duplicate is what makes retransmits safe. An un-sequenced flush (failure
+// layer off) is ingested at its last delivery, like any payload (see
+// handleMessage).
 func (n *Node) receiveFlush(from network.NodeID, pm *protoMsg) {
-	if pm.tok == 0 || !n.k.FailureEnabled() {
-		n.k.master.ingestPayload(pm.pl)
+	if pm.tok == 0 {
 		return
 	}
 	if n.k.fd == nil || n.k.fd.admitFlush(int(from), pm.tok) {

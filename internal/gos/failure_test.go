@@ -5,6 +5,7 @@ import (
 
 	"jessica2/internal/heap"
 	"jessica2/internal/network"
+	"jessica2/internal/oal"
 	"jessica2/internal/sim"
 )
 
@@ -187,6 +188,30 @@ func TestFlushDedupDiscardsDuplicates(t *testing.T) {
 	}
 	if got, want := k.Master().IngestedEntries(), k.Stats().OALEntries; got != want {
 		t.Fatalf("ingested %d entries, node buffered %d — a duplicate was double-ingested", got, want)
+	}
+}
+
+// TestDuplicatedFlushIngestedOnce: with the failure layer off, a flush the
+// network delivers twice is ingested once, so its records go back to the
+// pool once and no record can be live in two intervals.
+func TestDuplicatedFlushIngestedOnce(t *testing.T) {
+	k := flushKernel(t, nil, dupAll{}, 10)
+	k.Run()
+	if k.Net.Stats().Duplicated == 0 {
+		t.Fatal("no flush was duplicated")
+	}
+	if got, want := k.Master().IngestedEntries(), k.Stats().CorrelationLogs; got != want {
+		t.Fatalf("master ingested %d of %d logged entries", got, want)
+	}
+	pooled := make(map[*oal.Record]bool)
+	for _, r := range k.recPool {
+		if pooled[r] {
+			t.Fatalf("record %p is in the pool twice", r)
+		}
+		pooled[r] = true
+	}
+	if err := k.CheckOALConservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 

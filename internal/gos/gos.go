@@ -160,7 +160,10 @@ type Kernel struct {
 	// recPool recycles OAL records between intervals: a record created at
 	// interval open travels through the node buffer and the master's
 	// ingestion, after which it (and its Entries capacity) returns here
-	// instead of becoming garbage. The simulation is single-threaded under
+	// instead of becoming garbage. The master ingests every payload that
+	// reaches it exactly once, so only the records of a lost payload (a
+	// dropped message, an abandoned flush, a flush still on the wire when
+	// the run ends) go to the GC. The simulation is single-threaded under
 	// the scheduler, so no locking is needed.
 	recPool []*oal.Record
 	// msgPool recycles protocol messages the same way (newMsg, freeMsg),

@@ -477,6 +477,30 @@ func TestOALPiggybackOnBarrier(t *testing.T) {
 	}
 }
 
+// TestReleasePayloadIngested: a node-1 thread's release of a lock that
+// node 0 manages carries its closed interval's OAL; the master must ingest
+// it, and its record must return to the pool.
+func TestReleasePayloadIngested(t *testing.T) {
+	k := testKernel(2, TrackingExact)
+	cls := k.Reg.DefineClass("X", 64, 0)
+	k.SpawnThread(1, "worker", func(th *Thread) {
+		o := th.Alloc(cls)
+		th.Acquire(0) // lock 0's manager is node 0
+		th.Write(o)
+		th.Release(0)
+	})
+	k.Run()
+	if got, want := k.Master().IngestedEntries(), k.Stats().CorrelationLogs; want == 0 || got != want {
+		t.Fatalf("master ingested %d of %d logged entries", got, want)
+	}
+	if len(k.recPool) != 1 {
+		t.Fatalf("record pool holds %d records after the run, want the released one", len(k.recPool))
+	}
+	if err := k.CheckOALConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOALTransferDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 2

@@ -60,9 +60,13 @@ func (m *Master) IngestSummary(s *tcm.Summary) {
 	m.reorgTime += sim.Time(entries) * tcmPairCost // merge is cheap
 }
 
-// ingestPayload consumes a shipment arriving over the network (or locally
-// on node 0), dispatching on its kind. The records go back to the record
-// pool; the buffer holding them stays the caller's to free.
+// ingestPayload consumes a shipment, dispatching on its kind. Each payload
+// is ingested once: a local flush on node 0 at once, a sequenced flush at
+// its first admitted delivery (receiveFlush), and every other payload —
+// un-sequenced flushes and those piggybacked on lock requests, lock
+// releases and barrier arrivals — at its message's last delivery
+// (handleMessage). The records go back to the record pool; the buffer
+// holding them stays the caller's to free.
 func (m *Master) ingestPayload(p oalPayload) {
 	for _, r := range p.recs {
 		m.IngestLocal(r)

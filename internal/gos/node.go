@@ -187,10 +187,13 @@ func (e *fetchService) Fire() {
 }
 
 // handleMessage is the node's network handler; it runs in scheduler context.
-// The payload goes back to the kernel's free list after the message's last
-// delivery, and so does the record buffer of its OAL shipment — unless the
-// message is a sequenced flush, whose buffer the sender's inflight table
-// may still retransmit.
+// The message's last delivery hands its OAL payload to the master and
+// frees the record buffer, so a payload is ingested exactly once however
+// often the network delivers it: a flush, a lock request or release, or a
+// barrier arrival alike. A sequenced flush is the exception: receiveFlush
+// ingests its first admitted delivery, and the sender's inflight table
+// keeps its buffer for retransmits. The message itself goes back to the
+// kernel's free list after its last delivery.
 func (n *Node) handleMessage(m *network.Message) {
 	pm := m.Payload.(*protoMsg)
 	switch pm.kind {
@@ -209,7 +212,7 @@ func (n *Node) handleMessage(m *network.Message) {
 	case msgOALBatch:
 		n.receiveFlush(m.From, pm)
 	case msgLockReq:
-		n.k.lockRequest(pm.lock, m.From, pm.tok, pm.gen, pm.pl)
+		n.k.lockRequest(pm.lock, m.From, pm.tok, pm.gen)
 	case msgLockGrant:
 		// A grant superseded by a failover re-issue is ignored.
 		if pm.gen == n.k.lock(pm.lock).gen {
@@ -218,7 +221,7 @@ func (n *Node) handleMessage(m *network.Message) {
 	case msgLockRelease:
 		n.k.lockRelease(pm.lock, pm.gen)
 	case msgBarrierArrive:
-		n.k.barrierArrive(pm.bar, m.From, pm.tok, pm.pl, pm.parties)
+		n.k.barrierArrive(pm.bar, m.From, pm.tok, pm.parties)
 	case msgBarrierRelease:
 		n.completePending(pm.tok)
 	case msgMigrateIn:
@@ -235,6 +238,7 @@ func (n *Node) handleMessage(m *network.Message) {
 	if m.Final() {
 		if pm.kind != msgOALBatch || pm.tok == 0 {
 			n.k.oalWire -= int64(pm.pl.entries)
+			n.k.master.ingestPayload(pm.pl)
 			n.k.freeOALBuf(pm.pl.recs)
 		}
 		n.k.freeMsg(pm)

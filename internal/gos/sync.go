@@ -222,10 +222,10 @@ func (t *Thread) sendSync(to, ctlBytes int, pl oalPayload, v protoMsg) {
 // lockRequest runs on the manager node (scheduler context). A request from
 // a superseded generation was already resent to the failover manager by the
 // time the adrift original drains; granting it twice would double-wake the
-// requester, so it is dropped (its piggybacked payload still ingests — the
-// data is real regardless of the lock protocol's fate).
-func (k *Kernel) lockRequest(id int, from network.NodeID, tok int64, gen int64, pl oalPayload) {
-	k.master.ingestPayload(pl)
+// requester, so it is dropped (its piggybacked payload still ingests at the
+// message's last delivery, as every payload does — the data is real
+// regardless of the lock protocol's fate).
+func (k *Kernel) lockRequest(id int, from network.NodeID, tok int64, gen int64) {
 	ls := k.lock(id)
 	for i, w := range ls.inflight {
 		if w.node == from && w.tok == tok {
@@ -330,8 +330,7 @@ func (t *Thread) Barrier(barrierID, parties int) {
 
 // barrierArrive runs on the master node. The party count travels in every
 // arrival message; arrivals must agree on it.
-func (k *Kernel) barrierArrive(id int, from network.NodeID, tok int64, pl oalPayload, parties int) {
-	k.master.ingestPayload(pl)
+func (k *Kernel) barrierArrive(id int, from network.NodeID, tok int64, parties int) {
 	bs := k.barriers[id]
 	if bs == nil {
 		bs = &barrierState{parties: parties}

@@ -41,8 +41,9 @@ func overloadRobust(level string) *jessica2.RobustConfig {
 
 // overloadLine runs one (spec, level) cell — the exact configuration the
 // robust-off golden was recorded under, with the level's protection
-// installed — and renders its serving line.
-func overloadLine(t *testing.T, spec, level string, seed uint64) string {
+// installed — and renders its serving line; the finished session comes
+// with it.
+func overloadLine(t *testing.T, spec, level string, seed uint64) (string, *jessica2.Session) {
 	t.Helper()
 	sc, err := jessica2.ParseScenario(spec, 4, seed)
 	if err != nil {
@@ -79,7 +80,7 @@ func overloadLine(t *testing.T, spec, level string, seed uint64) string {
 	if snap.Serve == nil {
 		t.Fatalf("%s/%s: no serving snapshot", spec, level)
 	}
-	return fmt.Sprintf("%s seed %d: exec %v | %s", spec, seed, rep.ExecTime(), snap.Serve)
+	return fmt.Sprintf("%s seed %d: exec %v | %s", spec, seed, rep.ExecTime(), snap.Serve), sess
 }
 
 // TestOverloadGauntletDeterministic runs the full preset × protection grid
@@ -97,11 +98,11 @@ func TestOverloadGauntletDeterministic(t *testing.T) {
 	}
 	serial := make([]string, len(cells))
 	for i, c := range cells {
-		serial[i] = overloadLine(t, c.spec, c.level, seed)
+		serial[i], _ = overloadLine(t, c.spec, c.level, seed)
 	}
 	parallel := make([]string, len(cells))
 	runner.Go(runner.New(3), len(cells), func(i int) {
-		parallel[i] = overloadLine(t, cells[i].spec, cells[i].level, seed)
+		parallel[i], _ = overloadLine(t, cells[i].spec, cells[i].level, seed)
 	})
 	for i, c := range cells {
 		if serial[i] != parallel[i] {
@@ -136,10 +137,31 @@ func TestOverloadRobustOffGolden(t *testing.T) {
 	}
 	var lines []string
 	for _, spec := range overloadSpecs {
-		lines = append(lines, overloadLine(t, spec, "off", 42))
+		line, _ := overloadLine(t, spec, "off", 42)
+		lines = append(lines, line)
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	if got != string(want) {
 		t.Fatalf("robust-off serving output drifted from golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// TestOALConservation accounts for every OAL entry logged in each gauntlet
+// cell (gos.Kernel.CheckOALConservation): ingested by the master, buffered
+// on a node, on the wire, in a flush awaiting admission, or lost to a drop
+// or an abandoned flush. A payload the master never ingests, or one it
+// ingests twice, breaks the balance.
+func TestOALConservation(t *testing.T) {
+	for _, spec := range overloadSpecs {
+		for _, level := range overloadLevels {
+			_, sess := overloadLine(t, spec, level, 42)
+			k := sess.Kernel()
+			if k.Stats().CorrelationLogs == 0 {
+				t.Errorf("%s/%s: no OAL entry logged", spec, level)
+			}
+			if err := k.CheckOALConservation(); err != nil {
+				t.Errorf("%s/%s: %v", spec, level, err)
+			}
+		}
 	}
 }
