@@ -30,11 +30,14 @@ test-race:
 # suite under the crash/flaky/partition presets with and without the
 # recovery layer (same-seed runs must stay byte-identical under failure
 # injection), the injection-off byte-identity gate (reports unchanged when
-# no failure events are configured), and the Figure R resilience assertion
-# (recovery must strictly beat no-recovery and one-shot placement on every
-# crash schedule) — all with the race detector on the test half.
+# no failure events are configured), the OAL conservation check (every
+# logged entry is ingested, buffered, in flight or counted lost, in every
+# Figure R and G cell and overload-gauntlet cell), and the Figure R
+# resilience assertion (recovery must strictly beat no-recovery and
+# one-shot placement on every crash schedule) — all with the race detector
+# on the test half.
 test-chaos:
-	go test -race -count=1 -run 'Chaos|InjectionDisabled|GoldenTrace|FigR|Failure|Flush|Lease|Heartbeat|Fuzz|Crash|Intercept|Shaper' . ./internal/gos/ ./internal/experiments/ ./internal/scenario/ ./internal/network/ ./internal/dispatch/
+	go test -race -count=1 -run 'Chaos|InjectionDisabled|GoldenTrace|FigR|Failure|Flush|Lease|Heartbeat|Fuzz|Crash|Intercept|Shaper|OALConservation' . ./internal/gos/ ./internal/experiments/ ./internal/scenario/ ./internal/network/ ./internal/dispatch/
 	go run ./cmd/djvmbench -figR -scale $(SCALE)
 
 # test-dispatch is the distributed-dispatcher gauntlet: the wire-codec
@@ -74,13 +77,14 @@ test-serve:
 # test-overload is the serving-robustness gauntlet: the preset × protection
 # determinism grid and the robust-off golden gate (Snapshot.Serve must be
 # byte-identical to the pre-layer golden when the layer is off), the robust
-# dispatcher and lock-failover suites — all under the race detector — then
+# dispatcher and lock-failover suites and the OAL conservation check over
+# the gauntlet's cells — all under the race detector — then
 # the Figure G assertion (the full protection stack must strictly beat
 # no-protection and shed-only on SLO goodput AND P99 on every failure
 # schedule; non-zero exit otherwise) and the `-recover -app serve`
 # end-to-end smoke.
 test-overload:
-	go test -race -count=1 -run 'Overload|FigG|Robust|ServeMix|LockManager|LockReclaim|Protect|RecoverServe' . ./internal/workload/ ./internal/gos/ ./internal/experiments/ ./cmd/djvmrun/
+	go test -race -count=1 -run 'Overload|FigG|Robust|ServeMix|LockManager|LockReclaim|Protect|RecoverServe|OALConservation' . ./internal/workload/ ./internal/gos/ ./internal/experiments/ ./cmd/djvmrun/
 	go run ./cmd/djvmbench -figG -scale $(SCALE)
 	go run ./cmd/djvmrun -app serve -scenario crash+burst -recover -nodes 4 -threads 8 -rate off -tcm=false
 
