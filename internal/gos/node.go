@@ -236,7 +236,7 @@ func (n *Node) handleMessage(m *network.Message) {
 		n.onFlushAck(pm.tok)
 	}
 	if m.Final() {
-		if pm.kind != msgOALBatch || pm.tok == 0 {
+		if !pm.pl.empty() && (pm.kind != msgOALBatch || pm.tok == 0) {
 			n.k.oalWire -= int64(pm.pl.entries)
 			n.k.master.ingestPayload(pm.pl)
 			n.k.freeOALBuf(pm.pl.recs)
