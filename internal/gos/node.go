@@ -386,7 +386,8 @@ func (n *Node) flushOAL(t *Thread) {
 // sendPayload sends v, which carries an un-sequenced OAL payload, from
 // node from to node to. The payload's entries stay on the wire until the
 // message's last delivery ingests them, or are lost at once when the
-// network drops the message.
+// network drops the message: the network decides a drop inside SendParts,
+// so its drop count tells the two apart.
 func (k *Kernel) sendPayload(from, to int, parts []network.Part, v protoMsg) {
 	dropped := k.Net.Stats().Dropped
 	k.Net.SendParts(network.NodeID(from), network.NodeID(to), parts, k.newMsg(v))
