@@ -11,6 +11,7 @@ package gos
 
 import (
 	"fmt"
+	"math"
 
 	"jessica2/internal/heap"
 	"jessica2/internal/network"
@@ -150,8 +151,9 @@ type Kernel struct {
 	// versions is the home-side version number per object (write notices
 	// are modelled as version advances checked at sync epochs), indexed by
 	// ObjectID, so the hot-path version check is a page index instead of a
-	// map probe.
-	versions heap.Table[int64]
+	// map probe. Copy headers store versions as int32, so bumpVersion
+	// stops at that limit.
+	versions heap.Table[int32]
 
 	// observers are the kernel-wide observers, copied into each thread's
 	// own list at spawn (see Thread.observers).
@@ -314,11 +316,11 @@ func (k *Kernel) AddObserver(obs AccessObserver) {
 }
 
 // Version returns the home version of an object.
-func (k *Kernel) Version(id heap.ObjectID) int64 { return k.version(id) }
+func (k *Kernel) Version(id heap.ObjectID) int64 { return int64(k.version(id)) }
 
 // version reads the home version without growing the table (objects never
 // written stay at version 0).
-func (k *Kernel) version(id heap.ObjectID) int64 {
+func (k *Kernel) version(id heap.ObjectID) int32 {
 	if v := k.versions.Peek(id); v != nil {
 		return *v
 	}
@@ -330,7 +332,11 @@ func (k *Kernel) bumpVersion(id heap.ObjectID) {
 	if id <= heap.InvalidObject {
 		panic("gos: bumpVersion on invalid object id")
 	}
-	*k.versions.At(id)++
+	v := k.versions.At(id)
+	if *v == math.MaxInt32 {
+		panic("gos: object version exceeds the int32 copy stamp")
+	}
+	*v++
 }
 
 // Run executes the simulation to completion and returns the workload

@@ -2,6 +2,7 @@ package gos
 
 import (
 	"fmt"
+	"math"
 
 	"jessica2/internal/heap"
 	"jessica2/internal/network"
@@ -14,10 +15,11 @@ import (
 // object state of the paper (valid/invalid) plus the false-invalid flag
 // that triggers correlation faults, the fetched version (write-notice
 // equivalent), and twin bookkeeping for the current interval. present marks
-// a header the node has created; the zero entry is "never touched".
+// a header the node has created; the zero entry is "never touched". The
+// header is 12 bytes: the access path reads one on every access.
 type copyState struct {
-	version      int64 // home version at fetch time
-	checkedEpoch int64 // last sync epoch at which staleness was evaluated
+	version      int32 // home version at fetch time
+	checkedEpoch int32 // last sync epoch at which staleness was evaluated
 	valid        bool
 	falseInvalid bool
 	hasTwin      bool
@@ -37,8 +39,10 @@ type Node struct {
 	numCopies int
 	// epoch advances at every synchronization point observed by the node
 	// (lock acquire, barrier release); cached copies are re-validated
-	// against home versions lazily when first touched in a new epoch.
-	epoch int64
+	// against home versions lazily when first touched in a new epoch. It
+	// stamps the copy headers, so it stays within int32 (advanceEpoch
+	// checks).
+	epoch int32
 
 	// oalBuf holds closed-interval records awaiting shipment to master; a
 	// drain hands it to the payload and takes a recycled buffer in its
@@ -87,7 +91,7 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) CPU() *sim.Resource { return n.cpu }
 
 // Epoch returns the node's current synchronization epoch.
-func (n *Node) Epoch() int64 { return n.epoch }
+func (n *Node) Epoch() int64 { return int64(n.epoch) }
 
 // copyAt returns the node's replica header for the object id, or nil if the
 // node has never touched it.
@@ -267,7 +271,12 @@ func (n *Node) completePending(tok int64) {
 
 // advanceEpoch marks a synchronization point: cached copies will be lazily
 // re-validated against home versions on next touch.
-func (n *Node) advanceEpoch() { n.epoch++ }
+func (n *Node) advanceEpoch() {
+	if n.epoch == math.MaxInt32 {
+		panic("gos: node sync epoch exceeds the int32 copy stamp")
+	}
+	n.epoch++
+}
 
 // bufferOAL queues a closed interval's record; flushes a jumbo message when
 // the threshold is reached. Returns parts to piggyback instead when the

@@ -2,6 +2,7 @@ package gos
 
 import (
 	"fmt"
+	"math"
 
 	"jessica2/internal/heap"
 	"jessica2/internal/network"
@@ -24,7 +25,9 @@ type Thread struct {
 	// Stack is the shadow Java stack used by the stack profiler.
 	Stack *stack.ThreadStack
 
-	interval     int64
+	// interval is the current interval's sequence number; it stamps the
+	// access entries, so it stays within int32 (openInterval checks).
+	interval     int32
 	intervalOpen bool
 
 	// accessed is the thread's per-object access state, indexed by
@@ -72,12 +75,15 @@ type ThreadStats struct {
 // nothing node-specific: the access path reads the copy header from the
 // thread's current node, so a migrated thread needs no reset. Entries
 // persist across intervals and are revived in place when their interval
-// stamp is stale, so the steady-state access path allocates nothing.
+// stamp is stale, so the steady-state access path allocates nothing. The
+// entry is 12 bytes: the access path reads one on every access.
 type accessEntry struct {
 	// interval stamps which interval the entry belongs to; a stale stamp
 	// means the entry is logically absent from the current interval.
-	interval     int64
-	writtenBytes int
+	interval int32
+	// writtenBytes sums the bytes written this interval, saturating at
+	// the object's size: the diff at interval close never exceeds it.
+	writtenBytes int32
 	written      bool
 	logged       bool
 }
@@ -128,7 +134,7 @@ func (t *Thread) Proc() *sim.Proc { return t.proc }
 func (t *Thread) Stats() ThreadStats { return t.stats }
 
 // Interval returns the current interval sequence number.
-func (t *Thread) Interval() int64 { return t.interval }
+func (t *Thread) Interval() int64 { return int64(t.interval) }
 
 // Finished reports whether the thread body has returned.
 func (t *Thread) Finished() bool { return t.finished }
@@ -191,6 +197,9 @@ func (t *Thread) openInterval() {
 	if t.intervalOpen {
 		return
 	}
+	if t.interval == math.MaxInt32 {
+		panic("gos: thread interval count exceeds the int32 access stamp")
+	}
 	t.interval++
 	t.intervalOpen = true
 	t.rec = t.k.newRecord()
@@ -244,8 +253,9 @@ func (t *Thread) closeInterval() {
 		// closes the interval before the thread leaves.
 		o := t.k.Reg.Object(id)
 		c := t.node.copyAt(id)
-		wb := e.writtenBytes
-		if wb <= 0 || wb > o.Bytes() {
+		// A write of no bytes dirties the whole object.
+		wb := int(e.writtenBytes)
+		if wb <= 0 {
 			wb = o.Bytes()
 		}
 		diffCPU += sim.Time(wb) * diffCostPerByte
@@ -350,7 +360,7 @@ func (t *Thread) access(o *heap.Object, write bool, writtenBytes int) {
 	}
 	if write {
 		ai.written = true
-		ai.writtenBytes += writtenBytes
+		ai.writtenBytes = int32(min(int(ai.writtenBytes)+writtenBytes, o.Bytes()))
 	}
 
 	c := n.copyOf(o)

@@ -12,6 +12,7 @@ package heap
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -313,6 +314,11 @@ func (r *Registry) AllocArray(c *Class, n, node int) *Object {
 }
 
 func (r *Registry) newObject(c *Class, node, n int) *Object {
+	size := int64(c.InstanceBytes(n))
+	if size > math.MaxInt32 {
+		// Per-object side tables count an object's bytes in an int32.
+		panic(fmt.Sprintf("heap: a %d-byte %s exceeds the int32 object size", size, c.Name))
+	}
 	r.nextObjectID++
 	idx := int(r.nextObjectID) - 1
 	if idx>>objChunkShift == len(r.chunks) {
@@ -320,7 +326,6 @@ func (r *Registry) newObject(c *Class, node, n int) *Object {
 	}
 	o := &r.chunks[idx>>objChunkShift][idx&objChunkMask]
 	*o = Object{ID: r.nextObjectID, Class: c, Len: n, Home: node}
-	size := int64(c.InstanceBytes(n))
 	// Bump-allocate with word alignment on the home node's heap.
 	brk := r.nodeBrk[node]
 	align := int64(WordSize)

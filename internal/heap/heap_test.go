@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,24 @@ func TestAllocWrongKindPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestObjectSizeFitsInt32: an object of more than math.MaxInt32 bytes
+// panics at allocation and takes no ID; one of exactly that size does not.
+func TestObjectSizeFitsInt32(t *testing.T) {
+	r := newReg()
+	a := r.DefineArrayClass("A", 8)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an array past the int32 object size did not panic")
+			}
+		}()
+		r.AllocArray(a, math.MaxInt32/8+1, 0)
+	}()
+	if o := r.AllocArray(r.DefineArrayClass("B", 1), math.MaxInt32, 0); o.ID != 1 || o.Bytes() != math.MaxInt32 {
+		t.Fatalf("largest array: id %d, %d bytes", o.ID, o.Bytes())
 	}
 }
 

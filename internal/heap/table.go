@@ -15,7 +15,9 @@ const (
 // lifetime, across later growth and across a parked proc. Untouched ID
 // ranges cost one nil page pointer each, so a table costs memory in
 // proportion to the ranges its owner touches rather than to the whole heap.
-// Owners keep T free of pointers, so the collector never scans the pages.
+// Owners keep T free of pointers, so the collector never scans the pages,
+// and small: the access path reads three tables on every access, so an
+// entry's size sets how many of them share a cache line.
 //
 // The zero Table is empty and ready to use.
 type Table[T any] struct {

@@ -148,21 +148,23 @@ type Footprinter struct {
 
 	// TrackedAccesses counts trapped (charged) accesses.
 	TrackedAccesses int64
-	// Sweeps counts re-arm sweeps performed.
+	// Sweeps counts re-arm sweeps performed. The counts table stores it
+	// as int32, so sweep stops below that limit.
 	Sweeps    int64
-	intervals int64
+	intervals int32
 }
 
-// objCount is one tracked object's statistic within an interval. It holds
-// no pointer: interval close looks the object up by ID.
+// objCount is one tracked object's statistic within an interval, 12 bytes
+// and no pointer: interval close looks the object up by ID.
 type objCount struct {
 	// interval is the footprinter's interval count plus one while the
 	// entry is live; the zero entry is never live.
-	interval int64
+	interval int32
 	// sweep is the Sweeps count at the object's last trap: it stays
 	// disarmed until the next sweep moves Sweeps past it.
-	sweep int64
-	count int
+	sweep int32
+	// count is at most one more than the sweeps of the interval.
+	count int32
 }
 
 // NewFootprinter returns a footprinter for t; register it with
@@ -233,10 +235,10 @@ func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool
 		// First touch this interval: the object starts armed.
 		*oc = objCount{interval: live}
 		fp.tracked = append(fp.tracked, o.ID)
-	} else if oc.sweep == fp.Sweeps {
+	} else if oc.sweep == int32(fp.Sweeps) {
 		return // trapped since the last sweep: still disarmed
 	}
-	oc.sweep = fp.Sweeps
+	oc.sweep = int32(fp.Sweeps)
 	oc.count++
 	fp.disarmed++
 	fp.TrackedAccesses++
@@ -248,6 +250,9 @@ func (fp *Footprinter) OnAccess(t *gos.Thread, o *heap.Object, write, first bool
 // so it charges armCost for fp.disarmed of them: the count a walk of the
 // tracked set would find, kept without the walk.
 func (fp *Footprinter) sweep(t *gos.Thread, now sim.Time) {
+	if fp.Sweeps == math.MaxInt32-1 {
+		panic("sticky: footprinter sweep count exceeds the int32 trap stamp")
+	}
 	fp.Sweeps++
 	if fp.disarmed > 0 {
 		t.Charge(sim.Time(fp.disarmed) * armCost)
@@ -262,6 +267,9 @@ func (fp *Footprinter) sweep(t *gos.Thread, now sim.Time) {
 func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 	if t != fp.thread {
 		return
+	}
+	if fp.intervals == math.MaxInt32-1 {
+		panic("sticky: footprinter interval count exceeds the int32 entry stamp")
 	}
 	fp.intervals++
 	raw := make(Footprint)

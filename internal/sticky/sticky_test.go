@@ -1,7 +1,10 @@
 package sticky
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"jessica2/internal/gos"
@@ -411,7 +414,7 @@ func TestFootprintIntoReusesMap(t *testing.T) {
 
 // TestObjCountIsPointerFree: the footprinter's per-object counts hold no
 // pointer, so the collector never scans their table pages, and each fits
-// in 24 bytes.
+// in 12 bytes.
 func TestObjCountIsPointerFree(t *testing.T) {
 	typ := reflect.TypeFor[objCount]()
 	for i := 0; i < typ.NumField(); i++ {
@@ -419,7 +422,53 @@ func TestObjCountIsPointerFree(t *testing.T) {
 			t.Errorf("objCount.%s is a %v", typ.Field(i).Name, k)
 		}
 	}
-	if typ.Size() > 24 {
-		t.Errorf("objCount is %d bytes, want at most 24", typ.Size())
+	if typ.Size() > 12 {
+		t.Errorf("objCount is %d bytes, want at most 12", typ.Size())
 	}
+}
+
+// idleFootprinter returns a footprinter on a thread that never runs.
+func idleFootprinter() (*Footprinter, *gos.Thread) {
+	kcfg := gos.DefaultConfig()
+	kcfg.Nodes = 1
+	th := gos.NewKernel(kcfg).SpawnThread(0, "t", func(*gos.Thread) {})
+	return NewFootprinter(th, FootprinterConfig{Nonstop: true}), th
+}
+
+// mustPanic runs fn and fails unless it panics with a message holding want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+			t.Errorf("panic %q, want one naming %q", got, want)
+		}
+	}()
+	fn()
+}
+
+// TestFootprinterIntervalsStopBelowInt32: the interval count plus one
+// stamps the live count entries, so the count reaches one below the int32
+// limit and then panics instead of wrapping.
+func TestFootprinterIntervalsStopBelowInt32(t *testing.T) {
+	fp, th := idleFootprinter()
+	fp.intervals = math.MaxInt32 - 2
+	fp.OnIntervalClose(th)
+	if fp.intervals != math.MaxInt32-1 {
+		t.Fatalf("intervals = %d, want %d", fp.intervals, math.MaxInt32-1)
+	}
+	mustPanic(t, "footprinter interval count", func() { fp.OnIntervalClose(th) })
+}
+
+// TestFootprinterSweepsStopBelowInt32: the sweep count stamps each count
+// entry's last trap, and an entry's count can exceed it by one, so the
+// count reaches one below the int32 limit and then panics instead of
+// wrapping.
+func TestFootprinterSweepsStopBelowInt32(t *testing.T) {
+	fp, th := idleFootprinter()
+	fp.Sweeps = math.MaxInt32 - 2
+	fp.sweep(th, 0)
+	if fp.Sweeps != math.MaxInt32-1 {
+		t.Fatalf("sweeps = %d, want %d", fp.Sweeps, math.MaxInt32-1)
+	}
+	mustPanic(t, "footprinter sweep count", func() { fp.sweep(th, 0) })
 }
