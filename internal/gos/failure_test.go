@@ -418,3 +418,29 @@ func TestLockReclaimFreesDeadHoldersLock(t *testing.T) {
 		t.Errorf("waiter finished at %v — it waited out the outage instead of being granted the reclaimed lock", waiterDone)
 	}
 }
+
+// TestDetectorSweepAllocatesNothing: a failure-detector sweep over a
+// kernel whose locks are all free finds nothing to reclaim and allocates
+// nothing.
+func TestDetectorSweepAllocatesNothing(t *testing.T) {
+	const locks = 16
+	k := failureKernel(3, TrackingOff, fastFailureConfig())
+	for n := 0; n < 3; n++ {
+		k.SpawnThread(n, "locker", func(th *Thread) {
+			for id := 0; id < locks; id++ {
+				th.Acquire(id)
+				th.Release(id)
+			}
+		})
+	}
+	k.Run()
+	if len(k.locks) != locks {
+		t.Fatalf("kernel holds %d locks, want %d", len(k.locks), locks)
+	}
+	if allocs := testing.AllocsPerRun(100, k.reclaimDeadHolderLocks); allocs != 0 {
+		t.Fatalf("a sweep with no wedged lock allocates %v times, want 0", allocs)
+	}
+	if fs := k.FailureStats(); fs.LockReclaims != 0 {
+		t.Fatalf("%d locks reclaimed, want 0", fs.LockReclaims)
+	}
+}

@@ -134,9 +134,9 @@ func (k *Kernel) reclaimLock(id int, ls *lockState) {
 // is adrift until that node restarts, and without reclamation the lock
 // (and every request serialized behind it) stays wedged for the whole
 // outage. Runs from the failure detector's sweep; lock-id order for
-// determinism.
+// determinism. A sweep that finds no wedged lock allocates nothing.
 func (k *Kernel) reclaimDeadHolderLocks() {
-	ids := make([]int, 0, len(k.locks))
+	var ids []int
 	for id, ls := range k.locks {
 		if ls.held && !ls.granting && ls.holderDone &&
 			ls.holder != nil && k.fd.dead[ls.holder.node.id] {
