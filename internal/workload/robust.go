@@ -625,12 +625,12 @@ func (d *serveDispatcher) finishStripe(a *serveAttempt) {
 	if d.stripeBusy[s] > 0 {
 		return
 	}
+	// The pen shifts down as it drains, so its array keeps its capacity
+	// for the next dispatch to park in.
 	pen := d.stripePen[s]
-	for len(pen) > 0 {
-		i := pen[0]
-		pen = pen[1:]
+	for j, i := range pen {
 		if d.reqs[i].status == reqPending {
-			d.stripePen[s] = pen
+			d.stripePen[s] = pen[:copy(pen, pen[j+1:])]
 			d.dispatch(i, attemptReroute)
 			return
 		}

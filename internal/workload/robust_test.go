@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -316,4 +317,86 @@ func TestRobustTimersAllocateNothing(t *testing.T) {
 		t.Fatalf("retried %d, hedged %d, failed %d + expired %d of %d: the timers did not all run",
 			st.retried, st.hedged, st.failedFast, st.expired, n)
 	}
+}
+
+// penDispatcher returns a robust dispatcher over n requests of tenant 0
+// whose lock stripe, 0, is wedged: a holder thread keeps the stripe's lock
+// until 1 s and one started attempt is in flight, so every dispatch parks
+// in the stripe's pen.
+func penDispatcher(t *testing.T, n int) (*serveDispatcher, *gos.Kernel) {
+	t.Helper()
+	cfg := gos.DefaultConfig()
+	cfg.Nodes = 2
+	k := gos.NewKernel(cfg)
+	w := NewServeMix()
+	w.Robust = DefaultRobustConfig()
+	w.SetSchedule(robustSchedule(n, 0, sim.Millisecond))
+	w.tenant = make([]int32, n)
+	d := newServeDispatcher(w, k, 2)
+	for i := range d.threads {
+		d.threads[i] = k.SpawnThread(i, "idle", func(*gos.Thread) {})
+	}
+	k.SpawnThread(0, "holder", func(th *gos.Thread) {
+		th.Acquire(serveLockBase)
+		th.SleepUntil(sim.Second)
+		th.Release(serveLockBase)
+	})
+	k.RunUntil(sim.Millisecond)
+	if k.LockAvailable(serveLockBase) {
+		t.Fatal("the holder does not hold stripe 0's lock")
+	}
+	d.stripeBusy[0] = 1
+	return d, k
+}
+
+// TestStripePenRefillAllocatesNothing: a pen filled by wedged dispatches,
+// expired in place and drained when its stripe frees keeps its array, so
+// filling it again allocates nothing.
+func TestStripePenRefillAllocatesNothing(t *testing.T) {
+	const n = 8
+	d, k := penDispatcher(t, n)
+	done := &serveAttempt{req: 0}
+	cycle := func() {
+		d.stripeBusy[0] = 1
+		for i := range d.reqs {
+			d.reqs[i].status = reqPending
+			d.dispatch(i, attemptPrimary)
+		}
+		for i := range d.reqs {
+			d.reqs[i].status = reqExpired
+		}
+		d.finishStripe(done)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("filling and draining the pen allocates %v times, want 0", allocs)
+	}
+	if pen := d.stripePen[0]; len(pen) != 0 || cap(pen) < n {
+		t.Fatalf("drained pen has length %d and capacity %d, want 0 and at least %d", len(pen), cap(pen), n)
+	}
+	k.Run()
+}
+
+// TestStripePenDrainsFIFO: when the stripe frees, the pen re-dispatches
+// its oldest pending request, past one that expired in place, and keeps
+// the rest in order at the front of the same array.
+func TestStripePenDrainsFIFO(t *testing.T) {
+	d, k := penDispatcher(t, 4)
+	for i := range d.reqs {
+		d.dispatch(i, attemptPrimary)
+	}
+	pen := d.stripePen[0]
+	d.reqs[0].status = reqExpired
+	d.finishStripe(&serveAttempt{req: 0})
+	got := d.stripePen[0]
+	if !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("pen after the drain = %v, want [2 3]", got)
+	}
+	if &got[0] != &pen[0] {
+		t.Fatal("the drained pen no longer starts at its array's front")
+	}
+	if d.reqs[1].live != 1 || d.reqs[2].live != 0 {
+		t.Fatalf("live attempts: request 1 has %d, request 2 has %d; want 1 and 0", d.reqs[1].live, d.reqs[2].live)
+	}
+	k.Run()
 }
