@@ -4,7 +4,7 @@ BENCH ?= BENCH_current.json
 # SCALE divides the paper datasets (1 = paper scale, 8 = CI-friendly).
 SCALE ?= 8
 
-.PHONY: verify build fmtcheck vet test test-race test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq bench-check demo-closedloop demo-serve loc identity clean
+.PHONY: verify build fmtcheck vet test test-race test-chaos test-serve test-overload test-profile bench bench-seq bench-check demo-closedloop demo-serve loc identity clean
 
 verify: build fmtcheck vet test
 
@@ -39,32 +39,6 @@ test-race:
 test-chaos:
 	go test -race -count=1 -run 'Chaos|InjectionDisabled|GoldenTrace|FigR|Failure|Flush|Lease|Heartbeat|Fuzz|Crash|Intercept|Shaper|OALConservation' . ./internal/gos/ ./internal/experiments/ ./internal/scenario/ ./internal/network/ ./internal/dispatch/
 	go run ./cmd/djvmbench -figR -scale $(SCALE)
-
-# test-dispatch is the distributed-dispatcher gauntlet: the wire-codec
-# round-trip and typed-error tests, the lease-fencing and failure-injection
-# suite (hung worker, restarted worker, corrupt results, fleet death), the
-# loopback identity gate (a dispatched batch must be byte-identical to the
-# sequential baseline), and the SIGKILL chaos test over real worker
-# processes — all under the race detector — then 10 s of fuzzing for each
-# wire decoder (FuzzDecodeJob, FuzzDecodeOut), then a djvmbench -workers
-# smoke against two local djvmworker processes with output byte-compared to
-# the local run.
-test-dispatch:
-	go test -race -count=1 ./internal/dispatch/
-	go test -run '^$$' -fuzz '^FuzzDecodeJob$$' -fuzztime 10s ./internal/dispatch/
-	go test -run '^$$' -fuzz '^FuzzDecodeOut$$' -fuzztime 10s ./internal/dispatch/
-	go build -o /tmp/j2_djvmworker ./cmd/djvmworker
-	set -e; \
-	/tmp/j2_djvmworker -listen 127.0.0.1:0 -quiet > /tmp/j2_w1.addr & P1=$$!; \
-	/tmp/j2_djvmworker -listen 127.0.0.1:0 -quiet > /tmp/j2_w2.addr & P2=$$!; \
-	trap "kill $$P1 $$P2 2>/dev/null" EXIT; \
-	sleep 1; \
-	W1=$$(sed 's/djvmworker listening on //' /tmp/j2_w1.addr); \
-	W2=$$(sed 's/djvmworker listening on //' /tmp/j2_w2.addr); \
-	go run ./cmd/djvmbench -table 2 -scale $(SCALE) -workers "$$W1,$$W2" | grep -v '^-- regenerated' > /tmp/j2_dist.txt; \
-	go run ./cmd/djvmbench -table 2 -scale $(SCALE) | grep -v '^-- regenerated' > /tmp/j2_local.txt; \
-	diff -u /tmp/j2_dist.txt /tmp/j2_local.txt && echo "dispatch identity: OK"
-	rm -f /tmp/j2_djvmworker /tmp/j2_w1.addr /tmp/j2_w2.addr /tmp/j2_dist.txt /tmp/j2_local.txt
 
 # test-serve is the open-loop traffic gauntlet: ServeMix golden determinism
 # and arrival-stream property tests under the race detector, plus the

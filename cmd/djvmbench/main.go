@@ -7,7 +7,6 @@
 //	djvmbench -table 2 -scale 4       # one table at 1/4 dataset scale
 //	djvmbench -fig 9 -csv             # figure 9 as CSV series
 //	djvmbench -all -parallel 4        # fan runs out over 4 workers
-//	djvmbench -all -workers host1:9377,host2:9377 # fan out over a djvmworker fleet
 //	djvmbench -benchjson BENCH_current.json # machine-readable perf report
 //
 // Paper scale (-scale 1) reproduces the exact datasets (SOR 2K×2K,
@@ -34,11 +33,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
-	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
 	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
@@ -152,7 +149,6 @@ func main() {
 		scale     = flag.Int("scale", 1, "dataset divisor (1 = paper scale)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		parallel  = flag.Int("parallel", 0, "experiment runner workers (0 = GOMAXPROCS, 1 = sequential)")
-		workers   = flag.String("workers", "", "comma-separated djvmworker addresses; experiment batches are dispatched to the fleet (unreachable or dying workers degrade to the local pool)")
 		benchjson = flag.String("benchjson", "", "benchmark every table/figure and write JSON perf report to this file")
 	)
 	flag.Parse()
@@ -166,22 +162,6 @@ func main() {
 		os.Exit(2)
 	}
 	pool := runner.New(*parallel)
-	var disp *dispatch.Dispatcher
-	if *workers != "" {
-		disp = dispatch.New(dispatch.Config{
-			Workers:  strings.Split(*workers, ","),
-			Fallback: pool,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-		experiments.SetDispatcher(disp)
-		defer func() {
-			s := disp.Stats()
-			fmt.Fprintf(os.Stderr, "dispatch: %d jobs (%d remote, %d local), %d leases granted, %d expired, %d reassigned, %d stale rejected, %d workers lost\n",
-				s.Jobs, s.Remote, s.Local, s.LeasesGranted, s.LeasesExpired, s.Reassignments, s.StaleRejected, s.WorkersLost)
-		}()
-	}
 	if *benchjson != "" {
 		if err := writeBenchJSON(*benchjson, sc, pool); err != nil {
 			fmt.Fprintln(os.Stderr, "djvmbench:", err)

@@ -16,17 +16,10 @@
 //	djvmrun -app serve -scenario flaky,burst -protect shed
 //	djvmrun -app kv -scenario phased -policy rebalance -profile-out kv.j2pf
 //	djvmrun -app kv -scenario phased -policy warmstart -profile-in kv.j2pf
-//	djvmrun -app sor -seeds 8 -workers host1:9377,host2:9377
+//	djvmrun -app sor -seeds 8 -parallel 2
 //
 // Every invocation becomes one experiments.Spec per seed, run through
 // experiments.RunAll and rendered from its experiments.Out by one report.
-// -workers installs the fault-tolerant experiment dispatcher, which ships
-// those specs (all -seeds replicas as one batch) to a fleet of djvmworker
-// processes. Any run dispatches, policies, failure recovery, serving and
-// profile I/O included, and its stdout is byte-identical to the local
-// run's; the dispatch ledger goes to stderr. Workers that are unreachable
-// or die mid-batch cost wall clock, not results: stranded jobs rerun
-// locally.
 //
 // -profile-out saves the end-of-run profile (TCM, placement, hot-object
 // homes, rate trace) to the named file; -profile-in reloads one, applying
@@ -87,7 +80,6 @@ import (
 	"time"
 
 	"jessica2"
-	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
 	"jessica2/internal/runner"
 	"jessica2/internal/session"
@@ -106,7 +98,6 @@ type runConfig struct {
 	plan      bool
 	seeds     int
 	parallel  int
-	workers   string // comma-separated djvmworker fleet (dispatched mode)
 	benchjson string // write a machine-readable run report to this file
 
 	profileIn  string // load a stored profile (warm start)
@@ -163,7 +154,6 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 		epoch     = fs.Duration("epoch", 0, "explicit closed-loop epoch length (overrides -epochs; skips the pilot run)")
 		seeds     = fs.Int("seeds", 1, "replicate the run over N consecutive seeds")
 		parallel  = fs.Int("parallel", 0, "worker pool for -seeds replicas (0 = GOMAXPROCS, 1 = sequential)")
-		workers   = fs.String("workers", "", "comma-separated djvmworker addresses; every replica is dispatched to the fleet and rendered from its collected outcome")
 		benchjson = fs.String("benchjson", "", "write a machine-readable run report (exec times, wall clock) to this file")
 		profIn    = fs.String("profile-in", "", "load a stored profile for a warm start (placement applied before epoch 0, TCM seeded; mismatched fingerprints fall back to cold with a warning)")
 		profOut   = fs.String("profile-out", "", "save the end-of-run profile to this file")
@@ -185,7 +175,7 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 		app: *app, policyTag: strings.ToLower(*policy),
 		scenSpec: *scenSpec, scenSeed: *scenSeed,
 		showTCM: *showTCM, plan: *plan,
-		seeds: *seeds, parallel: *parallel, workers: *workers, benchjson: *benchjson,
+		seeds: *seeds, parallel: *parallel, benchjson: *benchjson,
 		profileIn: *profIn, profileOut: *profOut,
 	}
 	switch strings.ToLower(*rateStr) {
@@ -293,9 +283,9 @@ type runReport struct {
 }
 
 // execute runs the parsed invocation, writing the report to out. The
-// -seeds replicas run as one batch, fanned out over the runner pool or,
-// with -workers, over the djvmworker fleet; reports print in seed order,
-// so the output is byte-identical at any parallelism and on any fleet.
+// -seeds replicas run as one batch, fanned out over the runner pool;
+// reports print in seed order, so the output is byte-identical at any
+// parallelism.
 // With -benchjson the per-seed execution times and wall clock are
 // additionally written as a JSON report.
 func (rc *runConfig) execute(out io.Writer) error {
@@ -314,25 +304,7 @@ func (rc *runConfig) execute(out io.Writer) error {
 			return err
 		}
 	}
-	pool := runner.New(rc.parallel)
-	var d *dispatch.Dispatcher
-	if rc.workers != "" {
-		d = dispatch.New(dispatch.Config{
-			Workers:  strings.Split(rc.workers, ","),
-			Fallback: pool,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-		experiments.SetDispatcher(d)
-		defer experiments.SetDispatcher(nil)
-	}
-	outs := experiments.RunAll(pool, specs)
-	if d != nil {
-		s := d.Stats()
-		fmt.Fprintf(os.Stderr, "dispatch: %d jobs (%d remote, %d local), %d leases granted, %d expired, %d reassigned, %d stale rejected, %d workers lost\n",
-			s.Jobs, s.Remote, s.Local, s.LeasesGranted, s.LeasesExpired, s.Reassignments, s.StaleRejected, s.WorkersLost)
-	}
+	outs := experiments.RunAll(runner.New(rc.parallel), specs)
 	execs := make([]jessica2.Time, len(outs))
 	for i, o := range outs {
 		if rc.seeds > 1 {

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http/httptest"
 	"os"
 	"reflect"
 	"strconv"
@@ -13,7 +11,6 @@ import (
 	"testing"
 
 	"jessica2"
-	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
 )
 
@@ -345,63 +342,4 @@ func TestExecuteProfileRoundTrip(t *testing.T) {
 	if !strings.Contains(mismatch, "warning: profile fingerprint mismatch") {
 		t.Fatalf("mismatched profile produced no warning:\n%s", mismatch)
 	}
-}
-
-// TestDispatchedMatchesLocal: dispatched to a worker, a run prints exactly
-// the local run's stdout — a plain run at seed 0, a policy run that takes
-// the pilot path, a recovering serve run, a profile capture (whose file
-// bytes match too) and its warm-start reload.
-func TestDispatchedMatchesLocal(t *testing.T) {
-	worker := dispatch.NewWorker(nil)
-	srv := httptest.NewServer(worker.Handler())
-	defer srv.Close()
-	run := func(workers string, args ...string) string {
-		t.Helper()
-		if workers != "" {
-			args = append(args, "-workers", workers)
-			// The fleet must run the job: a local fallback would match
-			// trivially.
-			defer func(before int64) {
-				if worker.Runs() == before {
-					t.Errorf("%v: no job reached the worker", args)
-				}
-			}(worker.Runs())
-		}
-		rc, err := parse(t, args...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		if err := rc.execute(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	same := func(name string, args ...string) {
-		t.Helper()
-		local := run("", args...)
-		if got := run(srv.URL, args...); got != local {
-			t.Errorf("%s: dispatched stdout differs from local\n--- local\n%s\n--- dispatched\n%s", name, local, got)
-		}
-	}
-	same("seed 0", "-app", "kv", "-nodes", "4", "-threads", "4", "-rate", "4", "-seed", "0")
-	same("pilot", "-app", "kv", "-nodes", "2", "-threads", "4", "-policy", "rebalance", "-epochs", "4", "-tcm=false")
-	same("recover serve", "-app", "serve", "-scenario", "crash+burst", "-recover", "-nodes", "4", "-rate", "off", "-tcm=false")
-
-	path := t.TempDir() + "/kv.j2pf"
-	capture := []string{"-app", "kv", "-scenario", "phased", "-threads", "4", "-nodes", "2",
-		"-epoch", "20ms", "-tcm=false", "-policy", "rebalance", "-profile-out", path}
-	local := run("", capture...)
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := run(srv.URL, capture...); got != local {
-		t.Errorf("capture: dispatched stdout differs from local\n--- local\n%s\n--- dispatched\n%s", local, got)
-	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("capture: dispatched profile file differs from local (%d vs %d bytes, err %v)", len(got), len(want), err)
-	}
-	same("warm start", "-app", "kv", "-scenario", "phased", "-threads", "4", "-nodes", "2",
-		"-epoch", "20ms", "-tcm=false", "-policy", "warmstart", "-profile-in", path)
 }
