@@ -37,7 +37,7 @@ test-race:
 # one-shot placement on every crash schedule) — all with the race detector
 # on the test half.
 test-chaos:
-	go test -race -count=1 -run 'Chaos|InjectionDisabled|GoldenTrace|FigR|Failure|Flush|Lease|Heartbeat|Fuzz|Crash|Intercept|Shaper|OALConservation' . ./internal/gos/ ./internal/experiments/ ./internal/scenario/ ./internal/network/ ./internal/dispatch/
+	go test -race -count=1 -run 'Chaos|InjectionDisabled|GoldenTrace|FigR|Failure|Flush|Lease|Heartbeat|Fuzz|Crash|Intercept|Shaper|OALConservation' . ./internal/gos/ ./internal/experiments/ ./internal/scenario/ ./internal/network/
 	go run ./cmd/djvmbench -figR -scale $(SCALE)
 
 # test-serve is the open-loop traffic gauntlet: ServeMix golden determinism

@@ -1,32 +1,32 @@
-// Wire format of the experiment dispatcher: versioned JSON envelopes that
-// carry experiments.Spec jobs to workers and experiments.Out results back.
+// Package dispatch is the sealed wire form of an experiments.Out: a
+// versioned JSON envelope that carries one run outcome as bytes. The
+// repository benchmark's round trip of paper-bh's Out is its only caller
+// (its size is the bench's dispatch.bytes).
 //
-// Every payload travels inside an envelope naming the schema, the format
+// The outcome travels inside an envelope naming the schema, the format
 // version, the payload kind and a CRC32 fingerprint of the body, mirroring
-// internal/profile's hardening: a worker or coordinator never trusts bytes
-// off the network — foreign payloads (ErrSchema), newer revisions
-// (ErrVersion), truncated or bit-flipped bodies (ErrCorrupt) and jobs whose
-// spec fails validation (ErrInvalidSpec) come back as typed errors, never
-// panics, and a corrupt result is indistinguishable from a lost one (the
-// coordinator retries or reassigns either way).
+// internal/profile's hardening: the decoder never trusts its input —
+// foreign payloads (ErrSchema), other revisions (ErrVersion) and
+// truncated, bit-flipped or structurally invalid bodies (ErrCorrupt) come
+// back as typed errors, never panics.
 //
-// Encoding is exact: a decoded Out re-encodes to the same bytes the worker
-// produced. Correlation-map cells and adaptive-trace distances travel as
-// IEEE-754 bit patterns (uint64), so float values — including ones that did
-// not come from the fixed-point accumulator, like the page-based baseline's
-// — round-trip bit-identically, which is what makes a distributed
-// regeneration byte-identical to a sequential one.
+// Encoding is exact: a decoded Out re-encodes to the same bytes.
+// Correlation-map cells and adaptive-trace distances travel as IEEE-754
+// bit patterns (uint64), so float values — including ones that did not
+// come from the fixed-point accumulator, like the page-based baseline's —
+// round-trip bit-identically.
 //
-// A spec carries the session-side settings too (policy and epochs, failure
-// detector, serving protection, the profile to load and the save flag), and
-// an Out carries what a session run reports beyond the profiling totals:
-// the analyzer time before the final TCM build, the pilot's calibration,
-// the applied policy actions as typed records, serving stats, failure
-// counters and live nodes, the profile warning and the captured profile.
-// Every such field is omitted when zero, so a plain profiling run's
-// encoding carries none of them. Stored profiles and serving stats travel
-// as plain JSON numbers: their floats (rate-trace distances, goodputs) are
-// always finite, and JSON carries finite floats exactly.
+// The Out's spec carries the session-side settings too (policy and
+// epochs, failure detector, serving protection, the profile to load and
+// the save flag), and the Out carries what a session run reports beyond
+// the profiling totals: the analyzer time before the final TCM build, the
+// pilot's calibration, the applied policy actions as typed records,
+// serving stats, failure counters and live nodes, the profile warning and
+// the captured profile. Every such field is omitted when zero, so a plain
+// profiling run's encoding carries none of them. Stored profiles and
+// serving stats travel as plain JSON numbers: their floats (rate-trace
+// distances, goodputs) are always finite, and JSON carries finite floats
+// exactly.
 package dispatch
 
 import (
@@ -47,17 +47,16 @@ import (
 	"jessica2/internal/tcm"
 )
 
-// WireSchema identifies this module's dispatch protocol; anything else in
-// an envelope's schema field is rejected with ErrSchema.
+// WireSchema identifies this codec's envelopes; anything else in an
+// envelope's schema field is rejected with ErrSchema.
 const WireSchema = "jessica2/dispatch"
 
-// WireVersion is the current wire revision. Coordinator and workers must
-// run the same revision: the fleet is one build fanned out, not a
-// long-lived deployment, so the format is forward-incompatible by design.
-// Revision 2 added the session-side fields; a revision-1 worker would drop
-// them silently and run a policy job as a plain one, so it gets ErrVersion
-// instead. Revision 3 dropped the profilers' cost-model fields, which are
-// constants now; a revision-2 worker would read them as zero costs.
+// WireVersion is the current wire revision. Encoder and decoder must be
+// the same revision, so the format is forward-incompatible by design.
+// Revision 2 added the session-side fields; a revision-1 decoder would
+// drop them silently, so it gets ErrVersion instead. Revision 3 dropped
+// the profilers' cost-model fields, which are constants now; a revision-2
+// decoder would read them as zero costs.
 const WireVersion = 3
 
 // Typed decode errors; match with errors.Is.
@@ -69,16 +68,10 @@ var (
 	// ErrCorrupt rejects malformed, truncated or bit-flipped payloads
 	// (JSON syntax, CRC or structural check failure).
 	ErrCorrupt = errors.New("dispatch: corrupt wire payload")
-	// ErrInvalidSpec rejects a well-formed job whose spec fails
-	// experiments.Spec.Validate; the validation error is wrapped too.
-	ErrInvalidSpec = errors.New("dispatch: invalid job spec")
 )
 
-// Envelope kinds.
-const (
-	kindJob = "job"
-	kindOut = "out"
-)
+// kindOut is the envelope kind of a run outcome, the only kind there is.
+const kindOut = "out"
 
 // envelope is the versioned self-describing wrapper every payload rides in.
 type envelope struct {
@@ -91,23 +84,23 @@ type envelope struct {
 	Body json.RawMessage `json:"body"`
 }
 
-// seal wraps body in an envelope of the given kind.
-func seal(kind string, body any) ([]byte, error) {
+// seal wraps an outcome body in an envelope.
+func seal(body *wireOut) ([]byte, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: encoding %s body: %w", kind, err)
+		return nil, fmt.Errorf("dispatch: encoding %s body: %w", kindOut, err)
 	}
 	return json.Marshal(envelope{
 		Schema:  WireSchema,
 		Version: WireVersion,
-		Kind:    kind,
+		Kind:    kindOut,
 		CRC:     crc32.ChecksumIEEE(raw),
 		Body:    raw,
 	})
 }
 
-// open validates an envelope of the expected kind and returns its body.
-func open(data []byte, kind string) (json.RawMessage, error) {
+// open validates an outcome envelope and returns its body.
+func open(data []byte) (json.RawMessage, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -119,55 +112,13 @@ func open(data []byte, kind string) (json.RawMessage, error) {
 		return nil, fmt.Errorf("%w: wire version %d, this build speaks %d",
 			ErrVersion, env.Version, WireVersion)
 	}
-	if env.Kind != kind {
-		return nil, fmt.Errorf("%w: payload kind %q, want %q", ErrCorrupt, env.Kind, kind)
+	if env.Kind != kindOut {
+		return nil, fmt.Errorf("%w: payload kind %q, want %q", ErrCorrupt, env.Kind, kindOut)
 	}
 	if crc32.ChecksumIEEE(env.Body) != env.CRC {
 		return nil, fmt.Errorf("%w: body CRC mismatch", ErrCorrupt)
 	}
 	return env.Body, nil
-}
-
-// Lease is one job assignment: which submission-index job, under which
-// fencing epoch, and the token naming this particular grant. The epoch
-// increments every time the job is (re)assigned, and the token embeds it,
-// so a result fetched under a superseded grant — a slow worker finishing
-// after its lease expired and the job was handed elsewhere — is rejected
-// at the coordinator by token mismatch, never applied.
-type Lease struct {
-	Job   int    `json:"job"`
-	Epoch int    `json:"epoch"`
-	Token string `json:"token"`
-}
-
-// wireJob is a job envelope body.
-type wireJob struct {
-	Lease Lease            `json:"lease"`
-	Spec  experiments.Spec `json:"spec"`
-}
-
-// EncodeJob serializes one job assignment. The Spec is carried as plain
-// JSON: every field — scenario schedules included — is exported value data,
-// and Go's float64 JSON encoding round-trips exactly.
-func EncodeJob(l Lease, spec experiments.Spec) ([]byte, error) {
-	return seal(kindJob, wireJob{Lease: l, Spec: spec})
-}
-
-// DecodeJob parses a job envelope and validates its spec, so a worker
-// rejects a job it could not run instead of failing it mid-run.
-func DecodeJob(data []byte) (Lease, experiments.Spec, error) {
-	body, err := open(data, kindJob)
-	if err != nil {
-		return Lease{}, experiments.Spec{}, err
-	}
-	var j wireJob
-	if err := json.Unmarshal(body, &j); err != nil {
-		return Lease{}, experiments.Spec{}, fmt.Errorf("%w: job body: %v", ErrCorrupt, err)
-	}
-	if err := j.Spec.Validate(); err != nil {
-		return Lease{}, experiments.Spec{}, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
-	}
-	return j.Lease, j.Spec, nil
 }
 
 // floatBits / floatFromBits move float64s over the wire as IEEE-754 bit
@@ -218,7 +169,7 @@ type wireRateChange struct {
 
 // wireProfiler is the serializable slice of a core.Profiler: the charged
 // totals and the adaptive decision log. The live half — kernel pointer,
-// per-thread samplers and footprinters — is meaningless off-host; a
+// per-thread samplers and footprinters — is meaningless outside the run; a
 // decoded Out carries a detached Profiler holding exactly these fields,
 // which is everything the table and figure folds consume.
 type wireProfiler struct {
@@ -247,7 +198,7 @@ type wireOut struct {
 // EncodeOut serializes one run outcome. The output is a pure function of
 // the Out's wire-visible fields (JSON struct fields are ordered, map keys
 // are sorted), so encoding the same deterministic run on any host yields
-// the same bytes — the identity gates compare encodings directly.
+// the same bytes — the bench's digest includes their count.
 func EncodeOut(o *experiments.Out) ([]byte, error) {
 	w := wireOut{
 		Spec:       o.Spec,
@@ -280,7 +231,7 @@ func EncodeOut(o *experiments.Out) ([]byte, error) {
 		}
 		w.Profiler = wp
 	}
-	return seal(kindOut, w)
+	return seal(&w)
 }
 
 // DecodeOut parses an out envelope back into an experiments.Out. The
@@ -290,7 +241,7 @@ func EncodeOut(o *experiments.Out) ([]byte, error) {
 // contract. Hostile input returns a typed error; it never panics. A stored
 // profile the Out carries must pass profile.Validate, or ErrCorrupt.
 func DecodeOut(data []byte) (*experiments.Out, error) {
-	body, err := open(data, kindOut)
+	body, err := open(data)
 	if err != nil {
 		return nil, err
 	}

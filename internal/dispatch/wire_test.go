@@ -6,10 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 
 	"jessica2/internal/core"
@@ -18,7 +15,6 @@ import (
 	"jessica2/internal/profile"
 	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
-	"jessica2/internal/sim"
 	"jessica2/internal/sticky"
 	"jessica2/internal/tcm"
 )
@@ -57,7 +53,7 @@ func sessionSpec(t *testing.T) experiments.Spec {
 }
 
 // TestOutRoundTripExact: decode∘encode is the identity on the wire form —
-// the property the distributed identity gate rests on. Verified field by
+// the property the bench's codec check rests on. Verified field by
 // field against the original Out, then by re-encoding the decoded Out and
 // comparing bytes.
 func TestOutRoundTripExact(t *testing.T) {
@@ -179,49 +175,13 @@ func requireRoundTrip(t *testing.T, out *experiments.Out) {
 		}
 	}
 
-	// The byte-level identity the dispatcher's gate compares.
+	// The byte-level identity the bench's codec check compares.
 	re, err := EncodeOut(dec)
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
 	if !bytes.Equal(re, enc) {
 		t.Fatalf("re-encoded bytes differ from the original encoding (%d vs %d bytes)", len(re), len(enc))
-	}
-}
-
-// TestJobRoundTrip: lease and spec survive the job envelope, a warm-start
-// spec's stored profile included.
-func TestJobRoundTrip(t *testing.T) {
-	lease := Lease{Job: 7, Epoch: 3, Token: "j7.e3.s42"}
-	warm := sessionSpec(t)
-	warm.Policy, warm.SaveProfile = "warmstart", false
-	warm.LoadProfile = &profile.Profile{
-		Fingerprint: profile.Fingerprint{Workload: "ServeMix", Scenario: "crash+burst", Nodes: 4, Threads: 4, Seed: 7},
-		TCMThreads:  2,
-		TCMCells:    []int64{0, 3, 3, 0},
-		Assignment:  []int{0, 1},
-		HotHomes:    []profile.HotHome{{Key: 5, Home: 1}},
-		RateTrace:   []profile.RateChange{{At: sim.Millisecond, From: 1, To: 4, Distance: 1.0 / 3.0}},
-		Decisions:   []profile.Decision{{Epoch: 1, At: sim.Millisecond, Kind: profile.DecisionRehomeObject, A: 5, B: 1}},
-	}
-	for _, spec := range []experiments.Spec{richSpec(), warm} {
-		enc, err := EncodeJob(lease, spec)
-		if err != nil {
-			t.Fatalf("EncodeJob: %v", err)
-		}
-		gotLease, gotSpec, err := DecodeJob(enc)
-		if err != nil {
-			t.Fatalf("DecodeJob: %v", err)
-		}
-		if gotLease != lease {
-			t.Fatalf("lease = %+v, want %+v", gotLease, lease)
-		}
-		if !specsEqual(t, gotSpec, spec) {
-			t.Fatalf("spec drifted:\n got %+v\nwant %+v", gotSpec, spec)
-		}
-		if spec.LoadProfile != nil && !bytes.Equal(profile.Encode(gotSpec.LoadProfile), profile.Encode(spec.LoadProfile)) {
-			t.Fatalf("stored profile drifted")
-		}
 	}
 }
 
@@ -256,15 +216,15 @@ func mutateEnvelope(t *testing.T, data []byte, f func(*envelope)) []byte {
 	return out
 }
 
-// TestDecodeTypedErrors: every way a payload can be wrong maps to its
-// typed error, and none of them panic.
+// TestDecodeTypedErrors: every way an outcome envelope can be wrong maps
+// to its typed error, and none of them panic.
 func TestDecodeTypedErrors(t *testing.T) {
-	good, err := EncodeJob(Lease{Job: 1, Epoch: 1, Token: "t"}, experiments.Spec{App: experiments.AppSOR, Nodes: 1, Threads: 1})
+	good, err := EncodeOut(&experiments.Out{Spec: experiments.Spec{App: experiments.AppSOR, Nodes: 1, Threads: 1}, Exec: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeJob(good); err != nil {
-		t.Fatalf("DecodeJob(good) = %v", err)
+	if _, err := DecodeOut(good); err != nil {
+		t.Fatalf("DecodeOut(good) = %v", err)
 	}
 	cases := []struct {
 		name string
@@ -276,40 +236,20 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"foreign schema", mutateEnvelope(t, good, func(e *envelope) { e.Schema = "jessica2/profile" }), ErrSchema},
 		{"future version", mutateEnvelope(t, good, func(e *envelope) { e.Version = WireVersion + 1 }), ErrVersion},
 		{"older version", mutateEnvelope(t, good, func(e *envelope) { e.Version = WireVersion - 1 }), ErrVersion},
-		{"wrong kind", mutateEnvelope(t, good, func(e *envelope) { e.Kind = kindOut }), ErrCorrupt},
+		{"wrong kind", mutateEnvelope(t, good, func(e *envelope) { e.Kind = "job" }), ErrCorrupt},
 		{"tampered body", mutateEnvelope(t, good, func(e *envelope) {
 			// Change one digit: still valid JSON, but the CRC no longer matches.
-			e.Body = bytes.Replace(e.Body, []byte(`"job":1`), []byte(`"job":2`), 1)
+			e.Body = bytes.Replace(e.Body, []byte(`"exec":1`), []byte(`"exec":2`), 1)
 		}), ErrCorrupt},
 		{"crc mismatch", mutateEnvelope(t, good, func(e *envelope) { e.CRC ^= 1 }), ErrCorrupt},
 	}
 	for _, tc := range cases {
-		if _, _, err := DecodeJob(tc.data); !errors.Is(err, tc.want) {
-			t.Errorf("%s: DecodeJob error = %v, want %v", tc.name, err, tc.want)
+		if bytes.Equal(tc.data, good) {
+			t.Fatalf("%s: the tampering left the encoding unchanged", tc.name)
 		}
-	}
-	// A well-formed job whose spec fails Validate is rejected on decode,
-	// so a worker answers 400 instead of failing the lease mid-run.
-	zeroNodes, err := EncodeJob(Lease{Job: 1, Epoch: 1, Token: "t"}, experiments.Spec{App: experiments.AppSOR, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecodeJob(zeroNodes); !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "need at least one node") {
-		t.Errorf("DecodeJob(zero-node spec) = %v, want %v naming the node count", err, ErrInvalidSpec)
-	}
-	srv := httptest.NewServer(NewWorker(nil).Handler())
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/submit", "application/json", bytes.NewReader(zeroNodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("worker answered an invalid spec with %d, want %d", resp.StatusCode, http.StatusBadRequest)
-	}
-	// The same envelope validation guards results.
-	if _, err := DecodeOut(good); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("DecodeOut(job envelope) = %v, want %v (kind mismatch)", err, ErrCorrupt)
+		if _, err := DecodeOut(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: DecodeOut error = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -358,35 +298,23 @@ func shortCellsProfile() *profile.Profile {
 	}
 }
 
-// TestDecodeJobRejectsBadProfile: a job whose stored profile fails
-// profile.Validate is an invalid spec, not a run that panics.
-func TestDecodeJobRejectsBadProfile(t *testing.T) {
-	for _, bad := range []*profile.Profile{
-		shortCellsProfile(),
-		{Fingerprint: profile.Fingerprint{Workload: "KVMix", Nodes: 4, Threads: 2, Seed: 42}, Assignment: []int{0, 9}},
-	} {
-		spec := experiments.Spec{App: experiments.AppKVMix, Nodes: 4, Threads: 2, Seed: 42, LoadProfile: bad}
-		enc, err := EncodeJob(Lease{Job: 1, Epoch: 1, Token: "t"}, spec)
+// TestDecodeOutRejectsBadCaptured: a result whose captured profile, or
+// whose spec's loaded profile, fails profile.Validate is corrupt.
+func TestDecodeOutRejectsBadCaptured(t *testing.T) {
+	captured := &experiments.Out{Spec: experiments.Spec{App: experiments.AppKVMix}}
+	captured.Captured = shortCellsProfile()
+	loaded := &experiments.Out{Spec: experiments.Spec{App: experiments.AppKVMix, LoadProfile: shortCellsProfile()}}
+	for _, tc := range []struct {
+		name string
+		out  *experiments.Out
+	}{{"captured", captured}, {"loaded", loaded}} {
+		enc, err := EncodeOut(tc.out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeJob(enc); !errors.Is(err, ErrInvalidSpec) {
-			t.Errorf("DecodeJob(profile %+v) = %v, want %v", bad, err, ErrInvalidSpec)
+		if _, err := DecodeOut(enc); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeOut(%s profile with short cells) = %v, want %v", tc.name, err, ErrCorrupt)
 		}
-	}
-}
-
-// TestDecodeOutRejectsBadCaptured: a result whose captured profile fails
-// profile.Validate is corrupt.
-func TestDecodeOutRejectsBadCaptured(t *testing.T) {
-	out := &experiments.Out{Spec: experiments.Spec{App: experiments.AppKVMix}}
-	out.Captured = shortCellsProfile()
-	enc, err := EncodeOut(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeOut(enc); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("DecodeOut(short captured cells) = %v, want %v", err, ErrCorrupt)
 	}
 }
 

@@ -140,8 +140,7 @@ func DataSetLabel(a App, small bool, scale Scale) string {
 }
 
 // Spec describes one simulated run: every setting a run needs, as plain
-// data, so a spec can ship to a worker (internal/dispatch) and run there
-// exactly as it would locally.
+// data. Run is a pure function of it, so equal specs give equal outcomes.
 type Spec struct {
 	App      App
 	Small    bool // Table V datasets (SOR 1K×1K)
@@ -466,44 +465,13 @@ func Run(spec Spec) *Out {
 	return out
 }
 
-// Dispatcher runs a batch of specs somewhere other than the local worker
-// pool — typically internal/dispatch's multi-host fleet. RunSpecs must
-// return the outcomes in submission order (the positional contract every
-// table and figure fold relies on); because each spec is a pure,
-// seed-deterministic function, a dispatched batch is byte-identical to a
-// local one. A returned error means the batch could not be completed at
-// all; RunAll then degrades to the local pool, so installing a dispatcher
-// can slow a regeneration down but never fail or corrupt it.
-type Dispatcher interface {
-	RunSpecs(specs []Spec) ([]*Out, error)
-}
-
-// activeDispatcher, when non-nil, fields every RunAll batch. It is a plain
-// package variable set once at process startup (djvmbench/djvmrun -workers)
-// before any experiment runs; it is not synchronized for mid-run swaps.
-var activeDispatcher Dispatcher
-
-// SetDispatcher installs (or, with nil, removes) the process-wide
-// dispatcher RunAll routes batches through. Call before regenerating
-// anything; the local pool argument of RunAll remains the fallback.
-func SetDispatcher(d Dispatcher) { activeDispatcher = d }
-
 // RunAll executes the specs through the pool's worker fan-out and returns
 // the outcomes in submission order. Every spec is an independent,
 // seed-deterministic simulation (Run builds a private kernel, engine and
 // workload per call), so the collected results — and any table or figure
 // folded from them positionally — are byte-identical at any parallelism.
 // A nil pool runs the specs inline, exactly like the historical loops.
-//
-// When a Dispatcher is installed (SetDispatcher) the batch is offered to it
-// first; a dispatcher error falls back to the local pool rather than
-// failing the regeneration.
 func RunAll(p *runner.Pool, specs []Spec) []*Out {
-	if d := activeDispatcher; d != nil {
-		if outs, err := d.RunSpecs(specs); err == nil {
-			return outs
-		}
-	}
 	jobs := make([]func() *Out, len(specs))
 	for i := range specs {
 		spec := specs[i]

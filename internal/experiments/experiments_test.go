@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jessica2/internal/gos"
+	"jessica2/internal/profile"
 	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/sim"
@@ -268,6 +269,7 @@ func TestSpecValidate(t *testing.T) {
 		return s
 	}
 	serve := func(s *Spec) { s.App, s.Scenario = AppServe, burst }
+	fp := profile.Fingerprint{Workload: "KVMix", Nodes: 4, Threads: 4}
 	for name, s := range map[string]Spec{
 		"plain":          base(func(*Spec) {}),
 		"pilot epochs":   base(func(s *Spec) { s.Policy, s.Epochs = "rebalance", 8 }),
@@ -289,6 +291,14 @@ func TestSpecValidate(t *testing.T) {
 		"unknown policy":       base(func(s *Spec) { s.Policy, s.Epochs = "wat", 8 }),
 		"policy without epoch": base(func(s *Spec) { s.Policy = "rebalance" }),
 		"negative epoch":       base(func(s *Spec) { s.Epoch = -sim.Millisecond }),
+		// Stored profiles that profile.Validate rejects: 3 cells for a 2×2
+		// map, and an assignment that names node 9 of 4.
+		"profile short cells": base(func(s *Spec) {
+			s.LoadProfile = &profile.Profile{Fingerprint: fp, TCMThreads: 2, TCMCells: []int64{0, 3, 3}}
+		}),
+		"profile names node 9": base(func(s *Spec) {
+			s.LoadProfile = &profile.Profile{Fingerprint: fp, Assignment: []int{0, 9}}
+		}),
 	} {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)

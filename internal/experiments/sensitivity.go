@@ -43,9 +43,9 @@ type FigSRow struct {
 	OALKB       float64
 }
 
-// FigSResult holds the sensitivity sweep. Its runs go through RunAll, so
-// -workers dispatch applies; only the row lookup and the grouped table come
-// from the strict-win grid.
+// FigSResult holds the sensitivity sweep. Its runs go through RunAll like
+// every other figure's; only the row lookup and the grouped table come from
+// the strict-win grid.
 type FigSResult struct{ Result[FigSRow] }
 
 // figSSpec builds the common run spec for one scenario/mode cell. Each cell

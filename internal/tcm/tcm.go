@@ -105,8 +105,8 @@ func (m *Map) AppendFixedCells(dst []int64) []int64 {
 // AppendCellBits appends every cell's IEEE-754 bit pattern to dst,
 // row-major including both symmetric mirrors. Unlike AppendFixedCells this
 // is exact for *any* map, not just ones accumulated in fixed point (the
-// page-based baseline tracker builds float maps directly), which is why the
-// experiment dispatcher's wire form uses it: AppendCellBits∘NewMapFromBits
+// page-based baseline tracker builds float maps directly), which is why
+// internal/dispatch's Out codec uses it: AppendCellBits∘NewMapFromBits
 // round-trips bit-identically for every map.
 func (m *Map) AppendCellBits(dst []uint64) []uint64 {
 	for _, v := range m.cells {
