@@ -2,10 +2,12 @@ package gos
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"jessica2/internal/heap"
 	"jessica2/internal/network"
+	"jessica2/internal/sim"
 	"jessica2/internal/tcm"
 )
 
@@ -152,12 +154,27 @@ func TestHomeMigrationBasics(t *testing.T) {
 	}
 }
 
+// gosDataSenders records which nodes send GOS data to node to.
+type gosDataSenders struct {
+	to   network.NodeID
+	from []network.NodeID
+}
+
+func (g *gosDataSenders) Intercept(_ sim.Time, from, to network.NodeID, primary network.Category, _ int) network.Verdict {
+	if to == g.to && primary == network.CatGOSData {
+		g.from = append(g.from, from)
+	}
+	return network.Verdict{}
+}
+
 // TestHomeMigrationMovesFaultTarget: after re-homing, a third node's fault
 // is served by the new home.
 func TestHomeMigrationMovesFaultTarget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 3
 	k := NewKernel(cfg)
+	senders := &gosDataSenders{to: 2}
+	k.Net.SetInterceptor(senders)
 	cls := k.Reg.DefineClass("X", 128, 0)
 	var obj *heap.Object
 	k.SpawnThread(0, "owner", func(th *Thread) {
@@ -178,10 +195,9 @@ func TestHomeMigrationMovesFaultTarget(t *testing.T) {
 	if faults != 1 {
 		t.Fatalf("reader faults = %d, want 1", faults)
 	}
-	// The fetch was served by node 1 (new home): node 1 originated
-	// GOS-data traffic.
-	if k.Net.NodeStats(1).CatBytes(network.CatGOSData) == 0 {
-		t.Fatal("new home served no data")
+	// The fetch was served by node 1, the new home, and by no other node.
+	if !slices.Equal(senders.from, []network.NodeID{1}) {
+		t.Fatalf("GOS data reached the reader's node from %v, want [1]", senders.from)
 	}
 }
 

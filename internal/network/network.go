@@ -200,10 +200,10 @@ func (s Stats) String() string {
 
 // Network connects a fixed set of nodes.
 type Network struct {
-	eng      *sim.Engine
-	handlers map[NodeID]Handler
+	eng *sim.Engine
+	// handlers is indexed by the dense node id; Bind grows it.
+	handlers []Handler
 	stats    Stats
-	perNode  map[NodeID]*Stats
 	inFlight int
 	shaper   Shaper
 	icept    Interceptor
@@ -214,28 +214,19 @@ type Network struct {
 }
 
 // New creates a network over the engine.
-func New(eng *sim.Engine) *Network {
-	return &Network{
-		eng:      eng,
-		handlers: make(map[NodeID]Handler),
-		perNode:  make(map[NodeID]*Stats),
-	}
-}
+func New(eng *sim.Engine) *Network { return &Network{eng: eng} }
 
 // Bind installs the message handler for a node. Rebinding replaces the
 // previous handler.
-func (n *Network) Bind(id NodeID, h Handler) { n.handlers[id] = h }
+func (n *Network) Bind(id NodeID, h Handler) {
+	for len(n.handlers) <= int(id) {
+		n.handlers = append(n.handlers, nil)
+	}
+	n.handlers[id] = h
+}
 
 // Stats returns a snapshot of global traffic stats.
 func (n *Network) Stats() Stats { return n.stats }
-
-// NodeStats returns traffic originated by the given node.
-func (n *Network) NodeStats(id NodeID) Stats {
-	if s := n.perNode[id]; s != nil {
-		return *s
-	}
-	return Stats{}
-}
 
 // InFlight reports messages sent but not yet delivered.
 func (n *Network) InFlight() int { return n.inFlight }
@@ -319,7 +310,7 @@ func (n *Network) post(msg *Message) {
 		return
 	}
 	total := msg.TotalBytes()
-	n.account(from, parts)
+	n.account(parts)
 	delay := n.TransferTime(total)
 	if n.shaper != nil {
 		// Clamp shaper pathologies: extreme jitter or degenerate bandwidth
@@ -356,24 +347,19 @@ func (n *Network) post(msg *Message) {
 	n.eng.AfterEvent(delay, (*delivery)(msg))
 }
 
-func (n *Network) account(from NodeID, parts []Part) {
-	ns := n.perNode[from]
-	if ns == nil {
-		ns = &Stats{}
-		n.perNode[from] = ns
-	}
+func (n *Network) account(parts []Part) {
 	n.stats.HeaderBytesTotal += HeaderBytes
-	ns.HeaderBytesTotal += HeaderBytes
 	for _, p := range parts {
 		n.stats.Bytes[p.Cat] += int64(p.Bytes)
 		n.stats.Messages[p.Cat]++
-		ns.Bytes[p.Cat] += int64(p.Bytes)
-		ns.Messages[p.Cat]++
 	}
 }
 
 func (n *Network) deliver(msg *Message) {
-	h := n.handlers[msg.To]
+	var h Handler
+	if uint(msg.To) < uint(len(n.handlers)) {
+		h = n.handlers[msg.To]
+	}
 	if h == nil {
 		panic(fmt.Sprintf("network: no handler bound for node %d", msg.To))
 	}

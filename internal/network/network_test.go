@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"jessica2/internal/sim"
@@ -92,37 +94,23 @@ func TestLocalDeliveryFreeAndUncounted(t *testing.T) {
 	}
 }
 
-func TestPerNodeStats(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(eng)
-	for i := NodeID(0); i < 3; i++ {
-		n.Bind(i, func(m *Message) {})
-	}
-	n.Send(1, 2, CatGOSData, 100, nil)
-	n.Send(2, 1, CatGOSData, 300, nil)
-	eng.Run()
-	if n.NodeStats(1).CatBytes(CatGOSData) != 100 {
-		t.Fatal("node 1 stats wrong")
-	}
-	if n.NodeStats(2).CatBytes(CatGOSData) != 300 {
-		t.Fatal("node 2 stats wrong")
-	}
-	if n.NodeStats(7).TotalBytes() != 0 {
-		t.Fatal("unknown node should be zero")
-	}
-}
-
 func TestUnboundHandlerPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(eng)
-	n.Bind(0, func(m *Message) {})
-	n.Send(0, 5, CatControl, 10, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("unbound destination did not panic")
-		}
-	}()
-	eng.Run()
+	// Node 5 lies past every bound id; node 1 is a gap below bound node 2.
+	for _, to := range []NodeID{5, 1} {
+		eng := sim.NewEngine()
+		n := New(eng)
+		n.Bind(0, func(m *Message) {})
+		n.Bind(2, func(m *Message) {})
+		n.Send(0, to, CatControl, 10, nil)
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "no handler bound") {
+					t.Errorf("send to unbound node %d: recovered %v, want the no-handler panic", to, r)
+				}
+			}()
+			eng.Run()
+		}()
+	}
 }
 
 func TestFIFOPerOrderedSends(t *testing.T) {
