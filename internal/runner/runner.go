@@ -13,12 +13,10 @@ package runner
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Pool bounds the worker fan-out. The zero value and nil both mean
@@ -156,43 +154,6 @@ type Result[T any] struct {
 	Value T
 	// Err is the job's error; nil means the job succeeded.
 	Err error
-}
-
-// Backoff is a capped exponential per-attempt delay policy: the n-th retry
-// of an operation waits min(Base·2ⁿ, Max). The zero value means no delay at
-// all (every retry is immediate), and Max <= 0 leaves the doubling uncapped.
-// The caller chooses the clock: the dispatcher sleeps the delays in real
-// time between transport retries, while the robust serving layer schedules
-// them on the simulated clock (both count nanoseconds).
-type Backoff struct {
-	// Base is the delay before the first retry; <= 0 disables all delays.
-	Base time.Duration
-	// Max caps the doubled delays; <= 0 means uncapped.
-	Max time.Duration
-}
-
-// Delay returns the pause before retry number attempt (0 = first retry).
-func (b Backoff) Delay(attempt int) time.Duration {
-	d := b.Base
-	if d <= 0 {
-		return 0
-	}
-	if attempt < 0 {
-		attempt = 0 // clamp: a confused caller gets the base delay, not a hot loop
-	}
-	for ; attempt > 0; attempt-- {
-		if b.Max > 0 && d >= b.Max {
-			return b.Max
-		}
-		if d > math.MaxInt64/2 {
-			return time.Duration(math.MaxInt64)
-		}
-		d *= 2
-	}
-	if b.Max > 0 && d > b.Max {
-		d = b.Max
-	}
-	return d
 }
 
 // TryCollect is Collect for fallible jobs: each job runs once and its

@@ -246,35 +246,3 @@ func TestTryCollectBoundedRetries(t *testing.T) {
 		t.Fatalf("failing job ran %d times, want 1", got)
 	}
 }
-
-// TestBackoffDelay pins the capped-exponential schedule, its zero-value
-// no-delay contract, and overflow safety at absurd attempt counts.
-func TestBackoffDelay(t *testing.T) {
-	cases := []struct {
-		name    string
-		bo      Backoff
-		attempt int
-		want    time.Duration
-	}{
-		{"zero value never delays", Backoff{}, 0, 0},
-		{"zero value never delays late", Backoff{}, 9, 0},
-		{"first attempt is base", Backoff{Base: 10 * time.Millisecond, Max: time.Second}, 0, 10 * time.Millisecond},
-		{"doubles", Backoff{Base: 10 * time.Millisecond, Max: time.Second}, 1, 20 * time.Millisecond},
-		{"doubles again", Backoff{Base: 10 * time.Millisecond, Max: time.Second}, 3, 80 * time.Millisecond},
-		{"hits the cap", Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond}, 4, 50 * time.Millisecond},
-		{"stays at the cap", Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond}, 40, 50 * time.Millisecond},
-		{"negative attempt clamps to base", Backoff{Base: 10 * time.Millisecond, Max: time.Second}, -3, 10 * time.Millisecond},
-		{"no cap grows freely", Backoff{Base: time.Millisecond}, 10, 1024 * time.Millisecond},
-		{"huge attempt does not overflow", Backoff{Base: time.Second}, 500, Backoff{Base: time.Second}.Delay(499)},
-	}
-	for _, tc := range cases {
-		if got := tc.bo.Delay(tc.attempt); got != tc.want {
-			t.Errorf("%s: Delay(%d) = %v, want %v", tc.name, tc.attempt, got, tc.want)
-		}
-	}
-	// Overflow guard: the uncapped schedule must saturate positive, never
-	// wrap negative (a negative Sleep returns immediately — a hot loop).
-	if d := (Backoff{Base: time.Hour}).Delay(200); d <= 0 {
-		t.Fatalf("uncapped Delay(200) = %v, want a positive saturated delay", d)
-	}
-}

@@ -2,10 +2,9 @@ package workload
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"jessica2/internal/gos"
-	"jessica2/internal/runner"
 	"jessica2/internal/sim"
 	"jessica2/internal/xrand"
 )
@@ -182,6 +181,37 @@ type robustBox struct {
 // attemptChunk is the size of one chunk of the dispatcher's attempt arena.
 const attemptChunk = 256
 
+// backoff is a capped exponential retry delay: the n-th retry waits
+// min(base·2ⁿ, limit). A base <= 0 means no delay at all (every retry is
+// immediate), and a limit <= 0 leaves the doubling uncapped.
+type backoff struct {
+	base, limit sim.Time
+}
+
+// delay returns the pause before retry number attempt (0 = first retry).
+func (b backoff) delay(attempt int) sim.Time {
+	d := b.base
+	if d <= 0 {
+		return 0
+	}
+	if attempt < 0 {
+		attempt = 0 // clamp: a confused caller gets the base delay, not a hot loop
+	}
+	for ; attempt > 0; attempt-- {
+		if b.limit > 0 && d >= b.limit {
+			return b.limit
+		}
+		if d > math.MaxInt64/2 {
+			return math.MaxInt64
+		}
+		d *= 2
+	}
+	if b.limit > 0 && d > b.limit {
+		d = b.limit
+	}
+	return d
+}
+
 // serveDispatcher owns the robust serving run: arrival admission, routing,
 // timeouts, hedges, breakers and termination. All methods run in engine
 // event context or inside a worker proc — the simulation is cooperative,
@@ -193,7 +223,7 @@ type serveDispatcher struct {
 
 	// Timings derived from cfg.Deadline (see RobustConfig).
 	attemptTimeout sim.Time
-	retryBackoff   runner.Backoff
+	retryBackoff   backoff
 	hedgeMin       sim.Time
 
 	threads []*gos.Thread
@@ -248,9 +278,9 @@ func newServeDispatcher(w *ServeMix, k *gos.Kernel, threads int) *serveDispatche
 	d := &serveDispatcher{
 		w: w, k: k, cfg: cfg,
 		attemptTimeout: cfg.Deadline / 4,
-		retryBackoff: runner.Backoff{
-			Base: time.Duration(cfg.Deadline / 16),
-			Max:  time.Duration(cfg.Deadline / 4),
+		retryBackoff: backoff{
+			base:  cfg.Deadline / 16,
+			limit: cfg.Deadline / 4,
 		},
 		hedgeMin:   cfg.Deadline / 8,
 		threads:    make([]*gos.Thread, threads),
@@ -532,7 +562,7 @@ func (d *serveDispatcher) timeout(a *serveAttempt) {
 		r.retries++
 		d.w.state.retried++
 		attempt := r.retries - 1
-		delay := sim.Time(d.retryBackoff.Delay(attempt))
+		delay := d.retryBackoff.delay(attempt)
 		d.k.Eng.AfterEvent(delay, (*retryTimer)(a))
 		return
 	}

@@ -400,3 +400,36 @@ func TestStripePenDrainsFIFO(t *testing.T) {
 	}
 	k.Run()
 }
+
+// TestBackoffDelay pins the capped-exponential schedule, its zero-value
+// no-delay contract, and overflow safety at absurd attempt counts.
+func TestBackoffDelay(t *testing.T) {
+	const ms = sim.Millisecond
+	cases := []struct {
+		name    string
+		bo      backoff
+		attempt int
+		want    sim.Time
+	}{
+		{"zero value never delays", backoff{}, 0, 0},
+		{"zero value never delays late", backoff{}, 9, 0},
+		{"first attempt is base", backoff{base: 10 * ms, limit: sim.Second}, 0, 10 * ms},
+		{"doubles", backoff{base: 10 * ms, limit: sim.Second}, 1, 20 * ms},
+		{"doubles again", backoff{base: 10 * ms, limit: sim.Second}, 3, 80 * ms},
+		{"hits the cap", backoff{base: 10 * ms, limit: 50 * ms}, 4, 50 * ms},
+		{"stays at the cap", backoff{base: 10 * ms, limit: 50 * ms}, 40, 50 * ms},
+		{"negative attempt clamps to base", backoff{base: 10 * ms, limit: sim.Second}, -3, 10 * ms},
+		{"no cap grows freely", backoff{base: ms}, 10, 1024 * ms},
+		{"huge attempt does not overflow", backoff{base: sim.Second}, 500, backoff{base: sim.Second}.delay(499)},
+	}
+	for _, tc := range cases {
+		if got := tc.bo.delay(tc.attempt); got != tc.want {
+			t.Errorf("%s: delay(%d) = %v, want %v", tc.name, tc.attempt, got, tc.want)
+		}
+	}
+	// Overflow guard: the uncapped schedule must saturate positive, never
+	// wrap negative (a negative delay would fire the retry at once).
+	if d := (backoff{base: 3600 * sim.Second}).delay(200); d <= 0 {
+		t.Fatalf("uncapped delay(200) = %v, want a positive saturated delay", d)
+	}
+}
