@@ -40,12 +40,16 @@ test-chaos:
 	go test -race -count=1 -run 'Chaos|InjectionDisabled|GoldenTrace|FigR|Failure|Flush|Lease|Heartbeat|Fuzz|Crash|Intercept|Shaper|OALConservation' . ./internal/gos/ ./internal/experiments/ ./internal/scenario/ ./internal/network/
 	go run ./cmd/djvmbench -figR -scale $(SCALE)
 
-# test-serve is the open-loop traffic gauntlet: ServeMix golden determinism
-# and arrival-stream property tests under the race detector, plus the
-# Figure T assertion (closed-loop placement must strictly beat nop and
-# one-shot on P99 on every arrival schedule; non-zero exit otherwise).
+# test-serve is the open-loop traffic gauntlet: ServeMix golden determinism,
+# arrival-stream property tests and the Zipf identity tests (every rank
+# Zipf.Rank draws, ServeMix's tenants among them, equals the exact
+# reference's) under the race detector, then 10 s of fuzzing the Zipf
+# identity (FuzzZipfMatchesReference), plus the Figure T assertion
+# (closed-loop placement must strictly beat nop and one-shot on P99 on
+# every arrival schedule; non-zero exit otherwise).
 test-serve:
-	go test -race -count=1 -run 'ServeMix|Arrivals|FigT|Controller' . ./internal/workload/ ./internal/scenario/ ./internal/experiments/ ./internal/sampling/
+	go test -race -count=1 -run 'ServeMix|Arrivals|FigT|Controller|Zipf' . ./internal/workload/ ./internal/scenario/ ./internal/experiments/ ./internal/sampling/ ./internal/xrand/
+	go test -run '^$$' -fuzz '^FuzzZipfMatchesReference$$' -fuzztime 10s ./internal/xrand/
 	go run ./cmd/djvmbench -figT -scale $(SCALE)
 
 # test-overload is the serving-robustness gauntlet: the preset × protection

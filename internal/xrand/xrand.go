@@ -58,7 +58,18 @@ type Zipf struct {
 	hx0  float64
 	hxm  float64
 	dist float64
+	// The bounds path (see Rank) runs only when fast is set. inv is
+	// 1/(1-s), the exponent of hinv; floor is the integer part of s, and
+	// whole reports that s equals it.
+	fast  bool
+	inv   float64
+	floor int
+	whole bool
 }
+
+// zipfMargin is the relative distance from a decision boundary inside
+// which a Rank iteration falls back to the exact powers.
+const zipfMargin = 1e-9
 
 // NewZipf builds a Zipf sampler over ranks [0, n).
 func NewZipf(r *Rand, s float64, n int) *Zipf {
@@ -66,6 +77,15 @@ func NewZipf(r *Rand, s float64, n int) *Zipf {
 	z.hx0 = z.h(0.5)
 	z.hxm = z.h(float64(n) + 0.5)
 	z.dist = z.hx0 - z.hxm
+	// Rank's error argument needs 1/(s-1) <= 1e4, which keeps the exact
+	// hinv within 4e-12 of the true power, and s <= 16, which keeps every
+	// k^s of an int rank a normal float64.
+	if s >= 1.0001 && s <= 16 {
+		z.fast = true
+		z.inv = 1 / (1 - s)
+		z.floor = int(s)
+		z.whole = float64(z.floor) == s
+	}
 	return z
 }
 
@@ -84,21 +104,92 @@ func (z *Zipf) hinv(x float64) float64 {
 }
 
 // Rank draws one sample.
+//
+// Each iteration draws u and f and makes two decisions: the rank k =
+// int(x+0.5) clamped to [1, n], with x = hinv(u), and acceptance,
+// f < k^-s / x^-s. exact makes both with three math.Pow calls; iterate
+// makes them from cheaper values that provably agree with exact's, so
+// every rank is bit-identical to the exact loop's. The argument, for
+// 1.0001 <= s <= 16 (NewZipf's fast):
+//
+//   - iterate's x' = Exp(Log(u(1-s))·inv) is within 4e-14 of the true
+//     power: Log and Exp are each within about an ulp (Go's math tests
+//     hold Exp to 4e-16), and |ln x| <= 44 for any int n. exact's
+//     Pow(u(1-s), inv) multiplies out the integer part of inv by repeated
+//     squaring, each squaring doubling the error so far: about
+//     2|inv|·2^-53 <= 3e-12 for |inv| <= 1e4. So x' and exact's x differ
+//     by under 3e-12 relative, their s-th powers by under 5e-11, and
+//     exact's other two Pow calls (exponent -s) add 1e-14 each.
+//   - Every decision whose boundary lies further than zipfMargin = 1e-9
+//     relative from iterate's value therefore comes out the same in
+//     exact; iterate hands every iteration near a boundary to exact. The
+//     boundaries are x at a half-integer (the rank), x at k (from there on
+//     x >= k, the ratio (x/k)^s is at least 1 > f, and exact accepts)
+//     and f at the ratio.
+//   - For x < k, r = x/k < 1 brackets the ratio: r^⌈s⌉ <= r^s <= r^⌊s⌋,
+//     each a few multiplies within 2e-15. f below the low side (less the
+//     margin) accepts; f at or above the high side (plus it) rejects.
+//
+// Outside 1.0001 <= s <= 16, every iteration runs exact.
 func (z *Zipf) Rank() int {
 	for {
 		u := z.hx0 - z.r.Float64()*z.dist
-		x := z.hinv(u)
-		k := int(x + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		if k > z.n {
-			k = z.n
-		}
-		// Accept with probability proportional to true mass; the simple
-		// clamp above is adequate for workload generation purposes.
-		if z.r.Float64() < math.Pow(float64(k), -z.s)/math.Pow(x, -z.s) {
+		f := z.r.Float64()
+		if k, ok := z.iterate(u, f); ok {
 			return k - 1
 		}
 	}
+}
+
+// iterate runs one rejection-inversion iteration on the draws u and f and
+// returns its rank k in [1, n] and whether the iteration accepts it.
+func (z *Zipf) iterate(u, f float64) (int, bool) {
+	if !z.fast {
+		return z.exact(u, f)
+	}
+	x := math.Exp(math.Log(u*(1-z.s)) * z.inv)
+	t := x + 0.5
+	k := int(t)
+	if d := t - float64(k); d < zipfMargin*x || 1-d < zipfMargin*x {
+		return z.exact(u, f) // x near a half-integer: k is in doubt
+	}
+	k = min(max(k, 1), z.n)
+	kf := float64(k)
+	if x >= kf*(1+zipfMargin) {
+		return k, true
+	}
+	if x > kf*(1-zipfMargin) {
+		return z.exact(u, f)
+	}
+	r := x / kf
+	hi := r
+	for i := 1; i < z.floor; i++ {
+		hi *= r
+	}
+	lo := hi
+	if !z.whole {
+		lo *= r
+	}
+	if f < lo*(1-zipfMargin) {
+		return k, true
+	}
+	if f >= hi*(1+zipfMargin) {
+		return k, false
+	}
+	return z.exact(u, f)
+}
+
+// exact is iterate with the powers computed in full.
+func (z *Zipf) exact(u, f float64) (int, bool) {
+	x := z.hinv(u)
+	k := int(x + 0.5)
+	if k < 1 {
+		k = 1
+	}
+	if k > z.n {
+		k = z.n
+	}
+	// Accept with probability proportional to true mass; the simple
+	// clamp above is adequate for workload generation purposes.
+	return k, f < math.Pow(float64(k), -z.s)/math.Pow(x, -z.s)
 }
