@@ -1,6 +1,7 @@
 package gos
 
 import (
+	"fmt"
 	"testing"
 
 	"jessica2/internal/heap"
@@ -434,13 +435,48 @@ func TestDetectorSweepAllocatesNothing(t *testing.T) {
 		})
 	}
 	k.Run()
-	if len(k.locks) != locks {
-		t.Fatalf("kernel holds %d locks, want %d", len(k.locks), locks)
+	held := 0
+	for range k.locks.all() {
+		held++
+	}
+	if held != locks {
+		t.Fatalf("kernel holds %d locks, want %d", held, locks)
 	}
 	if allocs := testing.AllocsPerRun(100, k.reclaimDeadHolderLocks); allocs != 0 {
 		t.Fatalf("a sweep with no wedged lock allocates %v times, want 0", allocs)
 	}
 	if fs := k.FailureStats(); fs.LockReclaims != 0 {
 		t.Fatalf("%d locks reclaimed, want 0", fs.LockReclaims)
+	}
+}
+
+// TestFailoverResendsInLockIDOrder: locks created in descending id order,
+// on several lock-table pages and all managed by the node that dies, each
+// with a request adrift toward it. Failover resends the requests to the
+// master in ascending lock-id order.
+func TestFailoverResendsInLockIDOrder(t *testing.T) {
+	k := failureKernel(3, TrackingOff, fastFailureConfig())
+	ids := []int{11002, 4000, 130, 7, 1} // each id % 3 == 1: node 1 manages them
+	for _, id := range ids {
+		ls := k.lock(id)
+		if ls.home != 1 {
+			t.Fatalf("lock %d managed by node %d, want 1", id, ls.home)
+		}
+		ls.inflight = append(ls.inflight, lockWaiter{node: 2, tok: int64(id)})
+	}
+	var resent []int
+	k.Net.Bind(0, func(m *network.Message) {
+		if pm := m.Payload.(*protoMsg); pm.kind == msgLockReq {
+			resent = append(resent, pm.lock)
+		}
+	})
+	k.failoverLocks(1)
+	k.Eng.Run()
+	want := []int{1, 7, 130, 4000, 11002}
+	if fmt.Sprint(resent) != fmt.Sprint(want) {
+		t.Fatalf("requests resent for locks %v, want %v", resent, want)
+	}
+	if fs := k.FailureStats(); fs.LockFailovers != int64(len(ids)) {
+		t.Fatalf("%d locks failed over, want %d", fs.LockFailovers, len(ids))
 	}
 }

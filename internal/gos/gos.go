@@ -145,7 +145,7 @@ type Kernel struct {
 	nodes    []*Node
 	threads  []*Thread
 	master   *Master
-	locks    map[int]*lockState
+	locks    lockTable
 	barriers map[int]*barrierState
 
 	// versions is the home-side version number per object (write notices
@@ -274,7 +274,6 @@ func NewKernel(cfg Config) *Kernel {
 		Reg:      heap.NewRegistry(),
 		Net:      network.New(eng),
 		Cfg:      cfg,
-		locks:    make(map[int]*lockState),
 		barriers: make(map[int]*barrierState),
 	}
 	if cfg.Failure != nil {

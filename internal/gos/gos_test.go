@@ -152,6 +152,17 @@ func TestLockMutualExclusionFIFO(t *testing.T) {
 	}
 }
 
+// TestNegativeLockIDPanics: a lock id indexes the lock table, so a
+// negative one fails with a panic that names it.
+func TestNegativeLockIDPanics(t *testing.T) {
+	k := testKernel(2, TrackingOff)
+	k.SpawnThread(0, "t", func(th *Thread) { th.Acquire(-3) })
+	mustPanic(t, "gos: negative lock id -3", func() { k.Run() })
+	if !k.LockAvailable(-3) {
+		t.Error("a lock id no thread could use reads as held")
+	}
+}
+
 func TestBarrierJoinsAll(t *testing.T) {
 	k := testKernel(4, TrackingOff)
 	arrived := 0

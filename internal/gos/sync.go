@@ -2,7 +2,7 @@ package gos
 
 import (
 	"fmt"
-	"sort"
+	"iter"
 
 	"jessica2/internal/network"
 )
@@ -12,6 +12,7 @@ import (
 // (see failoverLocks), so `home` is the current manager, not the hash.
 type lockState struct {
 	home  int
+	used  bool // the lock exists: some thread has named it
 	held  bool
 	queue []lockWaiter
 	// Failover bookkeeping. gen fences stale in-flight releases: a release
@@ -40,15 +41,73 @@ type lockWaiter struct {
 
 func (k *Kernel) lockHome(id int) int { return id % len(k.nodes) }
 
-func (k *Kernel) lock(id int) *lockState {
-	ls := k.locks[id]
-	if ls == nil {
-		home := k.lockHome(id)
-		if k.fd != nil && home > 0 && k.fd.dead[home] {
-			home = 0 // manager is down: the master adopts the lock
+// The lock table's pages are lockPageLen entries long.
+const (
+	lockPageShift = 6
+	lockPageLen   = 1 << lockPageShift
+	lockPageMask  = lockPageLen - 1
+)
+
+// lockTable holds every lock's state by value, indexed by lock id. A page
+// is allocated the first time an id in its range is used and never moves,
+// so a *lockState stays valid for the kernel's lifetime, across a parked
+// proc. Untouched id ranges cost one nil page pointer each, so memory
+// follows the id ranges in use (ServeMix's stripes start at 11000), not
+// the largest id.
+type lockTable struct {
+	pages []*[lockPageLen]lockState
+}
+
+// all yields every lock in use, in ascending id order.
+func (tb *lockTable) all() iter.Seq2[int, *lockState] {
+	return func(yield func(int, *lockState) bool) {
+		for p, pg := range tb.pages {
+			if pg == nil {
+				continue
+			}
+			for i := range pg {
+				if ls := &pg[i]; ls.used && !yield(p<<lockPageShift|i, ls) {
+					return
+				}
+			}
 		}
-		ls = &lockState{home: home}
-		k.locks[id] = ls
+	}
+}
+
+// peek returns lock id's state, or nil when no thread has used the lock.
+func (tb *lockTable) peek(id int) *lockState {
+	p := id >> lockPageShift
+	if id < 0 || p >= len(tb.pages) || tb.pages[p] == nil {
+		return nil
+	}
+	if ls := &tb.pages[p][id&lockPageMask]; ls.used {
+		return ls
+	}
+	return nil
+}
+
+// lock returns lock id's state, creating the lock on first use.
+func (k *Kernel) lock(id int) *lockState {
+	if id < 0 {
+		panic(fmt.Sprintf("gos: negative lock id %d", id))
+	}
+	tb := &k.locks
+	p := id >> lockPageShift
+	if p >= len(tb.pages) {
+		tb.pages = append(tb.pages, make([]*[lockPageLen]lockState, p+1-len(tb.pages))...)
+	}
+	pg := tb.pages[p]
+	if pg == nil {
+		pg = new([lockPageLen]lockState)
+		tb.pages[p] = pg
+	}
+	ls := &pg[id&lockPageMask]
+	if !ls.used {
+		ls.used = true
+		ls.home = k.lockHome(id)
+		if k.fd != nil && ls.home > 0 && k.fd.dead[ls.home] {
+			ls.home = 0 // manager is down: the master adopts the lock
+		}
 	}
 	return ls
 }
@@ -58,7 +117,7 @@ func (k *Kernel) lock(id int) *lockState {
 // tell a stripe that is merely busy from one whose lock is wedged behind a
 // holder stranded on a crashed node.
 func (k *Kernel) LockAvailable(id int) bool {
-	ls := k.locks[id]
+	ls := k.locks.peek(id)
 	return ls == nil || !ls.held
 }
 
@@ -73,15 +132,10 @@ func (k *Kernel) failoverLocks(dead int) {
 	if dead == 0 {
 		return
 	}
-	ids := make([]int, 0, len(k.locks))
-	for id, ls := range k.locks {
-		if ls.home == dead {
-			ids = append(ids, id)
+	for id, ls := range k.locks.all() {
+		if ls.home != dead {
+			continue
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ls := k.locks[id]
 		ls.home = 0
 		k.fstats.LockFailovers++
 		releaseLost := ls.held && !ls.granting && ls.holderDone
@@ -136,20 +190,14 @@ func (k *Kernel) reclaimLock(id int, ls *lockState) {
 // outage. Runs from the failure detector's sweep; lock-id order for
 // determinism. A sweep that finds no wedged lock allocates nothing.
 func (k *Kernel) reclaimDeadHolderLocks() {
-	var ids []int
-	for id, ls := range k.locks {
+	for id, ls := range k.locks.all() {
 		if ls.held && !ls.granting && ls.holderDone &&
 			ls.holder != nil && k.fd.dead[ls.holder.node.id] {
-			ids = append(ids, id)
+			ls.gen++
+			k.fstats.LockReclaims++
+			k.reclaimLock(id, ls)
+			k.resendInflight(id, ls)
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ls := k.locks[id]
-		ls.gen++
-		k.fstats.LockReclaims++
-		k.reclaimLock(id, ls)
-		k.resendInflight(id, ls)
 	}
 }
 
@@ -157,15 +205,10 @@ func (k *Kernel) reclaimDeadHolderLocks() {
 // In-flight traffic is unaffected: lock state is kernel-global, and the
 // manager only determines message endpoints from here on.
 func (k *Kernel) restoreLocks(revived int) {
-	ids := make([]int, 0, len(k.locks))
-	for id, ls := range k.locks {
+	for id, ls := range k.locks.all() {
 		if ls.home != k.lockHome(id) && k.lockHome(id) == revived {
-			ids = append(ids, id)
+			ls.home = revived
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		k.locks[id].home = revived
 	}
 }
 
@@ -174,18 +217,18 @@ func (k *Kernel) restoreLocks(revived int) {
 // lazily). OALs piggyback on the request when the manager is the master.
 func (t *Thread) Acquire(lockID int) {
 	t.flushCPU()
-	home := t.k.lock(lockID).home
+	ls := t.k.lock(lockID)
+	home := ls.home
 	tok := t.node.newToken(t)
 	var pl oalPayload
 	if home == 0 {
 		pl = t.node.drainOAL(t)
 	}
-	ls := t.k.lock(lockID)
 	ls.inflight = append(ls.inflight, lockWaiter{node: network.NodeID(t.node.id), tok: tok})
 	t.sendSync(home, 24, pl, protoMsg{kind: msgLockReq, lock: lockID, tok: tok, gen: ls.gen})
 	t.proc.BlockOn("lock", lockID)
 	// The grant has landed: it is no longer on the wire.
-	t.k.lock(lockID).granting = false
+	ls.granting = false
 	t.node.advanceEpoch()
 	t.k.stats.LockAcquires++
 }
