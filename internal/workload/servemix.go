@@ -196,13 +196,27 @@ func (w *ServeMix) Launch(k *gos.Kernel, p Params) {
 	if half == 0 {
 		half = 1
 	}
-	byWorker := make([][]int, p.Threads)
-	for i := range w.schedule {
+	workerOf := func(i int) int {
 		worker := int(w.tenant[i]) % p.Threads
 		if i&1 == 1 {
 			worker = (worker + half) % p.Threads
 		}
-		byWorker[worker] = append(byWorker[worker], i)
+		return worker
+	}
+	// Count each worker's requests first, so that every list is cut at its
+	// exact size from one array and filled in arrival order.
+	counts := make([]int, p.Threads)
+	for i := range w.schedule {
+		counts[workerOf(i)]++
+	}
+	all := make([]int32, len(w.schedule))
+	byWorker := make([][]int32, p.Threads)
+	for tid, n := range counts {
+		byWorker[tid], all = all[:0:n], all[n:]
+	}
+	for i := range w.schedule {
+		worker := workerOf(i)
+		byWorker[worker] = append(byWorker[worker], int32(i))
 	}
 
 	for tid := 0; tid < p.Threads; tid++ {
