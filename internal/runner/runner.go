@@ -136,18 +136,6 @@ func Collect[T any](p *Pool, jobs []func() T) []T {
 	return out
 }
 
-// Go runs fn for every index in [0, n) and is Collect for side-effecting
-// jobs that write their own results (e.g. into a caller-allocated slice
-// slot). The same independence and determinism rules apply.
-func Go(p *Pool, n int, fn func(i int)) {
-	jobs := make([]func() struct{}, n)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() struct{} { fn(i); return struct{}{} }
-	}
-	Collect(p, jobs)
-}
-
 // Result is one fallible job's outcome in a TryCollect batch.
 type Result[T any] struct {
 	// Value is the job's return (the zero value when Err is set).

@@ -199,16 +199,6 @@ func TestNilAndSequentialPoolsRunInline(t *testing.T) {
 	}
 }
 
-func TestGoCoversAllIndexes(t *testing.T) {
-	hit := make([]atomic.Int32, 50)
-	Go(New(8), len(hit), func(i int) { hit[i].Add(1) })
-	for i := range hit {
-		if hit[i].Load() != 1 {
-			t.Fatalf("index %d ran %d times", i, hit[i].Load())
-		}
-	}
-}
-
 func TestWorkersDefaults(t *testing.T) {
 	if New(0).Workers() < 1 {
 		t.Fatal("New(0) must default to at least one worker")

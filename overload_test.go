@@ -100,10 +100,14 @@ func TestOverloadGauntletDeterministic(t *testing.T) {
 	for i, c := range cells {
 		serial[i], _ = overloadLine(t, c.spec, c.level, seed)
 	}
-	parallel := make([]string, len(cells))
-	runner.Go(runner.New(3), len(cells), func(i int) {
-		parallel[i], _ = overloadLine(t, cells[i].spec, cells[i].level, seed)
-	})
+	jobs := make([]func() string, len(cells))
+	for i, c := range cells {
+		jobs[i] = func() string {
+			line, _ := overloadLine(t, c.spec, c.level, seed)
+			return line
+		}
+	}
+	parallel := runner.Collect(runner.New(3), jobs)
 	for i, c := range cells {
 		if serial[i] != parallel[i] {
 			t.Errorf("%s/%s not deterministic:\n serial:   %s\n parallel: %s",
