@@ -78,7 +78,7 @@ func NewZipf(r *Rand, s float64, n int) *Zipf {
 	z.hxm = z.h(float64(n) + 0.5)
 	z.dist = z.hx0 - z.hxm
 	// Rank's error argument needs 1/(s-1) <= 1e4, which keeps the exact
-	// hinv within 4e-12 of the true power, and s <= 16, which keeps every
+	// hinv within 3e-12 of the true power, and s <= 16, which keeps every
 	// k^s of an int rank a normal float64.
 	if s >= 1.0001 && s <= 16 {
 		z.fast = true
@@ -112,7 +112,7 @@ func (z *Zipf) hinv(x float64) float64 {
 // every rank is bit-identical to the exact loop's. The argument, for
 // 1.0001 <= s <= 16 (NewZipf's fast):
 //
-//   - iterate's x' = Exp(Log(u(1-s))·inv) is within 4e-14 of the true
+//   - iterate's x' = Exp(Log(u(1-s))·inv) is within 2e-14 of the true
 //     power: Log and Exp are each within about an ulp (Go's math tests
 //     hold Exp to 4e-16), and |ln x| <= 44 for any int n. exact's
 //     Pow(u(1-s), inv) multiplies out the integer part of inv by repeated

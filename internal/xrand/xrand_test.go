@@ -192,8 +192,9 @@ func TestZipfBoundaryIterations(t *testing.T) {
 							for i := 0; i > ulps; i-- {
 								uu = math.Nextafter(uu, math.Inf(-1))
 							}
-							check(z, "x at boundary", uu, 0.5)
-							check(z, "x at boundary, f small", uu, 1e-3)
+							for _, f := range []float64{1e-3, 0.5, math.Nextafter(1, 0)} {
+								check(z, "x at boundary", uu, f)
+							}
 						}
 					}
 					// f at the acceptance ratio for an x inside k's interval.
