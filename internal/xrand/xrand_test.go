@@ -141,10 +141,7 @@ func zipfStreamsMatch(t *testing.T, seed uint64, s float64, n, count int) {
 }
 
 func TestZipfMatchesReference(t *testing.T) {
-	draws := 200_000
-	if testing.Short() {
-		draws = 20_000
-	}
+	const draws = 200_000
 	for _, p := range zipfWorkloadParams {
 		for seed := uint64(1); seed <= 20; seed++ {
 			zipfStreamsMatch(t, seed, p.s, p.n, draws)
