@@ -74,9 +74,9 @@ type event struct {
 // The 4-ary layout halves the tree depth versus a binary heap, trading a
 // slightly wider child scan on sift-down for fewer cache-missing levels —
 // the queue is the single hottest data structure in the simulator. It backs
-// the bucketed scheduler (per-bucket heaps and the far-timer overflow in
-// sched.go) and is the reference its pop-order property tests compare
-// against.
+// the scheduler's two ordered stores in sched.go, the cursor's bucket and
+// the overflow of timers beyond the far windows, and is the reference the
+// scheduler's pop-order property tests compare against.
 type eventPQ []event
 
 func (q *eventPQ) size() int    { return len(*q) }

@@ -5,14 +5,33 @@ import (
 	"math/bits"
 )
 
-// schedQueue is the engine's two-level bucketed event scheduler: a
-// calendar-queue ring of small per-bucket heaps covering the near horizon,
-// backed by a single 4-ary min-heap for far timers. The simulator's event
-// population is sharply bimodal — dense bursts of wakes and short sleeps
-// within microseconds of the clock, plus a thin tail of long re-arm timers —
-// so the ring absorbs almost every push and pop at O(log bucket) cost on a
-// handful of events, while the overflow heap only churns when a far timer
-// is scheduled or migrates into coverage.
+// schedQueue is the engine's event scheduler: a two-level hierarchical
+// timing wheel (Varghese & Lauck, SOSP 1987) over one growable pool of
+// event nodes. The simulator's event population is sharply bimodal —
+// dense bursts of wakes and short sleeps within microseconds of the
+// clock, plus a tail of re-arm timers milliseconds out — so either level
+// files an event in O(1), and only the cursor's bucket and the rare timers
+// beyond both levels are kept in order.
+//
+// Time is cut into laps of len(ring) buckets of 1<<bits ns each (with the
+// defaults, 256 × 4096 ns, about 1 ms). The levels are:
+//
+//   - ring: the cursor's lap, one bucket per slot. Each bucket is a FIFO
+//     list of pool nodes with the earliest time on it, so nextAt never
+//     walks a list, and a bit in the occupancy bitmap.
+//   - cur: the cursor's bucket itself, ordered by (at, seq) in one reused
+//     4-ary heap. A bucket becomes cur when the cursor reaches it; a lone
+//     event is popped from its list without touching the heap.
+//   - far: farWindows windows, one lap each, hold the next 64 laps (about
+//     67 ms); lap L sits in window L % 64. When the ring runs dry, the
+//     earliest window's nodes are relinked into ring buckets, O(1) each.
+//   - overflow: a 4-ary heap for timers beyond the windows (scenario
+//     events and long backoffs). Its timers move into windows or the ring
+//     as the cursor's lap advances.
+//
+// Nodes come from pool, which doubles when full and reuses released
+// nodes, so an engine allocates O(log n) times for n queued events and
+// nothing in steady state.
 //
 // Ordering is exactly the 4-ary heap's: (at, seq) with FIFO tie-break (the
 // property tests in sched_test.go assert pop-order equivalence on random
@@ -21,26 +40,31 @@ import (
 // The engine always runs the default geometry below; init accepts others
 // only for the geometry-sweep test and benchmark in sched_geom_test.go,
 // which measure the trade-off across dense/uniform/far loads: wider
-// buckets smear a busy instant across fewer, deeper heaps; a longer ring
-// trades occupancy-scan memory for fewer far-timer migrations.
+// buckets put more events in each ordered bucket; a longer ring moves
+// fewer timers between levels.
 //
-// Invariants:
-//   - every ring event e satisfies base <= e.at < horizon, where
-//     horizon = base + span and base is the start of the cursor's bucket;
-//   - every overflow event e satisfies e.at >= horizon;
-//   - base never exceeds the engine clock: pop leaves base at the popped
-//     event's bucket, peeking never mutates, and the engine never schedules
-//     in the past — so a push always lands at or beyond base.
+// Invariants, between calls:
+//   - cur holds exactly the events of the cursor's bucket, and every ring
+//     list event lies in a later bucket of the cursor's lap; base, the
+//     start of the cursor's bucket, never exceeds the engine clock: pop
+//     leaves it at the popped event's bucket, peeking never mutates, and
+//     the engine never schedules in the past;
+//   - every window event's lap is in (lap, lap+farWindows];
+//   - every overflow event's lap is beyond lap+farWindows;
+//   - so cur precedes the ring lists, which precede the windows, which
+//     precede the overflow;
+//   - every pool node off a list is on the free list with its event zeroed.
 const (
 	// defaultBucketBits sets the default bucket width: 1<<12 = 4096 ns
 	// spans the engine's dense event cluster (per-access CPU charges and
 	// protocol latencies are tens of ns to a few µs) without smearing one
 	// busy instant across many buckets.
 	defaultBucketBits = 12
-	// defaultRingBuckets is the default ring size; with 4 µs buckets the
-	// ring covers a ~1 ms horizon, beyond which timers wait in the
-	// overflow heap.
+	// defaultRingBuckets is the default ring size; with 4 µs buckets a
+	// lap is about 1 ms.
 	defaultRingBuckets = 256
+	// farWindows is the number of one-lap windows past the cursor's lap.
+	farWindows = 64
 
 	// bucketWidth and ringSpan describe the *default* geometry (kept as
 	// constants for the scheduler tests' stream distributions).
@@ -48,24 +72,43 @@ const (
 	ringSpan    = Time(defaultRingBuckets) << defaultBucketBits
 )
 
+// node is a pool slot: a queued event and the next node on its list.
+type node struct {
+	event
+	next int32 // pool index of the next node; 0 ends the list
+}
+
+// bucket is a FIFO list of pool nodes.
+type bucket struct {
+	head, tail int32 // 0 when empty
+	min        Time  // earliest at on the list, valid while head != 0
+}
+
 type schedQueue struct {
-	// Geometry, fixed at first use: bucket width 1<<bits ns, len(ring)
-	// buckets (power of two, multiple of 64 so the occupancy bitmap is
-	// whole words). A zero-value queue lazily adopts the defaults.
-	bits uint
-	mask int  // len(ring) - 1
-	span Time // len(ring) << bits: ring coverage
+	// Geometry, fixed at first use: bucket width 1<<bits ns, lap width
+	// 1<<shift ns, len(ring) = mask+1 buckets (power of two, multiple of
+	// 64 so the occupancy bitmap is whole words). A zero-value queue
+	// lazily adopts the defaults.
+	bits  uint
+	shift uint
+	mask  int
 
-	ring  []eventPQ
-	occ   []uint64 // occupancy bitmap: bit i set iff ring[i] non-empty
-	ringN int      // events currently in the ring
-	n     int      // total events (ring + overflow)
+	pool []node // pool[0] is the sentinel index 0 that ends every list
+	free int32  // released nodes, linked through next
 
-	cursor  int  // bucket holding the earliest ring events
-	base    Time // start time of the cursor bucket
-	horizon Time // base + span: exclusive upper bound of ring coverage
+	ring  []bucket
+	occ   []uint64 // occupancy bitmap: bit i set iff ring[i] has nodes
+	ringN int      // events on ring lists
+	n     int      // total events
 
-	overflow eventPQ // far timers, at >= horizon
+	lap    Time // lap of the cursor: at>>shift of every cur and ring event
+	cursor int  // bucket whose events are in cur
+	cur    eventPQ
+
+	far    [farWindows]bucket
+	farOcc uint64 // bit w set iff far[w] has nodes
+
+	overflow eventPQ
 }
 
 // init materializes the ring with 1<<bucketBits ns buckets × buckets.
@@ -76,128 +119,177 @@ func (q *schedQueue) init(bucketBits, buckets int) {
 	if buckets < 64 || buckets&(buckets-1) != 0 {
 		panic(fmt.Sprintf("sim: ring buckets %d must be a power of two >= 64", buckets))
 	}
-	// The coverage span buckets<<bits must fit in Time: an overflowed span
-	// would pin the horizon at/below zero and route every event through
-	// the overflow heap with no bucket ever draining it.
+	// The lap width buckets<<bits must fit in Time: laps are compared by
+	// shifting times, and a wrapped width would file events in the wrong
+	// lap.
 	if bucketBits+bits.Len(uint(buckets-1)) > 62 {
 		panic(fmt.Sprintf("sim: geometry %d-bit buckets × %d ring overflows the coverage span", bucketBits, buckets))
 	}
 	q.bits = uint(bucketBits)
+	q.shift = q.bits + uint(bits.Len(uint(buckets-1)))
 	q.mask = buckets - 1
-	q.span = Time(buckets) << q.bits
-	q.ring = make([]eventPQ, buckets)
+	q.ring = make([]bucket, buckets)
 	q.occ = make([]uint64, buckets/64)
-	q.horizon = q.span // base starts at 0
 }
 
 func (q *schedQueue) size() int   { return q.n }
 func (q *schedQueue) empty() bool { return q.n == 0 }
-
-func (q *schedQueue) bucketIndex(at Time) int { return int(at>>q.bits) & q.mask }
 
 func (q *schedQueue) push(e event) {
 	if q.ring == nil {
 		q.init(defaultBucketBits, defaultRingBuckets)
 	}
 	q.n++
-	if e.at < q.horizon {
-		q.pushRing(e)
-		return
+	switch d := e.at>>q.shift - q.lap; {
+	case d == 0 && int(e.at>>q.bits)&q.mask == q.cursor:
+		q.cur.push(e)
+	case d > farWindows:
+		q.overflow.push(e)
+	default:
+		q.file(q.alloc(e))
 	}
-	q.overflow.push(e)
 }
 
-func (q *schedQueue) pushRing(e event) {
-	i := q.bucketIndex(e.at)
-	q.ring[i].push(e)
-	q.occ[i>>6] |= 1 << uint(i&63)
-	q.ringN++
-}
-
-// nextOccupied returns the first non-empty bucket at or after `from` in ring
-// order (wrapping), or -1 when the whole ring is empty.
-func (q *schedQueue) nextOccupied(from int) int {
-	occWords := len(q.occ)
-	word, off := from>>6, uint(from&63)
-	if b := q.occ[word] &^ (1<<off - 1); b != 0 {
-		return word<<6 + bits.TrailingZeros64(b)
-	}
-	for i := 1; i < occWords; i++ {
-		w := (word + i) & (occWords - 1)
-		if b := q.occ[w]; b != 0 {
-			return w<<6 + bits.TrailingZeros64(b)
+// alloc stores e in a free pool node, doubling the pool when none is free.
+func (q *schedQueue) alloc(e event) int32 {
+	i := q.free
+	if i != 0 {
+		q.free = q.pool[i].next
+	} else {
+		if len(q.pool) == cap(q.pool) {
+			grown := make([]node, max(len(q.pool), 1), max(2*len(q.pool), 64))
+			copy(grown, q.pool)
+			q.pool = grown
 		}
+		i = int32(len(q.pool))
+		q.pool = q.pool[:i+1]
 	}
-	if b := q.occ[word] & (1<<off - 1); b != 0 {
-		return word<<6 + bits.TrailingZeros64(b)
+	q.pool[i] = node{event: e}
+	return i
+}
+
+// release zeroes node i, so it pins no event target, and frees it.
+func (q *schedQueue) release(i int32) {
+	q.pool[i] = node{next: q.free}
+	q.free = i
+}
+
+// file appends node i to its ring bucket, when it falls in the cursor's
+// lap, or else to its far window.
+func (q *schedQueue) file(i int32) {
+	nd := &q.pool[i]
+	nd.next = 0
+	var b *bucket
+	if lap := nd.at >> q.shift; lap == q.lap {
+		r := int(nd.at>>q.bits) & q.mask
+		b = &q.ring[r]
+		q.occ[r>>6] |= 1 << uint(r&63)
+		q.ringN++
+	} else {
+		w := int(lap) & (farWindows - 1)
+		b = &q.far[w]
+		q.farOcc |= 1 << uint(w)
 	}
-	return -1
+	if b.head == 0 {
+		b.head, b.min = i, nd.at
+	} else {
+		q.pool[b.tail].next = i
+		b.min = min(b.min, nd.at)
+	}
+	b.tail = i
+}
+
+// nextOccupied returns the first non-empty ring bucket at or after the
+// cursor, whose own list is empty between calls. Callers check ringN > 0
+// first.
+func (q *schedQueue) nextOccupied() int {
+	w := q.cursor >> 6
+	b := q.occ[w] &^ (1<<uint(q.cursor&63) - 1)
+	for b == 0 {
+		w++
+		b = q.occ[w]
+	}
+	return w<<6 + bits.TrailingZeros64(b)
+}
+
+// firstWindow returns the far window of the earliest non-empty lap.
+// Callers check farOcc != 0 first.
+func (q *schedQueue) firstWindow() int {
+	from := int(q.lap+1) & (farWindows - 1)
+	return (from + bits.TrailingZeros64(bits.RotateLeft64(q.farOcc, -from))) & (farWindows - 1)
 }
 
 // nextAt reports the earliest event's time without mutating the queue (the
-// engine peeks on every RunUntil step, possibly while paused — reshaping
-// coverage here would let the coverage window slide past the paused clock
-// and corrupt the mapping of later pushes). Callers check empty() first.
+// engine peeks on every RunUntil step, possibly while paused — moving the
+// cursor here would let it slide past the paused clock and corrupt the
+// filing of later pushes). Callers check empty() first.
 func (q *schedQueue) nextAt() Time {
-	if q.ringN > 0 {
-		// Ring events all precede the overflow (at < horizon <= overflow),
-		// and ring order from the cursor is time order.
-		return q.ring[q.nextOccupied(q.cursor)][0].at
+	switch {
+	case len(q.cur) > 0:
+		return q.cur[0].at
+	case q.ringN > 0:
+		return q.ring[q.nextOccupied()].min
+	case q.farOcc != 0:
+		return q.far[q.firstWindow()].min
 	}
 	return q.overflow[0].at
 }
 
-// drain migrates overflow timers that entered coverage into the ring.
-func (q *schedQueue) drain() {
-	for len(q.overflow) > 0 && q.overflow[0].at < q.horizon {
-		q.pushRing(q.overflow.pop())
-	}
-}
-
-// jump re-anchors an empty ring directly at the overflow's earliest timer,
-// skipping the idle gap in O(1) instead of walking buckets.
-func (q *schedQueue) jump() {
-	at := q.overflow[0].at
-	q.base = at &^ (Time(1)<<q.bits - 1)
-	q.horizon = q.base + q.span
-	q.cursor = q.bucketIndex(q.base)
-	q.drain()
-}
-
 func (q *schedQueue) pop() event {
-	if q.ringN == 0 {
-		// Callers guarantee q.n > 0, so the overflow must hold the next
-		// event; re-anchor coverage at it.
-		q.jump()
+	q.n--
+	if len(q.cur) > 0 {
+		return q.cur.pop()
 	}
-	for {
-		if b := &q.ring[q.cursor]; len(*b) > 0 {
-			e := b.pop()
-			if len(*b) == 0 {
-				q.occ[q.cursor>>6] &^= 1 << uint(q.cursor&63)
-			}
-			q.ringN--
-			q.n--
-			return e
-		}
-		// Advance coverage to the next occupied bucket — but never past the
-		// point where the overflow's earliest timer would enter coverage,
-		// or it would land in a bucket the cursor has already passed.
-		var d int
-		if idx := q.nextOccupied(q.cursor); idx >= 0 {
-			d = (idx - q.cursor) & q.mask
-		} else {
-			q.jump()
-			continue
-		}
-		if len(q.overflow) > 0 {
-			if dOv := int((q.overflow[0].at-q.horizon)>>q.bits) + 1; dOv < d {
-				d = dOv
-			}
-		}
-		q.cursor = (q.cursor + d) & q.mask
-		q.base += Time(d) << q.bits
-		q.horizon += Time(d) << q.bits
-		q.drain()
+	if q.ringN == 0 {
+		q.nextLap()
+	}
+	q.cursor = q.nextOccupied()
+	b := &q.ring[q.cursor]
+	i := b.head
+	b.head = 0
+	q.occ[q.cursor>>6] &^= 1 << uint(q.cursor&63)
+	if q.pool[i].next == 0 {
+		// A lone event needs no ordering.
+		e := q.pool[i].event
+		q.release(i)
+		q.ringN--
+		return e
+	}
+	for i != 0 {
+		nd := &q.pool[i]
+		next := nd.next
+		q.cur.push(nd.event)
+		q.release(i)
+		q.ringN--
+		i = next
+	}
+	return q.cur.pop()
+}
+
+// nextLap moves the cursor to the earliest lap that holds an event once
+// the cursor's lap has run dry: the first non-empty window's, whose nodes
+// are relinked into ring buckets, or with every window empty the
+// overflow's earliest. The overflow's timers that the new window range
+// covers then leave the heap. The cursor is left at bucket 0, for the
+// caller's nextOccupied to find the lap's first occupied bucket.
+func (q *schedQueue) nextLap() {
+	var i int32
+	if q.farOcc != 0 {
+		w := q.firstWindow()
+		q.lap = q.far[w].min >> q.shift
+		i = q.far[w].head
+		q.far[w].head = 0
+		q.farOcc &^= 1 << uint(w)
+	} else {
+		q.lap = q.overflow[0].at >> q.shift
+	}
+	q.cursor = 0
+	for i != 0 {
+		next := q.pool[i].next
+		q.file(i)
+		i = next
+	}
+	for len(q.overflow) > 0 && q.overflow[0].at>>q.shift-q.lap <= farWindows {
+		q.file(q.alloc(q.overflow.pop()))
 	}
 }

@@ -18,10 +18,10 @@ var schedGeometries = []struct {
 }
 
 // TestSchedGeometryPopOrderMatchesHeap extends the scheduler's central
-// property to every configured geometry: bucket width and ring size may
-// move events between the ring and the overflow heap, but the popped
-// (at, seq) sequence must stay exactly the reference heap's. Geometry is a
-// host-cost knob, never a results knob.
+// property to every configured geometry: bucket width and ring size move
+// events between the ring, the far windows and the overflow heap, but the
+// popped (at, seq) sequence must stay exactly the reference heap's.
+// Geometry is a host-cost knob, never a results knob.
 func TestSchedGeometryPopOrderMatchesHeap(t *testing.T) {
 	for _, g := range schedGeometries {
 		for _, dist := range schedDists {
@@ -95,7 +95,7 @@ func TestSchedGeometryValidation(t *testing.T) {
 
 	def := &schedQueue{}
 	def.push(event{at: 1})
-	if def.span != ringSpan || def.bits != defaultBucketBits {
+	if Time(1)<<def.shift != ringSpan || def.bits != defaultBucketBits {
 		t.Fatalf("first-push geometry = %d-bit × %d, want defaults", def.bits, def.mask+1)
 	}
 }
@@ -129,8 +129,8 @@ func TestEngineWithGeometryRuns(t *testing.T) {
 // BenchmarkSchedGeometry is the ROADMAP-requested geometry sweep: steady
 // state pop+push cycles across bucket-width × ring-size combinations under
 // the dense (same-tick), uniform and far-timer distributions, at two queue
-// populations. It quantifies how much horizon the overflow heap is worth
-// and when wider buckets start smearing a busy instant.
+// populations. It quantifies how much horizon the ring and its far windows
+// are worth and when wider buckets start smearing a busy instant.
 func BenchmarkSchedGeometry(b *testing.B) {
 	for _, g := range schedGeometries {
 		for _, hold := range []int{64, 4096} {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
@@ -59,11 +60,28 @@ func delta(rng *splitmix64, dist string) Time {
 		default:
 			return Time(r % uint64(16*ringSpan))
 		}
+	case "timers": // serve-failover's shape: near churn under re-arm timers
+		switch r % 16 {
+		case 0:
+			return 4 * Millisecond
+		case 1:
+			return 5 * Millisecond
+		case 2:
+			return 20 * Millisecond
+		case 3:
+			if r>>8%8 == 0 { // a few timers past the far windows (~67 ms)
+				return 70*Millisecond + Time(r>>16%uint64(100*Millisecond))
+			}
+		}
+		if r>>8%2 == 0 {
+			return 0
+		}
+		return Time(r >> 16 % uint64(2*bucketWidth))
 	}
 	panic("unknown distribution " + dist)
 }
 
-var schedDists = []string{"uniform", "same-tick", "bursty", "far", "mixed"}
+var schedDists = []string{"uniform", "same-tick", "bursty", "far", "mixed", "timers"}
 
 // TestSchedPopOrderMatchesHeap is the scheduler's central property: on
 // random event streams of every shape, the bucketed queue must pop the
@@ -94,6 +112,7 @@ func TestSchedPopOrderMatchesHeap(t *testing.T) {
 				}
 				now = want.at
 			}
+			windowed, overflowed := false, false
 			for op := 0; op < 20000; op++ {
 				if ref.empty() || rng.next()%5 < 3 {
 					push()
@@ -108,12 +127,17 @@ func TestSchedPopOrderMatchesHeap(t *testing.T) {
 				if ref.size() != got.size() {
 					t.Fatalf("size mismatch: heap %d vs bucketed %d", ref.size(), got.size())
 				}
+				windowed = windowed || got.farOcc != 0
+				overflowed = overflowed || len(got.overflow) > 0
 			}
 			for !ref.empty() {
 				pop()
 			}
 			if !got.empty() {
 				t.Fatalf("bucketed queue still holds %d events after drain", got.size())
+			}
+			if dist == "timers" && !(windowed && overflowed) {
+				t.Fatalf("timers stream never reached both levels: windows %v, overflow %v", windowed, overflowed)
 			}
 		})
 	}
@@ -148,11 +172,36 @@ func TestSchedRunUntilPauseThenPush(t *testing.T) {
 	if e := q.pop(); e.at != 5*ringSpan {
 		t.Fatalf("pop = at=%v, want the far timer", e.at)
 	}
+
+	// Paused late in a lap, with a timer filed in the next lap's far
+	// window: an event pushed later at an even later time of that lap
+	// must not hide it, and one pushed after both at an earlier time of
+	// that lap must come first.
+	q = &schedQueue{}
+	far := push(ringSpan + ringSpan/2)
+	push(ringSpan * 9 / 10)
+	if e := q.pop(); e.at != ringSpan*9/10 {
+		t.Fatalf("pop = at=%v, want the event late in the first lap", e.at)
+	}
+	later := push(ringSpan + ringSpan*6/10)
+	if got := q.nextAt(); got != far.at {
+		t.Fatalf("nextAt = %v, want the far-window timer %v before %v", got, far.at, later.at)
+	}
+	earlier := push(ringSpan + ringSpan/4)
+	if got := q.nextAt(); got != earlier.at {
+		t.Fatalf("nextAt = %v, want the earliest push %v", got, earlier.at)
+	}
+	for _, want := range []event{earlier, far, later} {
+		if e := q.pop(); e.at != want.at || e.seq != want.seq {
+			t.Fatalf("pop = (at=%v seq=%d), want (at=%v seq=%d)", e.at, e.seq, want.at, want.seq)
+		}
+	}
 }
 
-// TestSchedReleasesClosures: both schedulers recycle slice capacity, so
-// every vacated slot must drop its event — a retained event would pin its
-// target (a Proc, a message, and transitively the whole simulated heap).
+// TestSchedReleasesClosures: both schedulers recycle slice capacity and
+// the bucketed one its node pool, so every vacated slot must drop its
+// event — a retained event would pin its target (a Proc, a message, and
+// transitively the whole simulated heap).
 func TestSchedReleasesClosures(t *testing.T) {
 	leaked := func(q []event) int {
 		n := 0
@@ -166,8 +215,8 @@ func TestSchedReleasesClosures(t *testing.T) {
 	fill := func(q evq) {
 		rng := splitmix64(7)
 		var now Time
-		for i := 0; i < 500; i++ {
-			q.push(event{at: now + delta(&rng, "mixed"), seq: uint64(i), ev: &nopEvent{}})
+		for i := 0; i < 2000; i++ {
+			q.push(event{at: now + delta(&rng, "timers"), seq: uint64(i), ev: &nopEvent{}})
 			if i%3 == 0 {
 				now = q.pop().at
 			}
@@ -185,13 +234,45 @@ func TestSchedReleasesClosures(t *testing.T) {
 
 	s := &schedQueue{}
 	fill(s)
-	for i := range s.ring {
-		if n := leaked(s.ring[i][:0]); n != 0 {
-			t.Errorf("ring bucket %d retained %d events after drain", i, n)
+	if len(s.pool) < 2 || len(s.overflow[:cap(s.overflow)]) == 0 {
+		t.Fatalf("stream never used the pool (%d nodes) and the overflow heap (%d slots)", len(s.pool), cap(s.overflow))
+	}
+	for i, nd := range s.pool[:cap(s.pool)] {
+		if nd.event != (event{}) {
+			t.Errorf("pool node %d retained (at=%v seq=%d) after drain", i, nd.at, nd.seq)
 		}
+	}
+	if n := leaked(s.cur[:0]); n != 0 {
+		t.Errorf("cursor bucket heap retained %d events after drain", n)
 	}
 	if n := leaked(s.overflow[:0]); n != 0 {
 		t.Errorf("overflow heap retained %d events after drain", n)
+	}
+}
+
+// TestSchedFreshQueueAllocations: a new queue's storage grows by doubling
+// and reuses what it frees, so feeding it a long timers stream over a
+// standing population of 1,024 events allocates O(log n) objects (27 at
+// this writing) rather than growing one heap per ring bucket (per-bucket
+// heaps took 1,575).
+func TestSchedFreshQueueAllocations(t *testing.T) {
+	const events, hold = 100_000, 1024
+	allocs := testing.AllocsPerRun(1, func() {
+		rng := splitmix64(0xfeed)
+		q := &schedQueue{}
+		var now Time
+		for i := 0; i < events; i++ {
+			q.push(event{at: now + delta(&rng, "timers"), seq: uint64(i)})
+			for q.size() > hold {
+				now = q.pop().at
+			}
+		}
+		for !q.empty() {
+			q.pop()
+		}
+	})
+	if limit := 2 * bits.Len(events); allocs > float64(limit) {
+		t.Fatalf("a fresh queue fed %d events allocated %.0f objects, want at most %d", events, allocs, limit)
 	}
 }
 
@@ -215,17 +296,17 @@ func TestWaitQueueReleasesProcRefs(t *testing.T) {
 // BenchmarkSchedPushPop measures steady-state pop+push cycles at two queue
 // sizes, heap vs bucketed, across the event-shape distributions. The
 // bucketed queue must be no slower than the heap on uniform loads and
-// faster on dense near-horizon loads (where per-bucket heaps stay tiny
-// while the global heap's depth grows with the whole population).
+// faster on dense near-horizon loads (where only the cursor's bucket is
+// ordered while the global heap's depth grows with the whole population).
 // BenchmarkSchedArrivalTimers models the open-loop serving pattern the
 // ServeMix workload puts on the scheduler: a standing population of
 // far-horizon arrival timers (workers sleeping until their next scheduled
-// arrival, far beyond the ring's coverage window, so they live in the
-// overflow heap) underneath a dense near-tick service churn. Each cycle
-// pops the next event and re-arms — mostly near service events, one in
-// sixteen a fresh far arrival timer — so the overflow heap stays populated
-// while the ring does the hot work. The bucketed queue must keep its
-// near-tick advantage even with the overflow heap loaded.
+// arrival, 1 to 257 laps out, so a quarter wait in the far windows and the
+// rest in the overflow heap) underneath a dense near-tick service churn.
+// Each cycle pops the next event and re-arms — mostly near service events,
+// one in sixteen a fresh far arrival timer — so both far levels stay
+// populated while the ring does the hot work. The bucketed queue must keep
+// its near-tick advantage even with the far levels loaded.
 func BenchmarkSchedArrivalTimers(b *testing.B) {
 	far := func(rng *splitmix64, now Time) Time {
 		return now + ringSpan + Time(rng.next()%uint64(256*ringSpan))
