@@ -59,12 +59,12 @@ type Zipf struct {
 	hxm  float64
 	dist float64
 	// The bounds path (see Rank) runs only when fast is set. inv is
-	// 1/(1-s), the exponent of hinv; floor is the integer part of s, and
-	// whole reports that s equals it.
+	// 1/(1-s), the exponent of hinv; floor and frac are the integer and
+	// fractional parts of s.
 	fast  bool
 	inv   float64
 	floor int
-	whole bool
+	frac  float64
 }
 
 // zipfMargin is the relative distance from a decision boundary inside
@@ -84,7 +84,7 @@ func NewZipf(r *Rand, s float64, n int) *Zipf {
 		z.fast = true
 		z.inv = 1 / (1 - s)
 		z.floor = int(s)
-		z.whole = float64(z.floor) == s
+		z.frac = s - float64(z.floor)
 	}
 	return z
 }
@@ -126,9 +126,16 @@ func (z *Zipf) hinv(x float64) float64 {
 //     boundaries are x at a half-integer (the rank), x at k (from there on
 //     x >= k, the ratio (x/k)^s is at least 1 > f, and exact accepts)
 //     and f at the ratio.
-//   - For x < k, r = x/k < 1 brackets the ratio: r^⌈s⌉ <= r^s <= r^⌊s⌋,
-//     each a few multiplies within 2e-15. f below the low side (less the
-//     margin) accepts; f at or above the high side (plus it) rejects.
+//   - For x < k, r = x/k < 1 and φ = s - ⌊s⌋ bracket the ratio r^s =
+//     r^⌊s⌋·r^φ by r^⌊s⌋·r/(r+φ(1-r)) <= r^s <= r^⌊s⌋·(1-φ(1-r)).
+//     Both sides are Bernoulli's inequality, (1+t)^a <= 1+at for a in
+//     [0, 1] and t >= -1: on r^φ for the high side, and on r^(1-φ) =
+//     r/r^φ for the low side. They meet at a whole s and stay within
+//     φ(1-φ)(1-r)^2/r of each other, so only f within that of the ratio
+//     is left undecided. x >= k - 1/2 (less the estimate's error) makes
+//     r >= 1/2 and keeps 1-φ(1-r) and r+φ(1-r) at or above 1/2, so each
+//     side is a few multiplies within 2e-15. f below the low side (less
+//     the margin) accepts; f at or above the high side (plus it) rejects.
 //
 // Outside 1.0001 <= s <= 16, every iteration runs exact.
 func (z *Zipf) Rank() int {
@@ -162,18 +169,16 @@ func (z *Zipf) iterate(u, f float64) (int, bool) {
 		return z.exact(u, f)
 	}
 	r := x / kf
-	hi := r
+	p := r // r^⌊s⌋
 	for i := 1; i < z.floor; i++ {
-		hi *= r
+		p *= r
 	}
-	lo := hi
-	if !z.whole {
-		lo *= r
-	}
-	if f < lo*(1-zipfMargin) {
+	g := z.frac * (1 - r)
+	// f < p·r/(r+g), with the division multiplied out.
+	if f*(r+g) < p*r*(1-zipfMargin) {
 		return k, true
 	}
-	if f >= hi*(1+zipfMargin) {
+	if f >= p*(1-g)*(1+zipfMargin) {
 		return k, false
 	}
 	return z.exact(u, f)
