@@ -312,9 +312,13 @@ func (w *ServeMix) serveOne(t *gos.Thread, rng *xrand.Rand, tenant int, s *serve
 	t.Stack.Pop()
 }
 
-// ValidateServing lets the session layer reject a bad robustness config at
-// Launch time instead of panicking mid-run.
+// ValidateServing lets the session layer reject a bad serving config at
+// Launch time instead of panicking in it: a tenant count below one, which
+// every tenant draw divides by, or a bad robustness config.
 func (w *ServeMix) ValidateServing() error {
+	if w.Tenants < 1 {
+		return fmt.Errorf("workload: ServeMix needs Tenants >= 1, got %d", w.Tenants)
+	}
 	if w.Robust == nil {
 		return nil
 	}

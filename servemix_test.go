@@ -1,6 +1,7 @@
 package jessica2_test
 
 import (
+	"strings"
 	"testing"
 
 	"jessica2"
@@ -80,6 +81,22 @@ func TestServeMixNeedsSchedule(t *testing.T) {
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(jessica2.NewServeMix(), jessica2.Params{Threads: 4, Seed: 1}); err == nil {
 		t.Fatal("Launch accepted an open-loop workload with no schedule")
+	}
+}
+
+// TestServeMixRejectsNoTenants: a ServeMix with no tenants is a
+// configuration error that Launch returns, naming the field, instead of a
+// divide-by-zero panic in the tenant draw.
+func TestServeMixRejectsNoTenants(t *testing.T) {
+	cfg := jessica2.DefaultConfig()
+	cfg.Kernel.Nodes = 4
+	sess := jessica2.NewSession(cfg)
+	w := jessica2.NewServeMix()
+	w.Tenants = 0
+	w.SetSchedule([]jessica2.Time{jessica2.Millisecond, 2 * jessica2.Millisecond})
+	err := sess.Launch(w, jessica2.Params{Threads: 4, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "Tenants") {
+		t.Fatalf("Launch = %v, want an error naming Tenants", err)
 	}
 }
 
