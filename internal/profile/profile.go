@@ -49,11 +49,6 @@ var (
 	// ErrCorrupt rejects truncated or bit-flipped payloads (CRC or
 	// structural bounds-check failure).
 	ErrCorrupt = errors.New("profile: corrupt payload")
-	// ErrFingerprintMismatch reports a profile recorded under a different
-	// workload/cluster/scenario configuration than the session loading it.
-	// The session layer degrades to a cold start (with a warning) instead
-	// of failing the run.
-	ErrFingerprintMismatch = errors.New("profile: fingerprint mismatch")
 )
 
 // Fingerprint identifies the run configuration a profile was recorded

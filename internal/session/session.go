@@ -166,9 +166,6 @@ func New(cfg Config) *Session {
 // Kernel exposes the underlying DJVM (advanced use).
 func (s *Session) Kernel() *gos.Kernel { return s.k }
 
-// Phase exposes the workload phase register the scenario engine drives.
-func (s *Session) Phase() *workload.Phase { return s.phase }
-
 // Err returns the sticky configuration error, if any.
 func (s *Session) Err() error { return s.err }
 
@@ -299,9 +296,6 @@ func (s *Session) SetPolicy(p Policy) error {
 	s.policy = p
 	return nil
 }
-
-// Policy returns the installed policy (nil when none).
-func (s *Session) Policy() Policy { return s.policy }
 
 // Actions returns the log of executed policy decisions.
 func (s *Session) Actions() []AppliedAction {

@@ -317,12 +317,6 @@ type procWake Proc
 
 func (w *procWake) Fire() { w.next() }
 
-// Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

@@ -177,9 +177,6 @@ func NewFootprinter(t *gos.Thread, cfg FootprinterConfig) *Footprinter {
 	}
 }
 
-// Thread returns the profiled thread.
-func (fp *Footprinter) Thread() *gos.Thread { return fp.thread }
-
 // trackingOn reports whether the duty cycle is on at now, moving the cached
 // window first if now has left it.
 func (fp *Footprinter) trackingOn(now sim.Time) bool {

@@ -72,9 +72,6 @@ func (w *KVMix) Characteristics() Characteristics {
 	}
 }
 
-// Records exposes the allocated record table after Launch (for tests).
-func (w *KVMix) Records() []*heap.Object { return w.records }
-
 // kvLockBase keeps KVMix lock ids clear of other workloads' ranges.
 const kvLockBase = 9000
 
