@@ -22,8 +22,11 @@ type Assignment []int
 func (a Assignment) Clone() Assignment { return append(Assignment(nil), a...) }
 
 // Counts returns per-node thread counts.
-func (a Assignment) Counts(nodes int) []int {
-	c := make([]int, nodes)
+func (a Assignment) Counts(nodes int) []int { return a.countsInto(nil, nodes) }
+
+// countsInto is Counts in dst's storage.
+func (a Assignment) countsInto(dst []int, nodes int) []int {
+	c := append(dst[:0], make([]int, nodes)...)
 	for _, n := range a {
 		c[n]++
 	}
@@ -91,19 +94,49 @@ func (m Move) String() string {
 // Plan improves the current assignment by greedy best-move iteration: at
 // each step it evaluates every (thread, node) relocation that keeps the
 // load constraint and picks the one with the largest cross-volume
-// reduction, until no move clears MinGain or MaxMoves is reached.
+// reduction, until no move clears MinGain or MaxMoves is reached. The
+// assignment and moves it returns are fresh slices the caller owns.
 func Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
+	check(m, current, cfg)
+	a := current.Clone()
+	return a, plan(m, a, a.Counts(cfg.Nodes), nil, cfg)
+}
+
+// Planner runs Plan in buffers it keeps across calls, so a caller that
+// plans at every epoch boundary allocates nothing once they have grown.
+// The zero value is ready to use.
+type Planner struct {
+	a      Assignment
+	counts []int
+	moves  []Move
+}
+
+// Plan is the package's Plan. The assignment and moves it returns alias
+// p's buffers and are overwritten by its next call.
+func (p *Planner) Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
+	check(m, current, cfg)
+	p.a = append(p.a[:0], current...)
+	p.counts = p.a.countsInto(p.counts, cfg.Nodes)
+	p.moves = plan(m, p.a, p.counts, p.moves[:0], cfg)
+	return p.a, p.moves
+}
+
+// check panics on a config without nodes or an assignment whose size is
+// not the map's dimension.
+func check(m *tcm.Map, current Assignment, cfg Config) {
 	if cfg.Nodes <= 0 {
 		panic("balancer: config needs Nodes")
 	}
-	n := m.N()
-	if len(current) != n {
-		panic(fmt.Sprintf("balancer: assignment size %d != map dim %d", len(current), n))
+	if len(current) != m.N() {
+		panic(fmt.Sprintf("balancer: assignment size %d != map dim %d", len(current), m.N()))
 	}
-	a := current.Clone()
-	counts := a.Counts(cfg.Nodes)
+}
+
+// plan is the greedy loop behind both Plans: it applies each chosen move
+// to a and counts, a's per-node thread counts, and appends it to moves.
+func plan(m *tcm.Map, a Assignment, counts []int, moves []Move, cfg Config) []Move {
+	n := m.N()
 	maxPerNode := (n+cfg.Nodes-1)/cfg.Nodes + slack
-	var moves []Move
 	if cfg.MaxMoves <= 0 {
 		cfg.MaxMoves = n
 	}
@@ -151,7 +184,7 @@ func Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
 		counts[best.To]++
 		moves = append(moves, best)
 	}
-	return a, moves
+	return moves
 }
 
 // RoundRobin is the locality-oblivious baseline placement.

@@ -2,10 +2,12 @@ package balancer
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"jessica2/internal/tcm"
+	"jessica2/internal/xrand"
 )
 
 // pairMap builds a TCM where threads 2k and 2k+1 share volume v.
@@ -236,5 +238,72 @@ func TestHomeAwareThirdNodeCase(t *testing.T) {
 	blind, _ := Plan(m, cur, Config{Nodes: 3, MaxMoves: 4, MinGain: 1})
 	if blind[0] == 2 && blind[1] == 2 {
 		t.Skip("blind plan coincidentally chose node 2")
+	}
+}
+
+// TestPlannerMatchesPlan runs one Planner through a seeded sequence of
+// random maps, placements and configs, with home affinity on and off and
+// dimensions that grow and shrink its buffers. Each call must plan exactly
+// what Plan plans, leave its input alone, and Plan's own results must not
+// alias one another across calls.
+func TestPlannerMatchesPlan(t *testing.T) {
+	r := xrand.New(31)
+	var p Planner
+	// planned keeps one Plan result and copies made when it was returned.
+	type planned struct {
+		a, wantA         Assignment
+		moves, wantMoves []Move
+	}
+	var earlier []planned
+	moved := 0
+	for i := 0; i < 300; i++ {
+		threads, nodes := 1+r.Intn(12), 1+r.Intn(5)
+		m := tcm.NewMap(threads)
+		for a := 0; a < threads; a++ {
+			for b := a + 1; b < threads; b++ {
+				if r.Intn(3) > 0 {
+					m.Set(a, b, float64(r.Intn(10_000)))
+				}
+			}
+		}
+		cur := make(Assignment, threads)
+		for t := range cur {
+			cur[t] = r.Intn(nodes)
+		}
+		cfg := Config{Nodes: nodes, MaxMoves: r.Intn(6), MinGain: float64(r.Intn(3) * 500)}
+		if r.Intn(2) == 0 {
+			cfg.HomeWeight = 0.5 + r.Float64()
+			cfg.HomeAffinity = make([][]float64, threads)
+			for t := range cfg.HomeAffinity {
+				cfg.HomeAffinity[t] = make([]float64, nodes)
+				for d := range cfg.HomeAffinity[t] {
+					cfg.HomeAffinity[t][d] = float64(r.Intn(5_000))
+				}
+			}
+		}
+		input := cur.Clone()
+
+		wantA, wantMoves := Plan(m, cur, cfg)
+		gotA, gotMoves := p.Plan(m, cur, cfg)
+		if !slices.Equal(gotA, wantA) || !slices.Equal(gotMoves, wantMoves) {
+			t.Fatalf("case %d (%d threads, %d nodes, %+v): Planner %v %v, Plan %v %v",
+				i, threads, nodes, cfg, gotA, gotMoves, wantA, wantMoves)
+		}
+		if !slices.Equal(cur, input) {
+			t.Fatalf("case %d: planning rewrote its input %v to %v", i, input, cur)
+		}
+		earlier = append(earlier, planned{wantA, wantA.Clone(), wantMoves, slices.Clone(wantMoves)})
+		if len(wantMoves) > 0 {
+			moved++
+		}
+	}
+	for i, e := range earlier {
+		if !slices.Equal(e.a, e.wantA) || !slices.Equal(e.moves, e.wantMoves) {
+			t.Fatalf("Plan's result from case %d changed to %v %v after later calls, want %v %v",
+				i, e.a, e.moves, e.wantA, e.wantMoves)
+		}
+	}
+	if moved < 100 {
+		t.Fatalf("only %d of %d cases planned a move", moved, len(earlier))
 	}
 }
