@@ -362,12 +362,19 @@ func (k *Kernel) NumThreads() int { return len(k.threads) }
 func (k *Kernel) Thread(i int) *Thread { return k.threads[i] }
 
 // Assignment returns the current thread→node placement.
-func (k *Kernel) Assignment() []int {
-	a := make([]int, len(k.threads))
-	for i, t := range k.threads {
-		a[i] = t.node.id
+func (k *Kernel) Assignment() []int { return k.AssignmentInto(nil) }
+
+// AssignmentInto writes the current thread→node placement into dst's
+// storage, growing it when it is too short, and returns it.
+func (k *Kernel) AssignmentInto(dst []int) []int {
+	if cap(dst) < len(k.threads) {
+		dst = make([]int, len(k.threads))
 	}
-	return a
+	dst = dst[:len(k.threads)]
+	for i, t := range k.threads {
+		dst[i] = t.node.id
+	}
+	return dst
 }
 
 // AllThreadsFinished reports whether every spawned thread body returned.

@@ -2,7 +2,7 @@ package session
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"jessica2/internal/balancer"
 	"jessica2/internal/core"
@@ -19,15 +19,17 @@ import (
 // pause point). It is plain data: policies decide from it alone, which
 // keeps them deterministic and unit-testable without a kernel.
 //
-// Boundary snapshots handed to Policy.Observe reuse per-session scratch
-// buffers for TCM, Footprints, RateTrace and Finished — they are valid for
-// the duration of the Observe call and are overwritten at the next epoch
+// The *Snapshot handed to Policy.Observe, and its Assignment, Hot (with
+// every Hot entry's Threads), TCM, Footprints, RateTrace and Finished
+// views, reuse per-session scratch buffers — they are valid for the
+// duration of the Observe call and are overwritten at the next epoch
 // boundary. The views are read-only: the TCM scratch in particular is
 // re-synced incrementally (only cells that changed since the last boundary
 // are rewritten), so a policy that writes into snap.TCM corrupts every
 // subsequent boundary snapshot, not just its own. A policy that needs to
-// keep or modify a view must copy it (e.g. TCM.Clone). Snapshots from
-// Session.Snapshot are freshly allocated and safe to retain or mutate.
+// keep or modify a view must copy it (e.g. TCM.Clone, slices.Clone).
+// Snapshots from Session.Snapshot are freshly allocated and safe to retain
+// or mutate.
 type Snapshot struct {
 	// Now is the virtual time of the pause; Epoch counts processed
 	// boundaries; Done marks a completed run.
@@ -103,8 +105,11 @@ type Policy interface {
 	// the run byte-identical to an unsupervised one.
 	NeedsProfile() bool
 	// Observe inspects the boundary snapshot and returns actions to apply.
-	// The snapshot's views alias session scratch valid only during the
-	// call; copy anything that must survive to the next epoch.
+	// The snapshot and its views alias session scratch valid only during
+	// the call; copy anything that must survive to the next epoch. The
+	// policy may reuse the returned slice at its next call: the session
+	// copies each action into its log before then, and a wrapper may
+	// filter the slice in place.
 	Observe(snap *Snapshot) []Action
 }
 
@@ -231,7 +236,15 @@ func (NopPolicy) Observe(*Snapshot) []Action { return nil }
 // rebalancing (newly shared objects are re-homed toward their accessors,
 // spread so no node concentrates the hot working set's homes — the "home
 // effect" turned into an online lever).
-type RebalancePolicy struct{}
+//
+// It keeps its working buffers across calls, so a boundary allocates only
+// the actions it returns; one instance serves one session.
+type RebalancePolicy struct {
+	planner   balancer.Planner
+	hot       []HotObject // the snapshot's hot list, filtered and sorted
+	load, aff []float64   // per-node hot load and one object's affinity
+	acts      []Action    // returned by Observe, reused at the next call
+}
 
 // RebalancePolicy's tuning.
 const (
@@ -245,7 +258,8 @@ const (
 	hotMinAccessors = 2
 )
 
-// NewRebalancePolicy returns the shipped closed-loop optimizer.
+// NewRebalancePolicy returns the shipped closed-loop optimizer. It holds
+// buffers between boundaries, so build one per session.
 func NewRebalancePolicy() *RebalancePolicy { return &RebalancePolicy{} }
 
 // Name implements Policy.
@@ -254,9 +268,10 @@ func (p *RebalancePolicy) Name() string { return "rebalance" }
 // NeedsProfile implements Policy.
 func (p *RebalancePolicy) NeedsProfile() bool { return true }
 
-// Observe implements Policy.
+// Observe implements Policy. The returned slice is reused at the next
+// call.
 func (p *RebalancePolicy) Observe(snap *Snapshot) []Action {
-	var acts []Action
+	p.acts = p.acts[:0]
 
 	// 1. Correlation-driven placement: plan against the incremental TCM.
 	next := snap.Assignment
@@ -264,12 +279,12 @@ func (p *RebalancePolicy) Observe(snap *Snapshot) []Action {
 		cfg := balancer.DefaultConfig(snap.Nodes)
 		cfg.MaxMoves = rebalanceMaxMoves
 		cfg.MinGain = rebalanceMinGainBytes
-		planned, moves := balancer.Plan(snap.TCM, snap.Assignment, cfg)
+		planned, moves := p.planner.Plan(snap.TCM, snap.Assignment, cfg)
 		for _, mv := range moves {
 			if mv.Thread < len(snap.Finished) && snap.Finished[mv.Thread] {
 				continue
 			}
-			acts = append(acts, MigrateThread{Thread: mv.Thread, To: mv.To, Prefetch: true})
+			p.acts = append(p.acts, MigrateThread{Thread: mv.Thread, To: mv.To, Prefetch: true})
 		}
 		next = planned
 	}
@@ -279,30 +294,42 @@ func (p *RebalancePolicy) Observe(snap *Snapshot) []Action {
 	// load, so the hot set's homes spread instead of piling onto one node
 	// (whose peers would all fault on every update).
 	if len(snap.Hot) > 0 {
-		acts = append(acts, p.rehomes(snap, next)...)
+		p.rehomes(snap, next)
 	}
-	return acts
+	return p.acts
 }
 
-// rehomes computes the affinity-and-load greedy home assignment for the
-// snapshot's hot list under the planned thread placement.
-func (p *RebalancePolicy) rehomes(snap *Snapshot, placement balancer.Assignment) []Action {
+// byVolumeDesc orders hot objects by descending volume. Ties and NaN
+// compare equal, so a stable sort keeps them in input order.
+func byVolumeDesc(a, b HotObject) int {
+	switch {
+	case a.Volume > b.Volume:
+		return -1
+	case b.Volume > a.Volume:
+		return 1
+	}
+	return 0
+}
+
+// rehomes appends to p.acts the affinity-and-load greedy home assignment
+// for the snapshot's hot list under the planned thread placement.
+func (p *RebalancePolicy) rehomes(snap *Snapshot, placement balancer.Assignment) {
 	// Highest-volume objects choose their homes first.
-	hot := make([]HotObject, 0, len(snap.Hot))
+	hot := p.hot[:0]
 	for _, h := range snap.Hot {
 		if len(h.Threads) >= hotMinAccessors {
 			hot = append(hot, h)
 		}
 	}
-	sort.SliceStable(hot, func(i, j int) bool { return hot[i].Volume > hot[j].Volume })
+	p.hot = hot
+	slices.SortStableFunc(hot, byVolumeDesc)
 
-	load := make([]float64, snap.Nodes)
-	aff := make([]float64, snap.Nodes)
-	var acts []Action
+	p.load = append(p.load[:0], make([]float64, snap.Nodes)...)
+	p.aff = append(p.aff[:0], make([]float64, snap.Nodes)...)
+	load, aff := p.load, p.aff
+	rehomed := 0
 	for _, h := range hot {
-		for n := range aff {
-			aff[n] = 0
-		}
+		clear(aff)
 		per := h.Volume / float64(len(h.Threads))
 		for _, th := range h.Threads {
 			if int(th) < len(placement) {
@@ -319,9 +346,9 @@ func (p *RebalancePolicy) rehomes(snap *Snapshot, placement balancer.Assignment)
 			}
 		}
 		load[best] += h.Volume
-		if best != h.Home && len(acts) < maxRehomesPerEpoch {
-			acts = append(acts, RehomeObject{Object: h.Object, To: best})
+		if best != h.Home && rehomed < maxRehomesPerEpoch {
+			p.acts = append(p.acts, RehomeObject{Object: h.Object, To: best})
+			rehomed++
 		}
 	}
-	return acts
 }

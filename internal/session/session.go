@@ -108,19 +108,23 @@ type Session struct {
 	priorTCM *tcm.Map
 
 	// scratch is reused across boundary snapshots: sessions pause at every
-	// epoch, and rebuilding the N×N map, rate trace and footprint views
-	// from fresh allocations each time was the allocation hot spot of
-	// closed-loop runs. Boundary snapshots alias it (valid for the duration
-	// of Policy.Observe); the public ad-hoc Snapshot builds in a fresh one
-	// the caller may retain.
+	// epoch, and rebuilding the snapshot and its views from fresh
+	// allocations each time was the allocation hot spot of closed-loop
+	// runs. Boundary snapshots alias it (valid for the duration of
+	// Policy.Observe); the public ad-hoc Snapshot builds in a fresh one the
+	// caller may retain.
 	scratch snapScratch
 
 	err error // sticky configuration error, surfaced on first use
 }
 
-// snapScratch holds the buffers a snapshot's views are built in.
+// snapScratch holds a snapshot and the buffers its views are built in.
 type snapScratch struct {
+	snap     Snapshot
+	assign   balancer.Assignment
 	tcm      *tcm.Map
+	hot      []HotObject
+	accessor []int32 // every Hot entry's Threads, back to back
 	trace    []core.RateChange
 	foot     map[int]sticky.Footprint
 	finished []bool
@@ -471,13 +475,15 @@ func (s *Session) snapshot(sc *snapScratch, wantProfile, consume bool) *Snapshot
 	if cap(sc.finished) < n {
 		sc.finished = make([]bool, n)
 	}
-	snap := &Snapshot{
+	sc.assign = k.AssignmentInto(sc.assign)
+	snap := &sc.snap
+	*snap = Snapshot{
 		Now:        k.Eng.Now(),
 		Epoch:      s.epoch,
 		Done:       s.done,
 		Nodes:      k.NumNodes(),
 		Threads:    n,
-		Assignment: balancer.Assignment(k.Assignment()),
+		Assignment: sc.assign,
 		Finished:   sc.finished[:n],
 		Kernel:     k.Stats(),
 		Network:    k.Net.Stats(),
@@ -509,7 +515,7 @@ func (s *Session) snapshot(sc *snapScratch, wantProfile, consume bool) *Snapshot
 	if s.loaded != nil {
 		snap.Divergence = profile.EvidenceDivergence(snap.TCM, s.priorTCM, s.loadedTCM)
 	}
-	snap.Hot = s.hotObjects(consume)
+	snap.Hot = s.hotObjects(sc, consume)
 	return snap
 }
 
@@ -521,23 +527,28 @@ func (s *Session) snapshot(sc *snapScratch, wantProfile, consume bool) *Snapshot
 // boundary, not with all M objects ever ingested — and delivers each
 // object until one boundary accepts it, never again (built-in hysteresis:
 // a policy that re-homed an object once is not asked to reconsider it
-// every epoch).
-func (s *Session) hotObjects(consume bool) []HotObject {
-	var hot []HotObject
+// every epoch). The list and its accessor lists are built in sc's buffers;
+// each accessor list is capped by a full slice expression, so appending to
+// one cannot overwrite the next.
+func (s *Session) hotObjects(sc *snapScratch, consume bool) []HotObject {
+	hot, ids := sc.hot[:0], sc.accessor[:0]
 	s.k.Master().VisitNewlyShared(consume, func(key int64, volume float64, threads []int32) bool {
 		o := s.k.Reg.Object(heap.ObjectID(key))
 		if o == nil {
 			return false // unknown to the registry (yet): keep pending
 		}
+		from := len(ids)
+		ids = append(ids, threads...)
 		hot = append(hot, HotObject{
 			Object:  o.ID,
 			Home:    o.Home,
 			Bytes:   o.Bytes(),
 			Volume:  volume,
-			Threads: append([]int32(nil), threads...),
+			Threads: ids[from:len(ids):len(ids)],
 		})
 		return consume
 	})
+	sc.hot, sc.accessor = hot, ids
 	// Visits arrive sorted by key (allocation order), which is
 	// deterministic and groups co-allocated hot ranges.
 	return hot

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"slices"
 	"testing"
 
 	"jessica2/internal/profile"
@@ -8,7 +9,8 @@ import (
 )
 
 // recordingPolicy counts Observe calls so tests can see when the warm-start
-// gate consults its inner optimizer, and keeps every observed Hot list.
+// gate consults its inner optimizer, and keeps a copy of every observed Hot
+// list (the snapshot's own aliases session scratch).
 type recordingPolicy struct {
 	calls int
 	emit  []Action
@@ -19,7 +21,7 @@ func (p *recordingPolicy) Name() string       { return "recording" }
 func (p *recordingPolicy) NeedsProfile() bool { return true }
 func (p *recordingPolicy) Observe(s *Snapshot) []Action {
 	p.calls++
-	p.hot = append(p.hot, s.Hot)
+	p.hot = append(p.hot, slices.Clone(s.Hot))
 	return p.emit
 }
 
