@@ -212,9 +212,36 @@ func (w *writer) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// Encoded sizes of Encode's fixed-width records.
+const (
+	hotHomeSize    = 8 + 4
+	rateChangeSize = 8 + 8 + 8 + 8 + 1 + 4
+	decisionSize   = 4 + 8 + 1 + 8 + 8
+)
+
+// encodedLen is the exact length of Encode(p), so Encode allocates its
+// output once.
+func encodedLen(p *Profile) int {
+	n := len(magic) + 4 // version
+	n += 4 + len(p.Fingerprint.Workload) + 4 + len(p.Fingerprint.Scenario) + 4 + 4 + 8
+	n += 4 + 4 + 8*len(p.TCMCells)
+	n += 4 + 4*len(p.Assignment)
+	n += 4 + hotHomeSize*len(p.HotHomes)
+	n += 4
+	for _, fp := range p.Footprints {
+		n += 4 + 4
+		for _, c := range fp.Classes {
+			n += 4 + len(c.Class) + 8
+		}
+	}
+	n += 4 + rateChangeSize*len(p.RateTrace)
+	n += 4 + decisionSize*len(p.Decisions)
+	return n + 4 // CRC32 trailer
+}
+
 // Encode serializes the profile. The output is a pure function of p.
 func Encode(p *Profile) []byte {
-	var w writer
+	w := writer{buf: make([]byte, 0, encodedLen(p))}
 	w.buf = append(w.buf, magic[:]...)
 	w.u32(Version)
 

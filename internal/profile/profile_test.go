@@ -67,6 +67,22 @@ func TestRoundTripExact(t *testing.T) {
 	}
 }
 
+// TestEncodeSizesOnce: Encode computes its exact length up front, so it
+// allocates its output once and fills it to capacity, for a rich profile
+// and an empty one.
+func TestEncodeSizesOnce(t *testing.T) {
+	for name, p := range map[string]*Profile{"rich": richProfile(), "empty": {}} {
+		var enc []byte
+		allocs := testing.AllocsPerRun(20, func() { enc = Encode(p) })
+		if allocs != 1 {
+			t.Errorf("%s: Encode allocates %v times, want 1", name, allocs)
+		}
+		if len(enc) != cap(enc) {
+			t.Errorf("%s: Encode returns len %d, cap %d", name, len(enc), cap(enc))
+		}
+	}
+}
+
 func TestRoundTripEmpty(t *testing.T) {
 	p := &Profile{}
 	got, err := Decode(Encode(p))
