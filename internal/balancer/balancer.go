@@ -111,8 +111,9 @@ type Planner struct {
 	moves  []Move
 }
 
-// Plan is the package's Plan. The assignment and moves it returns alias
-// p's buffers and are overwritten by its next call.
+// Plan plans as the package-level Plan does, in p's buffers: the
+// assignment and moves it returns alias them and are overwritten by its
+// next call.
 func (p *Planner) Plan(m *tcm.Map, current Assignment, cfg Config) (Assignment, []Move) {
 	check(m, current, cfg)
 	p.a = append(p.a[:0], current...)

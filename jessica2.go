@@ -278,7 +278,8 @@ type (
 
 // NewRebalancePolicy returns the shipped closed-loop optimizer: TCM-driven
 // placement and hot-object home rebalancing with sticky-set prefetch
-// migration.
+// migration. The policy keeps buffers between boundaries, so build one per
+// session.
 var NewRebalancePolicy = session.NewRebalancePolicy
 
 // Session lifecycle errors.
