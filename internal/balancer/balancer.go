@@ -10,6 +10,7 @@ package balancer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"jessica2/internal/tcm"
@@ -26,7 +27,8 @@ func (a Assignment) Counts(nodes int) []int { return a.countsInto(nil, nodes) }
 
 // countsInto is Counts in dst's storage.
 func (a Assignment) countsInto(dst []int, nodes int) []int {
-	c := append(dst[:0], make([]int, nodes)...)
+	c := slices.Grow(dst[:0], nodes)[:nodes]
+	clear(c)
 	for _, n := range a {
 		c[n]++
 	}

@@ -324,8 +324,9 @@ func (p *RebalancePolicy) rehomes(snap *Snapshot, placement balancer.Assignment)
 	p.hot = hot
 	slices.SortStableFunc(hot, byVolumeDesc)
 
-	p.load = append(p.load[:0], make([]float64, snap.Nodes)...)
-	p.aff = append(p.aff[:0], make([]float64, snap.Nodes)...)
+	p.load = slices.Grow(p.load[:0], snap.Nodes)[:snap.Nodes]
+	clear(p.load)
+	p.aff = slices.Grow(p.aff[:0], snap.Nodes)[:snap.Nodes]
 	load, aff := p.load, p.aff
 	rehomed := 0
 	for _, h := range hot {
