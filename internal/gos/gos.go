@@ -195,13 +195,14 @@ type Kernel struct {
 }
 
 // newRecord returns a zeroed OAL record, reusing a recycled one if possible.
-func (k *Kernel) newRecord() *oal.Record {
+// A fresh record gets room for size entries; a recycled one keeps its own.
+func (k *Kernel) newRecord(size int) *oal.Record {
 	if n := len(k.recPool); n > 0 {
 		r := k.recPool[n-1]
 		k.recPool = k.recPool[:n-1]
 		return r
 	}
-	return &oal.Record{}
+	return &oal.Record{Entries: make([]oal.Entry, 0, size)}
 }
 
 // recycleRecord returns a fully consumed record to the pool. The caller must

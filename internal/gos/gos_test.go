@@ -512,6 +512,40 @@ func TestReleasePayloadIngested(t *testing.T) {
 	}
 }
 
+// TestFreshRecordSizedFromLastInterval: with the record pool empty, a
+// thread whose last interval logged n entries opens its next interval on a
+// fresh record with room for n, so the interval's logging does not regrow
+// it. With tracking off nothing is logged and the record stays unsized.
+func TestFreshRecordSizedFromLastInterval(t *testing.T) {
+	const n = 40
+	for _, mode := range []TrackingMode{TrackingExact, TrackingOff} {
+		k := testKernel(1, mode)
+		cls := k.Reg.DefineClass("X", 64, 0)
+		var logged, size int
+		k.SpawnThread(0, "t", func(th *Thread) {
+			objs := make([]*heap.Object, n)
+			for i := range objs {
+				objs[i] = th.Alloc(cls)
+				th.Write(objs[i])
+			}
+			th.Release(0)
+			logged = len(th.lastLogged)
+			k.recPool = k.recPool[:0]
+			th.Read(objs[0])
+			size = cap(th.rec.Entries)
+		})
+		k.Run()
+		want := n
+		if mode == TrackingOff {
+			want = 0
+		}
+		if logged != want || size != want {
+			t.Errorf("%v: last interval logged %d, next record has room for %d; want %d and %d",
+				mode, logged, size, want, want)
+		}
+	}
+}
+
 func TestOALTransferDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 2

@@ -201,3 +201,8 @@ func (m *Master) IngestedEntries() int64 { return m.ingestedEntries }
 // Summary exports the daemon's per-object state (input for home-migration
 // advice and hierarchical reductions).
 func (m *Master) Summary() *tcm.Summary { return m.ensureBuilder().Summarize() }
+
+// SharedKeys returns, in ascending order, the keys of the objects the
+// daemon has seen shared by two or more threads. The slice is the daemon's
+// scratch, valid until the next SharedKeys or Summary.
+func (m *Master) SharedKeys() []int64 { return m.ensureBuilder().SharedKeys() }

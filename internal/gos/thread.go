@@ -202,7 +202,9 @@ func (t *Thread) openInterval() {
 	}
 	t.interval++
 	t.intervalOpen = true
-	t.rec = t.k.newRecord()
+	// The last interval's entry count sizes a fresh record: the next
+	// interval of a loop logs about as many.
+	t.rec = t.k.newRecord(len(t.lastLogged))
 	t.rec.Thread = t.id
 	t.k.stats.Intervals++
 	// Reset false-invalid on the objects this thread logged last interval

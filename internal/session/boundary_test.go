@@ -7,6 +7,7 @@ import (
 
 	"jessica2/internal/core"
 	"jessica2/internal/gos"
+	"jessica2/internal/profile"
 	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/sim"
@@ -103,6 +104,32 @@ func TestBoundaryAllocatesOnlyActions(t *testing.T) {
 	if allocs > float64(len(acts)) {
 		t.Fatalf("a boundary allocates %v times for %d actions (%d re-homes, %d hot objects)",
 			allocs, len(acts), rehomes, len(snap.Hot))
+	}
+}
+
+// TestCapturedProfileSizesOnce: capturing a finished closedloop-kv-shaped
+// session's profile reads the shared keys straight from the daemon and
+// sizes the hot-home and decision lists once, so it allocates a handful of
+// times however many hot objects and decisions the run has.
+func TestCapturedProfileSizesOnce(t *testing.T) {
+	s := kvSession(t, 42, NewRebalancePolicy())
+	s.cfg.Profile.Save = true
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var prof *profile.Profile
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if prof, err = s.CapturedProfile(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(prof.HotHomes) < 1000 || len(prof.Decisions) < 1000 {
+		t.Fatalf("%d hot homes and %d decisions: the run is too small to show growth", len(prof.HotHomes), len(prof.Decisions))
+	}
+	if allocs > 10 {
+		t.Fatalf("CapturedProfile allocates %v times for %d hot homes and %d decisions, want at most 10",
+			allocs, len(prof.HotHomes), len(prof.Decisions))
 	}
 }
 

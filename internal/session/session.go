@@ -609,17 +609,18 @@ func (s *Session) CapturedProfile() (*profile.Profile, error) {
 		Assignment:  s.k.Assignment(),
 	}
 	// Hot-object homes: every object the daemon observed as shared by at
-	// least two threads, with its final home (Summary is key-sorted, so the
-	// list is too — HomeOf binary-searches it).
-	for _, o := range s.k.Master().Summary().Objs {
-		if len(o.Threads) < 2 {
-			continue
-		}
-		obj := s.k.Reg.Object(heap.ObjectID(o.Key))
+	// least two threads, with its final home (the keys ascend, so the list
+	// does too — HomeOf binary-searches it).
+	shared := s.k.Master().SharedKeys()
+	for _, key := range shared {
+		obj := s.k.Reg.Object(heap.ObjectID(key))
 		if obj == nil {
 			continue
 		}
-		p.HotHomes = append(p.HotHomes, profile.HotHome{Key: o.Key, Home: int32(obj.Home)})
+		if p.HotHomes == nil {
+			p.HotHomes = make([]profile.HotHome, 0, len(shared))
+		}
+		p.HotHomes = append(p.HotHomes, profile.HotHome{Key: key, Home: int32(obj.Home)})
 	}
 	if s.prof != nil {
 		trace, foot := s.prof.LiveViews()
@@ -664,6 +665,9 @@ func (s *Session) CapturedProfile() (*profile.Profile, error) {
 			d.Kind, d.A = profile.DecisionSetRate, int64(a.Rate)
 		default:
 			continue
+		}
+		if p.Decisions == nil {
+			p.Decisions = make([]profile.Decision, 0, len(s.applied))
 		}
 		p.Decisions = append(p.Decisions, d)
 	}

@@ -48,28 +48,6 @@ func (f Footprint) Classes() []string {
 	return names
 }
 
-// Diff returns the per-class absolute difference |f - g| summed over the
-// union of classes (Table IV's "average diff" column).
-func (f Footprint) Diff(g Footprint) int64 {
-	var d int64
-	seen := make(map[string]struct{})
-	for c, v := range f {
-		seen[c] = struct{}{}
-		w := g[c]
-		if v > w {
-			d += v - w
-		} else {
-			d += w - v
-		}
-	}
-	for c, w := range g {
-		if _, ok := seen[c]; !ok {
-			d += w
-		}
-	}
-	return d
-}
-
 // The footprinter's calibrated mechanism. Footprinting repeatedly re-arms
 // the false-invalid trap on the sampled objects the thread has touched, so
 // each re-arm sweep pays per sampled object, and each re-trapped access pays
@@ -143,7 +121,8 @@ type Footprinter struct {
 	windowEnd sim.Time
 
 	footprint Footprint
-	// Raw (unsmoothed) footprint of the last closed interval.
+	// Raw (unsmoothed) footprint of the last closed interval, cleared and
+	// refilled at every close.
 	lastInterval Footprint
 
 	// TrackedAccesses counts trapped (charged) accesses.
@@ -171,9 +150,10 @@ type objCount struct {
 // t.AddObserver to activate.
 func NewFootprinter(t *gos.Thread, cfg FootprinterConfig) *Footprinter {
 	return &Footprinter{
-		nonstop:   cfg.Nonstop,
-		thread:    t,
-		footprint: make(Footprint),
+		nonstop:      cfg.Nonstop,
+		thread:       t,
+		footprint:    make(Footprint),
+		lastInterval: make(Footprint),
 	}
 }
 
@@ -269,7 +249,8 @@ func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 		panic("sticky: footprinter interval count exceeds the int32 entry stamp")
 	}
 	fp.intervals++
-	raw := make(Footprint)
+	raw := fp.lastInterval
+	clear(raw)
 	reg := t.Kernel().Reg
 	for _, id := range fp.tracked {
 		if fp.counts.At(id).count < minAccesses {
@@ -279,15 +260,16 @@ func (fp *Footprinter) OnIntervalClose(t *gos.Thread) {
 		gap := effectiveGap(o)
 		raw[o.Class.Name] += int64(o.AmortizedBytesAtGap(gap)) * gap
 	}
-	fp.lastInterval = raw
 	// EWMA-smooth into the running estimate over the union of classes.
+	// Each class's new value depends only on its own old value and raw
+	// bytes, so the order the maps are visited in cannot change a result.
 	const a = ewma
-	for _, c := range raw.Classes() {
-		fp.footprint[c] = int64(a*float64(raw[c]) + (1-a)*float64(fp.footprint[c]))
+	for c, v := range raw {
+		fp.footprint[c] = int64(a*float64(v) + (1-a)*float64(fp.footprint[c]))
 	}
-	for _, c := range fp.footprint.Classes() {
+	for c, v := range fp.footprint {
 		if _, ok := raw[c]; !ok {
-			fp.footprint[c] = int64((1 - a) * float64(fp.footprint[c]))
+			fp.footprint[c] = int64((1 - a) * float64(v))
 		}
 	}
 	// The bumped interval count retires every entry; nothing is left
@@ -317,15 +299,6 @@ func (fp *Footprinter) FootprintInto(dst Footprint) Footprint {
 		}
 	}
 	return dst
-}
-
-// LastInterval returns the unsmoothed footprint of the last interval.
-func (fp *Footprinter) LastInterval() Footprint {
-	out := make(Footprint, len(fp.lastInterval))
-	for c, v := range fp.lastInterval {
-		out[c] = v
-	}
-	return out
 }
 
 // --- resolution --------------------------------------------------------------

@@ -25,17 +25,32 @@ func TestFootprintBasics(t *testing.T) {
 	}
 }
 
+// footprintDiff returns the per-class absolute difference |f - g| summed
+// over the union of classes.
+func footprintDiff(f, g Footprint) int64 {
+	var d int64
+	for c, v := range f {
+		d += max(v-g[c], g[c]-v)
+	}
+	for c, w := range g {
+		if _, ok := f[c]; !ok {
+			d += w
+		}
+	}
+	return d
+}
+
 func TestFootprintDiff(t *testing.T) {
 	a := Footprint{"A": 100, "B": 50}
 	b := Footprint{"A": 80, "C": 10}
 	// |100-80| + |50-0| + |0-10| = 80
-	if d := a.Diff(b); d != 80 {
+	if d := footprintDiff(a, b); d != 80 {
 		t.Fatalf("diff = %d, want 80", d)
 	}
-	if d := b.Diff(a); d != 80 {
+	if d := footprintDiff(b, a); d != 80 {
 		t.Fatalf("diff not symmetric: %d", d)
 	}
-	if a.Diff(a) != 0 {
+	if footprintDiff(a, a) != 0 {
 		t.Fatal("self diff nonzero")
 	}
 }
@@ -72,7 +87,7 @@ func TestFootprinterHotObjectsQualify(t *testing.T) {
 		}
 		th.Release(1) // close the interval
 	})
-	foot := fp.LastInterval()
+	foot := fp.lastInterval
 	// Only the hot object qualifies: 128 bytes at gap 1.
 	if foot["Rec"] != 128 {
 		t.Fatalf("footprint = %v, want Rec:128 (hot only)", foot)
@@ -93,7 +108,7 @@ func TestFootprinterSingleTouchExcluded(t *testing.T) {
 		th.Read(o) // one touch in the second interval
 		th.Release(2)
 	})
-	if got := fp.LastInterval()["Rec"]; got != 0 {
+	if got := fp.lastInterval["Rec"]; got != 0 {
 		t.Fatalf("single-touch object in footprint: %d bytes", got)
 	}
 }
@@ -123,7 +138,7 @@ func TestFootprinterGapScaleUp(t *testing.T) {
 	fp = NewFootprinter(th, FootprinterConfig{Nonstop: true})
 	th.AddObserver(fp)
 	k.Run()
-	got := float64(fp.LastInterval()["Rec"])
+	got := float64(fp.lastInterval["Rec"])
 	truth := 70.0 * 100
 	if got < truth*0.6 || got > truth*1.4 {
 		t.Fatalf("scaled footprint %v, truth %v", got, truth)
@@ -205,7 +220,7 @@ func TestFootprinterEWMASmoothing(t *testing.T) {
 		th.Read(th.Alloc(cls)) // one touch opens interval 2 but does not qualify
 		th.Release(2)          // interval 2: no sticky Rec -> decays
 	})
-	if got := fp.LastInterval()["Rec"]; got != 0 {
+	if got := fp.lastInterval["Rec"]; got != 0 {
 		t.Fatalf("last interval footprint = %d, want 0 (nothing qualified)", got)
 	}
 	// Interval 1 folds in half of 128 bytes, interval 2 halves it again.
@@ -215,6 +230,49 @@ func TestFootprinterEWMASmoothing(t *testing.T) {
 }
 
 const time1 = 5 * sim.Millisecond
+
+// TestIntervalCloseAllocatesNothing: once a footprinter has folded one
+// interval, later intervals over the same objects allocate nothing: the
+// close refills the last interval's map in place and smooths into the
+// running estimate without sorting class names.
+func TestIntervalCloseAllocatesNothing(t *testing.T) {
+	kcfg := gos.DefaultConfig()
+	kcfg.Nodes = 1
+	k := gos.NewKernel(kcfg)
+	rec := k.Reg.DefineClass("Rec", 128, 0)
+	small := k.Reg.DefineClass("Small", 24, 0)
+	var objs []*heap.Object
+	for i := 0; i < 64; i++ {
+		c := rec
+		if i%2 == 1 {
+			c = small
+		}
+		objs = append(objs, k.Reg.Alloc(c, 0))
+	}
+	var fp *Footprinter
+	allocs := -1.0
+	th := k.SpawnThread(0, "t", func(th *gos.Thread) {
+		interval := func() {
+			for pass := 0; pass < 3; pass++ {
+				for _, o := range objs {
+					fp.OnAccess(th, o, false, false)
+				}
+				th.Proc().Sleep(2 * rearmPeriod)
+			}
+			fp.OnIntervalClose(th)
+		}
+		interval()
+		allocs = testing.AllocsPerRun(10, interval)
+	})
+	fp = NewFootprinter(th, FootprinterConfig{Nonstop: true})
+	k.Run()
+	if allocs != 0 {
+		t.Fatalf("an interval and its close allocate %v times, want 0", allocs)
+	}
+	if want := (Footprint{"Rec": 32 * 128, "Small": 32 * 24}); !reflect.DeepEqual(fp.lastInterval, want) {
+		t.Fatalf("last interval = %v, want %v", fp.lastInterval, want)
+	}
+}
 
 // --- resolution tests --------------------------------------------------------
 

@@ -453,6 +453,21 @@ func (b *Builder) Summarize() *Summary {
 	return s
 }
 
+// SharedKeys returns the keys of the objects that two or more threads have
+// accessed, in ascending order. The slice is scratch shared with Summarize:
+// it stays valid until the next call to either.
+func (b *Builder) SharedKeys() []int64 {
+	keys := b.keys[:0]
+	for k, i := range b.objs {
+		if b.ents[i].count >= 2 {
+			keys = append(keys, k)
+		}
+	}
+	b.keys = keys
+	slices.Sort(keys)
+	return keys
+}
+
 // IngestSummary merges a worker summary into the builder (the master-side
 // half): the larger byte estimate wins — its delta re-accrued over the
 // existing pair set — and thread sets union with malformed out-of-range ids

@@ -1,8 +1,11 @@
 package tcm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"jessica2/internal/xrand"
 )
 
 func TestSummarizeRoundTrip(t *testing.T) {
@@ -137,5 +140,30 @@ func TestSummarizeThreadListsAreCapped(t *testing.T) {
 	_ = append(s.Objs[0].Threads, 3)
 	if got := s.Objs[1].Threads; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("next object's threads = %v after appending to the first, want [2 3]", got)
+	}
+}
+
+// TestSharedKeysMatchSummary: SharedKeys lists, in ascending order, exactly
+// the summary's objects with two or more threads, over seeded random
+// builders, and allocates nothing once its scratch has grown.
+func TestSharedKeysMatchSummary(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := xrand.New(seed)
+		b := NewBuilder(1 + rng.Intn(12))
+		for i, n := 0, rng.Intn(2000); i < n; i++ {
+			b.AddAccess(rng.Intn(b.N()), int64(rng.Intn(500)), float64(1+rng.Intn(64)))
+		}
+		var want []int64
+		for _, o := range b.Summarize().Objs {
+			if len(o.Threads) >= 2 {
+				want = append(want, o.Key)
+			}
+		}
+		if got := b.SharedKeys(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: SharedKeys = %v, want %v", seed, got, want)
+		}
+		if got := testing.AllocsPerRun(5, func() { b.SharedKeys() }); got != 0 {
+			t.Errorf("seed %d: SharedKeys allocates %v times once grown", seed, got)
+		}
 	}
 }

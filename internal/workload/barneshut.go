@@ -35,6 +35,11 @@ type BarnesHut struct {
 
 	bodies []*bhBody
 	roots  []*bhCell // one tree per round, built cooperatively
+	// cells and lists are the unused tails of the run's current cell and
+	// leaf-list chunks. A chunk never grows in place, so every *bhCell and
+	// every leaf list cut from one stays valid for the run.
+	cells []bhCell
+	lists []*bhBody
 	// VisitsPerRound records thread 0's traversal visits (calibration).
 	VisitsPerRound []int64
 }
@@ -69,6 +74,40 @@ type bhCell struct {
 	arr              *heap.Object // Leaf's Body[] element array
 	cx, cy, cz, half float64
 	mx, my, mz, mass float64
+}
+
+// Arena chunk sizes: cells per cell chunk and body pointers per leaf-list
+// chunk, one list per cell at the default LeafCap. A 1,024-body, 5-round
+// run builds about 2,750 cells, each created as a leaf: eleven chunks of
+// each, the last one partly used.
+const (
+	bhCellChunk = 256
+	bhListChunk = bhCellChunk * 9
+)
+
+// newCell returns c's copy in the run's cell arena.
+func (b *BarnesHut) newCell(c bhCell) *bhCell {
+	if len(b.cells) == 0 {
+		b.cells = make([]bhCell, bhCellChunk)
+	}
+	p := &b.cells[0]
+	b.cells = b.cells[1:]
+	*p = c
+	return p
+}
+
+// newList returns an empty leaf body list of capacity LeafCap+1, cut from
+// the run's list arena with a full slice expression: a leaf fills it
+// without reallocating, and only a leaf past the depth cut-off appends
+// beyond it, into a list of its own.
+func (b *BarnesHut) newList() []*bhBody {
+	n := b.LeafCap + 1
+	if len(b.lists) < n {
+		b.lists = make([]*bhBody, max(bhListChunk, n))
+	}
+	l := b.lists[:0:n]
+	b.lists = b.lists[n:]
+	return l
 }
 
 // Name implements Workload.
@@ -119,6 +158,7 @@ func (b *BarnesHut) Launch(k *gos.Kernel, p Params) {
 	parties := barrierParties(p)
 	b.bodies = make([]*bhBody, b.NBodies)
 	b.roots = make([]*bhCell, b.Rounds)
+	b.cells, b.lists = nil, nil
 	b.VisitsPerRound = nil
 
 	var globalArr *heap.Object
@@ -143,8 +183,10 @@ func (b *BarnesHut) Launch(k *gos.Kernel, p Params) {
 			// Init: each thread creates its chunk of bodies, so homes
 			// distribute per the first-creator rule. Galaxy membership is
 			// by array half.
+			owned := make([]bhBody, hi-lo)
 			for i := lo; i < hi; i++ {
-				bd := &bhBody{
+				bd := &owned[i-lo]
+				*bd = bhBody{
 					obj:  t.Alloc(cs.body),
 					pos:  t.Alloc(cs.vect3),
 					vel:  t.Alloc(cs.vect3),
@@ -187,7 +229,7 @@ func (b *BarnesHut) Launch(k *gos.Kernel, p Params) {
 				bf := t.Stack.Push(mBuild, 2)
 				t.Acquire(bhTreeLock)
 				if b.roots[round] == nil {
-					root := &bhCell{obj: t.Alloc(cs.cell), half: b.GalaxyDist/2 + 4}
+					root := b.newCell(bhCell{obj: t.Alloc(cs.cell), half: b.GalaxyDist/2 + 4})
 					t.Write(root.obj)
 					b.roots[round] = root
 				}
@@ -284,16 +326,17 @@ func (b *BarnesHut) insert(t *gos.Thread, root *bhCell, bd *bhBody, cs bhClasses
 // newLeaf creates a leaf child in the given octant of internal cell c.
 func (b *BarnesHut) newLeaf(t *gos.Thread, c *bhCell, oct int, cs bhClasses) *bhCell {
 	h := c.half / 2
-	child := &bhCell{
+	child := b.newCell(bhCell{
 		obj:    t.Alloc(cs.leaf),
 		leaf:   true,
 		parent: c,
 		octIdx: oct,
+		bodies: b.newList(),
 		half:   h,
 		cx:     c.cx + h*octSign(oct, 0),
 		cy:     c.cy + h*octSign(oct, 1),
 		cz:     c.cz + h*octSign(oct, 2),
-	}
+	})
 	child.arr = t.AllocArray(cs.bodyArr, b.LeafCap)
 	child.obj.Refs[0] = child.arr
 	c.children[oct] = child

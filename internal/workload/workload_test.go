@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"jessica2/internal/gos"
@@ -132,6 +134,56 @@ func TestBarnesHutPhysicsFinite(t *testing.T) {
 }
 
 func finite(v float64) bool { return v == v && v < 1e30 && v > -1e30 }
+
+// TestBarnesHutVisitsPinned: thread 0's traversal visits per round on a
+// small model, recorded before the octree moved into run-long arenas. Two
+// leaves handed the same body list, or a list that overran into its
+// neighbour's, would move bodies between leaves and change the counts.
+func TestBarnesHutVisitsPinned(t *testing.T) {
+	want := map[uint64][]int64{
+		42: {20990, 20990, 20607},
+		7:  {21203, 21203, 20779},
+	}
+	for seed, visits := range want {
+		b := NewBarnesHut()
+		b.NBodies, b.Rounds = 512, 3
+		cfg := gos.DefaultConfig()
+		cfg.Nodes = 4
+		k := gos.NewKernel(cfg)
+		b.Launch(k, Params{Threads: 8, Seed: seed})
+		k.Run()
+		if !slices.Equal(b.VisitsPerRound, visits) {
+			t.Errorf("seed %d: VisitsPerRound = %#v, want %#v", seed, b.VisitsPerRound, visits)
+		}
+	}
+}
+
+// TestBarnesHutAllocatesPerRun: with tracking off, each extra round of a
+// 1,024-body model on 8 threads and 8 nodes may allocate at most a quarter
+// of an object per body. Cells, leaf lists and bodies come from run-long
+// arenas; a cell, list growth and body each of their own cost about two
+// allocations per body per round.
+func TestBarnesHutAllocatesPerRun(t *testing.T) {
+	const nBodies = 1024
+	mallocs := func(rounds int) uint64 {
+		b := NewBarnesHut()
+		b.NBodies, b.Rounds = nBodies, rounds
+		k := gos.NewKernel(gos.DefaultConfig())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.Launch(k, Params{Threads: 8, Seed: 42})
+		k.Run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	one, four := mallocs(1), mallocs(4)
+	perBodyRound := (float64(four) - float64(one)) / (3 * nBodies)
+	t.Logf("%.2f allocations per body per extra round (%d at 1 round, %d at 4)", perBodyRound, one, four)
+	if perBodyRound > 0.25 {
+		t.Fatalf("%.2f allocations per body per extra round (%d at 1 round, %d at 4), want at most 0.25",
+			perBodyRound, one, four)
+	}
+}
 
 // TestWaterNeighborhoodSharing: threads owning adjacent box regions share;
 // the TCM must be non-trivial but sparser than all-to-all.
