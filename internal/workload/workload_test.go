@@ -160,8 +160,8 @@ func TestBarnesHutVisitsPinned(t *testing.T) {
 
 // TestBarnesHutAllocatesPerRun: with tracking off, each extra round of a
 // 1,024-body model on 8 threads and 8 nodes may allocate at most a quarter
-// of an object per body. Cells, leaf lists and bodies come from run-long
-// arenas; a cell, list growth and body each of their own cost about two
+// of an object per body. Cells and leaf lists come from run-long arenas;
+// a cell and a list grown by append for every leaf cost about two
 // allocations per body per round.
 func TestBarnesHutAllocatesPerRun(t *testing.T) {
 	const nBodies = 1024
