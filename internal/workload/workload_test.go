@@ -136,9 +136,10 @@ func TestBarnesHutPhysicsFinite(t *testing.T) {
 func finite(v float64) bool { return v == v && v < 1e30 && v > -1e30 }
 
 // TestBarnesHutVisitsPinned: thread 0's traversal visits per round on a
-// small model, recorded before the octree moved into run-long arenas. Two
-// leaves handed the same body list, or a list that overran into its
-// neighbour's, would move bodies between leaves and change the counts.
+// small model, as recorded when every cell and leaf list was an object of
+// its own. Two leaves handed the same body list, or a list that overran
+// into its neighbour's, would move bodies between leaves and change the
+// counts.
 func TestBarnesHutVisitsPinned(t *testing.T) {
 	want := map[uint64][]int64{
 		42: {20990, 20990, 20607},
@@ -178,7 +179,6 @@ func TestBarnesHutAllocatesPerRun(t *testing.T) {
 	}
 	one, four := mallocs(1), mallocs(4)
 	perBodyRound := (float64(four) - float64(one)) / (3 * nBodies)
-	t.Logf("%.2f allocations per body per extra round (%d at 1 round, %d at 4)", perBodyRound, one, four)
 	if perBodyRound > 0.25 {
 		t.Fatalf("%.2f allocations per body per extra round (%d at 1 round, %d at 4), want at most 0.25",
 			perBodyRound, one, four)
