@@ -150,6 +150,28 @@ func TestOverloadRobustOffGolden(t *testing.T) {
 	}
 }
 
+// TestOverloadRobustGolden pins the robustness layer's on-state: the shed
+// and full serving lines of both gauntlet specs must stay byte-identical to
+// the golden, so a change inside the layer that moves an output fails here
+// and not only in a whole-program identity diff.
+func TestOverloadRobustGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden_serve_robust.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, spec := range overloadSpecs {
+		for _, level := range []string{"shed", "full"} {
+			line, _ := overloadLine(t, spec, level, 42)
+			lines = append(lines, level+" "+line)
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if got != string(want) {
+		t.Fatalf("robust serving output drifted from golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
 // TestOALConservation accounts for every OAL entry logged in each gauntlet
 // cell (gos.Kernel.CheckOALConservation): ingested by the master, buffered
 // on a node, on the wire, in a flush awaiting admission, or lost to a drop
