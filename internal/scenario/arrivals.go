@@ -154,6 +154,48 @@ func (a *Arrivals) rateAt(t sim.Time) float64 {
 	}
 }
 
+// expected is the mean arrival count over the horizon, the integral of
+// rateAt over [0, Horizon), in closed form.
+func (a *Arrivals) expected() float64 {
+	h := a.Horizon.Seconds()
+	switch a.Kind {
+	case ArriveDiurnal:
+		period := a.Period
+		if period == 0 {
+			period = a.Horizon
+		}
+		// The mean depth over whole cycles is 1/2; the cosine's integral
+		// over the last partial cycle corrects it.
+		p := period.Seconds()
+		wave := p / (2 * math.Pi) * math.Sin(2*math.Pi*h/p)
+		return a.Rate * (a.Trough*h + (1-a.Trough)*(h-wave)/2)
+	case ArriveBurst:
+		// Windows open at k·BurstEvery for k = 1..m, the last one before
+		// the horizon; only that one can be cut short.
+		var burst sim.Time
+		if m := (a.Horizon - 1) / a.BurstEvery; m > 0 {
+			burst = (m-1)*a.BurstLen + min(a.BurstLen, a.Horizon-m*a.BurstEvery)
+		}
+		return a.Rate * (h + (a.BurstFactor-1)*burst.Seconds())
+	default:
+		return a.Rate * h
+	}
+}
+
+// sizeHint is the capacity Schedule reserves: the Poisson count's mean
+// plus four standard deviations and a little slack, so a schedule almost
+// never regrows, capped at MaxRequests. The peak-rate envelope's mean is
+// no cap: for a flat rate it is the mean count itself, which about half of
+// all schedules exceed.
+func (a *Arrivals) sizeHint() int {
+	mu := a.expected()
+	n := int(mu+4*math.Sqrt(mu)) + 16
+	if a.MaxRequests > 0 && a.MaxRequests < n {
+		n = a.MaxRequests
+	}
+	return n
+}
+
 // Schedule materializes the arrival times in [0, Horizon), sorted
 // ascending. It is a pure function of the spec and seed: the same pair is
 // byte-identical across runs, different Salts draw independent streams.
@@ -164,8 +206,7 @@ func (a *Arrivals) Schedule(seed uint64) []sim.Time {
 	}
 	rng := xrand.New(seed).Derive(a.Salt + 0xa221)
 	peak := a.peak()
-	// Expected count sizes the allocation; thinning only removes.
-	out := make([]sim.Time, 0, int(peak*float64(a.Horizon)/float64(sim.Second))+16)
+	out := make([]sim.Time, 0, a.sizeHint())
 	t := 0.0
 	horizon := float64(a.Horizon)
 	for {

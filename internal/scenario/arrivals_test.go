@@ -165,3 +165,72 @@ func TestArrivalsValidate(t *testing.T) {
 		t.Fatal("Scenario.Validate accepted an invalid arrival spec")
 	}
 }
+
+// sizeHintSpecs are the repository benchmark's two serving arrival specs
+// (bench/workloads.go) and the three arrival presets.
+func sizeHintSpecs(t *testing.T) map[string]*Arrivals {
+	t.Helper()
+	specs := map[string]*Arrivals{
+		"serve-diurnal": {Kind: ArriveDiurnal, Rate: 6000, Horizon: 20 * sim.Second,
+			Period: sim.Second, Trough: 0.2},
+		"serve-failover": {Kind: ArriveBurst, Rate: 2500, Horizon: 8 * sim.Second,
+			BurstEvery: 500 * sim.Millisecond, BurstLen: 125 * sim.Millisecond, BurstFactor: 4},
+	}
+	for _, name := range []string{"poisson", "diurnal", "burst"} {
+		sc, err := Preset(name, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[name] = sc.Arrivals
+	}
+	return specs
+}
+
+// TestArrivalsSizeHintHolds: over 200 seeds of each spec, Schedule never
+// regrows its slice (its capacity is the size hint), MaxRequests caps the
+// hint, and wherever the rate varies the hint reserves less than the
+// peak-rate envelope's count, the parent's reservation.
+func TestArrivalsSizeHintHolds(t *testing.T) {
+	for name, a := range sizeHintSpecs(t) {
+		hint := a.sizeHint()
+		if envelope := int(a.peak()*float64(a.Horizon)/float64(sim.Second)) + 16; a.Kind != ArrivePoisson && hint >= envelope {
+			t.Fatalf("%s: hint %d, not below the envelope's %d", name, hint, envelope)
+		}
+		for seed := uint64(0); seed < 200; seed++ {
+			if s := a.Schedule(seed); cap(s) != hint {
+				t.Fatalf("%s seed %d: %d arrivals in capacity %d, want the hint %d", name, seed, len(s), cap(s), hint)
+			}
+		}
+		capped := *a
+		capped.MaxRequests = hint / 2
+		if s := capped.Schedule(1); capped.sizeHint() != hint/2 || cap(s) != hint/2 || len(s) != hint/2 {
+			t.Fatalf("%s: MaxRequests %d gives hint %d, schedule %d in capacity %d",
+				name, hint/2, capped.sizeHint(), len(s), cap(s))
+		}
+	}
+}
+
+// TestArrivalsSizeHintMean: the closed-form mean count matches the numeric
+// integral of the rate function, for partial diurnal cycles and partial
+// burst windows too; a 1 ns burst spacing costs no loop over windows.
+func TestArrivalsSizeHintMean(t *testing.T) {
+	specs := sizeHintSpecs(t)
+	for name, a := range arrivalSpecs() {
+		specs["spec "+name] = a
+	}
+	specs["diurnal partial cycle"] = &Arrivals{Kind: ArriveDiurnal, Rate: 1000, Horizon: 2300 * sim.Millisecond,
+		Period: sim.Second, Trough: 0.1}
+	specs["diurnal whole-run period"] = &Arrivals{Kind: ArriveDiurnal, Rate: 1000, Horizon: 1700 * sim.Millisecond, Trough: 0.3}
+	specs["burst cut window"] = &Arrivals{Kind: ArriveBurst, Rate: 1000, Horizon: 1050 * sim.Millisecond,
+		BurstEvery: 500 * sim.Millisecond, BurstLen: 100 * sim.Millisecond, BurstFactor: 6}
+	specs["burst dip"] = &Arrivals{Kind: ArriveBurst, Rate: 1000, Horizon: 1300 * sim.Millisecond,
+		BurstEvery: 200 * sim.Millisecond, BurstLen: 150 * sim.Millisecond, BurstFactor: 0.25}
+	specs["burst 1ns spacing"] = &Arrivals{Kind: ArriveBurst, Rate: 1000, Horizon: 10 * sim.Millisecond,
+		BurstEvery: 1, BurstLen: 1, BurstFactor: 3}
+	for name, a := range specs {
+		got, want := a.expected(), expectedCount(a)
+		if math.Abs(got-want) > 1e-3*want {
+			t.Errorf("%s: closed-form mean %.2f, numeric integral %.2f", name, got, want)
+		}
+	}
+}
