@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"jessica2/internal/gos"
 	"jessica2/internal/sim"
@@ -123,17 +124,20 @@ const (
 	reqFailed
 )
 
-// serveReq is one request's lifecycle state. Its deadline and hedge timers
-// are the request itself (deadlineTimer, hedgeTimer): reqs is sized once,
-// so the pointer the engine holds stays valid.
+// serveReq is one request's lifecycle state. It holds no pointer, so the
+// collector never scans reqs; its timers are reqCells.
 type serveReq struct {
-	d          *serveDispatcher
-	idx        int // the request's index in reqs and the schedule
-	retries    int // retry dispatches used
-	live       int // attempts queued or executing, not cancelled/finished
-	lastWorker int // worker of the most recent dispatch (hedges avoid it)
+	retries    int32 // retry dispatches used
+	live       int32 // attempts queued or executing, not cancelled/finished
+	lastWorker int32 // worker of the most recent dispatch (hedges avoid it)
 	status     reqStatus
 	hedged     bool // the request's one hedge was dispatched
+}
+
+// reqCell is the event of one request timer (deadlineTimer, hedgeTimer).
+type reqCell struct {
+	d   *serveDispatcher
+	req int
 }
 
 // serveAttempt is one dispatch of a request to a worker. Its timeout and
@@ -151,6 +155,10 @@ type serveAttempt struct {
 	// Every resolution path must release the slot (releaseProbe or a
 	// breaker transition), or the node wedges half-open forever.
 	probe bool
+	// refs counts the attempt's holders: its mailbox or the worker serving
+	// it, and its timeout timer or the retry timer that timer armed. The
+	// last release returns it to the free list (see release).
+	refs int8
 }
 
 // Circuit breaker states.
@@ -178,8 +186,38 @@ type robustBox struct {
 	parked *sim.Proc
 }
 
-// attemptChunk is the size of one chunk of the dispatcher's attempt arena.
-const attemptChunk = 256
+// slabChunk is the number of values in one chunk of a slab.
+const slabChunk = 256
+
+// slab hands out values carved from fixed-size chunks and takes released
+// ones back on a plain-slice free list. A full chunk is replaced, never
+// grown, so every pointer it handed out stays valid; a value may go back
+// only once nothing, a queued event included, can still reach it.
+type slab[T any] struct {
+	chunk  []T
+	free   []*T
+	carved int // values carved from chunks so far
+}
+
+// get returns a released value as it was left, or a zeroed new one.
+func (s *slab[T]) get() *T {
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		return p
+	}
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]T, 0, slabChunk)
+		// The free list never holds more than was carved.
+		s.free = slices.Grow(s.free, s.carved+slabChunk)
+	}
+	s.chunk = s.chunk[:len(s.chunk)+1]
+	s.carved++
+	return &s.chunk[len(s.chunk)-1]
+}
+
+// put returns p to the free list.
+func (s *slab[T]) put(p *T) { s.free = append(s.free, p) }
 
 // backoff is a capped exponential retry delay: the n-th retry waits
 // min(base·2ⁿ, limit). A base <= 0 means no delay at all (every retry is
@@ -232,10 +270,11 @@ type serveDispatcher struct {
 	brk     []breaker
 	half    int // replica offset in the sticky pair
 
-	// attempts is the current arena chunk. A full chunk is replaced, never
-	// grown, so the attempt pointers that timers and mailboxes hold stay
-	// valid.
-	attempts []serveAttempt
+	// attempts and cells hold state in proportion to the work in flight:
+	// an attempt is recycled when its last holder releases it, a request
+	// timer's cell when it fires.
+	attempts slab[serveAttempt]
+	cells    slab[reqCell]
 
 	inFlight int // admitted, not yet terminal
 	terminal int
@@ -292,9 +331,6 @@ func newServeDispatcher(w *ServeMix, k *gos.Kernel, threads int) *serveDispatche
 		stripeBusy: make([]int, w.Locks),
 		stripePen:  make([][]int, w.Locks),
 	}
-	for i := range d.reqs {
-		d.reqs[i].d, d.reqs[i].idx = d, i
-	}
 	if cfg.BreakerThreshold > 0 && k.FailureEnabled() {
 		// The push form of the health snapshot: breakers open the instant
 		// the detector declares death, and the dead node's queued attempts
@@ -325,12 +361,16 @@ func (d *serveDispatcher) scheduleArrival(i int) {
 	d.k.Eng.ScheduleEvent(d.w.schedule[i], (*arrivalTimer)(d))
 }
 
-// The dispatcher's timers are typed events over state that never moves, so
-// arming one allocates nothing.
+// The dispatcher's timers are typed events over the dispatcher, an attempt
+// or a request's cell, so arming one allocates nothing once the slabs have
+// warmed. The engine has no cancel: a queued event keeps its pointer until
+// it fires, so nothing it points at is recycled before then. A request
+// arms one deadline timer and at most one hedge timer, and each returns
+// its cell when it fires; an attempt's timers hold references on it.
 type (
 	arrivalTimer  serveDispatcher
-	deadlineTimer serveReq
-	hedgeTimer    serveReq
+	deadlineTimer reqCell
+	hedgeTimer    reqCell
 	timeoutTimer  serveAttempt
 	retryTimer    serveAttempt
 )
@@ -342,16 +382,34 @@ func (e *arrivalTimer) Fire() {
 	d.arrive(i)
 }
 
-func (e *deadlineTimer) Fire() { e.d.expire(e.idx) }
+func (e *deadlineTimer) Fire() {
+	d, i := e.d, e.req
+	d.cells.put((*reqCell)(e))
+	d.expire(i)
+}
 
-func (e *hedgeTimer) Fire() { e.d.hedge(e.idx) }
+func (e *hedgeTimer) Fire() {
+	d, i := e.d, e.req
+	d.cells.put((*reqCell)(e))
+	d.hedge(i)
+}
+
+// cell returns a request timer's event for request i.
+func (d *serveDispatcher) cell(i int) *reqCell {
+	c := d.cells.get()
+	*c = reqCell{d: d, req: i}
+	return c
+}
 
 func (e *timeoutTimer) Fire() { e.d.timeout((*serveAttempt)(e)) }
 
+// Fire dispatches the retry and drops the reference timeout handed over.
 func (e *retryTimer) Fire() {
-	if e.d.reqs[e.req].status == reqPending {
-		e.d.dispatch(e.req, attemptRetry)
+	a := (*serveAttempt)(e)
+	if a.d.reqs[a.req].status == reqPending {
+		a.d.dispatch(a.req, attemptRetry)
 	}
+	a.d.release(a)
 }
 
 // arrive admits or sheds request i at its scheduled arrival time.
@@ -362,7 +420,7 @@ func (d *serveDispatcher) arrive(i int) {
 		return
 	}
 	d.inFlight++
-	d.k.Eng.ScheduleEvent(d.w.schedule[i]+d.cfg.Deadline, (*deadlineTimer)(&d.reqs[i]))
+	d.k.Eng.ScheduleEvent(d.w.schedule[i]+d.cfg.Deadline, (*deadlineTimer)(d.cell(i)))
 	d.dispatch(i, attemptPrimary)
 }
 
@@ -386,34 +444,39 @@ func (d *serveDispatcher) dispatch(i int, kind int8) {
 	}
 	avoid := -1
 	if kind == attemptHedge || kind == attemptRetry {
-		avoid = r.lastWorker
+		avoid = int(r.lastWorker)
 	}
 	worker := d.pickWorker(i, avoid)
 	if worker < 0 {
 		d.failFast(i)
 		return
 	}
-	a := d.newAttempt()
-	*a = serveAttempt{d: d, req: i, worker: worker, node: d.threads[worker].Node().ID(), kind: kind, probe: d.pickedProbe}
+	a := d.attempts.get()
+	*a = serveAttempt{d: d, req: i, worker: worker, node: d.threads[worker].Node().ID(), kind: kind, probe: d.pickedProbe, refs: 1}
 	d.pickedProbe = false
 	r.live++
-	r.lastWorker = worker
+	r.lastWorker = int32(worker)
 	d.enqueue(worker, a)
 	if d.cfg.MaxRetries > 0 || d.cfg.BreakerThreshold > 0 {
+		a.refs++
 		d.k.Eng.AfterEvent(d.attemptTimeout, (*timeoutTimer)(a))
 	}
 	if kind == attemptPrimary && d.cfg.HedgeQuantile > 0 {
-		d.k.Eng.AfterEvent(d.currentHedgeDelay(), (*hedgeTimer)(r))
+		d.k.Eng.AfterEvent(d.currentHedgeDelay(), (*hedgeTimer)(d.cell(i)))
 	}
 }
 
-// newAttempt returns a zeroed attempt carved from the arena.
-func (d *serveDispatcher) newAttempt() *serveAttempt {
-	if len(d.attempts) == cap(d.attempts) {
-		d.attempts = make([]serveAttempt, 0, attemptChunk)
+// release drops one holder's reference to a; the last one returns a to
+// the free list. A release with no reference held is a counting bug that
+// would hand one attempt to two live dispatches, so it panics.
+func (d *serveDispatcher) release(a *serveAttempt) {
+	if a.refs <= 0 {
+		panic("workload: serve attempt released with no reference held")
 	}
-	d.attempts = d.attempts[:len(d.attempts)+1]
-	return &d.attempts[len(d.attempts)-1]
+	a.refs--
+	if a.refs == 0 {
+		d.attempts.put(a)
+	}
 }
 
 // pickWorker returns the first admissible worker for request i: the sticky
@@ -542,6 +605,7 @@ func (d *serveDispatcher) timeout(a *serveAttempt) {
 		// Attempt already resolved, or its request was decided without it
 		// — don't judge the node, but do free a held probe slot.
 		d.releaseProbe(a)
+		d.release(a)
 		return
 	}
 	if a.started {
@@ -558,11 +622,12 @@ func (d *serveDispatcher) timeout(a *serveAttempt) {
 		a.cancelled = true
 		r.live--
 	}
-	if d.cfg.MaxRetries > 0 && r.retries < d.cfg.MaxRetries {
+	if d.cfg.MaxRetries > 0 && int(r.retries) < d.cfg.MaxRetries {
 		r.retries++
 		d.w.state.retried++
-		attempt := r.retries - 1
+		attempt := int(r.retries) - 1
 		delay := d.retryBackoff.delay(attempt)
+		// The timeout's reference passes to the retry timer.
 		d.k.Eng.AfterEvent(delay, (*retryTimer)(a))
 		return
 	}
@@ -571,6 +636,7 @@ func (d *serveDispatcher) timeout(a *serveAttempt) {
 		// the deadline.
 		d.failFast(a.req)
 	}
+	d.release(a)
 }
 
 // hedge dispatches a backup attempt when the primary is still unfinished
@@ -739,17 +805,17 @@ func (d *serveDispatcher) onDeath(node int) {
 		drain := box.q[box.head:]
 		box.q, box.head = nil, 0
 		for _, a := range drain {
-			if a.cancelled || a.done {
-				continue
+			if !a.cancelled && !a.done {
+				a.cancelled = true
+				d.releaseProbe(a)
+				r := &d.reqs[a.req]
+				r.live--
+				if r.status == reqPending {
+					d.w.state.rerouted++
+					d.dispatch(a.req, attemptReroute)
+				}
 			}
-			a.cancelled = true
-			d.releaseProbe(a)
-			r := &d.reqs[a.req]
-			r.live--
-			if r.status == reqPending {
-				d.w.state.rerouted++
-				d.dispatch(a.req, attemptReroute)
-			}
+			d.release(a) // the mailbox's reference
 		}
 	}
 }
@@ -824,6 +890,7 @@ func (w *ServeMix) launchRobust(k *gos.Kernel, p Params, setup *serveSetup) {
 		panic(err)
 	}
 	d := newServeDispatcher(w, k, p.Threads)
+	w.robust = d
 	for tid := 0; tid < p.Threads; tid++ {
 		tid := tid
 		rng := xrand.New(p.Seed).Derive(uint64(tid) + 6211)
@@ -844,12 +911,14 @@ func (w *ServeMix) launchRobust(k *gos.Kernel, p Params, setup *serveSetup) {
 						r.live--
 					}
 					d.releaseProbe(a)
+					d.release(a)
 					continue
 				}
 				a.started = true
 				d.stripeBusy[d.stripeOf(a.req)]++
 				w.serveOne(t, rng, int(w.tenant[a.req]), setup)
 				d.complete(a, t.Now())
+				d.release(a)
 			}
 		})
 	}

@@ -39,6 +39,27 @@ func runRobustServe(t *testing.T, rc *RobustConfig, fc *gos.FailureConfig, crash
 	return w.ServeStatsInto(nil, end), w
 }
 
+// robustFailureConfig is a fast failure detector: 1 ms heartbeats, 3 ms
+// leases.
+func robustFailureConfig() *gos.FailureConfig {
+	return &gos.FailureConfig{
+		HeartbeatInterval: 1 * sim.Millisecond,
+		LeaseTimeout:      3 * sim.Millisecond,
+		SweepInterval:     1 * sim.Millisecond,
+		FlushTimeout:      2 * sim.Millisecond,
+		FlushBackoff:      1 * sim.Millisecond,
+		MaxFlushBackoff:   8 * sim.Millisecond,
+		MaxFlushRetries:   4,
+	}
+}
+
+// crashNode1 slows node 1 to a crawl at 4 ms for good: the detector
+// declares it dead and its breaker opens.
+func crashNode1(k *gos.Kernel) {
+	cpu := k.Node(1).CPU()
+	k.Eng.Schedule(4*sim.Millisecond, func() { cpu.SetSpeed(0.05) })
+}
+
 // TestCensoredPercentile pins how non-completions enter the percentile
 // ranking: they sit above every completion at the deadline value, so P50/
 // P95/P99 over done+censored flip to the deadline exactly when the rank
@@ -220,15 +241,7 @@ func TestRobustShedsAtCapacity(t *testing.T) {
 // TestRobustDeterminism pins byte-identity of two identical robust runs,
 // including one with the failure layer and a mid-run crash.
 func TestRobustDeterminism(t *testing.T) {
-	fc := &gos.FailureConfig{
-		HeartbeatInterval: 1 * sim.Millisecond,
-		LeaseTimeout:      3 * sim.Millisecond,
-		SweepInterval:     1 * sim.Millisecond,
-		FlushTimeout:      2 * sim.Millisecond,
-		FlushBackoff:      1 * sim.Millisecond,
-		MaxFlushBackoff:   8 * sim.Millisecond,
-		MaxFlushRetries:   4,
-	}
+	fc := robustFailureConfig()
 	crash := func(k *gos.Kernel) {
 		cpu := k.Node(1).CPU()
 		k.Eng.Schedule(4*sim.Millisecond, func() { cpu.SetSpeed(0.05) })
@@ -250,20 +263,8 @@ func TestRobustDeterminism(t *testing.T) {
 // rerouted or censored, and every request must still be terminal by its
 // deadline — none may simply vanish from the ledger.
 func TestRobustBreakerOnCrash(t *testing.T) {
-	fc := &gos.FailureConfig{
-		HeartbeatInterval: 1 * sim.Millisecond,
-		LeaseTimeout:      3 * sim.Millisecond,
-		SweepInterval:     1 * sim.Millisecond,
-		FlushTimeout:      2 * sim.Millisecond,
-		FlushBackoff:      1 * sim.Millisecond,
-		MaxFlushBackoff:   8 * sim.Millisecond,
-		MaxFlushRetries:   4,
-	}
-	crash := func(k *gos.Kernel) {
-		cpu := k.Node(1).CPU()
-		k.Eng.Schedule(4*sim.Millisecond, func() { cpu.SetSpeed(0.05) })
-	}
-	st, _ := runRobustServe(t, DefaultRobustConfig(), fc, crash,
+	fc := robustFailureConfig()
+	st, _ := runRobustServe(t, DefaultRobustConfig(), fc, crashNode1,
 		robustSchedule(300, sim.Millisecond, 60*sim.Microsecond))
 	if st.BreakerOpens == 0 {
 		t.Fatalf("crashed node never opened a breaker: %s", st)
@@ -278,11 +279,14 @@ func TestRobustBreakerOnCrash(t *testing.T) {
 }
 
 // TestRobustTimersAllocateNothing: a robust dispatch's arrival, deadline,
-// attempt-timeout, hedge and retry timers are typed events over request
-// and attempt state that never moves, so arming them allocates nothing.
-// No worker serves here, so every request times out, retries, hedges and
-// fails; the arena chunks and mailbox growth that remain are amortized far
-// below one allocation per request.
+// attempt-timeout, hedge and retry timers are typed events over the
+// dispatcher, a slab cell or an attempt, so arming them allocates nothing.
+// A deadline or hedge cell returns to its free list when its timer fires;
+// an attempt returns when its mailbox (or worker) and its timeout or retry
+// timer have all released it. No worker serves here, so every request
+// times out, retries, hedges and fails, and its attempts stay held by the
+// mailboxes: the attempt chunks and mailbox growth that remain are
+// amortized far below one allocation per request.
 func TestRobustTimersAllocateNothing(t *testing.T) {
 	const n, gap = 2048, sim.Millisecond
 	cfg := gos.DefaultConfig()
@@ -431,5 +435,48 @@ func TestBackoffDelay(t *testing.T) {
 	// wrap negative (a negative delay would fire the retry at once).
 	if d := (backoff{base: 3600 * sim.Second}).delay(200); d <= 0 {
 		t.Fatalf("uncapped delay(200) = %v, want a positive saturated delay", d)
+	}
+}
+
+// TestRobustRecyclesAttemptsAndCells: after robust runs that retry, hedge,
+// reroute and open a breaker through a node crash, every attempt and every
+// request-timer cell is back on its free list, so no holder kept a
+// reference past the run; releasing a free attempt again panics.
+func TestRobustRecyclesAttemptsAndCells(t *testing.T) {
+	for _, n := range []int{300, 1200} {
+		st, w := runRobustServe(t, DefaultRobustConfig(), robustFailureConfig(), crashNode1,
+			robustSchedule(n, sim.Millisecond, 60*sim.Microsecond))
+		if st.Retried == 0 || st.Hedged == 0 || st.Rerouted == 0 || st.BreakerOpens == 0 {
+			t.Fatalf("%d requests: the run did not retry, hedge, reroute and open a breaker: %s", n, st)
+		}
+		d := w.robust
+		if free, carved := len(d.attempts.free), d.attempts.carved; free != carved {
+			t.Errorf("%d requests: %d of %d attempts on the free list", n, free, carved)
+		}
+		if free, carved := len(d.cells.free), d.cells.carved; free != carved {
+			t.Errorf("%d requests: %d of %d timer cells on the free list", n, free, carved)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d requests: releasing a free attempt did not panic", n)
+				}
+			}()
+			d.release(d.attempts.free[0])
+		}()
+	}
+}
+
+// TestRobustAttemptChunksFollowInFlight: a run of four times the requests
+// at the same rate carves no more attempt chunks, since attempts are
+// recycled as their requests resolve rather than kept for the whole run.
+func TestRobustAttemptChunksFollowInFlight(t *testing.T) {
+	chunks := func(n int) int {
+		_, w := runRobustServe(t, DefaultRobustConfig(), robustFailureConfig(), crashNode1,
+			robustSchedule(n, sim.Millisecond, 60*sim.Microsecond))
+		return (w.robust.attempts.carved + slabChunk - 1) / slabChunk
+	}
+	if small, large := chunks(1200), chunks(4800); large > small {
+		t.Fatalf("4,800 requests carve %d attempt chunks, 1,200 carve %d", large, small)
 	}
 }

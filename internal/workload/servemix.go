@@ -72,8 +72,9 @@ type ServeMix struct {
 	// set (Robust.Deadline is the SLO then).
 	SLO sim.Time
 
-	schedule []sim.Time // injected arrival schedule, sorted ascending
-	tenant   []int32    // per-request tenant draw, precomputed at Launch
+	schedule []sim.Time       // injected arrival schedule, sorted ascending
+	tenant   []int32          // per-request tenant draw, precomputed at Launch
+	robust   *serveDispatcher // the last robust Launch's dispatcher, for tests
 
 	sessions []*heap.Object
 	caches   []*heap.Object
