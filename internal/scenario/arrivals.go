@@ -131,15 +131,20 @@ func (a *Arrivals) peak() float64 {
 	return a.Rate
 }
 
+// period is the diurnal cycle length, Horizon when Period is zero.
+func (a *Arrivals) period() sim.Time {
+	if a.Period == 0 {
+		return a.Horizon
+	}
+	return a.Period
+}
+
 // rateAt evaluates the instantaneous arrival rate (requests per simulated
 // second) at virtual time t.
 func (a *Arrivals) rateAt(t sim.Time) float64 {
 	switch a.Kind {
 	case ArriveDiurnal:
-		period := a.Period
-		if period == 0 {
-			period = a.Horizon
-		}
+		period := a.period()
 		// Trough at t = 0 and every full period, peak half a period in.
 		phase := 2 * math.Pi * float64(t%period) / float64(period)
 		depth := 0.5 - 0.5*math.Cos(phase) // 0 at trough, 1 at peak
@@ -160,13 +165,9 @@ func (a *Arrivals) expected() float64 {
 	h := a.Horizon.Seconds()
 	switch a.Kind {
 	case ArriveDiurnal:
-		period := a.Period
-		if period == 0 {
-			period = a.Horizon
-		}
 		// The mean depth over whole cycles is 1/2; the cosine's integral
 		// over the last partial cycle corrects it.
-		p := period.Seconds()
+		p := a.period().Seconds()
 		wave := p / (2 * math.Pi) * math.Sin(2*math.Pi*h/p)
 		return a.Rate * (a.Trough*h + (1-a.Trough)*(h-wave)/2)
 	case ArriveBurst:

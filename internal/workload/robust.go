@@ -382,23 +382,22 @@ func (e *arrivalTimer) Fire() {
 	d.arrive(i)
 }
 
-func (e *deadlineTimer) Fire() {
-	d, i := e.d, e.req
-	d.cells.put((*reqCell)(e))
-	d.expire(i)
-}
+func (e *deadlineTimer) Fire() { d, i := (*reqCell)(e).take(); d.expire(i) }
 
-func (e *hedgeTimer) Fire() {
-	d, i := e.d, e.req
-	d.cells.put((*reqCell)(e))
-	d.hedge(i)
-}
+func (e *hedgeTimer) Fire() { d, i := (*reqCell)(e).take(); d.hedge(i) }
 
 // cell returns a request timer's event for request i.
 func (d *serveDispatcher) cell(i int) *reqCell {
 	c := d.cells.get()
 	*c = reqCell{d: d, req: i}
 	return c
+}
+
+// take returns a fired cell to its free list, and what it pointed at.
+func (c *reqCell) take() (*serveDispatcher, int) {
+	d, i := c.d, c.req
+	d.cells.put(c)
+	return d, i
 }
 
 func (e *timeoutTimer) Fire() { e.d.timeout((*serveAttempt)(e)) }
