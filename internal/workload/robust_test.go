@@ -263,8 +263,7 @@ func TestRobustDeterminism(t *testing.T) {
 // rerouted or censored, and every request must still be terminal by its
 // deadline — none may simply vanish from the ledger.
 func TestRobustBreakerOnCrash(t *testing.T) {
-	fc := robustFailureConfig()
-	st, _ := runRobustServe(t, DefaultRobustConfig(), fc, crashNode1,
+	st, _ := runRobustServe(t, DefaultRobustConfig(), robustFailureConfig(), crashNode1,
 		robustSchedule(300, sim.Millisecond, 60*sim.Microsecond))
 	if st.BreakerOpens == 0 {
 		t.Fatalf("crashed node never opened a breaker: %s", st)
