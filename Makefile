@@ -98,8 +98,9 @@ bench-seq:
 	JESSICA2_PARALLEL=1 go test -bench=. -benchmem -run '^$$' ./...
 	go run ./cmd/djvmbench -benchjson $(BENCH) -scale $(SCALE) -parallel 1
 
-# bench-check vets and tests the repository benchmark, which is a Go module
-# of its own that the root `go test ./...` never builds, then runs a 1 s pass
+# bench-check vets and tests the repository benchmark, a Go module of its
+# own: the root `go test ./...` only type-checks its non-test files (in
+# TestNoTestOnlyAPI) and neither vets nor tests it. It then runs a 1 s pass
 # of each workload listed in testdata/bench_allocs.txt. A pass exits 1 if
 # any output check fails: the same-seed digest, request conservation or a
 # codec round-trip. Each line of that file holds a workload's seed-42

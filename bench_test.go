@@ -94,11 +94,19 @@ func BenchmarkTable5StickyOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9Accuracy regenerates Figure 9 (accuracy vs sampling rate).
+// BenchmarkFig9Accuracy regenerates Figure 9 (accuracy vs sampling rate)
+// and reports Barnes-Hut's lowest absolute/ABS accuracy across all rates
+// (the paper's ">95% at almost all rates" claim).
 func BenchmarkFig9Accuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig9(benchScale, benchPool)
-		b.ReportMetric(r.MinAccuracyABS(experiments.AppBarnesHut)*100, "bh-min-accuracy-%")
+		min := 1.0
+		for _, p := range r.Points[experiments.AppBarnesHut] {
+			if p.AbsoluteABS < min {
+				min = p.AbsoluteABS
+			}
+		}
+		b.ReportMetric(min*100, "bh-min-accuracy-%")
 	}
 }
 
@@ -327,20 +335,12 @@ func BenchmarkTCMBuild(b *testing.B) {
 	}
 }
 
-// tcmPeeker is the builder surface the incremental-vs-legacy TCM
-// microbenchmark drives, so one binary measures the pair head to head.
-type tcmPeeker interface {
-	AddAccess(t int, key int64, bytes float64)
-	PeekInto(dst *tcm.Map) *tcm.Map
-}
-
 // BenchmarkTCMIncremental measures the epoch-snapshot hot path — PeekInto
 // at steady state — on realistic daemon populations: the per-object state a
 // finished closed-loop KVMix / Synthetic-zipf probe ingested. Each
 // iteration models one boundary: a repeat access (the overwhelmingly common
-// per-epoch delta) followed by a reused-scratch peek. The legacy builder
-// re-sorts all M objects and re-accrues every pair per peek; the
-// incremental builder re-syncs only dirtied cells.
+// per-epoch delta) followed by a reused-scratch peek, which re-syncs only
+// the cells the access dirtied.
 func BenchmarkTCMIncremental(b *testing.B) {
 	for _, load := range []struct{ name, app string }{
 		{"KVMix", "kv"},
@@ -349,38 +349,22 @@ func BenchmarkTCMIncremental(b *testing.B) {
 		sess, _ := experiments.ClosedLoopProbe(benchScale, load.app)
 		sum := sess.Kernel().Master().Summary()
 		n := sess.Kernel().NumThreads()
-		if sum.NumObjs() == 0 {
+		if len(sum.Objs) == 0 {
 			b.Fatalf("%s probe ingested no objects", load.name)
 		}
-		variants := []struct {
-			name string
-			make func() tcmPeeker
-		}{
-			{"full", func() tcmPeeker {
-				bl := tcm.NewFullBuilder(n)
-				bl.IngestSummary(sum)
-				return bl
-			}},
-			{"incremental", func() tcmPeeker {
-				bl := tcm.NewBuilder(n)
-				bl.IngestSummary(sum)
-				return bl
-			}},
-		}
-		for _, v := range variants {
-			b.Run(load.name+"/"+v.name+"/peekinto", func(b *testing.B) {
-				bl := v.make()
-				scratch := bl.PeekInto(nil)
-				b.ReportMetric(float64(sum.NumObjs()), "objects")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					o := sum.Objs[i%len(sum.Objs)]
-					bl.AddAccess(int(o.Threads[0]), o.Key, o.Bytes)
-					scratch = bl.PeekInto(scratch)
-				}
-			})
-		}
+		b.Run(load.name+"/incremental/peekinto", func(b *testing.B) {
+			bl := tcm.NewBuilder(n)
+			bl.IngestSummary(sum)
+			scratch := bl.PeekInto(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := sum.Objs[i%len(sum.Objs)]
+				bl.AddAccess(int(o.Threads[0]), o.Key, o.Bytes)
+				scratch = bl.PeekInto(scratch)
+			}
+			b.ReportMetric(float64(len(sum.Objs)), "objects") // after ResetTimer, which drops reported metrics
+		})
 	}
 }
 

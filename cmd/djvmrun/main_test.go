@@ -82,8 +82,10 @@ func TestSpecAppsBuildPaperScale(t *testing.T) {
 			t.Errorf("-app %s built %+v, want %+v", alias, w, want[app])
 		}
 	}
-	if len(want) != len(experiments.AllApps)+2 {
-		t.Errorf("%d apps covered; AllApps plus synth and serve is %d", len(want), len(experiments.AllApps)+2)
+	for a := experiments.AppSOR; a <= experiments.AppServe; a++ {
+		if _, ok := want[a]; !ok {
+			t.Errorf("%v has no paper-scale constructor in the test", a)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ package balancer
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"jessica2/internal/tcm"
 )
@@ -190,15 +189,6 @@ func plan(m *tcm.Map, a Assignment, counts []int, moves []Move, cfg Config) []Mo
 	return moves
 }
 
-// RoundRobin is the locality-oblivious baseline placement.
-func RoundRobin(threads, nodes int) Assignment {
-	a := make(Assignment, threads)
-	for i := range a {
-		a[i] = i % nodes
-	}
-	return a
-}
-
 // Blocked places contiguous thread ranges per node (the typical DJVM
 // spawn-order placement).
 func Blocked(threads, nodes int) Assignment {
@@ -211,18 +201,4 @@ func Blocked(threads, nodes int) Assignment {
 		}
 	}
 	return a
-}
-
-// Summary renders an assignment as node→threads lists for reports.
-func Summary(a Assignment, nodes int) string {
-	groups := make([][]int, nodes)
-	for t, d := range a {
-		groups[d] = append(groups[d], t)
-	}
-	out := ""
-	for d := 0; d < nodes; d++ {
-		sort.Ints(groups[d])
-		out += fmt.Sprintf("node%d: %v\n", d, groups[d])
-	}
-	return out
 }

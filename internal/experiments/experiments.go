@@ -57,12 +57,9 @@ func (a App) String() string {
 	}
 }
 
-// Apps lists the paper's benchmarks in paper order (the tables iterate
-// these; the scenario-era additions live in AllApps).
+// Apps lists the paper's benchmarks in paper order; the tables iterate
+// these.
 var Apps = []App{AppSOR, AppBarnesHut, AppWaterSpatial}
-
-// AllApps includes the post-paper workloads.
-var AllApps = []App{AppSOR, AppBarnesHut, AppWaterSpatial, AppLU, AppKVMix}
 
 // Scale shrinks the problem sizes for quick test runs; 1 = paper scale.
 // Values > 1 divide dataset dimensions (rows, bodies, molecules, rounds

@@ -92,18 +92,6 @@ func (r *Fig9Result) Table() *metrics.Table {
 
 func (r *Fig9Result) String() string { return r.Table().String() }
 
-// MinAccuracyABS returns the lowest absolute/ABS accuracy across all rates
-// of one app (the paper's ">95% at almost all rates" claim).
-func (r *Fig9Result) MinAccuracyABS(a App) float64 {
-	min := 1.0
-	for _, p := range r.Points[a] {
-		if p.AbsoluteABS < min {
-			min = p.AbsoluteABS
-		}
-	}
-	return min
-}
-
 // --- Figure 1 ----------------------------------------------------------------
 
 // Fig1Result holds the inherent vs induced correlation maps of Barnes-Hut.

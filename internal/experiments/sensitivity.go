@@ -140,19 +140,3 @@ func FigS(sc Scale, p *runner.Pool) *FigSResult {
 	}
 	return res
 }
-
-// AdaptiveDiffers reports whether, under the named scenario, adaptive
-// sampling behaved measurably differently from the fixed rate: a different
-// final effective rate, or an accuracy gap beyond eps.
-func (r *FigSResult) AdaptiveDiffers(scenarioName string, eps float64) bool {
-	ad := r.Row(scenarioName, "adaptive")
-	fx := r.Row(scenarioName, fmt.Sprintf("fixed-%v", FigSFixedRate))
-	if ad == nil || fx == nil {
-		return false
-	}
-	if ad.FinalRate != fx.FinalRate {
-		return true
-	}
-	diff := ad.AccuracyABS - fx.AccuracyABS
-	return diff > eps || diff < -eps
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"jessica2/internal/sampling"
@@ -23,7 +24,7 @@ func TestFigSAdaptiveVsFixedUnderPerturbation(t *testing.T) {
 		if name == "none" {
 			continue
 		}
-		if res.AdaptiveDiffers(name, 0.001) {
+		if adaptiveDiffers(res, name, 0.001) {
 			differs = true
 		}
 	}
@@ -56,4 +57,20 @@ func TestFigSAdaptiveVsFixedUnderPerturbation(t *testing.T) {
 			t.Errorf("bad full-rate reference row for %q: %+v", name, full)
 		}
 	}
+}
+
+// adaptiveDiffers reports whether, under the named scenario, adaptive
+// sampling behaved measurably differently from the fixed rate: a different
+// final effective rate, or an accuracy gap beyond eps.
+func adaptiveDiffers(r *FigSResult, scenarioName string, eps float64) bool {
+	ad := r.Row(scenarioName, "adaptive")
+	fx := r.Row(scenarioName, fmt.Sprintf("fixed-%v", FigSFixedRate))
+	if ad == nil || fx == nil {
+		return false
+	}
+	if ad.FinalRate != fx.FinalRate {
+		return true
+	}
+	diff := ad.AccuracyABS - fx.AccuracyABS
+	return diff > eps || diff < -eps
 }

@@ -13,20 +13,26 @@ import (
 )
 
 // TestMasterMatchesFullRebuild checks the master's incremental builder
-// against the legacy full rebuild on real workloads: after a run, the
-// master's live map must equal, bit for bit, a FullBuilder rebuilt from the
-// master's own per-object summary. The paper's three apps run with sampled
-// tracking, once with the master ingesting records and once with
-// DistributedTCM, where it ingests worker summaries instead; the KVMix and
-// synthetic closed-loop probes add policy-driven runs.
+// against a full rebuild on real workloads: after a run, the master's live
+// map must equal, bit for bit, the map rebuilt from the master's own
+// per-object summary by the paper's accrual pass, which adds each object's
+// weight into its sorted thread pairs in key order. The paper's three apps
+// run with sampled tracking, once with the master ingesting records and
+// once with DistributedTCM, where it ingests worker summaries instead; the
+// KVMix and synthetic closed-loop probes add policy-driven runs.
 func TestMasterMatchesFullRebuild(t *testing.T) {
 	check := func(t *testing.T, s *session.Session) {
 		t.Helper()
 		k := s.Kernel()
 		n := k.NumThreads()
-		ref := tcm.NewFullBuilder(n)
-		ref.IngestSummary(k.Master().Summary())
-		want := ref.Peek()
+		want := tcm.NewMap(n)
+		for _, o := range k.Master().Summary().Objs { // sorted by key, threads ascending
+			for i, ti := range o.Threads {
+				for _, tj := range o.Threads[i+1:] {
+					want.Add(int(ti), int(tj), o.Bytes)
+				}
+			}
+		}
 		if want.Total() == 0 {
 			t.Fatal("no object is shared by two threads")
 		}

@@ -19,11 +19,11 @@ type recorder struct {
 }
 
 func (r recorder) OnAccess(t *Thread, o *heap.Object, write, first bool) {
-	*r.log = append(*r.log, fmt.Sprintf("%s %s access%d first=%v", r.name, t.Name(), o.ID, first))
+	*r.log = append(*r.log, fmt.Sprintf("%s %s access%d first=%v", r.name, t.name, o.ID, first))
 }
 
 func (r recorder) OnIntervalClose(t *Thread) {
-	*r.log = append(*r.log, fmt.Sprintf("%s %s close", r.name, t.Name()))
+	*r.log = append(*r.log, fmt.Sprintf("%s %s close", r.name, t.name))
 }
 
 // TestAccessEntryRevivedInLaterInterval: an object touched in one interval
@@ -55,7 +55,7 @@ func TestAccessEntryRevivedInLaterInterval(t *testing.T) {
 	if got := strings.Join(log, "\n"); got != strings.Join(want, "\n") {
 		t.Fatalf("callbacks:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
-	if v := k.Version(obj.ID); v != 1 {
+	if v := k.version(obj.ID); v != 1 {
 		t.Fatalf("version = %d, want 1 (the read-only interval committed a write)", v)
 	}
 	if logged != 2 {
@@ -85,7 +85,7 @@ func TestMigratedThreadReresolvesCopies(t *testing.T) {
 	if fmt.Sprint(faults) != "[0 1 1]" {
 		t.Fatalf("faults after each node = %v, want [0 1 1]", faults)
 	}
-	if n := k.Node(1).NumCopies(); n != 1 {
+	if n := k.Node(1).numCopies; n != 1 {
 		t.Fatalf("node 1 holds %d copy headers, want 1", n)
 	}
 }
@@ -111,7 +111,7 @@ func TestAccessTableGrowsForLateObjects(t *testing.T) {
 	if got := strings.Join(log, "\n"); got != want {
 		t.Fatalf("callbacks:\n%s\nwant:\n%s", got, want)
 	}
-	if v := k.Version(late.ID); v != 1 {
+	if v := k.version(late.ID); v != 1 {
 		t.Fatalf("late object's version = %d, want 1", v)
 	}
 }
@@ -284,7 +284,7 @@ func TestThreadIntervalStopsAtInt32(t *testing.T) {
 	th.interval = math.MaxInt32 - 1
 	th.openInterval()
 	th.closeInterval()
-	if got := th.Interval(); got != math.MaxInt32 {
+	if got := th.interval; got != math.MaxInt32 {
 		t.Fatalf("interval = %d, want %d", got, math.MaxInt32)
 	}
 	mustPanic(t, "thread interval count", th.openInterval)
@@ -296,7 +296,7 @@ func TestNodeEpochStopsAtInt32(t *testing.T) {
 	n := testKernel(1, TrackingOff).Node(0)
 	n.epoch = math.MaxInt32 - 1
 	n.advanceEpoch()
-	if got := n.Epoch(); got != math.MaxInt32 {
+	if got := n.epoch; got != math.MaxInt32 {
 		t.Fatalf("epoch = %d, want %d", got, math.MaxInt32)
 	}
 	mustPanic(t, "node sync epoch", n.advanceEpoch)
@@ -310,7 +310,7 @@ func TestHomeVersionStopsAtInt32(t *testing.T) {
 	obj := k.Reg.Alloc(k.Reg.DefineClass("X", 64, 0), 0)
 	*k.versions.At(obj.ID) = math.MaxInt32 - 1
 	k.bumpVersion(obj.ID)
-	if got := k.Version(obj.ID); got != math.MaxInt32 {
+	if got := k.version(obj.ID); got != math.MaxInt32 {
 		t.Fatalf("version = %d, want %d", got, math.MaxInt32)
 	}
 	mustPanic(t, "object version", func() { k.bumpVersion(obj.ID) })
@@ -340,7 +340,7 @@ func TestFreshObjectsCostFewBytes(t *testing.T) {
 		perObj = float64(after.TotalAlloc-before.TotalAlloc) / objs
 	})
 	k.Run()
-	if n := k.Node(0).NumCopies(); n != objs {
+	if n := k.Node(0).numCopies; n != objs {
 		t.Fatalf("copies = %d, want %d", n, objs)
 	}
 	if perObj > 70 {

@@ -114,9 +114,9 @@ func TestDistributedTCMWireVolume(t *testing.T) {
 func TestDistributedTCMOffloadsMaster(t *testing.T) {
 	kc, _ := sharedRun(t, false)
 	kd, _ := sharedRun(t, true)
-	if kd.Master().ReorgTime() >= kc.Master().ReorgTime() {
+	if kd.Master().reorgTime >= kc.Master().reorgTime {
 		t.Fatalf("master reorg not reduced: central=%v distributed=%v",
-			kc.Master().ReorgTime(), kd.Master().ReorgTime())
+			kc.Master().reorgTime, kd.Master().reorgTime)
 	}
 }
 
@@ -256,7 +256,10 @@ func TestAdviseHomes(t *testing.T) {
 			t.Fatalf("bad advice: %+v", mv)
 		}
 	}
-	bytes := k.ApplyHomeMoves(moves)
+	var bytes int64
+	for _, mv := range moves {
+		bytes += int64(k.MigrateHome(k.Reg.Object(mv.Obj), mv.To).Bytes)
+	}
 	if bytes != 8*128 {
 		t.Fatalf("moved %d bytes", bytes)
 	}

@@ -315,9 +315,6 @@ func (k *Kernel) AddObserver(obs AccessObserver) {
 	}
 }
 
-// Version returns the home version of an object.
-func (k *Kernel) Version(id heap.ObjectID) int64 { return int64(k.version(id)) }
-
 // version reads the home version without growing the table (objects never
 // written stay at version 0).
 func (k *Kernel) version(id heap.ObjectID) int32 {

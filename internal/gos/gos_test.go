@@ -829,7 +829,7 @@ func TestWriterKeepsCopyAcrossRelease(t *testing.T) {
 }
 
 // TestCopyTable: a node holds a header for exactly the objects it touched,
-// valid for those it homes and for a fetched remote one, and NumCopies
+// valid for those it homes and for a fetched remote one, and numCopies
 // counts them.
 func TestCopyTable(t *testing.T) {
 	k := testKernel(2, TrackingOff)
@@ -863,7 +863,7 @@ func TestCopyTable(t *testing.T) {
 	if c := k.Node(1).copyAt(own[0].ID); c != nil {
 		t.Fatalf("node 1 has header %+v for an object it never touched", c)
 	}
-	if n.NumCopies() != 11 {
-		t.Fatalf("copies = %d, want 11", n.NumCopies())
+	if n.numCopies != 11 {
+		t.Fatalf("copies = %d, want 11", n.numCopies)
 	}
 }

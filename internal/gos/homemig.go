@@ -87,18 +87,3 @@ func (k *Kernel) AdviseHomes(s *tcm.Summary, assignment []int, minBytes int) []H
 	sort.Slice(out, func(i, j int) bool { return out[i].Obj < out[j].Obj })
 	return out
 }
-
-// ApplyHomeMoves executes a batch of advised moves, returning the total
-// bytes shipped.
-func (k *Kernel) ApplyHomeMoves(moves []HomeMove) int64 {
-	var bytes int64
-	for _, mv := range moves {
-		o := k.Reg.Object(mv.Obj)
-		if o == nil {
-			continue
-		}
-		done := k.MigrateHome(o, mv.To)
-		bytes += int64(done.Bytes)
-	}
-	return bytes
-}

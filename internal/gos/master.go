@@ -192,9 +192,6 @@ func (m *Master) SeedMap(mp *tcm.Map) {
 // ComputeTime is the analyzer CPU consumed so far (reorg + accrual).
 func (m *Master) ComputeTime() sim.Time { return m.reorgTime + m.buildTime }
 
-// ReorgTime is the OAL-reorganization component of ComputeTime.
-func (m *Master) ReorgTime() sim.Time { return m.reorgTime }
-
 // IngestedEntries reports how many OAL entries reached the daemon.
 func (m *Master) IngestedEntries() int64 { return m.ingestedEntries }
 

@@ -90,9 +90,6 @@ func (n *Node) ID() int { return n.id }
 // CPU returns the node's processor resource.
 func (n *Node) CPU() *sim.Resource { return n.cpu }
 
-// Epoch returns the node's current synchronization epoch.
-func (n *Node) Epoch() int64 { return int64(n.epoch) }
-
 // copyAt returns the node's replica header for the object id, or nil if the
 // node has never touched it.
 func (n *Node) copyAt(id heap.ObjectID) *copyState {
@@ -113,9 +110,6 @@ func (n *Node) copyOf(o *heap.Object) *copyState {
 	}
 	return c
 }
-
-// NumCopies reports how many replica headers the node holds.
-func (n *Node) NumCopies() int { return n.numCopies }
 
 // --- message protocol ------------------------------------------------------
 

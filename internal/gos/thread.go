@@ -118,9 +118,6 @@ func (k *Kernel) SpawnThread(node int, name string, body func(*Thread)) *Thread 
 // ID returns the global thread id.
 func (t *Thread) ID() int { return t.id }
 
-// Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
-
 // Node returns the node the thread currently executes on.
 func (t *Thread) Node() *Node { return t.node }
 
@@ -132,9 +129,6 @@ func (t *Thread) Proc() *sim.Proc { return t.proc }
 
 // Stats returns a snapshot of the thread counters.
 func (t *Thread) Stats() ThreadStats { return t.stats }
-
-// Interval returns the current interval sequence number.
-func (t *Thread) Interval() int64 { return int64(t.interval) }
 
 // Finished reports whether the thread body has returned.
 func (t *Thread) Finished() bool { return t.finished }

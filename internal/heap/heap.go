@@ -119,9 +119,6 @@ type Object struct {
 // Bytes returns the object's data size in bytes.
 func (o *Object) Bytes() int { return o.Class.InstanceBytes(o.Len) }
 
-// Page returns the page number containing the object's first byte.
-func (o *Object) Page() int64 { return o.Addr / PageSize }
-
 // PageSpan returns the inclusive range of pages the object covers.
 func (o *Object) PageSpan() (first, last int64) {
 	return o.Addr / PageSize, (o.Addr + int64(o.Bytes()) - 1) / PageSize
@@ -267,13 +264,6 @@ func (r *Registry) define(c *Class) *Class {
 // Class returns a class by name, or nil.
 func (r *Registry) Class(name string) *Class { return r.classByName[name] }
 
-// Classes returns all classes sorted by ID.
-func (r *Registry) Classes() []*Class {
-	out := make([]*Class, len(r.classes))
-	copy(out, r.classes)
-	return out
-}
-
 // ClassNames returns all class names sorted alphabetically.
 func (r *Registry) ClassNames() []string {
 	names := make([]string, 0, len(r.classes))
@@ -357,6 +347,3 @@ func (r *Registry) MustObject(id ObjectID) *Object {
 
 // NumObjectsOfClass reports how many instances of c have been allocated.
 func (r *Registry) NumObjectsOfClass(c *Class) int { return r.classCount[c.ID] }
-
-// HeapBytes reports the bump-allocated heap size of one node.
-func (r *Registry) HeapBytes(node int) int64 { return r.nodeBrk[node] }

@@ -128,8 +128,8 @@ func TestBytesAndPages(t *testing.T) {
 	s := r.DefineClass("small", 32, 0)
 	a := r.Alloc(s, 1)
 	b := r.Alloc(s, 1)
-	if a.Page() != b.Page() {
-		t.Fatalf("two 32B objects on different pages: %d vs %d", a.Page(), b.Page())
+	if a.Addr/PageSize != b.Addr/PageSize {
+		t.Fatalf("two 32B objects on different pages: %d vs %d", a.Addr/PageSize, b.Addr/PageSize)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestHomeAssignment(t *testing.T) {
 	if o1.Home != 3 || o2.Home != 5 {
 		t.Fatal("home not the creating node")
 	}
-	if r.HeapBytes(3) == 0 || r.HeapBytes(5) == 0 || r.HeapBytes(7) != 0 {
+	if r.nodeBrk[3] == 0 || r.nodeBrk[5] == 0 || r.nodeBrk[7] != 0 {
 		t.Fatal("per-node heap accounting wrong")
 	}
 }
@@ -305,8 +305,8 @@ func TestClassNamesSorted(t *testing.T) {
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
 		t.Fatalf("names = %v", names)
 	}
-	if len(r.Classes()) != 2 {
-		t.Fatal("Classes() wrong length")
+	if len(r.classes) != 2 {
+		t.Fatal("classes wrong length")
 	}
 }
 
@@ -337,7 +337,7 @@ func TestSampledGapEdgeCases(t *testing.T) {
 // brute-force count over Object(1), Object(2), ... up to the first nil.
 func checkClassCounts(t *testing.T, r *Registry) {
 	t.Helper()
-	brute := make([]int, len(r.Classes()))
+	brute := make([]int, len(r.classes))
 	for id := ObjectID(1); r.Object(id) != nil; id++ {
 		o := r.Object(id)
 		if o.ID != id {
@@ -345,7 +345,7 @@ func checkClassCounts(t *testing.T, r *Registry) {
 		}
 		brute[o.Class.ID]++
 	}
-	for _, c := range r.Classes() {
+	for _, c := range r.classes {
 		if got := r.NumObjectsOfClass(c); got != brute[c.ID] {
 			t.Fatalf("class %s: NumObjectsOfClass %d, brute force %d", c.Name, got, brute[c.ID])
 		}

@@ -116,8 +116,8 @@ func TestInterceptorVerdicts(t *testing.T) {
 			if ic.calls != 1 {
 				t.Fatalf("interceptor consulted %d times for one send", ic.calls)
 			}
-			if n.InFlight() != 0 {
-				t.Fatalf("in-flight = %d after drain", n.InFlight())
+			if n.inFlight != 0 {
+				t.Fatalf("in-flight = %d after drain", n.inFlight)
 			}
 		})
 	}
@@ -203,16 +203,16 @@ func TestRecycledMessagesAreSafe(t *testing.T) {
 		}
 	})
 	n.SendParts(0, 1, []Part{{CatControl, 16}, {CatOAL, 100}}, "p")
-	if n.InFlight() != 2 {
-		t.Fatalf("in flight after a duplicated send = %d, want 2", n.InFlight())
+	if n.inFlight != 2 {
+		t.Fatalf("in flight after a duplicated send = %d, want 2", n.inFlight)
 	}
 	eng.Run()
 	want := []seen{{"p", 116 + HeaderBytes, false}, {"p", 116 + HeaderBytes, true}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("deliveries = %+v, want %+v", got, want)
 	}
-	if n.InFlight() != 0 {
-		t.Fatalf("in flight after the run = %d, want 0", n.InFlight())
+	if n.inFlight != 0 {
+		t.Fatalf("in flight after the run = %d, want 0", n.inFlight)
 	}
 	if st := n.Stats(); st.Dropped != 1 || st.Duplicated != 1 {
 		t.Fatalf("dropped/duplicated = %d/%d, want 1/1", st.Dropped, st.Duplicated)

@@ -228,9 +228,6 @@ func (n *Network) Bind(id NodeID, h Handler) {
 // Stats returns a snapshot of global traffic stats.
 func (n *Network) Stats() Stats { return n.stats }
 
-// InFlight reports messages sent but not yet delivered.
-func (n *Network) InFlight() int { return n.inFlight }
-
 // SetShaper installs (or, with nil, removes) a time-varying link model.
 func (n *Network) SetShaper(s Shaper) { n.shaper = s }
 

@@ -30,7 +30,7 @@ func TestDeliveryAndAccounting(t *testing.T) {
 	n.Bind(0, func(m *Message) {})
 	sentAt := eng.Now()
 	n.Send(0, 1, CatGOSData, 500, "payload")
-	if n.InFlight() != 1 {
+	if n.inFlight != 1 {
 		t.Fatal("message not in flight")
 	}
 	eng.Run()
@@ -47,7 +47,7 @@ func TestDeliveryAndAccounting(t *testing.T) {
 	if st.HeaderBytesTotal != HeaderBytes {
 		t.Fatal("header not accounted")
 	}
-	if n.InFlight() != 0 {
+	if n.inFlight != 0 {
 		t.Fatal("in-flight count not decremented")
 	}
 }

@@ -55,9 +55,6 @@ func (tr *Tracker) OnAccess(t *gos.Thread, o *heap.Object, write, first bool) {
 // this baseline.
 func (tr *Tracker) OnIntervalClose(t *gos.Thread) {}
 
-// NumPages reports distinct pages touched.
-func (tr *Tracker) NumPages() int { return len(tr.pages) }
-
 // Build produces the induced correlation map: every shared page contributes
 // a full page size to every pair of threads that touched it.
 func (tr *Tracker) Build() *tcm.Map {

@@ -93,8 +93,8 @@ func TestWriteSpansAllPages(t *testing.T) {
 		th.WriteElems(a, 2048)
 	})
 	k.Run()
-	if tr.NumPages() < 4 {
-		t.Fatalf("write touched %d pages, want >= 4", tr.NumPages())
+	if len(tr.pages) < 4 {
+		t.Fatalf("write touched %d pages, want >= 4", len(tr.pages))
 	}
 }
 
@@ -142,7 +142,7 @@ func TestRepeatAccessCountedOncePerInterval(t *testing.T) {
 		}
 	})
 	k.Run()
-	if tr.NumPages() != 1 {
-		t.Fatalf("pages = %d, want 1", tr.NumPages())
+	if len(tr.pages) != 1 {
+		t.Fatalf("pages = %d, want 1", len(tr.pages))
 	}
 }

@@ -513,27 +513,24 @@ func Load(path string) (*Profile, error) {
 	return Decode(data)
 }
 
-// Divergence is the warm-start control signal: the total-variation distance
-// between the live and stored correlation maps after normalizing each by
-// its own total volume — 0.5·Σ|aᵢ/ΣA − bᵢ/ΣB| ∈ [0, 1]. Normalizing both
-// sides makes the signal scale-free (a 1X-sampled live map is compared by
-// *shape*, not amplitude, against a full-rate stored map), so it reads 0
-// when the live run shares the profile's correlation structure and climbs
-// toward 1 as the structure departs. An empty live map carries no evidence
-// of divergence and reads 0; an empty stored map against a live one reads
-// 1; mismatched dimensions read 1 (nothing comparable).
-func Divergence(live, stored *tcm.Map) float64 {
-	return EvidenceDivergence(live, nil, stored)
-}
-
-// EvidenceDivergence is Divergence with a warm-start prior subtracted. When
+// EvidenceDivergence is the warm-start control signal: the total-variation
+// distance between this run's evidence and the stored correlation map after
+// normalizing each by its own total volume — 0.5·Σ|aᵢ/ΣA − bᵢ/ΣB| ∈ [0, 1].
+// Normalizing both sides makes the signal scale-free (a 1X-sampled live map
+// is compared by *shape*, not amplitude, against a full-rate stored map), so
+// it reads 0 when the live run shares the profile's correlation structure
+// and climbs toward 1 as the structure departs. An empty live map carries no
+// evidence of divergence and reads 0; an empty stored map against a live one
+// reads 1; mismatched dimensions read 1 (nothing comparable).
+//
+// The evidence is the live map with the warm-start prior subtracted. When
 // the live accumulator was seeded from the stored map, the live map is
 // prior + this-run evidence, and comparing raw live against stored would
 // let the full-rate, full-run prior drown out any live drift — the gate
 // would never reopen. Subtracting the prior cell-wise (clamped at zero, so
 // decay cannot produce negative evidence) recovers the run's own
 // observations, which are what the divergence gate must judge. A nil prior
-// degrades to plain Divergence.
+// compares the live map itself.
 func EvidenceDivergence(live, prior, stored *tcm.Map) float64 {
 	if live == nil || stored == nil || live.N() != stored.N() {
 		return 1

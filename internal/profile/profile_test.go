@@ -254,31 +254,31 @@ func TestDivergence(t *testing.T) {
 	b := mk(3, 0, 0, 10)  // all volume on pair (1,2)
 	ha := mk(3, 50, 0, 0) // a, scaled 5×
 
-	if d := Divergence(a, a.Clone()); d != 0 {
+	if d := EvidenceDivergence(a, nil, a.Clone()); d != 0 {
 		t.Fatalf("self divergence = %v", d)
 	}
-	if d := Divergence(a, ha); d != 0 {
+	if d := EvidenceDivergence(a, nil, ha); d != 0 {
 		t.Fatalf("scale-free divergence = %v, want 0", d)
 	}
-	if d := Divergence(a, b); math.Abs(d-1) > 1e-12 {
+	if d := EvidenceDivergence(a, nil, b); math.Abs(d-1) > 1e-12 {
 		t.Fatalf("disjoint divergence = %v, want 1", d)
 	}
-	if d := Divergence(tcm.NewMap(3), a); d != 0 {
+	if d := EvidenceDivergence(tcm.NewMap(3), nil, a); d != 0 {
 		t.Fatalf("empty live divergence = %v, want 0 (no evidence)", d)
 	}
-	if d := Divergence(a, tcm.NewMap(3)); d != 1 {
+	if d := EvidenceDivergence(a, nil, tcm.NewMap(3)); d != 1 {
 		t.Fatalf("empty stored divergence = %v, want 1", d)
 	}
-	if d := Divergence(a, tcm.NewMap(4)); d != 1 {
+	if d := EvidenceDivergence(a, nil, tcm.NewMap(4)); d != 1 {
 		t.Fatalf("dimension mismatch divergence = %v, want 1", d)
 	}
-	if d := Divergence(nil, a); d != 1 {
+	if d := EvidenceDivergence(nil, nil, a); d != 1 {
 		t.Fatalf("nil live divergence = %v, want 1", d)
 	}
 	// Partial overlap lands strictly between the extremes and is symmetric
 	// in normalized shape.
 	c := mk(3, 10, 0, 10)
-	if d := Divergence(a, c); d <= 0 || d >= 1 {
+	if d := EvidenceDivergence(a, nil, c); d <= 0 || d >= 1 {
 		t.Fatalf("partial divergence = %v, want in (0, 1)", d)
 	}
 }
@@ -286,12 +286,12 @@ func TestDivergence(t *testing.T) {
 func TestEvidenceDivergence(t *testing.T) {
 	stored := tcm.NewMap(3)
 	stored.Set(0, 1, 100)
-	// Live = seeded prior + evidence on a *different* pair: raw Divergence
-	// would read the prior-dominated map as a near-match, the
-	// evidence-based signal must read full divergence.
+	// Live = seeded prior + evidence on a *different* pair: with a nil
+	// prior the signal reads the prior-dominated map as a near-match, with
+	// the prior subtracted it must read full divergence.
 	live := stored.Clone()
 	live.Add(1, 2, 5)
-	if d := Divergence(live, stored); d >= 0.5 {
+	if d := EvidenceDivergence(live, nil, stored); d >= 0.5 {
 		t.Fatalf("raw divergence = %v, expected the prior to dominate (< 0.5)", d)
 	}
 	if d := EvidenceDivergence(live, stored, stored); math.Abs(d-1) > 1e-12 {

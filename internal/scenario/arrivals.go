@@ -11,9 +11,9 @@ package scenario
 // spec's peak rate: exponential gaps are drawn from a seeded SplitMix64
 // stream and each candidate arrival is accepted with probability
 // rate(t)/peak. The whole schedule is a pure function of (spec, seed), so
-// the same seed yields a byte-identical schedule and different Salts yield
-// independent streams — exactly the contract the jitter and flush-loss
-// vocabularies already follow.
+// the same seed yields a byte-identical schedule — exactly the contract the
+// jitter and flush-loss vocabularies already follow. Arrivals, jitter and
+// flush loss each derive their own stream from the scenario seed.
 
 import (
 	"fmt"
@@ -71,12 +71,6 @@ type Arrivals struct {
 	// starts calm), last BurstLen, and multiply the rate by BurstFactor.
 	BurstEvery, BurstLen sim.Time
 	BurstFactor          float64
-
-	// Salt offsets the arrival stream from the scenario seed so distinct
-	// arrival specs under one seed draw independent streams.
-	Salt uint64
-	// MaxRequests caps the schedule length as a safety valve (0 = none).
-	MaxRequests int
 }
 
 // finite reports whether f is a usable real number (not NaN or ±Inf).
@@ -94,9 +88,6 @@ func (a *Arrivals) Validate() error {
 	}
 	if a.Horizon <= 0 {
 		return fmt.Errorf("scenario: arrival horizon %v must be positive", a.Horizon)
-	}
-	if a.MaxRequests < 0 {
-		return fmt.Errorf("scenario: negative arrival cap %d", a.MaxRequests)
 	}
 	switch a.Kind {
 	case ArrivePoisson:
@@ -185,27 +176,22 @@ func (a *Arrivals) expected() float64 {
 
 // sizeHint is the capacity Schedule reserves: the Poisson count's mean
 // plus four standard deviations and a little slack, so a schedule almost
-// never regrows, capped at MaxRequests. The peak-rate envelope's mean is
-// no cap: for a flat rate it is the mean count itself, which about half of
-// all schedules exceed.
+// never regrows. The peak-rate envelope's mean is no cap: for a flat rate
+// it is the mean count itself, which about half of all schedules exceed.
 func (a *Arrivals) sizeHint() int {
 	mu := a.expected()
-	n := int(mu+4*math.Sqrt(mu)) + 16
-	if a.MaxRequests > 0 && a.MaxRequests < n {
-		n = a.MaxRequests
-	}
-	return n
+	return int(mu+4*math.Sqrt(mu)) + 16
 }
 
 // Schedule materializes the arrival times in [0, Horizon), sorted
 // ascending. It is a pure function of the spec and seed: the same pair is
-// byte-identical across runs, different Salts draw independent streams.
-// It panics on an invalid spec (callers validate via Scenario.Validate).
+// byte-identical across runs. It panics on an invalid spec (callers
+// validate via Scenario.Validate).
 func (a *Arrivals) Schedule(seed uint64) []sim.Time {
 	if err := a.Validate(); err != nil {
 		panic(err)
 	}
-	rng := xrand.New(seed).Derive(a.Salt + 0xa221)
+	rng := xrand.New(seed).Derive(0xa221)
 	peak := a.peak()
 	out := make([]sim.Time, 0, a.sizeHint())
 	t := 0.0
@@ -223,9 +209,6 @@ func (a *Arrivals) Schedule(seed uint64) []sim.Time {
 		// consume the stream identically.
 		if rng.Float64()*peak < a.rateAt(at) {
 			out = append(out, at)
-			if a.MaxRequests > 0 && len(out) >= a.MaxRequests {
-				break
-			}
 		}
 	}
 	return out

@@ -85,9 +85,6 @@ func (r Ramp) factorAt(now sim.Time) float64 {
 // Jitter adds seeded per-message latency noise uniform in [0, Amplitude).
 type Jitter struct {
 	Amplitude sim.Time
-	// Salt offsets the jitter stream from the scenario seed so distinct
-	// jitter specs under one seed draw independent streams.
-	Salt uint64
 }
 
 // Slowdown is a transient noisy-neighbor episode: the node's CPU drops to
@@ -263,7 +260,7 @@ func (sc *Scenario) Apply(k *gos.Kernel, ph *workload.Phase) {
 		sh := &shaper{ramps: sc.Ramps}
 		if sc.Jitter != nil && sc.Jitter.Amplitude > 0 {
 			sh.jitterAmp = sc.Jitter.Amplitude
-			sh.rng = xrand.New(sc.Seed).Derive(sc.Jitter.Salt + 0x9e77)
+			sh.rng = xrand.New(sc.Seed).Derive(0x9e77)
 		}
 		k.Net.SetShaper(sh)
 	}

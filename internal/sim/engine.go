@@ -79,10 +79,6 @@ type event struct {
 // scheduler's pop-order property tests compare against.
 type eventPQ []event
 
-func (q *eventPQ) size() int    { return len(*q) }
-func (q *eventPQ) empty() bool  { return len(*q) == 0 }
-func (q *eventPQ) nextAt() Time { return (*q)[0].at }
-
 func (q eventPQ) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at

@@ -65,11 +65,6 @@ const (
 	defaultRingBuckets = 256
 	// farWindows is the number of one-lap windows past the cursor's lap.
 	farWindows = 64
-
-	// bucketWidth and ringSpan describe the *default* geometry (kept as
-	// constants for the scheduler tests' stream distributions).
-	bucketWidth = Time(1) << defaultBucketBits
-	ringSpan    = Time(defaultRingBuckets) << defaultBucketBits
 )
 
 // node is a pool slot: a queued event and the next node on its list.
@@ -132,7 +127,6 @@ func (q *schedQueue) init(bucketBits, buckets int) {
 	q.occ = make([]uint64, buckets/64)
 }
 
-func (q *schedQueue) size() int   { return q.n }
 func (q *schedQueue) empty() bool { return q.n == 0 }
 
 func (q *schedQueue) push(e event) {

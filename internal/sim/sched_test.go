@@ -21,6 +21,18 @@ var (
 	_ evq = (*schedQueue)(nil)
 )
 
+func (q *eventPQ) size() int    { return len(*q) }
+func (q *eventPQ) empty() bool  { return len(*q) == 0 }
+func (q *eventPQ) nextAt() Time { return (*q)[0].at }
+func (q *schedQueue) size() int { return q.n }
+
+// bucketWidth and ringSpan describe the default geometry, for the stream
+// distributions.
+const (
+	bucketWidth = Time(1) << defaultBucketBits
+	ringSpan    = Time(defaultRingBuckets) << defaultBucketBits
+)
+
 // splitmix64 is a tiny deterministic generator for the random streams (the
 // test must not depend on other internal packages).
 type splitmix64 uint64

@@ -43,12 +43,12 @@ func FuzzSamplerMiner(f *testing.F) {
 					st.Pop()
 				}
 			case 2: // store a ref into a slot of the top frame
-				if f := st.Top(); f != nil && f.NumSlots() > 0 {
+				if f := top(st); f != nil && f.NumSlots() > 0 {
 					f.SetRef(arg%f.NumSlots(), objs[arg%len(objs)])
 				}
 			case 3: // clear a slot of the top frame
-				if f := st.Top(); f != nil && f.NumSlots() > 0 {
-					f.ClearSlot(arg % f.NumSlots())
+				if f := top(st); f != nil && f.NumSlots() > 0 {
+					f.slots[arg%f.NumSlots()] = nil
 				}
 			case 4: // sampler activation + mine
 				stats := sp.SampleStack(st)
@@ -58,8 +58,8 @@ func FuzzSamplerMiner(f *testing.F) {
 				}
 				// After an activation, retained samples never exceed the
 				// live frame count (popped frames' samples are discarded).
-				if sp.NumSamples() > st.Depth() {
-					t.Fatalf("samples %d > live frames %d", sp.NumSamples(), st.Depth())
+				if len(sp.samples) > st.Depth() {
+					t.Fatalf("samples %d > live frames %d", len(sp.samples), st.Depth())
 				}
 				checkInvariants(t, sp, st, objs)
 			}

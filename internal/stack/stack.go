@@ -36,23 +36,11 @@ type Frame struct {
 	slots   []*heap.Object // nil entries are non-reference or empty slots
 }
 
-// Inc returns the frame's incarnation id.
-func (f *Frame) Inc() uint64 { return f.inc }
-
-// Depth returns the frame's position from the stack bottom (0-based).
-func (f *Frame) Depth() int { return f.depth }
-
-// Visited reports the sampler's visited flag.
-func (f *Frame) Visited() bool { return f.visited }
-
 // NumSlots returns the frame's slot count.
 func (f *Frame) NumSlots() int { return len(f.slots) }
 
 // SetRef stores an object reference into slot i.
 func (f *Frame) SetRef(i int, o *heap.Object) { f.slots[i] = o }
-
-// ClearSlot empties slot i.
-func (f *Frame) ClearSlot(i int) { f.slots[i] = nil }
 
 // Ref returns the reference in slot i (nil for non-reference content).
 func (f *Frame) Ref(i int) *heap.Object { return f.slots[i] }
@@ -113,14 +101,6 @@ func (s *ThreadStack) Pop() {
 
 // Depth returns the current frame count.
 func (s *ThreadStack) Depth() int { return len(s.frames) }
-
-// Top returns the topmost frame, or nil.
-func (s *ThreadStack) Top() *Frame {
-	if len(s.frames) == 0 {
-		return nil
-	}
-	return s.frames[len(s.frames)-1]
-}
 
 // FrameAt returns the frame at depth i (0 = bottom).
 func (s *ThreadStack) FrameAt(i int) *Frame { return s.frames[i] }
@@ -355,6 +335,3 @@ func (sp *Sampler) Invariants(st *ThreadStack) []InvariantRef {
 	}
 	return out
 }
-
-// NumSamples reports retained samples (live frames with stored samples).
-func (sp *Sampler) NumSamples() int { return len(sp.samples) }

@@ -20,19 +20,19 @@ func TestPushPopBasics(t *testing.T) {
 	st := NewThreadStack()
 	m := &Method{Name: "f"}
 	f1 := st.Push(m, 2)
-	if st.Depth() != 1 || st.Top() != f1 || f1.Depth() != 0 {
+	if st.Depth() != 1 || top(st) != f1 || f1.depth != 0 {
 		t.Fatal("push bookkeeping wrong")
 	}
 	f2 := st.Push(m, 1)
-	if st.Depth() != 2 || st.Top() != f2 || f2.Depth() != 1 {
+	if st.Depth() != 2 || top(st) != f2 || f2.depth != 1 {
 		t.Fatal("second push wrong")
 	}
 	st.Pop()
-	if st.Top() != f1 {
+	if top(st) != f1 {
 		t.Fatal("pop wrong")
 	}
 	st.Pop()
-	if st.Depth() != 0 || st.Top() != nil {
+	if st.Depth() != 0 || top(st) != nil {
 		t.Fatal("empty stack wrong")
 	}
 }
@@ -55,7 +55,7 @@ func TestPrologueClearsVisited(t *testing.T) {
 	// Reused frame from the pool must have a cleared visited flag (the
 	// JIT clears it in every method prologue).
 	g := st.Push(m, 1)
-	if g.Visited() {
+	if g.visited {
 		t.Fatal("reused frame kept visited flag")
 	}
 }
@@ -81,10 +81,10 @@ func TestIncarnationsUnique(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
 		f := st.Push(m, 0)
-		if seen[f.Inc()] {
+		if seen[f.inc] {
 			t.Fatal("incarnation reused")
 		}
-		seen[f.Inc()] = true
+		seen[f.inc] = true
 		st.Pop()
 	}
 }
@@ -291,7 +291,7 @@ func TestProbingShrinksOldSample(t *testing.T) {
 	// Change 3 of 4 slots.
 	f.SetRef(0, objs[4])
 	f.SetRef(1, nil)
-	f.ClearSlot(2)
+	f.slots[2] = nil
 	s2 := sp.SampleStack(st) // extraction + compare 4
 	if s2.SlotsCompared != 4 {
 		t.Fatalf("compared %d, want 4", s2.SlotsCompared)
@@ -352,7 +352,7 @@ func TestEmptyStackSample(t *testing.T) {
 	st := NewThreadStack()
 	sp := NewSampler(true)
 	s := sp.SampleStack(st)
-	if s.FramesWalked != 0 || sp.NumSamples() != 0 {
+	if s.FramesWalked != 0 || len(sp.samples) != 0 {
 		t.Fatal("empty stack sampling should be a no-op")
 	}
 }
@@ -437,4 +437,12 @@ func TestRecycledSampleCarriesNoSlots(t *testing.T) {
 			}
 		}
 	}
+}
+
+// top returns st's topmost frame, or nil.
+func top(st *ThreadStack) *Frame {
+	if len(st.frames) == 0 {
+		return nil
+	}
+	return st.frames[len(st.frames)-1]
 }

@@ -9,7 +9,7 @@ import (
 	"jessica2/internal/oal"
 )
 
-// The incremental builder's contract is bit-equality with the legacy full
+// The incremental builder's contract is bit-equality with the full
 // rebuild on the simulator's weight domain (integral byte counts within the
 // fixed-point envelope). These property tests drive both implementations
 // through identical random streams of raw accesses, weight upgrades,
@@ -53,7 +53,7 @@ func assertCostsEqual(t *testing.T, tag string, inc, full BuildCost) {
 }
 
 // TestIncrementalEquivalenceRandomStreams is the central property: on
-// random op streams the incremental and legacy builders are observationally
+// random op streams the incremental and full builders are observationally
 // identical — bit-equal maps from Build/Peek/PeekInto (including reused
 // scratch), equal simulated cost ledgers, and equal summaries.
 func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
@@ -64,7 +64,7 @@ func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
 			rng := equivRand(seed * 0x1234567)
 			inc := NewBuilder(n)
 			full := NewFullBuilder(n)
-			var incScratch, fullScratch *Map
+			var incScratch *Map
 			for op := 0; op < 4000; op++ {
 				switch rng.next() % 100 {
 				case 96: // charged build + full comparison
@@ -74,8 +74,7 @@ func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
 					assertCostsEqual(t, "Build", ci, cf)
 				case 97: // peek into reused scratch (the epoch path)
 					incScratch = inc.PeekInto(incScratch)
-					fullScratch = full.PeekInto(fullScratch)
-					assertMapsBitEqual(t, "PeekInto", incScratch, fullScratch)
+					assertMapsBitEqual(t, "PeekInto", incScratch, full.Peek())
 				case 98: // summary export
 					si, sf := inc.Summarize(), full.Summarize()
 					if len(si.Objs) != len(sf.Objs) || si.WireBytes() != sf.WireBytes() {
@@ -165,7 +164,7 @@ func TestIncrementalEquivalenceWideDimension(t *testing.T) {
 
 // TestIncrementalUpgradeDelta pins the differential weight-upgrade path:
 // the upgrade's delta re-accrual over the existing pair set must equal the
-// legacy builder's from-scratch rebuild with the final max weight.
+// full builder's from-scratch rebuild with the final max weight.
 func TestIncrementalUpgradeDelta(t *testing.T) {
 	inc := NewBuilder(4)
 	full := NewFullBuilder(4)

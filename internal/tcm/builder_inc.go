@@ -8,9 +8,9 @@ import (
 	"jessica2/internal/oal"
 )
 
-// Builder is the online, differential correlation daemon. Where the legacy
-// FullBuilder re-sorts all M object keys and re-accrues every pairwise cell
-// on every Build/Peek, Builder maintains the N×N map continuously:
+// Builder is the online, differential correlation daemon. Where the paper's
+// daemon re-sorts all M object keys and re-accrues every pairwise cell on
+// every build, Builder maintains the N×N map continuously:
 //
 //   - each object's thread set is a dense []uint64 bitset (N is fixed at
 //     construction), so the repeat-access hot path is one bit test and
@@ -35,7 +35,7 @@ import (
 // counts) the conversion is exact up to 2^(63-fixedShift) ≈ 2^51 bytes per
 // add and 2^(53) scaled units ≈ 2^41 bytes ≈ 2 TB of correlated volume per
 // thread pair, far beyond any simulated run — within that envelope the
-// incremental maps are bit-identical to the legacy full rebuild (asserted
+// incremental maps are bit-identical to a full rebuild (asserted
 // by the property and fuzz equivalence tests, and on real workloads by
 // TestMasterMatchesFullRebuild in the experiments package). Fractional
 // weights are quantized to 2^-fixedShift bytes; additions saturate at
@@ -54,7 +54,7 @@ type Builder struct {
 	// acc is the persistently-maintained N×N accumulator (both symmetric
 	// mirrors, scaled fixed-point). livePairs tracks Σ_objects C(k,2) so a
 	// charged Build reports the same cumulative simulated O(M·N²) charge
-	// the legacy accrual pass realizes, in O(1).
+	// the paper's accrual pass realizes, in O(1).
 	acc       []int64
 	livePairs int64
 
@@ -144,7 +144,7 @@ func (b *Builder) IngestRecord(r *oal.Record) {
 // accrues the current weight over (t, existing). A repeat access at an
 // unchanged weight — the overwhelmingly common case — is a single bit
 // test. Malformed thread ids outside [0, n) are dropped (counted in
-// DroppedEntries), exactly as in the legacy builder.
+// DroppedEntries).
 func (b *Builder) AddAccess(t int, key int64, bytes float64) {
 	if t < 0 || t >= b.n {
 		b.cost.DroppedEntries++
@@ -268,7 +268,7 @@ func (b *Builder) accrue(i, j int, d int64) {
 
 // Build renders the maintained TCM and charges the cost ledger with the
 // paper's full accrual pass — Objects = M and PairAdds += Σ C(k,2), the
-// identical cumulative simulated charge the legacy builder realizes — in
+// identical cumulative simulated charge a full rebuild realizes — in
 // O(N²) host work independent of M.
 func (b *Builder) Build() (*Map, BuildCost) {
 	m := NewMap(b.n)
@@ -471,7 +471,7 @@ func (b *Builder) SharedKeys() []int64 {
 // IngestSummary merges a worker summary into the builder (the master-side
 // half): the larger byte estimate wins — its delta re-accrued over the
 // existing pair set — and thread sets union with malformed out-of-range ids
-// dropped, matching AddAccess and the legacy builder's accounting.
+// dropped, matching AddAccess's accounting.
 func (b *Builder) IngestSummary(s *Summary) {
 	for _, o := range s.Objs {
 		i := b.entry(o.Key)
@@ -487,12 +487,6 @@ func (b *Builder) IngestSummary(s *Summary) {
 		}
 		b.cost.Entries += len(o.Threads)
 	}
-}
-
-// Merge unions another builder's state into b (in-process variant of the
-// summary path, used by tests and by hierarchical reductions).
-func (b *Builder) Merge(other *Builder) {
-	b.IngestSummary(other.Summarize())
 }
 
 // Reset clears ingested state for the next profiling window in one pass:

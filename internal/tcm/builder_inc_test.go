@@ -9,9 +9,8 @@ import (
 // TestFreePoolCapAfterStormWindow is the pool-growth regression test: a
 // storm window that ingests a huge object population must not permanently
 // pin its peak entry memory — within one subsequent small window the
-// retained entry storage must shrink to the small window's working set.
-// Both builders share the freePoolCap policy: Builder on the capacity of
-// its entry and bitset arrays, FullBuilder on its entry free list.
+// retained entry storage, the capacity of Builder's entry and bitset
+// arrays, must shrink to the small window's working set (freePoolCap).
 func TestFreePoolCapAfterStormWindow(t *testing.T) {
 	const storm, small = 20000, 50
 	t.Run("incremental", func(t *testing.T) {
@@ -31,25 +30,6 @@ func TestFreePoolCapAfterStormWindow(t *testing.T) {
 		if max := freePoolCap(small); cap(b.ents) > max || cap(b.bits) > max*b.words {
 			t.Fatalf("after small-window reset: entry capacity %d, bitset capacity %d, want <= %d and <= %d",
 				cap(b.ents), cap(b.bits), max, max*b.words)
-		}
-	})
-	t.Run("full", func(t *testing.T) {
-		b := NewFullBuilder(4)
-		for o := int64(0); o < storm; o++ {
-			b.AddAccess(int(o)%4, o, 64)
-		}
-		b.Reset()
-		for o := int64(0); o < small; o++ {
-			b.AddAccess(int(o)%4, o, 64)
-		}
-		b.Reset()
-		if max := freePoolCap(small); len(b.free) > max {
-			t.Fatalf("after small-window reset: pool %d, want <= %d", len(b.free), max)
-		}
-		for i, e := range b.free[:cap(b.free)] {
-			if i >= len(b.free) && e != nil {
-				t.Fatalf("trimmed pool slot %d still pins an entry", i)
-			}
 		}
 	})
 }

@@ -115,7 +115,7 @@ func FuzzBuilder(f *testing.F) {
 	})
 }
 
-// FuzzBuilderEquivalence drives the incremental and legacy builders through
+// FuzzBuilderEquivalence drives the incremental and full builders through
 // one adversarial op stream — raw accesses with hostile thread ids, weight
 // upgrades, record and summary ingestion, charged builds, scratch peeks and
 // window resets — and asserts the two stay observationally identical:
@@ -147,7 +147,7 @@ func FuzzBuilderEquivalence(f *testing.F) {
 		const n = 8
 		inc := NewBuilder(n)
 		full := NewFullBuilder(n)
-		var incScratch, fullScratch *Map
+		var incScratch *Map
 		compare := func(tag string, mi, mf *Map) {
 			t.Helper()
 			for i := 0; i < n; i++ {
@@ -200,8 +200,7 @@ func FuzzBuilderEquivalence(f *testing.F) {
 				full.Reset()
 			case 5: // reused-scratch peek: the epoch snapshot path
 				incScratch = inc.PeekInto(incScratch)
-				fullScratch = full.PeekInto(fullScratch)
-				compare("PeekInto", incScratch, fullScratch)
+				compare("PeekInto", incScratch, full.Peek())
 			}
 		}
 		mi, _ := inc.Build()

@@ -41,6 +41,3 @@ func (s *Summary) WireBytes() int {
 	}
 	return n
 }
-
-// NumObjs reports the number of summarized objects.
-func (s *Summary) NumObjs() int { return len(s.Objs) }

@@ -16,8 +16,8 @@ func TestSummarizeRoundTrip(t *testing.T) {
 	b.AddAccess(3, 20, 50)
 	b.AddAccess(0, 20, 50)
 	s := b.Summarize()
-	if s.NumObjs() != 2 {
-		t.Fatalf("objs = %d", s.NumObjs())
+	if len(s.Objs) != 2 {
+		t.Fatalf("objs = %d", len(s.Objs))
 	}
 	// Keys sorted.
 	if s.Objs[0].Key != 10 || s.Objs[1].Key != 20 {
@@ -49,8 +49,8 @@ func TestSummaryMergeUnionsThreads(t *testing.T) {
 		t.Fatal("partial builder should see no pairs")
 	}
 	master := NewBuilder(2)
-	master.Merge(a)
-	master.Merge(b)
+	master.IngestSummary(a.Summarize())
+	master.IngestSummary(b.Summarize())
 	m, _ := master.Build()
 	if m.At(0, 1) != 64 {
 		t.Fatalf("merged pair volume = %v, want 64", m.At(0, 1))

@@ -238,10 +238,9 @@ func (m *Map) String() string {
 // and TCM accrual is O(M·N²) worst case (PairAdds counts the realized
 // pairwise additions).
 //
-// The ledger reports the paper's *simulated* charge: Builder and the legacy
-// FullBuilder both account a charged Build as the full O(M·N²)
-// reorganize-and-accrue pass, even though Builder's host-side work per
-// Build is O(1).
+// The ledger reports the paper's *simulated* charge: Builder accounts a
+// charged Build as the full O(M·N²) reorganize-and-accrue pass, even though
+// its host-side work per Build is O(1).
 // The simulated analyzer the tables charge is the paper's daemon, not our
 // maintenance strategy.
 type BuildCost struct {
@@ -254,7 +253,7 @@ type BuildCost struct {
 	DroppedEntries int64
 }
 
-// freePoolCap bounds the entry storage the builders retain across Reset: a
+// freePoolCap bounds the entry storage Builder retains across Reset: a
 // storm window must not permanently pin its peak entry population. Keeping
 // 2×(the window just recycled)+slack adapts the retained storage to the
 // current working set within one window of a large→small transition.

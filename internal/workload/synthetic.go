@@ -58,9 +58,6 @@ type Synthetic struct {
 	WriteFraction float64
 	// AccessCost is the per-access compute charge.
 	AccessCost sim.Time
-	// UseLocks, when true, wraps each round's tail in a lock-protected
-	// critical section (exercising the lock-piggyback OAL path).
-	UseLocks bool
 
 	regions [][]*heap.Object
 }
@@ -179,11 +176,6 @@ func (s *Synthetic) Launch(k *gos.Kernel, p Params) {
 						t.Read(obj)
 					}
 					t.Compute(s.AccessCost)
-				}
-				if s.UseLocks {
-					t.Acquire(5000 + round%4)
-					t.Write(region[0])
-					t.Release(5000 + round%4)
 				}
 				t.Stack.Pop()
 				t.Barrier(0, parties)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"jessica2/internal/gos"
-	"jessica2/internal/sampling"
 	"jessica2/internal/sim"
 	"jessica2/internal/tcm"
 )
@@ -281,23 +280,6 @@ func TestSyntheticBlocksIsolation(t *testing.T) {
 	}
 	if m.At(0, 1) == 0 {
 		t.Fatal("intra-group sharing missing")
-	}
-}
-
-func TestSyntheticLocksExerciseOALPiggyback(t *testing.T) {
-	s := NewSynthetic()
-	s.UseLocks = true
-	s.Intervals = 4
-	s.AccessesPerInterval = 128
-	cfg := gos.DefaultConfig()
-	cfg.Nodes = 2
-	cfg.Tracking = gos.TrackingSampled
-	k := gos.NewKernel(cfg)
-	s.Launch(k, Params{Threads: 4, Seed: 8})
-	sampling.Uniform(k.Reg, sampling.FullRate).Apply(k.Reg)
-	k.Run()
-	if k.Stats().LockAcquires != 16 {
-		t.Fatalf("lock acquires = %d, want 16", k.Stats().LockAcquires)
 	}
 }
 
